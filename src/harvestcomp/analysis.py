@@ -123,7 +123,7 @@ class InequalityReport:
         return all(c.holds for c in self.checks if c.applicable)
 
 
-def fit_convex_hull(env: EnvironmentProfile, residual_tol: float = 1e-10) -> HullFit:
+def fit_convex_hull(env: EnvironmentProfile) -> HullFit:
     """Fit K = gamma*P + delta*Q by nonnegative least squares."""
     coeffs, _ = nnls(np.column_stack([env.P, env.Q]), env.K)
     gamma, delta = float(coeffs[0]), float(coeffs[1])

@@ -91,7 +91,16 @@ def _print_record(record: OutcomeRecord) -> None:
 # result cache (sweeps only)
 
 
+def _source_digest() -> str:
+    """Digest of the package sources: any code change invalidates the cache."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + path.read_bytes())
+    return h.hexdigest()
+
+
 def _cache_key(payload: dict) -> str:
+    payload = {**payload, "source": _source_digest()}
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
@@ -257,7 +266,7 @@ def _cmd_eigen(args) -> int:
         verdict = "neutral"
     print(
         f"around={args.around}-branch invader={invader} sigma1={result.sigma1:.10g} "
-        f"({verdict}, {result.iterations} iterations)"
+        f"({verdict}, residual={result.residual:.3e})"
     )
     if args.output:
         _write_csv(args.output, ["x", "psi"], zip(grid.centers, result.psi))
@@ -451,8 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="coexistence bounds alpha_star for fixed beta values")
     common(p)
     p.add_argument("--betas", default=None, help="comma-separated beta values")
-    p.add_argument("--with-switch", action="store_true", help="also bisect alpha_double_star")
-    p.add_argument("--tol", type=float, default=1e-3, help="bisection tolerance")
+    p.add_argument("--with-switch", action="store_true", help="also find alpha_double_star")
+    p.add_argument("--tol", type=float, default=1e-3, help="switch bracket width")
     p.set_defaults(handler=_cmd_bounds)
 
     p = sub.add_parser("sweep", help="outcome sweep over harvesting rates")
@@ -464,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir", default=".harvestcomp_cache")
     p.set_defaults(handler=_cmd_sweep)
 
-    p = sub.add_parser("switch", help="bisect the largest coexistence-preserving alpha")
+    p = sub.add_parser("switch", help="largest alpha at which the first species can invade")
     common(p)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--tol", type=float, default=1e-3)

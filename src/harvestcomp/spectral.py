@@ -3,10 +3,10 @@
 The eigenproblem  D psi + q * psi = sigma * psi  (D the dispersal operator
 built on profile R, q the growth potential) is self-adjoint in the inner
 product weighted by 1/R. Substituting phi = psi / sqrt(R) turns it into a
-standard symmetric tridiagonal problem, solved by power iteration on the
-inverse of the positive definite shift (s*I - H) with s above the spectrum.
-Each iterate is one Thomas solve, and the iteration preserves positivity,
-so it converges to the principal pair.
+standard symmetric tridiagonal problem, whose largest eigenpair one direct
+LAPACK call computes (bisection plus inverse iteration). The off-diagonal
+is positive, so the principal eigenvector has one sign (Perron-Frobenius);
+it is returned positive.
 """
 
 from __future__ import annotations
@@ -15,13 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import eigh_tridiagonal
 
-from .errors import ConfigurationError, ConvergenceError
+from .errors import ConfigurationError
 from .grid import Field, as_field
 from .operators import DiffusionOperator
-
-_gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.zeros(3),))
 
 #: Below this magnitude the principal eigenvalue is reported as neutral.
 NEUTRAL_TOL = 1e-8
@@ -49,17 +47,13 @@ def _symmetrized_bands(op: DiffusionOperator, potential: Field) -> tuple[np.ndar
     return diag, off
 
 
-def principal_eigen(
-    op: DiffusionOperator,
-    potential: Field,
-    R: Field,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
-) -> EigenResult:
+def principal_eigen(op: DiffusionOperator, potential: Field, R: Field) -> EigenResult:
     """Largest eigenvalue and positive eigenfunction of D + diag(potential).
 
     R must be the dispersal profile the operator was built with; it defines
-    the weighted inner product and the eigenfunction normalization.
+    the weighted inner product and the eigenfunction normalization. The
+    solve is direct, so iterations is always 1; residual is the Euclidean
+    norm of H phi - sigma1 phi for the unit symmetrized eigenvector phi.
     """
     R = as_field(R, op.grid)
     potential = as_field(potential, op.grid)
@@ -67,42 +61,17 @@ def principal_eigen(
         raise ConfigurationError("R must be the dispersal profile of the operator")
 
     diag, off = _symmetrized_bands(op, potential)
-    # any shift above max(potential) clears the spectrum: the dispersal part
-    # is negative semidefinite, so sigma1 <= max(potential)
-    shift = float(np.max(potential)) + 1.0
-    dl_f, d_f, du_f, du2, ipiv, info = _gttrf(-off, shift - diag, -off)
-    if info != 0:
-        raise ConvergenceError("failed to factor the shifted eigenproblem")
-
-    phi = np.sqrt(R)
-    phi /= np.linalg.norm(phi)
-    rho_prev = math.inf
-    rho = 0.0
-    for k in range(1, max_iter + 1):
-        phi, info = _gttrs(dl_f, d_f, du_f, du2, ipiv, phi)
-        if info != 0:
-            raise ConvergenceError("shifted eigenproblem solve failed")
-        phi /= np.linalg.norm(phi)
-        # Rayleigh quotient of the symmetrized operator
-        h_phi = diag * phi
-        h_phi[:-1] += off * phi[1:]
-        h_phi[1:] += off * phi[:-1]
-        rho = float(phi @ h_phi)
-        if abs(rho - rho_prev) <= tol * max(1.0, abs(rho)):
-            break
-        rho_prev = rho
-    else:
-        residual = float(np.linalg.norm(h_phi - rho * phi))
-        raise ConvergenceError(
-            f"power iteration did not converge in {max_iter} iterations "
-            f"(Rayleigh residual {residual:.3e})"
-        )
-
+    n = len(diag)
+    w, vec = eigh_tridiagonal(diag, off, select="i", select_range=(n - 1, n - 1))
+    rho = float(w[0])
+    phi = vec[:, 0] if vec[:, 0].sum() > 0 else -vec[:, 0]  # LAPACK leaves the sign free
+    h_phi = diag * phi
+    h_phi[:-1] += off * phi[1:]
+    h_phi[1:] += off * phi[:-1]
     residual = float(np.linalg.norm(h_phi - rho * phi))
-    phi = np.abs(phi)  # iterates keep one sign; fix it to the positive one
     phi /= math.sqrt(op.grid.h * float(phi @ phi))
     psi = phi * np.sqrt(R)
-    return EigenResult(sigma1=rho, psi=psi, iterations=k, residual=residual)
+    return EigenResult(sigma1=rho, psi=psi, iterations=1, residual=residual)
 
 
 def rayleigh_lower_bound(

@@ -3,6 +3,7 @@
 Every cell re-solves the system from the same initial condition, so cells
 are independent: they run on a bounded process pool, are gathered by index,
 and the assembled result does not depend on worker count or scheduling.
+The switch point comes from the invasion eigenvalue, not from simulation.
 """
 
 from __future__ import annotations
@@ -13,11 +14,14 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from scipy.optimize import brentq
 
-from .analysis import Outcome, OutcomeRecord, classify
-from .dynamics import HarvestRates, SimulationConfig, run_to_time
+from . import spectral
+from .analysis import OutcomeRecord, classify, invasion_potential
+from .dynamics import HarvestRates, SimulationConfig, run_to_time, solve_semitrivial
 from .errors import HarvestCompError
 from .grid import Field
+from .operators import build_operator
 from .profiles import EnvironmentProfile
 
 #: Constant initial density used for every species unless overridden.
@@ -123,13 +127,6 @@ def sweep_grid(
     return SweepGrid(alphas=alphas, betas=betas, records=records)
 
 
-def _u_excluded(record) -> bool:
-    return isinstance(record, OutcomeRecord) and record.outcome in (
-        Outcome.ONLY_V,
-        Outcome.EXTINCTION,
-    )
-
-
 def find_switch(
     beta: float,
     env: EnvironmentProfile,
@@ -139,11 +136,18 @@ def find_switch(
     u0: Field | None = None,
     v0: Field | None = None,
 ) -> SwitchPoint | None:
-    """Bisect for the largest harvesting effort that still lets the first
-    species survive, between alpha = beta + eps and alpha = 1 - eps.
+    """Largest harvesting effort alpha** that still lets the first species
+    invade (0, v_beta), searched between alpha = beta + eps and 1 - eps.
 
-    Returns None when the outcome does not differ across that bracket
-    (no switch to report).
+    alpha** is the root of sigma1(alpha), the principal eigenvalue of u
+    invading the harvested semi-trivial state (0, v_beta): (0, v_beta) turns
+    stable where sigma1 changes sign. sigma1 strictly decreases in alpha
+    (r >= 0 is positive somewhere and the eigenfunction is positive), so
+    brentq finds the root to near machine precision and sigma1 has opposite
+    signs at the two ends of the reported bracket, whose width is at most
+    tol. Returns None when sigma1 has one sign across the search interval
+    (no switch to report). Positive initial data do not enter the invasion
+    criterion: u0 and v0 are accepted for call compatibility and unused.
     """
     if eps is None:
         eps = tol
@@ -151,15 +155,17 @@ def find_switch(
     hi = 1.0 - eps
     if lo >= hi:
         return None
-    cell = lambda a: simulate_cell(a, beta, env, cfg, u0, v0)
-    lo_excl = _u_excluded(cell(lo))
-    hi_excl = _u_excluded(cell(hi))
-    if lo_excl == hi_excl:
+    v_beta = solve_semitrivial("v", env, 1.0 - beta, (1.0 - beta) * env.K, cfg)
+    op = build_operator(env.a, env.P, env.grid)
+
+    def sigma1(alpha: float) -> float:
+        potential = invasion_potential("u", v_beta, env, HarvestRates(alpha=alpha, beta=beta))
+        # looked up on the module at call time, so a wrapper installed there
+        # (bench/tracer.py) sees every solve
+        return spectral.principal_eigen(op, potential, env.P).sigma1
+
+    if (sigma1(lo) < 0) == (sigma1(hi) < 0):
         return None
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _u_excluded(cell(mid)) == hi_excl:
-            hi = mid
-        else:
-            lo = mid
-    return SwitchPoint(beta=beta, alpha_double_star=0.5 * (lo + hi), bracket_width=hi - lo)
+    root = brentq(sigma1, lo, hi)
+    width = min(tol, 2.0 * (root - lo), 2.0 * (hi - root))
+    return SwitchPoint(beta=beta, alpha_double_star=root, bracket_width=width)

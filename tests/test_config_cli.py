@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from harvestcomp import ConfigurationError
+from harvestcomp import cli
 from harvestcomp.cli import main
 from harvestcomp.config import apply_overrides, load_config, parse_config_text
 
@@ -166,6 +167,25 @@ def test_sweep_cache_and_jobs_determinism(fast_config, tmp_path):
     assert s1.read_bytes() == s2.read_bytes() == s3.read_bytes()
     assert s1.read_text().splitlines()[0] == "alpha,beta,avg_u,avg_v,yield,outcome"
     assert list(cache.glob("*.csv"))
+
+
+def test_sweep_cache_keyed_by_source_digest(fast_config, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    args = [
+        "sweep", "--config", fast_config, "--set", "t_final=20", "--grid", "2",
+        "--jobs", "1", "--cache-dir", cache,
+    ]
+    out = tmp_path / "s.csv"
+    monkeypatch.setattr(cli, "_source_digest", lambda: "old sources")
+    assert run_cli(*args, "--output", out) == 0
+    (entry,) = cache.glob("*.csv")
+    entry.write_text("stale\n")
+    assert run_cli(*args, "--output", out) == 0
+    assert out.read_text() == "stale\n"  # same sources: served from the cache
+    monkeypatch.setattr(cli, "_source_digest", lambda: "new sources")
+    assert run_cli(*args, "--output", out) == 0
+    assert out.read_text().splitlines()[0] == "alpha,beta,avg_u,avg_v,yield,outcome"
+    assert len(list(cache.glob("*.csv"))) == 2
 
 
 def test_sweep_outcome_labels(fast_config, tmp_path):
