@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import sys
@@ -54,9 +55,10 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(c) for c in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")  # quotes a field holding a comma
+        writer.writerow(header)
+        writer.writerows([_fmt(c) for c in row] for row in rows)
 
 
 def _outcome_label(record) -> str:
@@ -66,9 +68,11 @@ def _outcome_label(record) -> str:
 
 
 def _record_row(record) -> list:
+    """Sweep CSV row; reason says why a cell is unresolved: the failure
+    message, or t_final for a run that hit its time cap unsettled."""
     if isinstance(record, CellFailure):
         nan = float("nan")
-        return [record.alpha, record.beta, nan, nan, nan, "unresolved"]
+        return [record.alpha, record.beta, nan, nan, nan, "unresolved", record.message]
     return [
         record.alpha,
         record.beta,
@@ -76,6 +80,7 @@ def _record_row(record) -> list:
         record.avg_v,
         record.total_yield,
         _outcome_label(record),
+        "" if record.resolved else "t_final",
     ]
 
 
@@ -129,7 +134,7 @@ with open({csv!r}) as fh:
         for name, value in row.items():
             cols[name].append(value)
 
-numeric = {{n: [float(v) for v in vs] for n, vs in cols.items() if n != "outcome"}}
+numeric = {{n: [float(v) for v in vs] for n, vs in cols.items() if n not in ("outcome", "reason")}}
 names = list(numeric)
 x = numeric[names[0]]
 for name in names[1:]:
@@ -340,14 +345,15 @@ def _cmd_sweep(args) -> int:
         ]
 
     rows = [_record_row(rec) for rec in records]
-    _write_csv(args.output, ["alpha", "beta", "avg_u", "avg_v", "yield", "outcome"], rows)
+    header = ["alpha", "beta", "avg_u", "avg_v", "yield", "outcome", "reason"]
+    _write_csv(args.output, header, rows)
     print(f"wrote {args.output}")
     if not args.no_cache:
         _cache_store(cache_dir, key, Path(args.output).read_text(encoding="utf-8"))
     if args.plot_script:
         _emit_plot_script(args.output)
 
-    unresolved = sum(1 for r in rows if r[-1] == "unresolved")
+    unresolved = sum(1 for r in rows if r[-2] == "unresolved")
     if unresolved:
         print(f"{unresolved} of {len(rows)} cells unresolved", file=sys.stderr)
         if args.strict:

@@ -1,9 +1,14 @@
 """Parameter sweeps over harvesting rates and the coexistence switch point.
 
-Every cell re-solves the system from the same initial condition, so cells
-are independent: they run on a bounded process pool, are gathered by index,
-and the assembled result does not depend on worker count or scheduling.
-The switch point comes from the invasion eigenvalue, not from simulation.
+Every cell re-solves the system from the same initial condition, and the
+dispersal operators do not depend on the harvesting rates. So the cells are
+split into one contiguous block per worker of a bounded process pool, and
+each block is marched in lockstep: its cells are the columns of one state
+array, stepped by one multi-RHS tridiagonal solve per species, and each
+leaves the block at the step where it settles. Every cell's state is
+bitwise the one a run of its own gives, so the assembled result does not
+depend on worker count or scheduling. The switch point comes from the
+invasion eigenvalue, not from simulation.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from scipy.optimize import brentq
 
 from . import spectral
 from .analysis import OutcomeRecord, classify, invasion_potential
-from .dynamics import HarvestRates, SimulationConfig, run_to_time, solve_semitrivial
+from .dynamics import HarvestRates, SimulationConfig, march, run_to_time, solve_semitrivial
 from .errors import HarvestCompError
 from .grid import Field
 from .operators import build_operator
@@ -74,23 +79,40 @@ def simulate_cell(
     return classify(final, env, rates, cfg)
 
 
-def _cell_task(pair, env, cfg, u0, v0):
-    alpha, beta = pair
-    try:
-        return simulate_cell(alpha, beta, env, cfg, u0, v0)
-    except HarvestCompError as exc:
-        return CellFailure(alpha=alpha, beta=beta, message=str(exc))
+def _run_block(pairs, env, cfg, u0, v0):
+    """March one block of cells in lockstep and classify each final state;
+    a cell that fails is recorded as a CellFailure in its place."""
+    out: list = [None] * len(pairs)
+    cells, rates = [], []
+    for i, (alpha, beta) in enumerate(pairs):
+        try:
+            rates.append(HarvestRates(alpha=alpha, beta=beta))
+            cells.append(i)
+        except HarvestCompError as exc:
+            out[i] = CellFailure(alpha=alpha, beta=beta, message=str(exc))
+    for i, r, final in zip(cells, rates, march(u0, v0, env, rates, cfg)):
+        if isinstance(final, HarvestCompError):
+            out[i] = CellFailure(alpha=r.alpha, beta=r.beta, message=str(final))
+        else:
+            out[i] = classify(final, env, r, cfg)
+    return out
 
 
 def _run_cells(pairs, env, cfg, u0, v0, jobs):
-    task = partial(_cell_task, env=env, cfg=cfg, u0=u0, v0=v0)
+    """Split the cells into `jobs` contiguous blocks and march each block in
+    lockstep on one worker (in this process when jobs <= 1)."""
+    u0 = _default_initial(env) if u0 is None else u0
+    v0 = _default_initial(env) if v0 is None else v0
+    task = partial(_run_block, env=env, cfg=cfg, u0=u0, v0=v0)
     if jobs is None:
         jobs = os.cpu_count() or 1
     if jobs <= 1 or len(pairs) <= 1:
-        return [task(p) for p in pairs]
-    chunk = max(1, len(pairs) // (8 * jobs))
+        return task(pairs)
+    jobs = min(jobs, len(pairs))
+    edges = [len(pairs) * k // jobs for k in range(jobs + 1)]
+    blocks = [pairs[a:b] for a, b in zip(edges[:-1], edges[1:])]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(task, pairs, chunksize=chunk))
+        return [rec for block in pool.map(task, blocks) for rec in block]
 
 
 def sweep_alpha(

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -165,7 +167,7 @@ def test_sweep_cache_and_jobs_determinism(fast_config, tmp_path):
     assert run_cli(*args, "--jobs", "1", "--output", s2, "--no-cache") == 0
     assert run_cli(*args, "--jobs", "1", "--output", s3) == 0  # cache hit
     assert s1.read_bytes() == s2.read_bytes() == s3.read_bytes()
-    assert s1.read_text().splitlines()[0] == "alpha,beta,avg_u,avg_v,yield,outcome"
+    assert s1.read_text().splitlines()[0] == "alpha,beta,avg_u,avg_v,yield,outcome,reason"
     assert list(cache.glob("*.csv"))
 
 
@@ -184,18 +186,38 @@ def test_sweep_cache_keyed_by_source_digest(fast_config, tmp_path, monkeypatch):
     assert out.read_text() == "stale\n"  # same sources: served from the cache
     monkeypatch.setattr(cli, "_source_digest", lambda: "new sources")
     assert run_cli(*args, "--output", out) == 0
-    assert out.read_text().splitlines()[0] == "alpha,beta,avg_u,avg_v,yield,outcome"
+    assert out.read_text().splitlines()[0] == "alpha,beta,avg_u,avg_v,yield,outcome,reason"
     assert len(list(cache.glob("*.csv"))) == 2
 
 
-def test_sweep_outcome_labels(fast_config, tmp_path):
+def _sweep_rows(fast_config, tmp_path, *extra):
     out = tmp_path / "s.csv"
-    assert run_cli(
+    code = run_cli(
         "sweep", "--config", fast_config, "--grid", "2", "--jobs", "1",
-        "--output", out, "--no-cache", "--cache-dir", tmp_path / "c",
-    ) == 0
-    labels = {line.split(",")[-1] for line in out.read_text().splitlines()[1:]}
+        "--output", out, "--no-cache", "--cache-dir", tmp_path / "c", *extra,
+    )
+    with open(out, newline="") as fh:
+        return code, list(csv.DictReader(fh))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_sweep_outcome_labels(fast_config, tmp_path):
+    code, rows = _sweep_rows(fast_config, tmp_path)
+    assert code == 0
+    labels = {row["outcome"] for row in rows}
     assert labels <= {"coexist", "only_u", "only_v", "extinct", "unresolved"}
+    # reason: t_final for a run that hit its time cap, empty for a settled one
+    assert {row["reason"] for row in rows} == {"", "t_final"}
+    for row in rows:
+        assert (row["outcome"] == "unresolved") == (row["reason"] == "t_final")
+    # a numerical failure (u0 / dt overflows) carries its message; --strict
+    # counts it as unresolved too
+    code, rows = _sweep_rows(fast_config, tmp_path, "--set", "u0=1e308", "--strict")
+    assert code == 4
+    for row in rows:
+        assert row["outcome"] == "unresolved"
+        assert row["reason"] == "shifted solve with s = 20.0 failed"
+        assert row["avg_u"] == "nan"
 
 
 def test_switch_command(fast_config, capsys):

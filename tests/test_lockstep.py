@@ -1,0 +1,155 @@
+"""Lockstep marching against the one-cell loop it replaced.
+
+scalar_run_to_time is the per-cell time loop kept as the reference: one
+1-D state per species, two single-RHS solves per step. The lockstep march
+does the same arithmetic on the columns of (n, m) arrays, so every cell
+must agree with it bit for bit.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from harvestcomp import HarvestRates, SimulationConfig, classify, run_to_time
+from harvestcomp import dynamics
+from harvestcomp.errors import ConfigurationError, UnstableStepError
+from harvestcomp.grid import as_field
+from harvestcomp.operators import build_operator, shifted_solver
+from harvestcomp.sweep import CellFailure, sweep_grid
+
+from conftest import load_example
+
+RATES = np.linspace(0.0, 1.0, 4)
+# settles the off-diagonal cells at different steps; the alpha = beta cells
+# (P proportional to K, so sigma_v = 0) are still moving at t_final
+QUICK = SimulationConfig(dt=0.05, t_final=150.0, steady_tol=1e-7)
+
+
+def scalar_run_to_time(u0, v0, env, rates, cfg):
+    """The reference one-cell march: returns (u, v, t, steady, dudt_inf)."""
+    u = as_field(u0, env.grid).copy()
+    v = as_field(v0, env.grid).copy()
+    if np.any(u < 0) or np.any(v < 0):
+        raise ConfigurationError("initial conditions must be nonnegative")
+
+    dt = cfg.dt
+    inv_dt = 1.0 / dt
+    solve_u = shifted_solver(build_operator(env.a, env.P, env.grid), inv_dt)
+    solve_v = shifted_solver(build_operator(env.b, env.Q, env.grid), inv_dt)
+    grow_u = dt * env.r * (1.0 - rates.alpha)
+    grow_v = dt * env.r * (1.0 - rates.beta)
+    susc = dt * env.r / env.K
+
+    delta = math.inf
+    steps = 0
+    for steps in range(1, cfg.n_steps + 1):
+        u1 = solve_u(u * inv_dt)
+        v1 = solve_v(v * inv_dt)
+        total = u1 + v1
+        u2 = u1 * (1.0 + grow_u - susc * total)
+        v2 = v1 * (1.0 + grow_v - susc * total)
+        np.maximum(u2, 0.0, out=u2)
+        np.maximum(v2, 0.0, out=v2)
+        delta = max(np.max(np.abs(u2 - u)), np.max(np.abs(v2 - v))) * inv_dt
+        u, v = u2, v2
+        if not math.isfinite(delta):
+            raise UnstableStepError(f"non-finite state at t = {steps * dt:g} with dt = {dt}")
+        if delta < cfg.steady_tol:
+            return u, v, steps * dt, True, float(delta)
+    return u, v, steps * dt, False, float(delta)
+
+
+@pytest.fixture(scope="module")
+def example1_48():
+    _, grid, env, _ = load_example("example1", n_cells=48)
+    u0 = np.full(grid.n_cells, 2.1)
+    v0 = 2.1 + 0.1 * np.cos(np.pi * grid.centers / grid.length)
+    return env, u0, v0
+
+
+@pytest.fixture(scope="module")
+def reference(example1_48):
+    env, u0, v0 = example1_48
+    return {(a, b): scalar_run_to_time(u0, v0, env, HarvestRates(a, b), QUICK)
+            for b in RATES for a in RATES}
+
+
+def _fields(state):
+    return state.u, state.v, state.t, state.steady, state.dudt_inf
+
+
+def _assert_bitwise(state, ref):
+    u, v, t, steady, dudt_inf = _fields(state)
+    assert np.array_equal(u, ref[0]) and np.array_equal(v, ref[1])
+    assert (t, steady, dudt_inf) == ref[2:]
+
+
+def test_reference_cells_settle_at_different_steps(reference):
+    # the case the lockstep bookkeeping has to get right
+    settled = {ab: r[2] for ab, r in reference.items() if r[3]}
+    assert len(set(settled.values())) >= 3
+    assert all(not reference[(a, a)][3] for a in RATES)
+
+
+def test_march_is_bitwise_the_scalar_loop(example1_48, reference):
+    env, u0, v0 = example1_48
+    rates = [HarvestRates(a, b) for a, b in reference]
+    finals = dynamics.march(u0, v0, env, rates, QUICK)
+    for r, final in zip(rates, finals):
+        _assert_bitwise(final, reference[(r.alpha, r.beta)])
+
+
+def test_run_to_time_is_bitwise_the_scalar_loop(example1_48, reference):
+    env, u0, v0 = example1_48
+    for ab in ((0.0, 1.0), (1.0 / 3.0, 1.0 / 3.0), (1.0, 2.0 / 3.0)):
+        _assert_bitwise(run_to_time(u0, v0, env, HarvestRates(*ab), QUICK), reference[ab])
+
+
+def test_sweep_records_equal_across_uneven_blocks(example1_48, reference):
+    env, u0, v0 = example1_48
+    serial = sweep_grid(RATES, RATES, env, QUICK, jobs=1, u0=u0, v0=v0)
+    blocks = sweep_grid(RATES, RATES, env, QUICK, jobs=3, u0=u0, v0=v0)  # 5, 5, 6 cells
+    assert serial.records == blocks.records
+    for i, b in enumerate(RATES):
+        for j, a in enumerate(RATES):
+            u, v, t, steady, dudt_inf = reference[(a, b)]
+            state = dynamics.PopulationState(u=u, v=v, t=t, steady=steady, dudt_inf=dudt_inf)
+            assert serial.records[i][j] == classify(state, env, HarvestRates(a, b), QUICK)
+
+
+def test_non_finite_column_fails_alone(example1_48, reference, monkeypatch):
+    # a solve that turns one column to NaN at its third call: that cell
+    # fails with the step error, the others run on to the scalar answer
+    env, u0, v0 = example1_48
+    real = dynamics.shifted_solver
+
+    def poisoned(op, s):
+        solve = real(op, s)
+        calls = []
+
+        def solve_with_nan(rhs):
+            x = solve(rhs)
+            calls.append(None)
+            if len(calls) == 3:
+                x[:, 1] = np.nan
+            return x
+
+        return solve_with_nan
+
+    monkeypatch.setattr(dynamics, "shifted_solver", poisoned)
+    rates = [HarvestRates(a, 0.0) for a in RATES]
+    finals = dynamics.march(u0, v0, env, rates, QUICK)
+    assert isinstance(finals[1], UnstableStepError)
+    assert str(finals[1]) == f"non-finite state at t = {3 * QUICK.dt:g} with dt = {QUICK.dt}"
+    for k in (0, 2, 3):
+        _assert_bitwise(finals[k], reference[(RATES[k], 0.0)])
+
+
+def test_bad_initial_data_fail_every_cell(example1_48):
+    env, u0, _ = example1_48
+    finals = dynamics.march(u0, -u0, env, [HarvestRates(0.1, 0.2), HarvestRates(0.3, 0.4)], QUICK)
+    assert all(isinstance(f, ConfigurationError) and "nonnegative" in str(f) for f in finals)
+    sg = sweep_grid([0.1, 0.3], [0.2], env, QUICK, jobs=1, u0=u0, v0=np.full_like(u0, np.nan))
+    assert all(isinstance(c, CellFailure) and "shifted solve" in c.message
+               for c in sg.records[0])

@@ -136,6 +136,19 @@ def test_prefactored_solver_matches_single_shot(rng):
         assert np.array_equal(solve(rhs), solve_shifted(op, 20.0, rhs))
 
 
+def test_multi_rhs_solve_is_bitwise_column_by_column(rng):
+    # lockstep marching relies on LAPACK's multi-RHS gttrs repeating the
+    # single-RHS arithmetic for every column
+    g = random_grid(rng, 32, 64)
+    op = build_operator(random_positive_profile(rng, g), random_positive_profile(rng, g), g)
+    solve = shifted_solver(op, 20.0)
+    rhs = np.asfortranarray(rng.uniform(0.0, 5.0, size=(g.n_cells, 7)))
+    x = solve(rhs)
+    assert x.shape == rhs.shape
+    for k in range(rhs.shape[1]):
+        assert np.array_equal(x[:, k], solve(rhs[:, k].copy()))
+
+
 def test_singular_shift_is_reported():
     # s = 0 makes the system exactly singular (constants span the kernel)
     g = SpatialGrid(length=4.0, n_cells=12)
