@@ -7,14 +7,12 @@ __version__ = "0.1.0"
 
 from .analysis import (
     BoundsReport,
-    IdealFreePair,
     InequalityCheck,
     InequalityReport,
     Outcome,
     OutcomeRecord,
     YieldReport,
     alpha_star,
-    alpha_star_ifp,
     classify,
     detect_ideal_free_pair,
     fit_convex_hull,
@@ -54,7 +52,6 @@ from .operators import (
     apply,
     build_operator,
     shifted_solver,
-    solve_shifted,
 )
 from .profiles import (
     EnvironmentProfile,

@@ -1,8 +1,8 @@
 """Coexistence/exclusion bounds, outcome classification, and yield.
 
 The harvested system folds into an unharvested one with rescaled growth
-rate and carrying capacity; the guaranteed-coexistence threshold for the
-harvesting effort on the better disperser is
+rate and carrying capacity (dynamics.transform); the guaranteed-coexistence
+threshold for the harvesting effort on the better disperser is
 
     alpha_star = 1 - integral(r * v_beta) / integral(r * K)
 
@@ -11,9 +11,9 @@ rate beta. When the dispersal profiles form an ideal free pair
 (K = gamma*P + delta*Q with both species' dispersal not aligned to K), the
 sharper estimate
 
-    alpha_star = 1 - integral(P * r * v_beta / K) / integral(r * P)
+    alpha_star_ifp = 1 - integral(P * r * v_beta / K) / integral(r * P)
 
-applies instead.
+applies instead. alpha_star() reports both from one v_beta solve.
 """
 
 from __future__ import annotations
@@ -79,13 +79,6 @@ class HullFit:
 
 
 @dataclass(frozen=True)
-class IdealFreePair:
-    gamma: float
-    delta: float
-    residual: float
-
-
-@dataclass(frozen=True)
 class BoundsReport:
     beta: float
     c_star: float
@@ -143,10 +136,11 @@ def fit_convex_hull(env: EnvironmentProfile) -> HullFit:
 
 def detect_ideal_free_pair(
     env: EnvironmentProfile, residual_tol: float = 1e-10
-) -> IdealFreePair | None:
-    """Accept the hull fit only with a tiny residual, strictly positive
-    coefficients, and neither dispersal profile aligned with K (otherwise a
-    single species already matches the environment on its own)."""
+) -> HullFit | None:
+    """Return the hull fit when it is an ideal free pair: a tiny residual,
+    strictly positive coefficients, and neither dispersal profile aligned
+    with K (otherwise a single species already matches the environment on
+    its own). None otherwise."""
     f = fit_convex_hull(env)
     if (
         f.residual < residual_tol
@@ -155,63 +149,33 @@ def detect_ideal_free_pair(
         and f.nonprop_u
         and f.nonprop_v
     ):
-        return IdealFreePair(gamma=f.gamma, delta=f.delta, residual=f.residual)
+        return f
     return None
 
 
 def alpha_star(beta: float, env: EnvironmentProfile, cfg: SimulationConfig) -> BoundsReport:
     """Guaranteed-coexistence harvesting bound for a fixed competitor rate.
 
-    Solves the competitor's harvested single-species steady state v_beta
-    (carrying capacity and growth rate scaled by 1-beta) and evaluates the
-    bound; reports the matching c_star = (1 - alpha_star) / (1 - beta).
+    Solves the competitor's single-species steady state v_beta harvested at
+    rate beta (0 <= beta < 1) and evaluates the bound; reports the matching
+    c_star = (1 - alpha_star) / (1 - beta). When the environment carries an
+    ideal free pair, alpha_star_ifp holds the sharper bound from the same
+    v_beta, and None otherwise.
     """
-    if not (0 <= beta < 1):
-        raise ConfigurationError(f"beta must lie in [0, 1), got {beta}")
-    scale = 1.0 - beta
-    v_beta = solve_semitrivial("v", env, scale, scale * env.K, cfg)
+    v_beta = solve_semitrivial("v", env, beta, cfg)
     num = integrate(env.r * v_beta, env.grid)
     den = integrate(env.r * env.K, env.grid)
-    a_star = 1.0 - num / den
     ifp_value = None
     if detect_ideal_free_pair(env) is not None:
-        ifp_value = _alpha_star_ifp_value(v_beta, env)
+        ifp_num = integrate(env.P * env.r * v_beta / env.K, env.grid)
+        ifp_value = 1.0 - ifp_num / integrate(env.r * env.P, env.grid)
     return BoundsReport(
         beta=beta,
-        c_star=num / (scale * den),
-        alpha_star=a_star,
+        c_star=num / ((1.0 - beta) * den),
+        alpha_star=1.0 - num / den,
         alpha_star_ifp=ifp_value,
         v_beta_star=v_beta,
     )
-
-
-def _alpha_star_ifp_value(v_beta: Field, env: EnvironmentProfile) -> float:
-    num = integrate(env.P * env.r * v_beta / env.K, env.grid)
-    den = integrate(env.r * env.P, env.grid)
-    return 1.0 - num / den
-
-
-def alpha_star_ifp(
-    beta: float,
-    env: EnvironmentProfile,
-    cfg: SimulationConfig,
-    require_pair: bool = True,
-) -> float:
-    """Ideal-free-pair coexistence bound; requires a validated pair.
-
-    require_pair=False evaluates the bare formula on environments that
-    violate the pair hypotheses (it collapses to beta for constant
-    profiles), useful as a control.
-    """
-    if not (0 <= beta < 1):
-        raise ConfigurationError(f"beta must lie in [0, 1), got {beta}")
-    if require_pair and detect_ideal_free_pair(env) is None:
-        raise ConfigurationError(
-            "environment does not carry a validated ideal free pair"
-        )
-    scale = 1.0 - beta
-    v_beta = solve_semitrivial("v", env, scale, scale * env.K, cfg)
-    return _alpha_star_ifp_value(v_beta, env)
 
 
 def classify(
@@ -296,8 +260,8 @@ def inequality_suite(env: EnvironmentProfile, cfg: SimulationConfig) -> Inequali
         integral(u*) > integral(K)
     """
     g = env.grid
-    u_star = solve_semitrivial("u", env, 1.0, env.K, cfg)
-    v_star = solve_semitrivial("v", env, 1.0, env.K, cfg)
+    u_star = solve_semitrivial("u", env, 0.0, cfg)
+    v_star = solve_semitrivial("v", env, 0.0, cfg)
     prop_u = annihilates(build_operator(env.a, env.P, g), env.K)
     prop_v = annihilates(build_operator(env.b, env.Q, g), env.K)
     ifp = detect_ideal_free_pair(env)

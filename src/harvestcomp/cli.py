@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import sys
 from dataclasses import asdict
@@ -35,7 +36,7 @@ from .config import (
     load_config,
     simulation_config,
 )
-from .dynamics import run_to_time, solve_semitrivial
+from .dynamics import branch_dispersal, run_to_time, solve_semitrivial
 from .errors import ConfigurationError, HarvestCompError, NumericalError
 from .grid import average, integrate
 from .operators import build_operator
@@ -226,12 +227,7 @@ def _cmd_steady(args) -> int:
     cfg, grid, env = _setup(args)
     sim = simulation_config(cfg)
     rate = cfg.alpha if args.branch == "u" else cfg.beta
-    if rate >= 1:
-        raise ConfigurationError(
-            f"semi-trivial {args.branch}-branch needs a harvesting rate below 1, got {rate}"
-        )
-    scale = 1.0 - rate
-    w = solve_semitrivial(args.branch, env, scale, scale * env.K, sim)
+    w = solve_semitrivial(args.branch, env, rate, sim)
     print(
         f"branch={args.branch} rate={rate:g} avg_w={average(w, grid):.8g} "
         f"integral_rw={integrate(env.r * w, grid):.8g}"
@@ -247,22 +243,12 @@ def _cmd_eigen(args) -> int:
     cfg, grid, env = _setup(args)
     sim = simulation_config(cfg)
     rates = harvest_rates(cfg)
-    if args.around == "v":
-        if cfg.beta >= 1:
-            raise ConfigurationError("linearization around the v-branch needs beta < 1")
-        resident = solve_semitrivial("v", env, 1.0 - cfg.beta, (1.0 - cfg.beta) * env.K, sim)
-        invader = "u"
-        op = build_operator(env.a, env.P, grid)
-        R = env.P
-    else:
-        if cfg.alpha >= 1:
-            raise ConfigurationError("linearization around the u-branch needs alpha < 1")
-        resident = solve_semitrivial("u", env, 1.0 - cfg.alpha, (1.0 - cfg.alpha) * env.K, sim)
-        invader = "v"
-        op = build_operator(env.b, env.Q, grid)
-        R = env.Q
+    rate = cfg.alpha if args.around == "u" else cfg.beta
+    resident = solve_semitrivial(args.around, env, rate, sim)
+    invader = "v" if args.around == "u" else "u"
+    d_field, R = branch_dispersal(invader, env)
     potential = invasion_potential(invader, resident, env, rates)
-    result = principal_eigen(op, potential, R)
+    result = principal_eigen(build_operator(d_field, R, grid), potential, R)
     if result.sigma1 > NEUTRAL_TOL:
         verdict = "unstable (invasible)"
     elif result.sigma1 < -NEUTRAL_TOL:
@@ -328,34 +314,30 @@ def _cmd_sweep(args) -> int:
 
     key = _cache_key({"version": __version__, "command": "sweep", "config": asdict(cfg), **mode})
     cache_dir = Path(args.cache_dir)
-    if not args.no_cache:
-        cached = _cache_load(cache_dir, key)
-        if cached is not None:
-            Path(args.output).write_text(cached, encoding="utf-8")
-            print(f"wrote {args.output} (cached)")
-            return EXIT_OK
-
-    if args.beta is not None:
-        records = sweep_alpha(args.beta, alphas, env, sim, jobs=args.jobs, u0=u0, v0=v0)
+    text = None if args.no_cache else _cache_load(cache_dir, key)
+    if text is not None:
+        Path(args.output).write_text(text, encoding="utf-8")
+        print(f"wrote {args.output} (cached)")
     else:
-        records = [
-            rec
-            for row in sweep_grid(alphas, alphas, env, sim, jobs=args.jobs, u0=u0, v0=v0).records
-            for rec in row
-        ]
-
-    rows = [_record_row(rec) for rec in records]
-    header = ["alpha", "beta", "avg_u", "avg_v", "yield", "outcome", "reason"]
-    _write_csv(args.output, header, rows)
-    print(f"wrote {args.output}")
-    if not args.no_cache:
-        _cache_store(cache_dir, key, Path(args.output).read_text(encoding="utf-8"))
+        if args.beta is not None:
+            records = sweep_alpha(args.beta, alphas, env, sim, jobs=args.jobs, u0=u0, v0=v0)
+        else:
+            swept = sweep_grid(alphas, alphas, env, sim, jobs=args.jobs, u0=u0, v0=v0)
+            records = [rec for row in swept.records for rec in row]
+        header = ["alpha", "beta", "avg_u", "avg_v", "yield", "outcome", "reason"]
+        _write_csv(args.output, header, [_record_row(rec) for rec in records])
+        print(f"wrote {args.output}")
+        text = Path(args.output).read_text(encoding="utf-8")
+        if not args.no_cache:
+            _cache_store(cache_dir, key, text)
     if args.plot_script:
         _emit_plot_script(args.output)
 
-    unresolved = sum(1 for r in rows if r[-2] == "unresolved")
+    # counted from the CSV, so a cached sweep is judged like a fresh one
+    outcomes = [row["outcome"] for row in csv.DictReader(io.StringIO(text))]
+    unresolved = outcomes.count("unresolved")
     if unresolved:
-        print(f"{unresolved} of {len(rows)} cells unresolved", file=sys.stderr)
+        print(f"{unresolved} of {len(outcomes)} cells unresolved", file=sys.stderr)
         if args.strict:
             return EXIT_UNRESOLVED
     return EXIT_OK

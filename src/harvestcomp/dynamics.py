@@ -194,6 +194,14 @@ def march(
             raise ConfigurationError("initial conditions must be nonnegative")
         dt = cfg.dt
         inv_dt = 1.0 / dt
+        # each step solves for w/dt; test the bound instead of overflowing
+        limit = np.finfo(float).max * dt
+        for name, w in (("u0", u), ("v0", v)):
+            if not (np.all(np.isfinite(w)) and w.max() <= limit):
+                raise ConfigurationError(
+                    f"initial condition {name} / dt is not finite "
+                    f"(max {name} = {w.max():g}, dt = {dt})"
+                )
         # looked up on the module at call time, so a wrapper installed there
         # (bench/tracer.py) sees every factorization and solve
         solve_u = shifted_solver(build_operator(env.a, env.P, env.grid), inv_dt)
@@ -252,30 +260,43 @@ def run_to_time(
     return final
 
 
+def branch_dispersal(which: str, env: EnvironmentProfile) -> tuple[Field, Field]:
+    """(d, R) of a species' dispersal term div[d grad(w/R)]: (a, P) for the
+    u-branch, (b, Q) for the v-branch."""
+    if which not in ("u", "v"):
+        raise ConfigurationError(f"branch must be 'u' or 'v', got {which!r}")
+    return (env.a, env.P) if which == "u" else (env.b, env.Q)
+
+
 def solve_semitrivial(
     which: str,
     env: EnvironmentProfile,
-    r_scale: float,
-    K_scale: Field,
+    rate: float,
     cfg: SimulationConfig,
 ) -> Field:
-    """Positive stationary solution of the single-species problem
+    """Positive stationary solution of the single-species problem with the
+    species harvested at `rate`,
 
-        div[d grad(w/R)] + r_scale * r * w * (1 - w/K_scale) = 0
+        div[d grad(w/R)] + r * w * (1 - w/K) - rate * r * w = 0,
 
     where (d, R) is (a, P) for the u-branch and (b, Q) for the v-branch.
-    Obtained by time-marching from w = K_scale; returns the post-dispersal
-    iterate, whose stationary residual is below cfg.steady_tol in max norm.
+    transform() folds the harvest into growth (1-rate)*r and capacity
+    (1-rate)*K, which needs 0 <= rate < 1. Obtained by time-marching from
+    w = (1-rate)*K; returns the post-dispersal iterate, whose stationary
+    residual is below cfg.steady_tol in max norm.
     """
-    if which not in ("u", "v"):
-        raise ConfigurationError(f"branch must be 'u' or 'v', got {which!r}")
-    if not (math.isfinite(r_scale) and r_scale > 0):
-        raise ConfigurationError(f"r_scale must be positive, got {r_scale}")
-    K_scale = as_field(K_scale, env.grid)
-    if np.any(K_scale <= 0):
-        raise ConfigurationError("K_scale must be positive everywhere")
+    d_field, R = branch_dispersal(which, env)
+    if rate < 0:
+        raise ConfigurationError(
+            f"semi-trivial {which}-branch needs a nonnegative harvesting rate, got {rate}"
+        )
+    if not rate < 1:  # also a NaN rate
+        raise ConfigurationError(
+            f"semi-trivial {which}-branch needs a harvesting rate below 1, got {rate}"
+        )
+    tp = transform(rate, 0.0, env) if which == "u" else transform(0.0, rate, env)
+    r_scale, K_scale = (tp.r1, tp.K1) if which == "u" else (tp.r2, tp.K2)
 
-    d_field, R = (env.a, env.P) if which == "u" else (env.b, env.Q)
     solve = shifted_solver(build_operator(d_field, R, env.grid), 1.0 / cfg.dt)
     inv_dt = 1.0 / cfg.dt
     rr = r_scale * env.r

@@ -100,12 +100,6 @@ def shifted_solver(op: DiffusionOperator, s: float) -> Callable[[Field], Field]:
     return solve
 
 
-def solve_shifted(op: DiffusionOperator, s: float, rhs: Field) -> Field:
-    """Solve (s*I - D) w = rhs by the Thomas algorithm (LAPACK gttrf/gttrs)."""
-    rhs = as_field(rhs, op.grid)
-    return shifted_solver(op, s)(rhs)
-
-
 def gershgorin_bound(op: DiffusionOperator) -> float:
     """Upper bound on the spectral radius of D (used for scale thresholds)."""
     return float(np.max(np.abs(op.diag) + np.abs(op.sub) + np.abs(op.sup)))

@@ -177,7 +177,7 @@ def find_switch(
     hi = 1.0 - eps
     if lo >= hi:
         return None
-    v_beta = solve_semitrivial("v", env, 1.0 - beta, (1.0 - beta) * env.K, cfg)
+    v_beta = solve_semitrivial("v", env, beta, cfg)
     op = build_operator(env.a, env.P, env.grid)
 
     def sigma1(alpha: float) -> float:

@@ -8,7 +8,6 @@ from harvestcomp import (
     PopulationState,
     SimulationConfig,
     alpha_star,
-    alpha_star_ifp,
     classify,
     detect_ideal_free_pair,
     fit_convex_hull,
@@ -67,19 +66,7 @@ def test_alpha_star_collapses_for_spatially_flat_environment():
         report = alpha_star(beta, env, sim)
         assert report.alpha_star == pytest.approx(beta, abs=1e-9)
         assert 0 < report.c_star <= 1 + 1e-12
-
-
-def test_alpha_star_ifp_collapses_for_spatially_flat_environment():
-    env, sim = constant_env()
-    for beta in (0.0, 0.4):
-        value = alpha_star_ifp(beta, env, sim, require_pair=False)
-        assert value == pytest.approx(beta, abs=1e-9)
-
-
-def test_alpha_star_ifp_requires_a_pair():
-    env, sim = constant_env()
-    with pytest.raises(ConfigurationError):
-        alpha_star_ifp(0.2, env, sim)
+        assert report.alpha_star_ifp is None  # constant profiles are no ideal free pair
 
 
 def test_alpha_star_rejects_bad_beta():

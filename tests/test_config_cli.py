@@ -200,7 +200,7 @@ def _sweep_rows(fast_config, tmp_path, *extra):
         return code, list(csv.DictReader(fh))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sweep_outcome_labels(fast_config, tmp_path):
     code, rows = _sweep_rows(fast_config, tmp_path)
     assert code == 0
@@ -210,14 +210,32 @@ def test_sweep_outcome_labels(fast_config, tmp_path):
     assert {row["reason"] for row in rows} == {"", "t_final"}
     for row in rows:
         assert (row["outcome"] == "unresolved") == (row["reason"] == "t_final")
-    # a numerical failure (u0 / dt overflows) carries its message; --strict
+    # a failed cell (u0 / dt would overflow) carries its message; --strict
     # counts it as unresolved too
     code, rows = _sweep_rows(fast_config, tmp_path, "--set", "u0=1e308", "--strict")
     assert code == 4
     for row in rows:
         assert row["outcome"] == "unresolved"
-        assert row["reason"] == "shifted solve with s = 20.0 failed"
+        assert row["reason"] == (
+            "initial condition u0 / dt is not finite (max u0 = 1e+308, dt = 0.05)"
+        )
         assert row["avg_u"] == "nan"
+
+
+def test_cached_sweep_is_judged_like_a_fresh_one(fast_config, tmp_path, capsys):
+    args = [
+        "sweep", "--config", fast_config, "--set", "t_final=2", "--grid", "2", "--jobs", "1",
+        "--output", tmp_path / "s.csv", "--cache-dir", tmp_path / "c", "--strict",
+        "--plot-script",
+    ]
+    plot = tmp_path / "plot_s.py"
+    for written in ("wrote", "(cached)"):  # computed, then served from the cache
+        plot.unlink(missing_ok=True)
+        assert run_cli(*args) == 4
+        out, err = capsys.readouterr()
+        assert written in out
+        assert "4 of 4 cells unresolved" in err
+        assert plot.exists()
 
 
 def test_switch_command(fast_config, capsys):
@@ -256,6 +274,17 @@ def test_exit_code_2_for_config_errors(tmp_path, capsys):
     bad.write_text(MINIMAL + "alpha = -1\n")
     assert run_cli("simulate", "--config", bad) == 2
     capsys.readouterr()
+
+
+def test_exit_code_2_for_rate_without_semitrivial_branch(fast_config, tmp_path, capsys):
+    # harvesting at rate 1 leaves no positive single-species state
+    assert run_cli(
+        "steady", "--config", fast_config, "--branch", "v", "--set", "beta=1",
+        "--output", tmp_path / "w.csv",
+    ) == 2
+    assert "v-branch needs a harvesting rate below 1, got 1.0" in capsys.readouterr().err
+    assert run_cli("eigen", "--config", fast_config, "--around", "u", "--set", "alpha=1") == 2
+    assert "u-branch needs a harvesting rate below 1, got 1.0" in capsys.readouterr().err
 
 
 def test_exit_code_3_for_numerical_failure(fast_config, tmp_path, capsys):

@@ -175,36 +175,44 @@ def test_over_exploitation_kills_both_small_grid():
 # ------------------------------------------------------------- semi-trivial
 
 
-def residual(which, env, r_scale, K_scale, w):
+def residual(which, env, rate, w):
+    """Stationary residual of the branch harvested at `rate`, in the
+    untransformed form r*w*(1 - w/K) - rate*r*w."""
     d, R = (env.a, env.P) if which == "u" else (env.b, env.Q)
     op = build_operator(d, R, env.grid)
-    return np.max(np.abs(op_apply(op, w) + r_scale * env.r * w * (1 - w / K_scale)))
+    return np.max(np.abs(op_apply(op, w) + env.r * w * (1 - w / env.K) - rate * env.r * w))
 
 
 def test_semitrivial_proportional_branch_is_capacity():
     _, grid, env, sim = load_example("example1", n_cells=200)
-    w = solve_semitrivial("u", env, 1.0, env.K, sim)
+    w = solve_semitrivial("u", env, 0.0, sim)
     assert np.max(np.abs(w - env.K)) <= 1e-10
-    assert residual("u", env, 1.0, env.K, w) <= sim.steady_tol
+    assert residual("u", env, 0.0, w) <= sim.steady_tol
 
 
 def test_semitrivial_constant_branch_is_capacity():
-    _, grid, env, sim = load_example("example1", n_cells=64)
-    K_const = np.full(64, 1.7)
-    w = solve_semitrivial("v", env, 0.8, K_const, sim)
-    assert np.allclose(w, K_const, atol=1e-9)
+    # constant K and Q: the branch harvested at rate x sits at (1 - x)*K
+    from harvestcomp.config import parse_config_text, build_environment, simulation_config
+
+    cfg = parse_config_text(
+        "L = 4\nn_cells = 64\nK = 1.7\nr = 1.1\nP = 2+cos(pi*x)\nQ = 1\na = 1\nb = 1\n"
+    )
+    _, env = build_environment(cfg)
+    w = solve_semitrivial("v", env, 0.2, simulation_config(cfg))
+    assert np.allclose(w, 0.8 * env.K, atol=1e-9)
+    assert residual("v", env, 0.2, w) <= 1e-9
 
 
 def test_semitrivial_regular_diffusion_average_below_capacity():
     _, grid, env, sim = load_example("example1", n_cells=200)
-    w = solve_semitrivial("v", env, 1.0, env.K, sim)
-    assert residual("v", env, 1.0, env.K, w) <= sim.steady_tol
+    w = solve_semitrivial("v", env, 0.0, sim)
+    assert residual("v", env, 0.0, w) <= sim.steady_tol
     assert integrate(env.r * w, grid) < integrate(env.r * env.K, grid)
 
 
 def test_semitrivial_lou_inequality_nonproportional_branch():
     _, grid, env, sim = load_example("example1", n_cells=200)
-    w = solve_semitrivial("v", env, 1.0, env.K, sim)
+    w = solve_semitrivial("v", env, 0.0, sim)
     assert integrate(env.r * env.Q * (w / env.K - 1.0), grid) > 0
 
 
@@ -217,7 +225,7 @@ def test_semitrivial_fisher_average_exceeds_capacity():
     )
     _, env = build_environment(cfg)
     sim = simulation_config(cfg)
-    w = solve_semitrivial("u", env, 1.0, env.K, sim)
+    w = solve_semitrivial("u", env, 0.0, sim)
     assert integrate(w, env.grid) > integrate(env.K, env.grid)
 
 
@@ -225,7 +233,7 @@ def test_semitrivial_grid_refinement_second_order():
     averages = {}
     for n in (100, 200, 400):
         _, grid, env, sim = load_example("example1", n_cells=n)
-        averages[n] = average(solve_semitrivial("v", env, 1.0, env.K, sim), grid)
+        averages[n] = average(solve_semitrivial("v", env, 0.0, sim), grid)
     e1 = abs(averages[100] - averages[200])
     e2 = abs(averages[200] - averages[400])
     assert e1 / e2 == pytest.approx(4.0, rel=0.3)
@@ -235,14 +243,17 @@ def test_semitrivial_reports_nonconvergence():
     _, grid, env, _ = load_example("example1", n_cells=32)
     tight = SimulationConfig(dt=0.05, t_final=0.5, steady_tol=1e-12)
     with pytest.raises(ConvergenceError):
-        solve_semitrivial("v", env, 1.0, env.K, tight)
+        solve_semitrivial("v", env, 0.0, tight)
 
 
 def test_semitrivial_validates_arguments():
     _, grid, env, sim = load_example("example1", n_cells=16)
-    with pytest.raises(ConfigurationError):
-        solve_semitrivial("w", env, 1.0, env.K, sim)
-    with pytest.raises(ConfigurationError):
-        solve_semitrivial("u", env, 0.0, env.K, sim)
-    with pytest.raises(ConfigurationError):
-        solve_semitrivial("u", env, 1.0, -env.K, sim)
+    with pytest.raises(ConfigurationError, match="branch must be 'u' or 'v'"):
+        solve_semitrivial("w", env, 0.0, sim)
+    with pytest.raises(ConfigurationError, match="u-branch needs a nonnegative harvesting rate"):
+        solve_semitrivial("u", env, -0.1, sim)
+    below_one = "-branch needs a harvesting rate below 1, got"
+    with pytest.raises(ConfigurationError, match=f"v{below_one} 1.0"):
+        solve_semitrivial("v", env, 1.0, sim)
+    with pytest.raises(ConfigurationError, match=f"u{below_one} nan"):
+        solve_semitrivial("u", env, float("nan"), sim)

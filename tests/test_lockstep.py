@@ -151,5 +151,5 @@ def test_bad_initial_data_fail_every_cell(example1_48):
     finals = dynamics.march(u0, -u0, env, [HarvestRates(0.1, 0.2), HarvestRates(0.3, 0.4)], QUICK)
     assert all(isinstance(f, ConfigurationError) and "nonnegative" in str(f) for f in finals)
     sg = sweep_grid([0.1, 0.3], [0.2], env, QUICK, jobs=1, u0=u0, v0=np.full_like(u0, np.nan))
-    assert all(isinstance(c, CellFailure) and "shifted solve" in c.message
+    assert all(isinstance(c, CellFailure) and "v0 / dt is not finite" in c.message
                for c in sg.records[0])

@@ -8,7 +8,6 @@ from harvestcomp.operators import (
     build_operator,
     gershgorin_bound,
     shifted_solver,
-    solve_shifted,
 )
 
 from conftest import random_grid, random_positive_profile
@@ -98,7 +97,7 @@ def test_solve_shifted_kernel_right_hand_side():
     g = SpatialGrid(length=4.0, n_cells=64)
     P = 2.0 + np.cos(np.pi * g.centers)
     op = build_operator(np.ones(64), P, g)
-    w = solve_shifted(op, 1.0, 4.2 * P)
+    w = shifted_solver(op, 1.0)(4.2 * P)
     assert np.allclose(w, 4.2 * P, rtol=1e-12)
 
 
@@ -110,7 +109,7 @@ def test_solve_shifted_residual(rng):
         )
         rhs = rng.normal(size=g.n_cells)
         s = float(rng.uniform(0.1, 30.0))
-        w = solve_shifted(op, s, rhs)
+        w = shifted_solver(op, s)(rhs)
         residual = s * w - apply(op, w) - rhs
         assert np.max(np.abs(residual)) <= 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
@@ -122,7 +121,7 @@ def test_solve_shifted_matches_dense_oracle(rng):
     )
     rhs = rng.normal(size=16)
     dense = np.linalg.solve(2.5 * np.eye(16) - dense_matrix(op), rhs)
-    assert np.allclose(solve_shifted(op, 2.5, rhs), dense, atol=1e-10)
+    assert np.allclose(shifted_solver(op, 2.5)(rhs), dense, atol=1e-10)
 
 
 def test_prefactored_solver_matches_single_shot(rng):
@@ -133,7 +132,7 @@ def test_prefactored_solver_matches_single_shot(rng):
     solve = shifted_solver(op, 20.0)
     for _ in range(5):
         rhs = rng.normal(size=40)
-        assert np.array_equal(solve(rhs), solve_shifted(op, 20.0, rhs))
+        assert np.array_equal(solve(rhs), shifted_solver(op, 20.0)(rhs))
 
 
 def test_multi_rhs_solve_is_bitwise_column_by_column(rng):
@@ -154,7 +153,7 @@ def test_singular_shift_is_reported():
     g = SpatialGrid(length=4.0, n_cells=12)
     op = build_operator(np.ones(12), np.ones(12), g)
     with pytest.raises(SingularSystemError):
-        solve_shifted(op, 0.0, np.ones(12))
+        shifted_solver(op, 0.0)
 
 
 def test_grid_mismatch_is_configuration_error():

@@ -107,7 +107,7 @@ def test_weak_diffusion_matches_dense_oracle():
     # its maximum on example2) and crowds the top of the spectrum
     for name in ("example1", "example2", "example3", "example4", "example4b"):
         _, grid, env, sim = load_example(name, a=0.01, b=0.01)
-        v_star = solve_semitrivial("v", env, 1.0, env.K, sim)
+        v_star = solve_semitrivial("v", env, 0.0, sim)
         potential = invasion_potential("u", v_star, env, HarvestRates(0.0, 0.0))
         op = build_operator(env.a, env.P, grid)
         res = principal_eigen(op, potential, env.P)
@@ -120,7 +120,7 @@ def test_invasion_predicted_unstable_at_regular_competitor():
     # linearization of the tracking species at (0, v*) with effort keeping
     # the capacity ratio at 0.95: above the coexistence ratio, so unstable
     _, grid, env, sim = load_example("example1", n_cells=64)
-    v_star = solve_semitrivial("v", env, 1.0, env.K, sim)
+    v_star = solve_semitrivial("v", env, 0.0, sim)
     c = 0.95
     potential = c * env.r * (1.0 - v_star / (c * env.K))
     op = build_operator(env.a, env.P, grid)
@@ -136,7 +136,7 @@ def test_positive_sigma1_agrees_with_dynamics():
     beta = 0.0
     alpha = 0.05  # capacity ratio 0.95 above the coexistence threshold
     rates = HarvestRates(alpha, beta)
-    v_star = solve_semitrivial("v", env, 1.0 - beta, (1.0 - beta) * env.K, sim)
+    v_star = solve_semitrivial("v", env, beta, sim)
     potential = invasion_potential("u", v_star, env, rates)
     op = build_operator(env.a, env.P, grid)
     res = principal_eigen(op, potential, env.P)

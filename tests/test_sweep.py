@@ -59,7 +59,7 @@ def test_monotone_outcome_ordering_along_alpha(example1_small):
 
 def invasion_sigma1(alpha, beta, env, sim):
     """Principal eigenvalue of u invading the harvested state (0, v_beta)."""
-    v_beta = solve_semitrivial("v", env, 1.0 - beta, (1.0 - beta) * env.K, sim)
+    v_beta = solve_semitrivial("v", env, beta, sim)
     potential = invasion_potential("u", v_beta, env, HarvestRates(alpha, beta))
     return principal_eigen(build_operator(env.a, env.P, env.grid), potential, env.P).sigma1
 
