@@ -77,6 +77,18 @@ class HullFit:
     nonprop_u: bool  # dispersal of u does not annihilate K (P not prop. K)
     nonprop_v: bool
 
+    def is_ideal_free_pair(self, residual_tol: float = 1e-10) -> bool:
+        """A tiny residual, strictly positive coefficients, and neither
+        dispersal profile aligned with K (otherwise a single species already
+        matches the environment on its own)."""
+        return (
+            self.residual < residual_tol
+            and self.gamma > 0
+            and self.delta > 0
+            and self.nonprop_u
+            and self.nonprop_v
+        )
+
 
 @dataclass(frozen=True)
 class BoundsReport:
@@ -137,20 +149,10 @@ def fit_convex_hull(env: EnvironmentProfile) -> HullFit:
 def detect_ideal_free_pair(
     env: EnvironmentProfile, residual_tol: float = 1e-10
 ) -> HullFit | None:
-    """Return the hull fit when it is an ideal free pair: a tiny residual,
-    strictly positive coefficients, and neither dispersal profile aligned
-    with K (otherwise a single species already matches the environment on
-    its own). None otherwise."""
+    """Return the hull fit when it is an ideal free pair
+    (HullFit.is_ideal_free_pair), None otherwise."""
     f = fit_convex_hull(env)
-    if (
-        f.residual < residual_tol
-        and f.gamma > 0
-        and f.delta > 0
-        and f.nonprop_u
-        and f.nonprop_v
-    ):
-        return f
-    return None
+    return f if f.is_ideal_free_pair(residual_tol) else None
 
 
 def alpha_star(beta: float, env: EnvironmentProfile, cfg: SimulationConfig) -> BoundsReport:
@@ -262,9 +264,8 @@ def inequality_suite(env: EnvironmentProfile, cfg: SimulationConfig) -> Inequali
     g = env.grid
     u_star = solve_semitrivial("u", env, 0.0, cfg)
     v_star = solve_semitrivial("v", env, 0.0, cfg)
-    prop_u = annihilates(build_operator(env.a, env.P, g), env.K)
-    prop_v = annihilates(build_operator(env.b, env.Q, g), env.K)
-    ifp = detect_ideal_free_pair(env)
+    fit = fit_convex_hull(env)
+    prop_u, prop_v = not fit.nonprop_u, not fit.nonprop_v
 
     checks: list[InequalityCheck] = []
 
@@ -306,7 +307,7 @@ def inequality_suite(env: EnvironmentProfile, cfg: SimulationConfig) -> Inequali
     )
     add(
         "invader_growth_at_u_branch",
-        ifp is not None,
+        fit.is_ideal_free_pair(),
         integrate(env.r * env.Q * (1.0 - u_star / env.K), g),
         "integral(r*Q*(1 - u*/K)) > 0 for an ideal free pair",
     )

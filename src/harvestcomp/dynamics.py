@@ -10,10 +10,10 @@ tridiagonal solve with s = 1/dt), then an explicit multiplicative logistic
 update clamped at zero. The implicit half makes dispersal unconditionally
 stable; the clamp removes splitting-induced negative undershoot.
 
-A converged fixed point of the split map solves the discrete stationary
-system exactly at the post-dispersal intermediate state, which is what
-solve_semitrivial returns; its residual is therefore limited by the
-convergence tolerance, not by dt.
+Single-species stationary states (solve_semitrivial) are not marched:
+Newton's method solves the discrete stationary system D w + f(w) = 0
+directly, each step one tridiagonal solve shifted by -f'(w) per cell. dt
+and t_final do not enter it; its residual is below steady_tol.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 from .errors import ConfigurationError, ConvergenceError, HarvestCompError, UnstableStepError
 from .grid import Field, as_field
 from .operators import DiffusionOperator, build_operator, shifted_solver
+from .operators import apply as apply_operator
 from .profiles import EnvironmentProfile
 
 
@@ -75,6 +76,11 @@ class PopulationState:
 @dataclass(frozen=True)
 class SimulationConfig:
     """Time stepping and classification knobs.
+
+    dt and t_final govern the time march only. steady_tol is both the
+    march's settling threshold on the max-norm time derivative and the
+    max-norm stationary residual solve_semitrivial's Newton iteration must
+    get below.
 
     The extinction threshold is extinction_fraction * average(K). An
     excluded species with a regular-diffusion strategy dies off only
@@ -268,6 +274,11 @@ def branch_dispersal(which: str, env: EnvironmentProfile) -> tuple[Field, Field]
     return (env.a, env.P) if which == "u" else (env.b, env.Q)
 
 
+# Newton from the supersolution (1-rate)*K takes 0-6 steps on the bundled
+# configs; the cap only ends iterations that rounding keeps above steady_tol
+_NEWTON_CAP = 50
+
+
 def solve_semitrivial(
     which: str,
     env: EnvironmentProfile,
@@ -281,9 +292,12 @@ def solve_semitrivial(
 
     where (d, R) is (a, P) for the u-branch and (b, Q) for the v-branch.
     transform() folds the harvest into growth (1-rate)*r and capacity
-    (1-rate)*K, which needs 0 <= rate < 1. Obtained by time-marching from
-    w = (1-rate)*K; returns the post-dispersal iterate, whose stationary
-    residual is below cfg.steady_tol in max norm.
+    (1-rate)*K, which needs 0 <= rate < 1. Solved by Newton's method from
+    the supersolution w = (1-rate)*K, from which the iterates decrease
+    monotonically to the positive branch; returns the first iterate whose
+    stationary residual is below cfg.steady_tol in max norm. cfg.dt and
+    cfg.t_final do not enter. Raises ConvergenceError when a fixed cap of
+    Newton steps does not get there.
     """
     d_field, R = branch_dispersal(which, env)
     if rate < 0:
@@ -297,24 +311,23 @@ def solve_semitrivial(
     tp = transform(rate, 0.0, env) if which == "u" else transform(0.0, rate, env)
     r_scale, K_scale = (tp.r1, tp.K1) if which == "u" else (tp.r2, tp.K2)
 
-    solve = shifted_solver(build_operator(d_field, R, env.grid), 1.0 / cfg.dt)
-    inv_dt = 1.0 / cfg.dt
+    op = build_operator(d_field, R, env.grid)
     rr = r_scale * env.r
 
     w = K_scale.copy()
-    res_norm = math.inf
-    for _ in range(cfg.n_steps):
-        w1 = solve(w * inv_dt)
-        react = rr * w1 * (1.0 - w1 / K_scale)
-        residual = (w1 - w) * inv_dt + react
+    for steps in range(_NEWTON_CAP + 1):
+        residual = apply_operator(op, w) + rr * w * (1.0 - w / K_scale)
         res_norm = float(np.max(np.abs(residual)))
         if res_norm < cfg.steady_tol:
-            return w1
+            return w
         if not math.isfinite(res_norm):
-            raise UnstableStepError(f"non-finite semi-trivial iterate with dt = {cfg.dt}")
-        w = w1 + cfg.dt * react
-        np.maximum(w, 0.0, out=w)
+            raise UnstableStepError(f"non-finite semi-trivial {which}-branch Newton iterate")
+        if steps == _NEWTON_CAP:
+            break
+        # J dw = -F with J = D + diag(rr*(1 - 2w/K)), i.e. (diag(s) - D) dw = F
+        # for s = -rr*(1 - 2w/K); looked up on the module like march's solves
+        w = w + shifted_solver(op, -rr * (1.0 - 2.0 * w / K_scale))(residual)
     raise ConvergenceError(
-        f"semi-trivial {which}-branch did not settle within t = {cfg.t_final:g} "
+        f"semi-trivial {which}-branch did not converge in {_NEWTON_CAP} Newton steps "
         f"(residual {res_norm:.3e}, tolerance {cfg.steady_tol:g})"
     )

@@ -76,17 +76,31 @@ def apply(op: DiffusionOperator, w: Field) -> Field:
     return out
 
 
-def shifted_solver(op: DiffusionOperator, s: float) -> Callable[[Field], Field]:
-    """Factor (s*I - D) once; the returned callable solves for many right
-    hand sides. s > 0 guarantees nonsingularity (D has nonpositive spectrum
-    in the 1/P-weighted inner product)."""
+def _shift_text(s: float | Field) -> str:
+    """Name a shift in an error message without printing a whole field."""
+    if np.ndim(s) == 0:
+        return f"s = {s}"
+    return f"per-cell s in [{np.min(s):g}, {np.max(s):g}]"
+
+
+def shifted_solver(op: DiffusionOperator, s: float | Field) -> Callable[[Field], Field]:
+    """Factor (diag(s) - D) once; the returned callable solves for many right
+    hand sides. The shift s is a scalar or a per-cell field. s > 0 in every
+    cell guarantees nonsingularity (D has nonpositive spectrum in the
+    1/P-weighted inner product, in which diag(s) is positive definite); a
+    shift of either sign, such as a Newton step's -f'(w), may be singular
+    and raises SingularSystemError."""
     n = op.grid.n_cells
+    if np.ndim(s) != 0:
+        s = as_field(s, op.grid)
     d = s - op.diag
     dl = -op.sub[1:]
     du = -op.sup[:-1]
     dl_f, d_f, du_f, du2, ipiv, info = _gttrf(dl, d, du)
     if info != 0:
-        raise SingularSystemError(f"shifted system with s = {s} is singular (row {info})")
+        raise SingularSystemError(
+            f"shifted system with {_shift_text(s)} is singular (row {info})"
+        )
 
     def solve(rhs: Field) -> Field:
         rhs = np.asarray(rhs, dtype=float)
@@ -94,7 +108,7 @@ def shifted_solver(op: DiffusionOperator, s: float) -> Callable[[Field], Field]:
             raise ConfigurationError("right-hand side does not match the operator grid")
         x, info = _gttrs(dl_f, d_f, du_f, du2, ipiv, rhs)
         if info != 0 or not np.all(np.isfinite(x)):
-            raise SingularSystemError(f"shifted solve with s = {s} failed")
+            raise SingularSystemError(f"shifted solve with {_shift_text(s)} failed")
         return x
 
     return solve

@@ -17,7 +17,7 @@ from harvestcomp import (
     transform,
 )
 from harvestcomp.operators import apply as op_apply
-from harvestcomp.operators import build_operator
+from harvestcomp.operators import build_operator, shifted_solver
 from harvestcomp.profiles import EnvironmentProfile
 
 from conftest import load_example, random_positive_profile, random_grid
@@ -239,10 +239,50 @@ def test_semitrivial_grid_refinement_second_order():
     assert e1 / e2 == pytest.approx(4.0, rel=0.3)
 
 
+def marched_semitrivial(which, env, rate, cfg):
+    """The reference: the split-step march solve_semitrivial used to run,
+    from w = (1-rate)*K to the post-dispersal iterate of its fixed point."""
+    d, R = (env.a, env.P) if which == "u" else (env.b, env.Q)
+    inv_dt = 1.0 / cfg.dt
+    solve = shifted_solver(build_operator(d, R, env.grid), inv_dt)
+    rr = (1.0 - rate) * env.r
+    K_s = (1.0 - rate) * env.K
+    w = K_s.copy()
+    for _ in range(cfg.n_steps):
+        w1 = solve(w * inv_dt)
+        react = rr * w1 * (1.0 - w1 / K_s)
+        if np.max(np.abs((w1 - w) * inv_dt + react)) < cfg.steady_tol:
+            return w1
+        w = np.maximum(w1 + cfg.dt * react, 0.0)
+    raise AssertionError(f"reference march of the {which}-branch did not settle")
+
+
+@pytest.mark.parametrize("diffusivity", ["1", "0.01"])
+@pytest.mark.parametrize(
+    "name", ["example1", "example2", "example3", "example4", "example4b"]
+)
+def test_semitrivial_newton_matches_marched_fixed_point(name, diffusivity):
+    _, grid, env, sim = load_example(name, n_cells=100, a=diffusivity, b=diffusivity)
+    other_steps = SimulationConfig(
+        dt=0.2, t_final=1.0, steady_tol=sim.steady_tol,
+        extinction_fraction=sim.extinction_fraction,
+    )
+    for which in ("u", "v"):
+        for rate in (0.0, 0.4, 0.8):
+            w = solve_semitrivial(which, env, rate, sim)
+            assert residual(which, env, rate, w) <= sim.steady_tol
+            assert np.all(w > 0)
+            ref = marched_semitrivial(which, env, rate, sim)
+            assert np.allclose(w, ref, rtol=1e-6, atol=0.0), (which, rate)
+            # dt and t_final do not enter the solve
+            assert np.array_equal(solve_semitrivial(which, env, rate, other_steps), w)
+
+
 def test_semitrivial_reports_nonconvergence():
+    # a tolerance below rounding, which no iterate can meet
     _, grid, env, _ = load_example("example1", n_cells=32)
-    tight = SimulationConfig(dt=0.05, t_final=0.5, steady_tol=1e-12)
-    with pytest.raises(ConvergenceError):
+    tight = SimulationConfig(steady_tol=1e-300)
+    with pytest.raises(ConvergenceError, match="did not converge in .* Newton steps"):
         solve_semitrivial("v", env, 0.0, tight)
 
 
