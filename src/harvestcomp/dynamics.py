@@ -13,7 +13,8 @@ stable; the clamp removes splitting-induced negative undershoot.
 Single-species stationary states (solve_semitrivial) are not marched:
 Newton's method solves the discrete stationary system D w + f(w) = 0
 directly, each step one tridiagonal solve shifted by -f'(w) per cell. dt
-and t_final do not enter it; its residual is below steady_tol.
+and t_final do not enter it; its residual is below steady_tol or below the
+rounding limit of evaluating D w, whichever is larger.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, HarvestCompError, UnstableStepError
 from .grid import Field, as_field
-from .operators import DiffusionOperator, build_operator, shifted_solver
+from .operators import DiffusionOperator, build_operator, gershgorin_bound, shifted_solver
 from .operators import apply as apply_operator
 from .profiles import EnvironmentProfile
 
@@ -80,7 +81,8 @@ class SimulationConfig:
     dt and t_final govern the time march only. steady_tol is both the
     march's settling threshold on the max-norm time derivative and the
     max-norm stationary residual solve_semitrivial's Newton iteration must
-    get below.
+    get below, unless rounding in D w alone exceeds it (see
+    solve_semitrivial).
 
     The extinction threshold is extinction_fraction * average(K). An
     excluded species with a regular-diffusion strategy dies off only
@@ -274,9 +276,15 @@ def branch_dispersal(which: str, env: EnvironmentProfile) -> tuple[Field, Field]
     return (env.a, env.P) if which == "u" else (env.b, env.Q)
 
 
-# Newton from the supersolution (1-rate)*K takes 0-6 steps on the bundled
-# configs; the cap only ends iterations that rounding keeps above steady_tol
+# Newton takes 0-6 steps on the bundled configs. From far above the branch
+# it only halves the excess per step, so a capacity spanning tens of decades
+# can need more than the cap, which then ends the solve.
 _NEWTON_CAP = 50
+# Evaluating D w in floating point leaves a residual of about
+# eps * gershgorin_bound(D) * max|w| that no iterate gets below (Newton
+# stalls at up to 1.04 times it on the bundled configs, n up to 25600, L
+# down to 0.25); the stop test allows this many times that bound.
+_ROUNDING_FLOOR = 4.0
 
 
 def solve_semitrivial(
@@ -293,11 +301,17 @@ def solve_semitrivial(
     where (d, R) is (a, P) for the u-branch and (b, Q) for the v-branch.
     transform() folds the harvest into growth (1-rate)*r and capacity
     (1-rate)*K, which needs 0 <= rate < 1. Solved by Newton's method from
-    the supersolution w = (1-rate)*K, from which the iterates decrease
-    monotonically to the positive branch; returns the first iterate whose
-    stationary residual is below cfg.steady_tol in max norm. cfg.dt and
-    cfg.t_final do not enter. Raises ConvergenceError when a fixed cap of
-    Newton steps does not get there.
+    w = (1-rate)*K. The Jacobian there is D - (1-rate)*r, which is
+    nonsingular; the reaction is concave, so every iterate after the first
+    lies at or above the positive branch and decreases monotonically to it.
+
+    Returns the first iterate whose stationary residual, in max norm, is
+    below cfg.steady_tol or below the rounding limit of evaluating D w,
+    4 * eps * gershgorin_bound(D) * max|w|, whichever is larger. The limit
+    grows as (n/L)^2; on the bundled configs (n = 800, L = 4) it is at most
+    3e-9, and at n = 12800 up to 8e-7. cfg.dt and cfg.t_final do not
+    enter. Raises ConvergenceError when a fixed cap of Newton steps does
+    not get there.
     """
     d_field, R = branch_dispersal(which, env)
     if rate < 0:
@@ -313,12 +327,14 @@ def solve_semitrivial(
 
     op = build_operator(d_field, R, env.grid)
     rr = r_scale * env.r
+    rounding = _ROUNDING_FLOOR * np.finfo(float).eps * gershgorin_bound(op)
 
     w = K_scale.copy()
     for steps in range(_NEWTON_CAP + 1):
         residual = apply_operator(op, w) + rr * w * (1.0 - w / K_scale)
         res_norm = float(np.max(np.abs(residual)))
-        if res_norm < cfg.steady_tol:
+        tol = max(cfg.steady_tol, rounding * float(np.max(np.abs(w))))
+        if res_norm < tol:
             return w
         if not math.isfinite(res_norm):
             raise UnstableStepError(f"non-finite semi-trivial {which}-branch Newton iterate")
@@ -329,5 +345,5 @@ def solve_semitrivial(
         w = w + shifted_solver(op, -rr * (1.0 - 2.0 * w / K_scale))(residual)
     raise ConvergenceError(
         f"semi-trivial {which}-branch did not converge in {_NEWTON_CAP} Newton steps "
-        f"(residual {res_norm:.3e}, tolerance {cfg.steady_tol:g})"
+        f"(residual {res_norm:.3e}, tolerance {tol:.3e})"
     )

@@ -89,16 +89,6 @@ def test_alpha_star_is_increasing_and_above_beta(name):
         assert 0 < r.c_star < 1
 
 
-def test_alpha_star_grid_refinement_second_order():
-    values = [
-        alpha_star(0.4, *load_example("example1", n_cells=n)[2:]).alpha_star
-        for n in (100, 200, 400, 800)
-    ]
-    diffs = np.diff(values)
-    for coarse, fine in zip(diffs, diffs[1:]):
-        assert coarse / fine == pytest.approx(4.0, rel=0.3)
-
-
 # ---------------------------------------------------------------- classify
 
 

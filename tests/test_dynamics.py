@@ -17,7 +17,7 @@ from harvestcomp import (
     transform,
 )
 from harvestcomp.operators import apply as op_apply
-from harvestcomp.operators import build_operator, shifted_solver
+from harvestcomp.operators import build_operator, gershgorin_bound, shifted_solver
 from harvestcomp.profiles import EnvironmentProfile
 
 from conftest import load_example, random_positive_profile, random_grid
@@ -230,13 +230,16 @@ def test_semitrivial_fisher_average_exceeds_capacity():
 
 
 def test_semitrivial_grid_refinement_second_order():
-    averages = {}
-    for n in (100, 200, 400):
-        _, grid, env, sim = load_example("example1", n_cells=n)
-        averages[n] = average(solve_semitrivial("v", env, 0.0, sim), grid)
-    e1 = abs(averages[100] - averages[200])
-    e2 = abs(averages[200] - averages[400])
-    assert e1 / e2 == pytest.approx(4.0, rel=0.3)
+    # r is constant and the midpoint average of K is exact here, so at
+    # rate 0.4 this is also the refinement of alpha_star(0.4) = 1 - avg(v)/avg(K)
+    for rate in (0.0, 0.4):
+        averages = []
+        for n in (100, 200, 400, 800):
+            _, grid, env, sim = load_example("example1", n_cells=n)
+            averages.append(average(solve_semitrivial("v", env, rate, sim), grid))
+        diffs = np.diff(averages)
+        for coarse, fine in zip(diffs, diffs[1:]):
+            assert coarse / fine == pytest.approx(4.0, rel=0.3), rate
 
 
 def marched_semitrivial(which, env, rate, cfg):
@@ -278,12 +281,30 @@ def test_semitrivial_newton_matches_marched_fixed_point(name, diffusivity):
             assert np.array_equal(solve_semitrivial(which, env, rate, other_steps), w)
 
 
+@pytest.mark.parametrize(
+    "overrides", [{"n_cells": 12800}, {"n_cells": 800, "L": 0.25}], ids=["n12800", "L0.25"]
+)
+def test_semitrivial_stops_at_rounding_on_fine_grids(overrides):
+    # rounding in D w alone exceeds steady_tol = 1e-9 here, as it grows
+    # like (n/L)^2; the march this solve replaced settled on both grids
+    _, grid, env, sim = load_example("example1", **overrides)
+    op = build_operator(env.b, env.Q, env.grid)
+    for rate in (0.0, 0.4, 0.8):
+        w = solve_semitrivial("v", env, rate, sim)
+        limit = 4 * np.finfo(float).eps * gershgorin_bound(op) * np.max(w)
+        assert residual("v", env, rate, w) < max(sim.steady_tol, limit)
+        assert np.all(w > 0)
+        ref = marched_semitrivial("v", env, rate, sim)
+        assert np.allclose(w, ref, rtol=1e-6, atol=0.0), rate
+
+
 def test_semitrivial_reports_nonconvergence():
-    # a tolerance below rounding, which no iterate can meet
-    _, grid, env, _ = load_example("example1", n_cells=32)
-    tight = SimulationConfig(steady_tol=1e-300)
-    with pytest.raises(ConvergenceError, match="did not converge in .* Newton steps"):
-        solve_semitrivial("v", env, 0.0, tight)
+    # K spans 52 decades: the first Newton step overshoots the branch by
+    # ~1e47 where K is smallest, and from there each step only halves the
+    # excess, so the step cap ends the solve
+    _, grid, env, sim = load_example("example1", n_cells=32, K="exp(60*cos(pi*x))")
+    with pytest.raises(ConvergenceError, match="did not converge in 50 Newton steps"):
+        solve_semitrivial("v", env, 0.0, sim)
 
 
 def test_semitrivial_validates_arguments():
