@@ -31,11 +31,9 @@ from .dynamics import (
     HarvestRates,
     PopulationState,
     SimulationConfig,
-    TransformedParams,
     run_to_time,
     solve_semitrivial,
     step,
-    transform,
 )
 from .errors import (
     ConfigurationError,
@@ -69,6 +67,5 @@ from .sweep import (
     SwitchPoint,
     find_switch,
     simulate_cell,
-    sweep_alpha,
     sweep_grid,
 )

@@ -1,8 +1,8 @@
 """Coexistence/exclusion bounds, outcome classification, and yield.
 
 The harvested system folds into an unharvested one with rescaled growth
-rate and carrying capacity (dynamics.transform); the guaranteed-coexistence
-threshold for the harvesting effort on the better disperser is
+rate and carrying capacity; the guaranteed-coexistence threshold for the
+harvesting effort on the better disperser is
 
     alpha_star = 1 - integral(r * v_beta) / integral(r * K)
 
@@ -35,6 +35,11 @@ from .errors import ConfigurationError
 from .grid import Field, average, integrate
 from .operators import annihilates, build_operator
 from .profiles import EnvironmentProfile
+
+#: Largest relative misfit of K = gamma*P + delta*Q accepted as an ideal free pair.
+IFP_RESIDUAL_TOL = 1e-10
+#: Relative spread below which a sampled profile counts as constant.
+CONSTANT_REL_TOL = 1e-12
 
 
 class Outcome(Enum):
@@ -77,12 +82,12 @@ class HullFit:
     nonprop_u: bool  # dispersal of u does not annihilate K (P not prop. K)
     nonprop_v: bool
 
-    def is_ideal_free_pair(self, residual_tol: float = 1e-10) -> bool:
+    def is_ideal_free_pair(self) -> bool:
         """A tiny residual, strictly positive coefficients, and neither
         dispersal profile aligned with K (otherwise a single species already
         matches the environment on its own)."""
         return (
-            self.residual < residual_tol
+            self.residual < IFP_RESIDUAL_TOL
             and self.gamma > 0
             and self.delta > 0
             and self.nonprop_u
@@ -146,13 +151,11 @@ def fit_convex_hull(env: EnvironmentProfile) -> HullFit:
     )
 
 
-def detect_ideal_free_pair(
-    env: EnvironmentProfile, residual_tol: float = 1e-10
-) -> HullFit | None:
+def detect_ideal_free_pair(env: EnvironmentProfile) -> HullFit | None:
     """Return the hull fit when it is an ideal free pair
     (HullFit.is_ideal_free_pair), None otherwise."""
     f = fit_convex_hull(env)
-    return f if f.is_ideal_free_pair(residual_tol) else None
+    return f if f.is_ideal_free_pair() else None
 
 
 def alpha_star(beta: float, env: EnvironmentProfile, cfg: SimulationConfig) -> BoundsReport:
@@ -238,13 +241,12 @@ def invasion_potential(
     rates: HarvestRates,
 ) -> Field:
     """Growth potential of the absent species linearized at a semi-trivial
-    state: r*(1 - alpha - w/K) for u invading (0, w), and the beta analogue
-    for v invading (w, 0)."""
-    if invader == "u":
-        return env.r * (1.0 - rates.alpha - resident_state / env.K)
-    if invader == "v":
-        return env.r * (1.0 - rates.beta - resident_state / env.K)
-    raise ConfigurationError(f"invader must be 'u' or 'v', got {invader!r}")
+    state: r*(1 - rate - w/K) with the invader's harvesting rate, alpha for
+    u invading (0, w) and beta for v invading (w, 0)."""
+    if invader not in ("u", "v"):
+        raise ConfigurationError(f"invader must be 'u' or 'v', got {invader!r}")
+    rate = rates.alpha if invader == "u" else rates.beta
+    return env.r * (1.0 - rate - resident_state / env.K)
 
 
 def inequality_suite(env: EnvironmentProfile, cfg: SimulationConfig) -> InequalityReport:
@@ -334,5 +336,5 @@ def inequality_suite(env: EnvironmentProfile, cfg: SimulationConfig) -> Inequali
     return InequalityReport(checks=checks, diagnostics=diagnostics)
 
 
-def _is_constant(f: Field, rel_tol: float = 1e-12) -> bool:
-    return float(np.ptp(f)) <= rel_tol * float(np.max(np.abs(f)))
+def _is_constant(f: Field) -> bool:
+    return float(np.ptp(f)) <= CONSTANT_REL_TOL * float(np.max(np.abs(f)))

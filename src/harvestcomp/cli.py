@@ -36,12 +36,12 @@ from .config import (
     load_config,
     simulation_config,
 )
-from .dynamics import branch_dispersal, run_to_time, solve_semitrivial
+from .dynamics import run_to_time, solve_semitrivial
 from .errors import ConfigurationError, HarvestCompError, NumericalError
 from .grid import average, integrate
 from .operators import build_operator
 from .spectral import NEUTRAL_TOL, principal_eigen
-from .sweep import CellFailure, find_switch, sweep_alpha, sweep_grid
+from .sweep import CellFailure, find_switch, sweep_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -183,6 +183,16 @@ def _setup(args):
     return cfg, grid, env
 
 
+def _parse_betas(text: str) -> list[float]:
+    betas = []
+    for item in text.split(","):
+        try:
+            betas.append(float(item))
+        except ValueError:
+            raise ConfigurationError(f"--betas entry {item!r} is not a number") from None
+    return betas
+
+
 # --------------------------------------------------------------------------
 # subcommand handlers
 
@@ -246,9 +256,9 @@ def _cmd_eigen(args) -> int:
     rate = cfg.alpha if args.around == "u" else cfg.beta
     resident = solve_semitrivial(args.around, env, rate, sim)
     invader = "v" if args.around == "u" else "u"
-    d_field, R = branch_dispersal(invader, env)
     potential = invasion_potential(invader, resident, env, rates)
-    result = principal_eigen(build_operator(d_field, R, grid), potential, R)
+    inv_env = env.swapped() if invader == "v" else env
+    result = principal_eigen(build_operator(inv_env.a, inv_env.P, grid), potential, inv_env.P)
     if result.sigma1 > NEUTRAL_TOL:
         verdict = "unstable (invasible)"
     elif result.sigma1 < -NEUTRAL_TOL:
@@ -270,10 +280,7 @@ def _cmd_eigen(args) -> int:
 def _cmd_bounds(args) -> int:
     cfg, grid, env = _setup(args)
     sim = simulation_config(cfg)
-    if args.betas:
-        betas = [float(b) for b in args.betas.split(",")]
-    else:
-        betas = [cfg.beta]
+    betas = _parse_betas(args.betas) if args.betas else [cfg.beta]
     rows = []
     for beta in betas:
         report = alpha_star(beta, env, sim)
@@ -299,18 +306,18 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    n = args.grid if args.grid is not None else 41 if args.beta is None else 101
+    if n < 1:
+        raise ConfigurationError(f"--grid needs at least 1 point per axis, got {n}")
     cfg, grid, env = _setup(args)
     sim = simulation_config(cfg)
     u0, v0 = initial_fields(cfg, grid)
 
-    if args.beta is not None:
-        n = args.grid or 101
-        alphas = np.linspace(0.0, 1.0, n)
-        mode = {"mode": "alpha_row", "beta": args.beta, "n": n}
+    alphas = np.linspace(0.0, 1.0, n)
+    if args.beta is None:
+        betas, mode = alphas, {"mode": "grid", "n": n}
     else:
-        n = args.grid or 41
-        alphas = np.linspace(0.0, 1.0, n)
-        mode = {"mode": "grid", "n": n}
+        betas, mode = [args.beta], {"mode": "alpha_row", "beta": args.beta, "n": n}
 
     key = _cache_key({"version": __version__, "command": "sweep", "config": asdict(cfg), **mode})
     cache_dir = Path(args.cache_dir)
@@ -319,11 +326,8 @@ def _cmd_sweep(args) -> int:
         Path(args.output).write_text(text, encoding="utf-8")
         print(f"wrote {args.output} (cached)")
     else:
-        if args.beta is not None:
-            records = sweep_alpha(args.beta, alphas, env, sim, jobs=args.jobs, u0=u0, v0=v0)
-        else:
-            swept = sweep_grid(alphas, alphas, env, sim, jobs=args.jobs, u0=u0, v0=v0)
-            records = [rec for row in swept.records for rec in row]
+        swept = sweep_grid(alphas, betas, env, sim, jobs=args.jobs, u0=u0, v0=v0)
+        records = [rec for row in swept.records for rec in row]
         header = ["alpha", "beta", "avg_u", "avg_v", "yield", "outcome", "reason"]
         _write_csv(args.output, header, [_record_row(rec) for rec in records])
         print(f"wrote {args.output}")
@@ -407,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output_default=None):
+    def common(p):
         p.add_argument("--config", required=True, help="path to a key = value config file")
         p.add_argument(
             "--set",
@@ -415,15 +419,23 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override a config key (repeatable)",
         )
-        if output_default is not None:
-            p.add_argument("--output", default=output_default, help="output CSV path")
-        else:
-            p.add_argument("--output", default=None, help="optional output CSV path")
-        p.add_argument("--plot-script", action="store_true", help="emit a plotting companion")
+
+    def output(p, default=None, plot_script=True):
+        p.add_argument(
+            "--output",
+            default=default,
+            help="output CSV path" if default else "optional output CSV path",
+        )
+        if plot_script:
+            p.add_argument("--plot-script", action="store_true", help="emit a plotting companion")
+
+    def strict(p):
         p.add_argument("--strict", action="store_true", help="exit 4 on unresolved results")
 
     p = sub.add_parser("simulate", help="run one simulation and classify the outcome")
-    common(p, output_default="profile.csv")
+    common(p)
+    output(p, default="profile.csv")
+    strict(p)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--random-restarts", type=int, default=0, metavar="N")
@@ -431,12 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("steady", help="solve a semi-trivial single-species steady state")
-    common(p, output_default="steady.csv")
+    common(p)
+    output(p, default="steady.csv")
     p.add_argument("--branch", choices=("u", "v"), required=True)
     p.set_defaults(handler=_cmd_steady)
 
     p = sub.add_parser("eigen", help="principal eigenvalue of the invasion linearization")
     common(p)
+    output(p)
     p.add_argument(
         "--around",
         choices=("u", "v"),
@@ -447,13 +461,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="coexistence bounds alpha_star for fixed beta values")
     common(p)
+    output(p)
     p.add_argument("--betas", default=None, help="comma-separated beta values")
     p.add_argument("--with-switch", action="store_true", help="also find alpha_double_star")
     p.add_argument("--tol", type=float, default=1e-3, help="switch bracket width")
     p.set_defaults(handler=_cmd_bounds)
 
     p = sub.add_parser("sweep", help="outcome sweep over harvesting rates")
-    common(p, output_default="sweep.csv")
+    common(p)
+    output(p, default="sweep.csv")
+    strict(p)
     p.add_argument("--grid", type=int, default=None, help="points per axis")
     p.add_argument("--beta", type=float, default=None, help="sweep alpha for this fixed beta")
     p.add_argument("--jobs", type=int, default=None, help="worker processes")
@@ -463,6 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("switch", help="largest alpha at which the first species can invade")
     common(p)
+    output(p, plot_script=False)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--tol", type=float, default=1e-3)
     p.set_defaults(handler=_cmd_switch)

@@ -47,19 +47,6 @@ class HarvestRates:
 
 
 @dataclass(frozen=True)
-class TransformedParams:
-    """Parameters of the equivalent unharvested system with rescaled growth
-    rates and carrying capacities: c = (1-alpha)/(1-beta), r1 = 1-alpha,
-    r2 = 1-beta, K1 = (1-alpha)K, K2 = (1-beta)K."""
-
-    c: float
-    r1: float
-    r2: float
-    K1: Field
-    K2: Field
-
-
-@dataclass(frozen=True)
 class PopulationState:
     """Density fields of both species at one time instant.
 
@@ -106,25 +93,6 @@ class SimulationConfig:
     @property
     def n_steps(self) -> int:
         return int(math.ceil(self.t_final / self.dt - 1e-12))
-
-
-def transform(alpha: float, beta: float, env: EnvironmentProfile) -> TransformedParams:
-    """Fold harvesting into growth rates and carrying capacities.
-
-    Defined for beta < 1 only; over-exploited systems must be simulated
-    directly.
-    """
-    if beta >= 1:
-        raise ConfigurationError(
-            f"transformation undefined for beta = {beta} >= 1; use direct simulation"
-        )
-    return TransformedParams(
-        c=(1.0 - alpha) / (1.0 - beta),
-        r1=1.0 - alpha,
-        r2=1.0 - beta,
-        K1=(1.0 - alpha) * env.K,
-        K2=(1.0 - beta) * env.K,
-    )
 
 
 def _reaction_coefficients(env: EnvironmentProfile, rates, dt: float):
@@ -268,14 +236,6 @@ def run_to_time(
     return final
 
 
-def branch_dispersal(which: str, env: EnvironmentProfile) -> tuple[Field, Field]:
-    """(d, R) of a species' dispersal term div[d grad(w/R)]: (a, P) for the
-    u-branch, (b, Q) for the v-branch."""
-    if which not in ("u", "v"):
-        raise ConfigurationError(f"branch must be 'u' or 'v', got {which!r}")
-    return (env.a, env.P) if which == "u" else (env.b, env.Q)
-
-
 # Newton takes 0-6 steps on the bundled configs. From far above the branch
 # it only halves the excess per step, so a capacity spanning tens of decades
 # can need more than the cap, which then ends the solve.
@@ -298,12 +258,13 @@ def solve_semitrivial(
 
         div[d grad(w/R)] + r * w * (1 - w/K) - rate * r * w = 0,
 
-    where (d, R) is (a, P) for the u-branch and (b, Q) for the v-branch.
-    transform() folds the harvest into growth (1-rate)*r and capacity
-    (1-rate)*K, which needs 0 <= rate < 1. Solved by Newton's method from
-    w = (1-rate)*K. The Jacobian there is D - (1-rate)*r, which is
-    nonsingular; the reaction is concave, so every iterate after the first
-    lies at or above the positive branch and decreases monotonically to it.
+    where (d, R) is (a, P) for the u-branch. The v-branch is the u-branch
+    of env.swapped(), so (b, Q) enters only through that swap. The harvest
+    folds into growth (1-rate)*r and capacity (1-rate)*K, which needs
+    0 <= rate < 1. Solved by Newton's method from w = (1-rate)*K. The
+    Jacobian there is D - (1-rate)*r, which is nonsingular; the reaction
+    is concave, so every iterate after the first lies at or above the
+    positive branch and decreases monotonically to it.
 
     Returns the first iterate whose stationary residual, in max norm, is
     below cfg.steady_tol or below the rounding limit of evaluating D w,
@@ -313,7 +274,8 @@ def solve_semitrivial(
     enter. Raises ConvergenceError when a fixed cap of Newton steps does
     not get there.
     """
-    d_field, R = branch_dispersal(which, env)
+    if which not in ("u", "v"):
+        raise ConfigurationError(f"branch must be 'u' or 'v', got {which!r}")
     if rate < 0:
         raise ConfigurationError(
             f"semi-trivial {which}-branch needs a nonnegative harvesting rate, got {rate}"
@@ -322,14 +284,15 @@ def solve_semitrivial(
         raise ConfigurationError(
             f"semi-trivial {which}-branch needs a harvesting rate below 1, got {rate}"
         )
-    tp = transform(rate, 0.0, env) if which == "u" else transform(0.0, rate, env)
-    r_scale, K_scale = (tp.r1, tp.K1) if which == "u" else (tp.r2, tp.K2)
+    if which == "v":
+        env = env.swapped()
 
-    op = build_operator(d_field, R, env.grid)
-    rr = r_scale * env.r
+    op = build_operator(env.a, env.P, env.grid)
+    rr = (1.0 - rate) * env.r
+    K_scale = (1.0 - rate) * env.K
     rounding = _ROUNDING_FLOOR * np.finfo(float).eps * gershgorin_bound(op)
 
-    w = K_scale.copy()
+    w = K_scale
     for steps in range(_NEWTON_CAP + 1):
         residual = apply_operator(op, w) + rr * w * (1.0 - w / K_scale)
         res_norm = float(np.max(np.abs(residual)))

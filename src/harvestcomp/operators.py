@@ -26,6 +26,9 @@ from .grid import Field, SpatialGrid, as_field
 
 _gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.zeros(3),))
 
+#: annihilates() accepts |D w| up to this fraction of gershgorin_bound(D) * max|w|.
+ANNIHILATION_REL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class DiffusionOperator:
@@ -119,8 +122,8 @@ def gershgorin_bound(op: DiffusionOperator) -> float:
     return float(np.max(np.abs(op.diag) + np.abs(op.sub) + np.abs(op.sup)))
 
 
-def annihilates(op: DiffusionOperator, w: Field, rel_tol: float = 1e-10) -> bool:
-    """True when D w vanishes up to rel_tol of the operator scale.
+def annihilates(op: DiffusionOperator, w: Field) -> bool:
+    """True when D w vanishes up to ANNIHILATION_REL_TOL of the operator scale.
 
     Used to test proportionality: D w = 0 exactly iff w is proportional
     to the operator's dispersal profile P.
@@ -129,4 +132,4 @@ def annihilates(op: DiffusionOperator, w: Field, rel_tol: float = 1e-10) -> bool
     scale = gershgorin_bound(op) * float(np.max(np.abs(w)))
     if scale == 0.0:
         return True
-    return float(np.max(np.abs(apply(op, w)))) <= rel_tol * scale
+    return float(np.max(np.abs(apply(op, w)))) <= ANNIHILATION_REL_TOL * scale

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -281,6 +281,12 @@ class EnvironmentProfile:
                 raise ConfigurationError(f"profile {name} does not match the grid")
             f.setflags(write=False)
             object.__setattr__(self, name, f)
+
+    def swapped(self) -> "EnvironmentProfile":
+        """The environment with the two species exchanged: (a, P) and
+        (b, Q) trade places; K, r and the grid are shared, not copied.
+        Whatever the u species does in the result, the v species does here."""
+        return replace(self, P=self.Q, Q=self.P, a=self.b, b=self.a)
 
 
 def environment_from_expressions(grid: SpatialGrid, **sources: str) -> EnvironmentProfile:

@@ -35,9 +35,6 @@ class EigenResult:
     iterations: int
     residual: float
 
-    def is_neutral(self) -> bool:
-        return abs(self.sigma1) < NEUTRAL_TOL
-
 
 def _symmetrized_bands(op: DiffusionOperator, potential: Field) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of H = S^-1 (D + diag(q)) S, S = diag(sqrt(R))."""

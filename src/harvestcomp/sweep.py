@@ -115,21 +115,6 @@ def _run_cells(pairs, env, cfg, u0, v0, jobs):
         return [rec for block in pool.map(task, blocks) for rec in block]
 
 
-def sweep_alpha(
-    beta: float,
-    alpha_grid,
-    env: EnvironmentProfile,
-    cfg: SimulationConfig,
-    jobs: int | None = None,
-    u0: Field | None = None,
-    v0: Field | None = None,
-) -> list:
-    """Independent runs along one row of harvesting rates."""
-    alphas = np.asarray(alpha_grid, dtype=float)
-    pairs = [(float(a), float(beta)) for a in alphas]
-    return _run_cells(pairs, env, cfg, u0, v0, jobs)
-
-
 def sweep_grid(
     alpha_grid,
     beta_grid,

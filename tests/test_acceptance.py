@@ -289,10 +289,7 @@ def test_criterion_9d_swap_symmetry_of_dynamics():
     v0 = rng.uniform(0.2, 3, g.n_cells)
     cfg = SimulationConfig(dt=0.05, t_final=10.0, steady_tol=1e-14)
     out = run_to_time(u0, v0, env, HarvestRates(0.25, 0.65), cfg)
-    swapped_env = EnvironmentProfile(
-        grid=g, K=env.K, r=env.r, P=env.Q, Q=env.P, a=env.b, b=env.a
-    )
-    back = run_to_time(v0, u0, swapped_env, HarvestRates(0.65, 0.25), cfg)
+    back = run_to_time(v0, u0, env.swapped(), HarvestRates(0.65, 0.25), cfg)
     ok = np.array_equal(out.u, back.v) and np.array_equal(out.v, back.u)
     report("9d", ok, "exchanging (u0, P, a, alpha) with (v0, Q, b, beta) swaps the outputs exactly")
 

@@ -156,6 +156,44 @@ def test_bounds_command_csv_contract(fast_config, tmp_path, capsys):
     assert np.isnan(float(row[3]))  # switch point only under --with-switch
 
 
+@pytest.mark.parametrize("betas, entry", [("0,,0.4", "''"), ("abc", "'abc'")])
+def test_bounds_rejects_malformed_betas(fast_config, capsys, betas, entry):
+    assert run_cli("bounds", "--config", fast_config, "--betas", betas) == 2
+    assert f"--betas entry {entry} is not a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["0", "-5"])
+def test_sweep_rejects_grid_below_one(fast_config, tmp_path, capsys, grid):
+    out = tmp_path / "s.csv"
+    for row in ([], ["--beta", "0.2"]):
+        code = run_cli(
+            "sweep", "--config", fast_config, "--grid", grid, *row, "--output", out,
+            "--no-cache", "--cache-dir", tmp_path / "c",
+        )
+        assert code == 2
+        assert f"--grid needs at least 1 point per axis, got {grid}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--strict"],
+        ["check", "--output", "f.csv"],
+        ["check", "--plot-script"],
+        ["msy", "--output", "f.csv"],
+        ["msy", "--strict"],
+        ["switch", "--plot-script"],
+        ["bounds", "--strict"],
+    ],
+)
+def test_options_are_registered_only_where_read(fast_config, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv[0], "--config", fast_config, *argv[1:])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_sweep_cache_and_jobs_determinism(fast_config, tmp_path):
     cache = tmp_path / "cache"
     args = [

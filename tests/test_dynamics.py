@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from harvestcomp import (
     ConfigurationError,
@@ -8,19 +9,19 @@ from harvestcomp import (
     Outcome,
     PopulationState,
     SimulationConfig,
+    SpatialGrid,
     average,
     integrate,
     classify,
     run_to_time,
     solve_semitrivial,
     step,
-    transform,
 )
 from harvestcomp.operators import apply as op_apply
 from harvestcomp.operators import build_operator, gershgorin_bound, shifted_solver
 from harvestcomp.profiles import EnvironmentProfile
 
-from conftest import load_example, random_positive_profile, random_grid
+from conftest import load_example, random_positive_profile
 
 
 def build_ops(env):
@@ -28,39 +29,6 @@ def build_ops(env):
         build_operator(env.a, env.P, env.grid),
         build_operator(env.b, env.Q, env.grid),
     )
-
-
-# ---------------------------------------------------------------- transform
-
-
-def test_transform_identity_without_harvesting():
-    _, _, env, _ = load_example("example1", n_cells=16)
-    tp = transform(0.0, 0.0, env)
-    assert tp.c == 1.0 and tp.r1 == 1.0 and tp.r2 == 1.0
-    assert np.array_equal(tp.K1, env.K) and np.array_equal(tp.K2, env.K)
-
-
-def test_transform_harvest_u_only():
-    _, _, env, _ = load_example("example1", n_cells=16)
-    tp = transform(0.1, 0.0, env)
-    assert tp.c == pytest.approx(0.9)
-    assert tp.r1 == pytest.approx(0.9)
-    assert tp.r2 == pytest.approx(1.0)
-
-
-def test_transform_both_harvested():
-    _, _, env, _ = load_example("example1", n_cells=16)
-    tp = transform(0.6, 0.2, env)
-    assert tp.c == pytest.approx(0.5)
-    assert tp.r1 == pytest.approx(0.4)
-    assert tp.r2 == pytest.approx(0.8)
-    assert np.allclose(tp.K2, 0.8 * env.K)
-
-
-def test_transform_undefined_for_over_exploited_competitor():
-    _, _, env, _ = load_example("example1", n_cells=16)
-    with pytest.raises(ConfigurationError):
-        transform(0.2, 1.0, env)
 
 
 # --------------------------------------------------------------------- step
@@ -110,30 +78,42 @@ def test_absent_species_stays_absent(rng):
     assert np.all(st.v == 0.0)
 
 
-def _swap_env(env):
-    return EnvironmentProfile(
-        grid=env.grid, K=env.K, r=env.r, P=env.Q, Q=env.P, a=env.b, b=env.a
-    )
+@strategies.composite
+def environments(draw):
+    """Random positive environment on a grid of 8 to 48 cells."""
+    length = draw(strategies.floats(1.0, 6.0))
+    grid = SpatialGrid(length=length, n_cells=draw(strategies.integers(8, 48)))
+    rng = np.random.default_rng(draw(strategies.integers(0, 2**32 - 1)))
+    fields = {name: random_positive_profile(rng, grid) for name in ("K", "r", "P", "Q", "a", "b")}
+    return EnvironmentProfile(grid=grid, **fields)
 
 
-def test_swap_symmetry_is_exact(rng):
-    g = random_grid(rng, 16, 40)
-    env = EnvironmentProfile(
-        grid=g,
-        K=random_positive_profile(rng, g),
-        r=random_positive_profile(rng, g),
-        P=random_positive_profile(rng, g),
-        Q=random_positive_profile(rng, g),
-        a=random_positive_profile(rng, g),
-        b=random_positive_profile(rng, g),
-    )
-    u0 = rng.uniform(0.2, 3, g.n_cells)
-    v0 = rng.uniform(0.2, 3, g.n_cells)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(env=environments(), alpha=strategies.floats(0.0, 0.95), beta=strategies.floats(0.0, 0.95))
+def test_swap_symmetry_is_exact(env, alpha, beta):
+    swapped = env.swapped()
+    back = swapped.swapped()
+    assert back.grid is env.grid
+    for name in ("K", "r", "P", "Q", "a", "b"):
+        assert np.array_equal(getattr(back, name), getattr(env, name)), name
+    assert swapped.K is env.K and swapped.r is env.r  # shared, not copied
+
+    rng = np.random.default_rng(env.grid.n_cells)
+    u0 = rng.uniform(0.2, 3, env.grid.n_cells)
+    v0 = rng.uniform(0.2, 3, env.grid.n_cells)
     cfg = SimulationConfig(dt=0.05, t_final=5.0, steady_tol=1e-14)
-    out = run_to_time(u0, v0, env, HarvestRates(0.3, 0.7), cfg)
-    swapped = run_to_time(v0, u0, _swap_env(env), HarvestRates(0.7, 0.3), cfg)
-    assert np.array_equal(out.u, swapped.v)
-    assert np.array_equal(out.v, swapped.u)
+    out = run_to_time(u0, v0, env, HarvestRates(alpha, beta), cfg)
+    mirrored = run_to_time(v0, u0, swapped, HarvestRates(beta, alpha), cfg)
+    assert np.array_equal(out.u, mirrored.v)
+    assert np.array_equal(out.v, mirrored.u)
+
+    # the v-branch meets the v equation assembled from (b, Q) directly
+    sim = SimulationConfig()
+    w = solve_semitrivial("v", env, beta, sim)
+    op = build_operator(env.b, env.Q, env.grid)
+    limit = 4 * np.finfo(float).eps * gershgorin_bound(op) * np.max(w)
+    assert residual("v", env, beta, w) < max(sim.steady_tol, limit)
+    assert np.all(w > 0)
 
 
 def test_run_rejects_negative_initial_condition():

@@ -16,7 +16,6 @@ from harvestcomp.sweep import (
     CellFailure,
     find_switch,
     simulate_cell,
-    sweep_alpha,
     sweep_grid,
 )
 
@@ -34,7 +33,7 @@ def example1_small():
 
 def test_sweep_alpha_endpoints(example1_small):
     grid, env, sim = example1_small
-    records = sweep_alpha(0.0, [0.0, 0.1, 0.99], env, sim, jobs=1)
+    records = sweep_grid([0.0, 0.1, 0.99], [0.0], env, sim, jobs=1).records[0]
     assert records[0].outcome is Outcome.ONLY_U
     assert records[1].outcome is Outcome.COEXISTENCE
     assert records[2].outcome is Outcome.ONLY_V
@@ -42,9 +41,9 @@ def test_sweep_alpha_endpoints(example1_small):
 
 def test_sweep_record_matches_long_horizon_rerun(example1_small):
     grid, env, sim = example1_small
-    (record,) = sweep_alpha(0.0, [0.3], env, sim, jobs=1)
+    (record,) = sweep_grid([0.3], [0.0], env, sim, jobs=1).records[0]
     longer = SimulationConfig(dt=sim.dt, t_final=2 * sim.t_final, steady_tol=sim.steady_tol)
-    (rerun,) = sweep_alpha(0.0, [0.3], env, longer, jobs=1)
+    (rerun,) = sweep_grid([0.3], [0.0], env, longer, jobs=1).records[0]
     assert record.avg_u == pytest.approx(rerun.avg_u, rel=0.01, abs=1e-6)
     assert record.avg_v == pytest.approx(rerun.avg_v, rel=0.01, abs=1e-6)
 
@@ -52,7 +51,7 @@ def test_sweep_record_matches_long_horizon_rerun(example1_small):
 def test_monotone_outcome_ordering_along_alpha(example1_small):
     grid, env, sim = example1_small
     for beta in (0.0, 0.4):
-        records = sweep_alpha(beta, np.linspace(0, 0.99, 12), env, sim, jobs=1)
+        records = sweep_grid(np.linspace(0, 0.99, 12), [beta], env, sim, jobs=1).records[0]
         ranks = [ORDER[r.outcome] for r in records]
         assert ranks == sorted(ranks)
 
