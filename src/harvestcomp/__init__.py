@@ -32,6 +32,7 @@ from .dynamics import (
     PopulationState,
     SimulationConfig,
     run_to_time,
+    solve_coexistence,
     solve_semitrivial,
     step,
 )

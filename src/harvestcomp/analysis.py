@@ -192,10 +192,8 @@ def classify(
     """Classify a (near-)final state by average density against the
     extinction threshold cfg.extinction_fraction * average(K)."""
     threshold = cfg.extinction_fraction * average(env.K, env.grid)
-    avg_u = average(final.u, env.grid)
-    avg_v = average(final.v, env.grid)
-    u_alive = avg_u >= threshold
-    v_alive = avg_v >= threshold
+    u_alive = average(final.u, env.grid) >= threshold
+    v_alive = average(final.v, env.grid) >= threshold
     if u_alive and v_alive:
         outcome = Outcome.COEXISTENCE
     elif u_alive:
@@ -204,15 +202,28 @@ def classify(
         outcome = Outcome.ONLY_V
     else:
         outcome = Outcome.EXTINCTION
+    return outcome_record(outcome, final.u, final.v, env, rates, resolved=final.steady)
+
+
+def outcome_record(
+    outcome: Outcome,
+    u: Field,
+    v: Field,
+    env: EnvironmentProfile,
+    rates: HarvestRates,
+    resolved: bool = True,
+) -> OutcomeRecord:
+    """Record of an outcome with the averages and harvest yields of the
+    state (u, v)."""
     return OutcomeRecord(
         outcome=outcome,
-        avg_u=avg_u,
-        avg_v=avg_v,
-        yield_u=integrate(rates.alpha * env.r * final.u, env.grid),
-        yield_v=integrate(rates.beta * env.r * final.v, env.grid),
+        avg_u=average(u, env.grid),
+        avg_v=average(v, env.grid),
+        yield_u=integrate(rates.alpha * env.r * u, env.grid),
+        yield_v=integrate(rates.beta * env.r * v, env.grid),
         alpha=rates.alpha,
         beta=rates.beta,
-        resolved=final.steady,
+        resolved=resolved,
     )
 
 

@@ -62,15 +62,12 @@ def _write_csv(path, header: list[str], rows) -> None:
         writer.writerows([_fmt(c) for c in row] for row in rows)
 
 
-def _outcome_label(record) -> str:
-    if isinstance(record, CellFailure):
-        return "unresolved"
+def _outcome_label(record: OutcomeRecord) -> str:
     return record.outcome.value if record.resolved else "unresolved"
 
 
 def _record_row(record) -> list:
-    """Sweep CSV row; reason says why a cell is unresolved: the failure
-    message, or t_final for a run that hit its time cap unsettled."""
+    """Sweep CSV row; reason is the failure message of an unresolved cell."""
     if isinstance(record, CellFailure):
         nan = float("nan")
         return [record.alpha, record.beta, nan, nan, nan, "unresolved", record.message]
@@ -80,8 +77,8 @@ def _record_row(record) -> list:
         record.avg_u,
         record.avg_v,
         record.total_yield,
-        _outcome_label(record),
-        "" if record.resolved else "t_final",
+        record.outcome.value,
+        "",
     ]
 
 
@@ -326,7 +323,7 @@ def _cmd_sweep(args) -> int:
         Path(args.output).write_text(text, encoding="utf-8")
         print(f"wrote {args.output} (cached)")
     else:
-        swept = sweep_grid(alphas, betas, env, sim, jobs=args.jobs, u0=u0, v0=v0)
+        swept = sweep_grid(alphas, betas, env, sim, u0=u0, v0=v0)
         records = [rec for row in swept.records for rec in row]
         header = ["alpha", "beta", "avg_u", "avg_v", "yield", "outcome", "reason"]
         _write_csv(args.output, header, [_record_row(rec) for rec in records])
@@ -473,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     strict(p)
     p.add_argument("--grid", type=int, default=None, help="points per axis")
     p.add_argument("--beta", type=float, default=None, help="sweep alpha for this fixed beta")
-    p.add_argument("--jobs", type=int, default=None, help="worker processes")
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--cache-dir", default=".harvestcomp_cache")
     p.set_defaults(handler=_cmd_sweep)

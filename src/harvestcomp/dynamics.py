@@ -14,7 +14,10 @@ Single-species stationary states (solve_semitrivial) are not marched:
 Newton's method solves the discrete stationary system D w + f(w) = 0
 directly, each step one tridiagonal solve shifted by -f'(w) per cell. dt
 and t_final do not enter it; its residual is below steady_tol or below the
-rounding limit of evaluating D w, whichever is larger.
+rounding limit of evaluating D w, whichever is larger. Coexistence states
+(solve_coexistence) are solved the same way by pseudo-transient
+continuation from given initial data, each step one banded solve on u and
+v together.
 """
 
 from __future__ import annotations
@@ -23,8 +26,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_banded
 
-from .errors import ConfigurationError, ConvergenceError, HarvestCompError, UnstableStepError
+from .errors import (
+    ConfigurationError,
+    ConvergenceError,
+    HarvestCompError,
+    NumericalError,
+    SingularSystemError,
+    UnstableStepError,
+)
 from .grid import Field, as_field
 from .operators import DiffusionOperator, build_operator, gershgorin_bound, shifted_solver
 from .operators import apply as apply_operator
@@ -65,11 +76,14 @@ class PopulationState:
 class SimulationConfig:
     """Time stepping and classification knobs.
 
-    dt and t_final govern the time march only. steady_tol is both the
-    march's settling threshold on the max-norm time derivative and the
-    max-norm stationary residual solve_semitrivial's Newton iteration must
-    get below, unless rounding in D w alone exceeds it (see
-    solve_semitrivial).
+    dt, t_final and extinction_fraction enter only simulation: the time
+    march and the classification of its final state (simulate and
+    simulate_cell). A sweep takes its outcomes from the invasion criterion
+    and uses dt only to check its initial data the way the march does.
+    steady_tol is the march's settling threshold on the max-norm time
+    derivative, and the max-norm stationary residual that solve_semitrivial
+    and solve_coexistence must get below, unless rounding in D w alone
+    exceeds it (see solve_semitrivial).
 
     The extinction threshold is extinction_fraction * average(K). An
     excluded species with a regular-diffusion strategy dies off only
@@ -140,6 +154,26 @@ def step(
     return PopulationState(u=u[:, 0], v=v[:, 0], t=state.t + dt, dudt_inf=float(delta[0]))
 
 
+def check_initial_data(u0: Field, v0: Field, env: EnvironmentProfile, dt: float):
+    """(u0, v0) as fields on env's grid. Raises ConfigurationError naming
+    the one that is negative somewhere, or whose quotient by dt is not
+    finite: each step of the march solves for w/dt, so the bound is tested
+    here instead of overflowing there."""
+    fields = as_field(u0, env.grid), as_field(v0, env.grid)
+    limit = np.finfo(float).max * dt
+    for name, w in zip(("u0", "v0"), fields):
+        if np.any(w < 0):
+            raise ConfigurationError(
+                f"initial condition {name} must be nonnegative (min {name} = {w.min():g})"
+            )
+        if not (np.all(np.isfinite(w)) and w.max() <= limit):
+            raise ConfigurationError(
+                f"initial condition {name} / dt is not finite "
+                f"(max {name} = {w.max():g}, dt = {dt})"
+            )
+    return fields
+
+
 def march(
     u0: Field,
     v0: Field,
@@ -164,20 +198,9 @@ def march(
     results: list = [None] * len(rates)
     live = np.arange(len(rates))
     try:
-        u = as_field(u0, env.grid)
-        v = as_field(v0, env.grid)
-        if np.any(u < 0) or np.any(v < 0):
-            raise ConfigurationError("initial conditions must be nonnegative")
+        u, v = check_initial_data(u0, v0, env, cfg.dt)
         dt = cfg.dt
         inv_dt = 1.0 / dt
-        # each step solves for w/dt; test the bound instead of overflowing
-        limit = np.finfo(float).max * dt
-        for name, w in (("u0", u), ("v0", v)):
-            if not (np.all(np.isfinite(w)) and w.max() <= limit):
-                raise ConfigurationError(
-                    f"initial condition {name} / dt is not finite "
-                    f"(max {name} = {w.max():g}, dt = {dt})"
-                )
         # looked up on the module at call time, so a wrapper installed there
         # (bench/tracer.py) sees every factorization and solve
         solve_u = shifted_solver(build_operator(env.a, env.P, env.grid), inv_dt)
@@ -240,11 +263,11 @@ def run_to_time(
 # it only halves the excess per step, so a capacity spanning tens of decades
 # can need more than the cap, which then ends the solve.
 _NEWTON_CAP = 50
-# Evaluating D w in floating point leaves a residual of about
-# eps * gershgorin_bound(D) * max|w| that no iterate gets below (Newton
-# stalls at up to 1.04 times it on the bundled configs, n up to 25600, L
-# down to 0.25); the stop test allows this many times that bound.
-_ROUNDING_FLOOR = 4.0
+#: Evaluating D w in floating point leaves a residual of about
+#: eps * gershgorin_bound(D) * max|w| that no iterate gets below (Newton
+#: stalls at up to 1.04 times it on the bundled configs, n up to 25600, L
+#: down to 0.25); the stop tests allow this many times that bound.
+ROUNDING_FLOOR = 4.0
 
 
 def solve_semitrivial(
@@ -290,7 +313,7 @@ def solve_semitrivial(
     op = build_operator(env.a, env.P, env.grid)
     rr = (1.0 - rate) * env.r
     K_scale = (1.0 - rate) * env.K
-    rounding = _ROUNDING_FLOOR * np.finfo(float).eps * gershgorin_bound(op)
+    rounding = ROUNDING_FLOOR * np.finfo(float).eps * gershgorin_bound(op)
 
     w = K_scale
     for steps in range(_NEWTON_CAP + 1):
@@ -310,3 +333,101 @@ def solve_semitrivial(
         f"semi-trivial {which}-branch did not converge in {_NEWTON_CAP} Newton steps "
         f"(residual {res_norm:.3e}, tolerance {tol:.3e})"
     )
+
+
+# Pseudo-transient continuation takes at most 16 steps in the coexistence
+# cells of 21x21 sweeps of the bundled configs (n = 200 and 800, a = b = 1
+# and 0.01). A capacity spanning tens of decades makes the late steps shrink
+# the residual only fourfold each, and the cap, rejected steps included,
+# then ends the solve.
+_PTC_CAP = 50
+
+
+def solve_coexistence(
+    u0: Field,
+    v0: Field,
+    env: EnvironmentProfile,
+    rates: HarvestRates,
+    cfg: SimulationConfig,
+) -> tuple[Field, Field]:
+    """Stationary state (u, v) of the harvested two-species system, positive
+    in both species, reached from (u0, v0) by pseudo-transient continuation
+    (Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998).
+
+    Each step is one implicit Euler step of pseudo-time tau made by one
+    Newton solve, (I/tau - J) dw = F(w) with F the right-hand side of the
+    system; u and v are interleaved, so the matrix is banded (2, 2). Short
+    steps follow the march from (u0, v0) to the state it settles at, where
+    a Newton iteration started cold can reach the unstable (0, v_beta).
+    tau starts at the logistic time scale 1/max r and is multiplied by the
+    ratio of the previous residual to the new one, so the steps become
+    Newton steps as the residual falls. A step that would make a density
+    negative is retried with tau quartered.
+
+    Stops like solve_semitrivial: max|F| below cfg.steady_tol or below
+    4 * eps * gershgorin_bound(D) * max(u, v), with D the dispersal operator
+    of larger bound. cfg.dt and cfg.t_final do not enter. Raises
+    ConvergenceError when a fixed cap of steps does not get there, and
+    NumericalError when the state reached is not positive in both species.
+    """
+    u = as_field(u0, env.grid)
+    v = as_field(v0, env.grid)
+    op_u = build_operator(env.a, env.P, env.grid)
+    op_v = build_operator(env.b, env.Q, env.grid)
+    grow_u = env.r * (1.0 - rates.alpha)
+    grow_v = env.r * (1.0 - rates.beta)
+    susc = env.r / env.K
+    rounding = ROUNDING_FLOOR * np.finfo(float).eps * max(
+        gershgorin_bound(op_u), gershgorin_bound(op_v)
+    )
+
+    # (I/tau - J) in banded storage: row 2 - k holds diagonal k of the
+    # interleaved order u_0, v_0, u_1, v_1, ...; the dispersal bands sit at
+    # +-2 and the u-v coupling at +-1 (within a cell)
+    bands = np.zeros((5, 2 * len(u)))
+    bands[0, 2::2], bands[0, 3::2] = -op_u.sup[:-1], -op_v.sup[:-1]
+    bands[4, 0:-2:2], bands[4, 1:-2:2] = -op_u.sub[1:], -op_v.sub[1:]
+
+    def residual(u, v):
+        crowd = susc * (u + v)
+        F = np.empty(2 * len(u))
+        F[0::2] = apply_operator(op_u, u) + u * (grow_u - crowd)
+        F[1::2] = apply_operator(op_v, v) + v * (grow_v - crowd)
+        return F, float(np.max(np.abs(F)))
+
+    F, res = residual(u, v)
+    tau = 1.0 / float(np.max(env.r))
+    for steps in range(_PTC_CAP + 1):
+        tol = max(cfg.steady_tol, rounding * max(float(u.max()), float(v.max())))
+        if res < tol:
+            break
+        if not math.isfinite(res):
+            raise UnstableStepError("non-finite coexistence iterate")
+        if steps == _PTC_CAP:
+            raise ConvergenceError(
+                f"coexistence state did not converge in {_PTC_CAP} pseudo-transient steps "
+                f"(residual {res:.3e}, tolerance {tol:.3e})"
+            )
+        crowd = susc * (u + v)
+        bands[2, 0::2] = 1.0 / tau - op_u.diag - (grow_u - crowd - susc * u)
+        bands[2, 1::2] = 1.0 / tau - op_v.diag - (grow_v - crowd - susc * v)
+        bands[1, 1::2] = susc * u
+        bands[3, 0::2] = susc * v
+        try:
+            dw = solve_banded((2, 2), bands, F)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"pseudo-transient step with tau = {tau:g}: {exc}") from None
+        u1, v1 = u + dw[0::2], v + dw[1::2]
+        if u1.min() < 0 or v1.min() < 0:
+            tau *= 0.25
+            continue
+        F1, res1 = residual(u1, v1)
+        tau *= res / max(res1, np.finfo(float).tiny)
+        u, v, F, res = u1, v1, F1, res1
+    for name, w in (("u", u), ("v", v)):
+        if not w.min() > 0:
+            raise NumericalError(
+                f"stationary state reached from (u0, v0) is not a coexistence state: "
+                f"min {name} = {w.min():g}"
+            )
+    return u, v

@@ -5,14 +5,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies
 
-from harvestcomp import SpatialGrid
+from harvestcomp import HarvestRates, OutcomeRecord, SimulationConfig, SpatialGrid, classify
 from harvestcomp.config import (
     apply_overrides,
     build_environment,
     load_config,
     simulation_config,
 )
+from harvestcomp.dynamics import march
+from harvestcomp.profiles import EnvironmentProfile
+from harvestcomp.sweep import DEFAULT_INITIAL_DENSITY
 
 CONFIG_DIR = Path(str(files("harvestcomp") / "configs"))
 
@@ -48,3 +52,42 @@ def random_grid(rng, n_min: int = 8, n_max: int = 48) -> SpatialGrid:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@strategies.composite
+def environments(draw):
+    """Random positive environment on a grid of 8 to 48 cells."""
+    length = draw(strategies.floats(1.0, 6.0))
+    grid = SpatialGrid(length=length, n_cells=draw(strategies.integers(8, 48)))
+    rng = np.random.default_rng(draw(strategies.integers(0, 2**32 - 1)))
+    fields = {name: random_positive_profile(rng, grid) for name in ("K", "r", "P", "Q", "a", "b")}
+    return EnvironmentProfile(grid=grid, **fields)
+
+
+#: The march that sweep records are checked against: settled to 1e-10, a
+#: species below 1e-4 of average(K) counted extinct, and long enough for
+#: the example1 coexistence cell (0.1, 0) to settle (at t = 802).
+MARCH_ORACLE = SimulationConfig(dt=0.05, t_final=1000.0, steady_tol=1e-10,
+                                extinction_fraction=1e-4)
+
+
+def assert_sweep_matches_march(sg, env, cfg=MARCH_ORACLE, u0=None, v0=None) -> int:
+    """Check the records of a sweep against the march from its initial data
+    (default the constant DEFAULT_INITIAL_DENSITY): in every cell whose march
+    settles under cfg, the record has the outcome classify gives the settled
+    state, and both averages within 1e-6 of it. Returns the number of cells
+    checked."""
+    u0 = np.full(env.grid.n_cells, DEFAULT_INITIAL_DENSITY) if u0 is None else u0
+    v0 = np.full(env.grid.n_cells, DEFAULT_INITIAL_DENSITY) if v0 is None else v0
+    records = [rec for row in sg.records for rec in row if isinstance(rec, OutcomeRecord)]
+    rates = [HarvestRates(rec.alpha, rec.beta) for rec in records]
+    checked = 0
+    for rec, r, final in zip(records, rates, march(u0, v0, env, rates, cfg)):
+        if not final.steady:
+            continue
+        oracle = classify(final, env, r, cfg)
+        assert rec.outcome is oracle.outcome, (rec, oracle)
+        assert abs(rec.avg_u - oracle.avg_u) <= 1e-6, (rec, oracle)
+        assert abs(rec.avg_v - oracle.avg_v) <= 1e-6, (rec, oracle)
+        checked += 1
+    return checked

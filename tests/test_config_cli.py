@@ -185,6 +185,7 @@ def test_sweep_rejects_grid_below_one(fast_config, tmp_path, capsys, grid):
         ["msy", "--strict"],
         ["switch", "--plot-script"],
         ["bounds", "--strict"],
+        ["sweep", "--jobs", "2"],
     ],
 )
 def test_options_are_registered_only_where_read(fast_config, capsys, argv):
@@ -201,9 +202,9 @@ def test_sweep_cache_and_jobs_determinism(fast_config, tmp_path):
         "--cache-dir", cache,
     ]
     s1, s2, s3 = (tmp_path / n for n in ("s1.csv", "s2.csv", "s3.csv"))
-    assert run_cli(*args, "--jobs", "2", "--output", s1) == 0
-    assert run_cli(*args, "--jobs", "1", "--output", s2, "--no-cache") == 0
-    assert run_cli(*args, "--jobs", "1", "--output", s3) == 0  # cache hit
+    assert run_cli(*args, "--output", s1) == 0
+    assert run_cli(*args, "--output", s2, "--no-cache") == 0
+    assert run_cli(*args, "--output", s3) == 0  # cache hit
     assert s1.read_bytes() == s2.read_bytes() == s3.read_bytes()
     assert s1.read_text().splitlines()[0] == "alpha,beta,avg_u,avg_v,yield,outcome,reason"
     assert list(cache.glob("*.csv"))
@@ -213,7 +214,7 @@ def test_sweep_cache_keyed_by_source_digest(fast_config, tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     args = [
         "sweep", "--config", fast_config, "--set", "t_final=20", "--grid", "2",
-        "--jobs", "1", "--cache-dir", cache,
+        "--cache-dir", cache,
     ]
     out = tmp_path / "s.csv"
     monkeypatch.setattr(cli, "_source_digest", lambda: "old sources")
@@ -231,7 +232,7 @@ def test_sweep_cache_keyed_by_source_digest(fast_config, tmp_path, monkeypatch):
 def _sweep_rows(fast_config, tmp_path, *extra):
     out = tmp_path / "s.csv"
     code = run_cli(
-        "sweep", "--config", fast_config, "--grid", "2", "--jobs", "1",
+        "sweep", "--config", fast_config, "--grid", "2",
         "--output", out, "--no-cache", "--cache-dir", tmp_path / "c", *extra,
     )
     with open(out, newline="") as fh:
@@ -242,12 +243,10 @@ def _sweep_rows(fast_config, tmp_path, *extra):
 def test_sweep_outcome_labels(fast_config, tmp_path):
     code, rows = _sweep_rows(fast_config, tmp_path)
     assert code == 0
-    labels = {row["outcome"] for row in rows}
-    assert labels <= {"coexist", "only_u", "only_v", "extinct", "unresolved"}
-    # reason: t_final for a run that hit its time cap, empty for a settled one
-    assert {row["reason"] for row in rows} == {"", "t_final"}
-    for row in rows:
-        assert (row["outcome"] == "unresolved") == (row["reason"] == "t_final")
+    # u tracks K (P = K), so it excludes v at alpha = beta = 0 by theorem;
+    # an over-exploited species is absent without a solve
+    assert [row["outcome"] for row in rows] == ["only_u", "only_v", "only_u", "extinct"]
+    assert {row["reason"] for row in rows} == {""}
     # a failed cell (u0 / dt would overflow) carries its message; --strict
     # counts it as unresolved too
     code, rows = _sweep_rows(fast_config, tmp_path, "--set", "u0=1e308", "--strict")
@@ -260,9 +259,13 @@ def test_sweep_outcome_labels(fast_config, tmp_path):
         assert row["avg_u"] == "nan"
 
 
+# K = P = Q: at alpha = beta = 0 both invasion eigenvalues are 0, a neutral cell
+FLAT = ["--set", "K=1", "--set", "P=1"]
+
+
 def test_cached_sweep_is_judged_like_a_fresh_one(fast_config, tmp_path, capsys):
     args = [
-        "sweep", "--config", fast_config, "--set", "t_final=2", "--grid", "2", "--jobs", "1",
+        "sweep", "--config", fast_config, *FLAT, "--grid", "2",
         "--output", tmp_path / "s.csv", "--cache-dir", tmp_path / "c", "--strict",
         "--plot-script",
     ]
@@ -272,7 +275,7 @@ def test_cached_sweep_is_judged_like_a_fresh_one(fast_config, tmp_path, capsys):
         assert run_cli(*args) == 4
         out, err = capsys.readouterr()
         assert written in out
-        assert "4 of 4 cells unresolved" in err
+        assert "1 of 4 cells unresolved" in err
         assert plot.exists()
 
 
@@ -336,10 +339,21 @@ def test_exit_code_3_for_numerical_failure(fast_config, tmp_path, capsys):
 
 
 def test_exit_code_4_for_strict_unresolved(fast_config, tmp_path, capsys):
+    out = tmp_path / "s.csv"
     code = run_cli(
-        "sweep", "--config", fast_config, "--set", "t_final=2",
-        "--grid", "2", "--jobs", "1", "--output", tmp_path / "s.csv",
+        "sweep", "--config", fast_config, *FLAT, "--grid", "2", "--output", out,
         "--no-cache", "--cache-dir", tmp_path / "c", "--strict",
     )
     assert code == 4
+    with open(out, newline="") as fh:
+        neutral = next(csv.DictReader(fh))
+    assert neutral["outcome"] == "unresolved"
+    assert neutral["reason"].startswith("neutral cell, not decided by the invasion criterion")
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("tol", ["0", "-0.5", "nan"])
+@pytest.mark.parametrize("command", [["switch"], ["bounds", "--with-switch"]])
+def test_switch_tolerance_must_be_positive(fast_config, capsys, command, tol):
+    assert run_cli(*command, "--config", fast_config, "--tol", tol) == 2
+    assert "switch tolerance tol must be finite and positive" in capsys.readouterr().err

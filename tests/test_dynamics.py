@@ -6,22 +6,22 @@ from harvestcomp import (
     ConfigurationError,
     ConvergenceError,
     HarvestRates,
+    NumericalError,
     Outcome,
     PopulationState,
     SimulationConfig,
-    SpatialGrid,
     average,
     integrate,
     classify,
     run_to_time,
+    solve_coexistence,
     solve_semitrivial,
     step,
 )
 from harvestcomp.operators import apply as op_apply
 from harvestcomp.operators import build_operator, gershgorin_bound, shifted_solver
-from harvestcomp.profiles import EnvironmentProfile
 
-from conftest import load_example, random_positive_profile
+from conftest import environments, load_example
 
 
 def build_ops(env):
@@ -76,16 +76,6 @@ def test_absent_species_stays_absent(rng):
     for _ in range(50):
         st = step(st, env, HarvestRates(0, 0), ops, sim.dt)
     assert np.all(st.v == 0.0)
-
-
-@strategies.composite
-def environments(draw):
-    """Random positive environment on a grid of 8 to 48 cells."""
-    length = draw(strategies.floats(1.0, 6.0))
-    grid = SpatialGrid(length=length, n_cells=draw(strategies.integers(8, 48)))
-    rng = np.random.default_rng(draw(strategies.integers(0, 2**32 - 1)))
-    fields = {name: random_positive_profile(rng, grid) for name in ("K", "r", "P", "Q", "a", "b")}
-    return EnvironmentProfile(grid=grid, **fields)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -298,3 +288,33 @@ def test_semitrivial_validates_arguments():
         solve_semitrivial("v", env, 1.0, sim)
     with pytest.raises(ConfigurationError, match=f"u{below_one} nan"):
         solve_semitrivial("u", env, float("nan"), sim)
+
+
+# ------------------------------------------------------- coexistence states
+
+
+def test_coexistence_state_of_an_ideal_free_pair_is_the_pair():
+    # K = P + Q and no harvest: (P, Q) is stationary, and continuation from
+    # the flat start reaches it
+    _, grid, env, sim = load_example("example3", n_cells=200)
+    start = np.full(grid.n_cells, 2.1)
+    u, v = solve_coexistence(start, start, env, HarvestRates(0.0, 0.0), sim)
+    assert np.allclose(u, env.P, rtol=0.0, atol=1e-8)
+    assert np.allclose(v, env.Q, rtol=0.0, atol=1e-8)
+
+
+def test_coexistence_requires_both_species_positive():
+    # v absent at the start stays absent, so the limit is (u_alpha, 0)
+    _, grid, env, sim = load_example("example1", n_cells=48)
+    start = np.full(grid.n_cells, 2.1)
+    with pytest.raises(NumericalError, match="not a coexistence state: min v = 0"):
+        solve_coexistence(start, np.zeros(grid.n_cells), env, HarvestRates(0.1, 0.0), sim)
+
+
+def test_coexistence_reports_nonconvergence():
+    # the capacity of test_semitrivial_reports_nonconvergence: the late
+    # steps shrink the residual only fourfold each, and the cap ends the solve
+    _, grid, env, sim = load_example("example1", n_cells=32, K="exp(60*cos(pi*x))")
+    start = np.full(grid.n_cells, 2.1)
+    with pytest.raises(ConvergenceError, match="did not converge in 50 pseudo-transient steps"):
+        solve_coexistence(start, start, env, HarvestRates(0.1, 0.0), sim)

@@ -1,7 +1,12 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from harvestcomp import (
+    ConfigurationError,
     HarvestRates,
     Outcome,
     SimulationConfig,
@@ -9,6 +14,7 @@ from harvestcomp import (
     principal_eigen,
     solve_semitrivial,
 )
+from harvestcomp import sweep
 from harvestcomp.analysis import invasion_potential
 from harvestcomp.config import build_environment, parse_config_text
 from harvestcomp.operators import build_operator
@@ -19,7 +25,7 @@ from harvestcomp.sweep import (
     sweep_grid,
 )
 
-from conftest import load_example
+from conftest import assert_sweep_matches_march, environments, load_example
 
 ORDER = {Outcome.ONLY_U: 0, Outcome.COEXISTENCE: 1, Outcome.ONLY_V: 2}
 
@@ -33,25 +39,26 @@ def example1_small():
 
 def test_sweep_alpha_endpoints(example1_small):
     grid, env, sim = example1_small
-    records = sweep_grid([0.0, 0.1, 0.99], [0.0], env, sim, jobs=1).records[0]
+    records = sweep_grid([0.0, 0.1, 0.99], [0.0], env, sim).records[0]
     assert records[0].outcome is Outcome.ONLY_U
     assert records[1].outcome is Outcome.COEXISTENCE
     assert records[2].outcome is Outcome.ONLY_V
 
 
 def test_sweep_record_matches_long_horizon_rerun(example1_small):
+    # t_final does not enter the sweep; the rerun is the march oracle, to
+    # twice the sweep config's horizon
     grid, env, sim = example1_small
-    (record,) = sweep_grid([0.3], [0.0], env, sim, jobs=1).records[0]
-    longer = SimulationConfig(dt=sim.dt, t_final=2 * sim.t_final, steady_tol=sim.steady_tol)
-    (rerun,) = sweep_grid([0.3], [0.0], env, longer, jobs=1).records[0]
-    assert record.avg_u == pytest.approx(rerun.avg_u, rel=0.01, abs=1e-6)
-    assert record.avg_v == pytest.approx(rerun.avg_v, rel=0.01, abs=1e-6)
+    sg = sweep_grid([0.1, 0.3], [0.0], env, sim)
+    longer = SimulationConfig(dt=sim.dt, t_final=2 * sim.t_final, steady_tol=1e-10,
+                              extinction_fraction=1e-4)
+    assert assert_sweep_matches_march(sg, env, longer) == 2
 
 
 def test_monotone_outcome_ordering_along_alpha(example1_small):
     grid, env, sim = example1_small
     for beta in (0.0, 0.4):
-        records = sweep_grid(np.linspace(0, 0.99, 12), [beta], env, sim, jobs=1).records[0]
+        records = sweep_grid(np.linspace(0, 0.99, 12), [beta], env, sim).records[0]
         ranks = [ORDER[r.outcome] for r in records]
         assert ranks == sorted(ranks)
 
@@ -136,7 +143,7 @@ def test_sweep_grid_shape_and_indexing(example1_small):
     grid, env, sim = example1_small
     alphas = np.array([0.0, 0.5, 0.9])
     betas = np.array([0.0, 0.6])
-    sg = sweep_grid(alphas, betas, env, sim, jobs=1)
+    sg = sweep_grid(alphas, betas, env, sim)
     assert len(sg.records) == 2 and len(sg.records[0]) == 3
     for i, beta in enumerate(betas):
         for j, alpha in enumerate(alphas):
@@ -145,12 +152,14 @@ def test_sweep_grid_shape_and_indexing(example1_small):
 
 
 def test_sweep_grid_deterministic_across_worker_counts(example1_small):
+    # jobs is accepted and unused: the sweep runs in one process, and each
+    # cell has the outcome and averages of the march wherever that settles
     grid, env, sim = example1_small
-    quick = SimulationConfig(dt=0.05, t_final=40.0, steady_tol=1e-9)
     alphas = np.linspace(0, 1, 4)
-    serial = sweep_grid(alphas, alphas, env, quick, jobs=1)
-    parallel = sweep_grid(alphas, alphas, env, quick, jobs=2)
-    assert serial.records == parallel.records
+    serial = sweep_grid(alphas, alphas, env, sim, jobs=1)
+    assert sweep_grid(alphas, alphas, env, sim, jobs=2).records == serial.records
+    assert not serial.failures()
+    assert assert_sweep_matches_march(serial, env) == 12  # all but the 4 alpha = beta cells
 
 
 def test_sweep_symmetric_environment_mirrors_records():
@@ -160,20 +169,77 @@ def test_sweep_symmetric_environment_mirrors_records():
     )
     _, env = build_environment(cfg)
     sim = SimulationConfig(dt=0.05, t_final=300.0, steady_tol=1e-9)
-    sg = sweep_grid([0.1, 0.3], [0.1, 0.3], env, sim, jobs=1)
+    sg = sweep_grid([0.1, 0.3], [0.1, 0.3], env, sim)
     for i in range(2):
-        for j in range(2):
-            rec = sg.records[i][j]  # (alpha_j, beta_i)
-            mirror = sg.records[j][i]  # (alpha_i, beta_j)
-            assert rec.avg_u == mirror.avg_v
-            assert rec.avg_v == mirror.avg_u
-            assert rec.yield_u == mirror.yield_v
+        # equal rates: the species are the same, so both sigmas are 0 and
+        # the cell is a neutral failure that names them
+        message = sg.records[i][i].message
+        assert message.startswith("neutral cell, not decided by the invasion criterion")
+        assert "sigma_u = " in message and "sigma_v = " in message
+    rec = sg.records[0][1]  # (alpha = 0.3, beta = 0.1)
+    mirror = sg.records[1][0]  # (alpha = 0.1, beta = 0.3)
+    assert rec.outcome is Outcome.ONLY_V and mirror.outcome is Outcome.ONLY_U
+    assert rec.avg_u == mirror.avg_v
+    assert rec.avg_v == mirror.avg_u
+    assert rec.yield_v == mirror.yield_u
 
 
 def test_sweep_records_failures_in_place(example1_small):
     grid, env, sim = example1_small
-    bad_u0 = np.full(grid.n_cells, -1.0)  # rejected by the integrator
-    sg = sweep_grid([0.0, 0.5], [0.0], env, sim, jobs=1, u0=bad_u0)
+    bad_u0 = np.full(grid.n_cells, -1.0)  # rejected up front, though no cell needs it
+    sg = sweep_grid([0.0, 0.5], [0.0], env, sim, u0=bad_u0)
     assert all(isinstance(c, CellFailure) for c in sg.records[0])
     assert len(sg.failures()) == 2
-    assert "nonnegative" in sg.failures()[0].message
+    assert "initial condition u0 must be nonnegative" in sg.failures()[0].message
+
+
+def test_flat_environment_at_equal_rates_is_a_named_neutral_failure():
+    # K = P = Q: at alpha = beta neither species can invade the other's
+    # state nor is excluded by it (both sigmas 0), so the cell is not decided
+    cfg = parse_config_text("L = 4\nn_cells = 48\nK = 1\nr = 1.1\nP = 1\nQ = 1\na = 1\nb = 0.5\n")
+    _, env = build_environment(cfg)
+    sim = SimulationConfig()
+    neutral, harder = sweep_grid([0.2, 0.4], [0.2], env, sim).records[0]
+    assert isinstance(neutral, CellFailure)
+    assert neutral.message.startswith("neutral cell, not decided by the invasion criterion")
+    sigmas = re.findall(r"sigma_[uv] = ([-+.e\d]+)", neutral.message)
+    assert len(sigmas) == 2 and all(abs(float(s)) < 1e-12 for s in sigmas)
+    assert harder.outcome is Outcome.ONLY_V  # u harvested harder loses
+
+
+def test_over_exploited_cells_need_no_solve(example1_small, monkeypatch):
+    grid, env, sim = example1_small
+
+    def fail(*args):
+        raise AssertionError("solved a state for a cell with both rates >= 1")
+
+    monkeypatch.setattr(sweep, "solve_semitrivial", fail)
+    (both,) = sweep_grid([1.0], [1.2], env, sim).records[0]
+    assert both.outcome is Outcome.EXTINCTION
+    assert (both.avg_u, both.avg_v, both.total_yield) == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -0.5, math.nan])
+def test_find_switch_rejects_tolerance_not_positive(example1_small, tol):
+    grid, env, sim = example1_small
+    message = f"switch tolerance tol must be finite and positive, got {tol}"
+    with pytest.raises(ConfigurationError, match=message):
+        find_switch(0.2, env, sim, tol=tol)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    env=environments(),
+    alphas=strategies.lists(strategies.floats(0.0, 0.95), min_size=2, max_size=2),
+    betas=strategies.lists(strategies.floats(0.0, 0.95), min_size=2, max_size=2),
+)
+def test_sweep_agrees_with_march_on_random_environments(env, alphas, betas):
+    # the invasion criterion leaves out extra coexistence states when one
+    # semi-trivial state is stable; the march is the oracle for that
+    rng = np.random.default_rng(env.grid.n_cells)
+    u0 = rng.uniform(0.2, 3, env.grid.n_cells)
+    v0 = rng.uniform(0.2, 3, env.grid.n_cells)
+    sg = sweep_grid(alphas, betas, env, SimulationConfig(), u0=u0, v0=v0)
+    for failure in sg.failures():
+        assert "not decided by the invasion criterion" in failure.message
+    assert_sweep_matches_march(sg, env, u0=u0, v0=v0)
