@@ -9,11 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
-import io
-import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +36,7 @@ from .dynamics import run_to_time, solve_semitrivial
 from .errors import ConfigurationError, HarvestCompError, NumericalError
 from .grid import average, integrate
 from .operators import build_operator
-from .spectral import NEUTRAL_TOL, principal_eigen
+from .spectral import neutral_level, principal_eigen
 from .sweep import CellFailure, find_switch, sweep_grid
 
 EXIT_OK = 0
@@ -53,13 +49,6 @@ def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     return str(x)
-
-
-def _write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")  # quotes a field holding a comma
-        writer.writerow(header)
-        writer.writerows([_fmt(c) for c in row] for row in rows)
 
 
 def _outcome_label(record: OutcomeRecord) -> str:
@@ -91,34 +80,7 @@ def _print_record(record: OutcomeRecord) -> None:
 
 
 # --------------------------------------------------------------------------
-# result cache (sweeps only)
-
-
-def _source_digest() -> str:
-    """Digest of the package sources: any code change invalidates the cache."""
-    h = hashlib.sha256()
-    for path in sorted(Path(__file__).parent.glob("*.py")):
-        h.update(path.name.encode() + path.read_bytes())
-    return h.hexdigest()
-
-
-def _cache_key(payload: dict) -> str:
-    payload = {**payload, "source": _source_digest()}
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
-
-def _cache_load(cache_dir: Path, key: str) -> str | None:
-    path = cache_dir / f"{key}.csv"
-    return path.read_text(encoding="utf-8") if path.exists() else None
-
-
-def _cache_store(cache_dir: Path, key: str, text: str) -> None:
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    (cache_dir / f"{key}.csv").write_text(text, encoding="utf-8")
-
-
-# --------------------------------------------------------------------------
-# plot companion
+# output CSV and its plot companion
 
 
 _PLOT_TEMPLATE = '''"""Plot companion for {csv}; run with python."""
@@ -145,12 +107,20 @@ print("wrote", {png!r})
 '''
 
 
-def _emit_plot_script(csv_path: str) -> None:
-    csv_path = Path(csv_path)
-    script = csv_path.with_name(f"plot_{csv_path.stem}.py")
-    png = str(csv_path.with_suffix(".png"))
-    script.write_text(_PLOT_TEMPLATE.format(csv=str(csv_path), png=png), encoding="utf-8")
-    print(f"wrote plot script {script}")
+def _write_output(args, header: list[str], rows) -> None:
+    """Write the --output CSV and, under --plot-script (not registered for
+    every command), a matplotlib companion next to it."""
+    with open(args.output, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")  # quotes a field holding a comma
+        writer.writerow(header)
+        writer.writerows([_fmt(c) for c in row] for row in rows)
+    print(f"wrote {args.output}")
+    if getattr(args, "plot_script", False):
+        csv_path = Path(args.output)
+        script = csv_path.with_name(f"plot_{csv_path.stem}.py")
+        png = str(csv_path.with_suffix(".png"))
+        script.write_text(_PLOT_TEMPLATE.format(csv=str(csv_path), png=png), encoding="utf-8")
+        print(f"wrote plot script {script}")
 
 
 # --------------------------------------------------------------------------
@@ -203,10 +173,7 @@ def _cmd_simulate(args) -> int:
     record = classify(final, env, rates, sim)
     _print_record(record)
     print(f"t={final.t:g} steady={final.steady} dudt_inf={final.dudt_inf:.3e}")
-    _write_csv(args.output, ["x", "u", "v"], zip(grid.centers, final.u, final.v))
-    print(f"wrote {args.output}")
-    if args.plot_script:
-        _emit_plot_script(args.output)
+    _write_output(args, ["x", "u", "v"], zip(grid.centers, final.u, final.v))
 
     disagreement = False
     if args.random_restarts:
@@ -239,10 +206,7 @@ def _cmd_steady(args) -> int:
         f"branch={args.branch} rate={rate:g} avg_w={average(w, grid):.8g} "
         f"integral_rw={integrate(env.r * w, grid):.8g}"
     )
-    _write_csv(args.output, ["x", "w"], zip(grid.centers, w))
-    print(f"wrote {args.output}")
-    if args.plot_script:
-        _emit_plot_script(args.output)
+    _write_output(args, ["x", "w"], zip(grid.centers, w))
     return EXIT_OK
 
 
@@ -255,10 +219,12 @@ def _cmd_eigen(args) -> int:
     invader = "v" if args.around == "u" else "u"
     potential = invasion_potential(invader, resident, env, rates)
     inv_env = env.swapped() if invader == "v" else env
-    result = principal_eigen(build_operator(inv_env.a, inv_env.P, grid), potential, inv_env.P)
-    if result.sigma1 > NEUTRAL_TOL:
+    op = build_operator(inv_env.a, inv_env.P, grid)
+    result = principal_eigen(op, potential, inv_env.P)
+    level = neutral_level(op, inv_env)
+    if result.sigma1 > level:
         verdict = "unstable (invasible)"
-    elif result.sigma1 < -NEUTRAL_TOL:
+    elif result.sigma1 < -level:
         verdict = "stable"
     else:
         verdict = "neutral"
@@ -267,10 +233,7 @@ def _cmd_eigen(args) -> int:
         f"({verdict}, residual={result.residual:.3e})"
     )
     if args.output:
-        _write_csv(args.output, ["x", "psi"], zip(grid.centers, result.psi))
-        print(f"wrote {args.output}")
-        if args.plot_script:
-            _emit_plot_script(args.output)
+        _write_output(args, ["x", "psi"], zip(grid.centers, result.psi))
     return EXIT_OK
 
 
@@ -295,10 +258,7 @@ def _cmd_bounds(args) -> int:
         )
         rows.append([beta, c_eff, a_eff, a_switch])
     if args.output:
-        _write_csv(args.output, ["beta", "c_star", "alpha_star", "alpha_double_star"], rows)
-        print(f"wrote {args.output}")
-        if args.plot_script:
-            _emit_plot_script(args.output)
+        _write_output(args, ["beta", "c_star", "alpha_star", "alpha_double_star"], rows)
     return EXIT_OK
 
 
@@ -311,34 +271,13 @@ def _cmd_sweep(args) -> int:
     u0, v0 = initial_fields(cfg, grid)
 
     alphas = np.linspace(0.0, 1.0, n)
-    if args.beta is None:
-        betas, mode = alphas, {"mode": "grid", "n": n}
-    else:
-        betas, mode = [args.beta], {"mode": "alpha_row", "beta": args.beta, "n": n}
-
-    key = _cache_key({"version": __version__, "command": "sweep", "config": asdict(cfg), **mode})
-    cache_dir = Path(args.cache_dir)
-    text = None if args.no_cache else _cache_load(cache_dir, key)
-    if text is not None:
-        Path(args.output).write_text(text, encoding="utf-8")
-        print(f"wrote {args.output} (cached)")
-    else:
-        swept = sweep_grid(alphas, betas, env, sim, u0=u0, v0=v0)
-        records = [rec for row in swept.records for rec in row]
-        header = ["alpha", "beta", "avg_u", "avg_v", "yield", "outcome", "reason"]
-        _write_csv(args.output, header, [_record_row(rec) for rec in records])
-        print(f"wrote {args.output}")
-        text = Path(args.output).read_text(encoding="utf-8")
-        if not args.no_cache:
-            _cache_store(cache_dir, key, text)
-    if args.plot_script:
-        _emit_plot_script(args.output)
-
-    # counted from the CSV, so a cached sweep is judged like a fresh one
-    outcomes = [row["outcome"] for row in csv.DictReader(io.StringIO(text))]
-    unresolved = outcomes.count("unresolved")
+    betas = alphas if args.beta is None else [args.beta]
+    swept = sweep_grid(alphas, betas, env, sim, u0=u0, v0=v0)
+    rows = [_record_row(rec) for row in swept.records for rec in row]
+    _write_output(args, ["alpha", "beta", "avg_u", "avg_v", "yield", "outcome", "reason"], rows)
+    unresolved = len(swept.failures())
     if unresolved:
-        print(f"{unresolved} of {len(outcomes)} cells unresolved", file=sys.stderr)
+        print(f"{unresolved} of {len(rows)} cells unresolved", file=sys.stderr)
         if args.strict:
             return EXIT_UNRESOLVED
     return EXIT_OK
@@ -357,12 +296,11 @@ def _cmd_switch(args) -> int:
         f"bracket_width={sp.bracket_width:.3g}"
     )
     if args.output:
-        _write_csv(
-            args.output,
+        _write_output(
+            args,
             ["beta", "alpha_double_star", "bracket_width"],
             [[sp.beta, sp.alpha_double_star, sp.bracket_width]],
         )
-        print(f"wrote {args.output}")
     return EXIT_OK
 
 
@@ -470,8 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     strict(p)
     p.add_argument("--grid", type=int, default=None, help="points per axis")
     p.add_argument("--beta", type=float, default=None, help="sweep alpha for this fixed beta")
-    p.add_argument("--no-cache", action="store_true")
-    p.add_argument("--cache-dir", default=".harvestcomp_cache")
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("switch", help="largest alpha at which the first species can invade")

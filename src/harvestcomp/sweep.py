@@ -26,7 +26,6 @@ from scipy.optimize import brentq
 from . import spectral
 from .analysis import Outcome, OutcomeRecord, classify, invasion_potential, outcome_record
 from .dynamics import (
-    ROUNDING_FLOOR,
     HarvestRates,
     SimulationConfig,
     check_initial_data,
@@ -36,7 +35,7 @@ from .dynamics import (
 )
 from .errors import ConfigurationError, HarvestCompError
 from .grid import Field
-from .operators import DiffusionOperator, annihilates, build_operator, gershgorin_bound
+from .operators import DiffusionOperator, annihilates, build_operator
 from .profiles import EnvironmentProfile
 
 #: Constant initial density used for every species unless overridden.
@@ -101,16 +100,6 @@ def _invasion_eigenvalue(
     return spectral.principal_eigen(op, potential, env.P).sigma1
 
 
-def _neutral_level(op: DiffusionOperator, env: EnvironmentProfile) -> float:
-    """Rounding level of an invasion eigenvalue: a sigma within it of 0 is
-    neutral. On the bundled configs at n = 200, 240 and 800, over a 20x20
-    grid of rates in [0, 0.95], zero sigmas sit at most 0.36 times
-    eps * (gershgorin_bound(D) + max r) and every other |sigma| at least
-    1.7e6 times it; the level allows the Newton floor's factor."""
-    scale = gershgorin_bound(op) + float(np.max(env.r))
-    return ROUNDING_FLOOR * float(np.finfo(float).eps) * scale
-
-
 def sweep_grid(
     alpha_grid,
     beta_grid,
@@ -123,7 +112,7 @@ def sweep_grid(
     """Full (alpha, beta) outcome matrix; rows indexed by beta.
 
     Each cell is decided by the signs of sigma_u and sigma_v (see the
-    module docstring). A sigma within _neutral_level of 0 is neutral. When
+    module docstring). A sigma within spectral.neutral_level of 0 is neutral. When
     sigma_v is neutral, sigma_u > 0 and u_alpha is proportional to P, u is
     an ideal free disperser and excludes v (Averill, Lou & Munther, J. Biol.
     Dyn. 6, 2012), and the same holds with the species exchanged. Any other
@@ -151,7 +140,7 @@ def sweep_grid(
     swapped = env.swapped()
     op_u = build_operator(env.a, env.P, env.grid)
     op_v = build_operator(swapped.a, swapped.P, env.grid)
-    level_u, level_v = _neutral_level(op_u, env), _neutral_level(op_v, swapped)
+    level_u, level_v = spectral.neutral_level(op_u, env), spectral.neutral_level(op_v, swapped)
     absent = np.zeros(env.grid.n_cells)
     semitrivial = functools.cache(lambda which, rate: solve_semitrivial(which, env, rate, cfg))
 

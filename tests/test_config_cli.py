@@ -3,12 +3,12 @@ import csv
 import numpy as np
 import pytest
 
-from harvestcomp import ConfigurationError
-from harvestcomp import cli
+from harvestcomp import ConfigurationError, Outcome
 from harvestcomp.cli import main
 from harvestcomp.config import apply_overrides, load_config, parse_config_text
+from harvestcomp.sweep import find_switch, sweep_grid
 
-from conftest import bundled_config
+from conftest import bundled_config, load_example
 
 MINIMAL = "L = 4\nK = 1\nr = 1\nP = 1\nQ = 1\na = 1\nb = 1\n"
 
@@ -143,6 +143,26 @@ def test_eigen_command(fast_config, capsys):
     assert "sigma1=" in capsys.readouterr().out
 
 
+def test_eigen_verdict_uses_the_sweep_neutral_level(capsys):
+    # 5e-9 either side of the switch sigma1 is about +-5.5e-9, far outside
+    # rounding, so eigen's verdict is the sign sweep_grid decides by
+    _, _, env, sim = load_example("example1", n_cells=200)
+    switch = find_switch(0.4, env, sim, tol=1e-6).alpha_double_star
+    alphas = [switch - 5e-9, switch + 5e-9]
+    records = sweep_grid(alphas, [0.4], env, sim).records[0]
+    assert [rec.outcome for rec in records] == [Outcome.COEXISTENCE, Outcome.ONLY_V]
+    args = ["eigen", "--config", bundled_config("example1"), "--set", "n_cells=200"]
+    for alpha, verdict in zip(alphas, ["unstable (invasible)", "stable"]):
+        code = run_cli(*args, "--around", "v", "--set", "beta=0.4", "--set", f"alpha={alpha!r}")
+        assert code == 0
+        assert f"({verdict}, residual=" in capsys.readouterr().out
+    # P = K: v invading u_alpha at alpha = beta has sigma1 = 0 up to rounding
+    assert run_cli(*args, "--around", "u", "--set", "alpha=0.4", "--set", "beta=0.4") == 0
+    out = capsys.readouterr().out
+    assert "(neutral, residual=" in out
+    assert abs(float(out.split("sigma1=")[1].split()[0])) < 1e-11
+
+
 def test_bounds_command_csv_contract(fast_config, tmp_path, capsys):
     out = tmp_path / "bounds.csv"
     code = run_cli("bounds", "--config", fast_config, "--betas", "0,0.4", "--output", out)
@@ -166,10 +186,7 @@ def test_bounds_rejects_malformed_betas(fast_config, capsys, betas, entry):
 def test_sweep_rejects_grid_below_one(fast_config, tmp_path, capsys, grid):
     out = tmp_path / "s.csv"
     for row in ([], ["--beta", "0.2"]):
-        code = run_cli(
-            "sweep", "--config", fast_config, "--grid", grid, *row, "--output", out,
-            "--no-cache", "--cache-dir", tmp_path / "c",
-        )
+        code = run_cli("sweep", "--config", fast_config, "--grid", grid, *row, "--output", out)
         assert code == 2
         assert f"--grid needs at least 1 point per axis, got {grid}" in capsys.readouterr().err
         assert not out.exists()
@@ -186,6 +203,8 @@ def test_sweep_rejects_grid_below_one(fast_config, tmp_path, capsys, grid):
         ["switch", "--plot-script"],
         ["bounds", "--strict"],
         ["sweep", "--jobs", "2"],
+        ["sweep", "--no-cache"],
+        ["sweep", "--cache-dir", "c"],
     ],
 )
 def test_options_are_registered_only_where_read(fast_config, capsys, argv):
@@ -195,45 +214,20 @@ def test_options_are_registered_only_where_read(fast_config, capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_sweep_cache_and_jobs_determinism(fast_config, tmp_path):
-    cache = tmp_path / "cache"
-    args = [
-        "sweep", "--config", fast_config, "--set", "t_final=150", "--grid", "3",
-        "--cache-dir", cache,
-    ]
-    s1, s2, s3 = (tmp_path / n for n in ("s1.csv", "s2.csv", "s3.csv"))
+def test_sweep_is_deterministic(fast_config, tmp_path):
+    args = ["sweep", "--config", fast_config, "--grid", "3"]
+    s1, s2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
     assert run_cli(*args, "--output", s1) == 0
-    assert run_cli(*args, "--output", s2, "--no-cache") == 0
-    assert run_cli(*args, "--output", s3) == 0  # cache hit
-    assert s1.read_bytes() == s2.read_bytes() == s3.read_bytes()
+    assert run_cli(*args, "--output", s2) == 0
+    assert s1.read_bytes() == s2.read_bytes()
     assert s1.read_text().splitlines()[0] == "alpha,beta,avg_u,avg_v,yield,outcome,reason"
-    assert list(cache.glob("*.csv"))
-
-
-def test_sweep_cache_keyed_by_source_digest(fast_config, tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    args = [
-        "sweep", "--config", fast_config, "--set", "t_final=20", "--grid", "2",
-        "--cache-dir", cache,
-    ]
-    out = tmp_path / "s.csv"
-    monkeypatch.setattr(cli, "_source_digest", lambda: "old sources")
-    assert run_cli(*args, "--output", out) == 0
-    (entry,) = cache.glob("*.csv")
-    entry.write_text("stale\n")
-    assert run_cli(*args, "--output", out) == 0
-    assert out.read_text() == "stale\n"  # same sources: served from the cache
-    monkeypatch.setattr(cli, "_source_digest", lambda: "new sources")
-    assert run_cli(*args, "--output", out) == 0
-    assert out.read_text().splitlines()[0] == "alpha,beta,avg_u,avg_v,yield,outcome,reason"
-    assert len(list(cache.glob("*.csv"))) == 2
 
 
 def _sweep_rows(fast_config, tmp_path, *extra):
     out = tmp_path / "s.csv"
     code = run_cli(
         "sweep", "--config", fast_config, "--grid", "2",
-        "--output", out, "--no-cache", "--cache-dir", tmp_path / "c", *extra,
+        "--output", out, *extra,
     )
     with open(out, newline="") as fh:
         return code, list(csv.DictReader(fh))
@@ -261,22 +255,6 @@ def test_sweep_outcome_labels(fast_config, tmp_path):
 
 # K = P = Q: at alpha = beta = 0 both invasion eigenvalues are 0, a neutral cell
 FLAT = ["--set", "K=1", "--set", "P=1"]
-
-
-def test_cached_sweep_is_judged_like_a_fresh_one(fast_config, tmp_path, capsys):
-    args = [
-        "sweep", "--config", fast_config, *FLAT, "--grid", "2",
-        "--output", tmp_path / "s.csv", "--cache-dir", tmp_path / "c", "--strict",
-        "--plot-script",
-    ]
-    plot = tmp_path / "plot_s.py"
-    for written in ("wrote", "(cached)"):  # computed, then served from the cache
-        plot.unlink(missing_ok=True)
-        assert run_cli(*args) == 4
-        out, err = capsys.readouterr()
-        assert written in out
-        assert "1 of 4 cells unresolved" in err
-        assert plot.exists()
 
 
 def test_switch_command(fast_config, capsys):
@@ -342,14 +320,15 @@ def test_exit_code_4_for_strict_unresolved(fast_config, tmp_path, capsys):
     out = tmp_path / "s.csv"
     code = run_cli(
         "sweep", "--config", fast_config, *FLAT, "--grid", "2", "--output", out,
-        "--no-cache", "--cache-dir", tmp_path / "c", "--strict",
+        "--strict", "--plot-script",
     )
     assert code == 4
+    assert "1 of 4 cells unresolved" in capsys.readouterr().err
+    assert (tmp_path / "plot_s.py").exists()
     with open(out, newline="") as fh:
         neutral = next(csv.DictReader(fh))
     assert neutral["outcome"] == "unresolved"
     assert neutral["reason"].startswith("neutral cell, not decided by the invasion criterion")
-    capsys.readouterr()
 
 
 @pytest.mark.parametrize("tol", ["0", "-0.5", "nan"])
