@@ -230,7 +230,7 @@ def _cmd_eigen(args) -> int:
         verdict = "neutral"
     print(
         f"around={args.around}-branch invader={invader} sigma1={result.sigma1:.10g} "
-        f"({verdict}, residual={result.residual:.3e})"
+        f"({verdict}, residual={result.residual:.3e}, steps={result.iterations})"
     )
     if args.output:
         _write_output(args, ["x", "psi"], zip(grid.centers, result.psi))

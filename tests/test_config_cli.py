@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -140,7 +141,10 @@ def test_steady_command(fast_config, tmp_path, capsys):
 
 def test_eigen_command(fast_config, capsys):
     assert run_cli("eigen", "--config", fast_config, "--around", "v") == 0
-    assert "sigma1=" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "sigma1=" in out
+    # the Noda step count is printed beside the residual
+    assert re.search(r", residual=\S+, steps=\d+\)$", out.strip())
 
 
 def test_eigen_verdict_uses_the_sweep_neutral_level(capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
+from scipy.linalg import eigh_tridiagonal
 
 from harvestcomp import (
     ConfigurationError,
@@ -13,16 +15,32 @@ from harvestcomp import (
 )
 from harvestcomp.analysis import invasion_potential
 from harvestcomp.operators import build_operator
+from harvestcomp.spectral import _NODA_CAP, neutral_level
 
-from conftest import load_example, random_grid, random_positive_profile
+from conftest import environments, load_example, random_grid, random_positive_profile
 
 
 def dense_sigma1(op, potential):
     """Dense symmetric eigensolver oracle in the symmetrized basis."""
+    return float(np.linalg.eigvalsh(symmetrized_dense(op, potential))[-1])
+
+
+def symmetrized_dense(op, potential):
+    """H = S^-1 (D + diag(q)) S with S = diag(sqrt(P)), as a dense matrix."""
     D = np.diag(op.diag + potential) + np.diag(op.sub[1:], -1) + np.diag(op.sup[:-1], 1)
     s = np.sqrt(op.P)
     H = D * s[None, :] / s[:, None]
-    return float(np.linalg.eigvalsh(0.5 * (H + H.T))[-1])
+    return 0.5 * (H + H.T)
+
+
+def lapack_sigma1(op, potential):
+    """Bisection oracle: LAPACK stebz on the symmetrized bands, whose
+    off-diagonal is the geometric mean of D's sub- and superdiagonal."""
+    n = op.grid.n_cells
+    off = np.sqrt(op.sup[:-1] * op.sub[1:])
+    w = eigh_tridiagonal(op.diag + potential, off, select="i", select_range=(n - 1, n - 1),
+                         eigvals_only=True)
+    return float(w[0])
 
 
 def test_zero_potential_gives_neutral_mode():
@@ -150,3 +168,58 @@ def test_positive_sigma1_agrees_with_dynamics():
     for _ in range(n_steps):
         state = step(state, env, rates, ops, sim.dt)
     assert integrate(state.u, grid) > 10 * mass0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_potential_is_a_configuration_error(bad):
+    g = random_grid(np.random.default_rng(8), 10, 20)
+    rng = np.random.default_rng(9)
+    R = random_positive_profile(rng, g)
+    op = build_operator(random_positive_profile(rng, g), R, g)
+    potential = np.zeros(g.n_cells)
+    potential[g.n_cells // 2] = bad
+    with pytest.raises(ConfigurationError, match="potential"):
+        principal_eigen(op, potential, R)
+
+
+@pytest.mark.parametrize("diffusion", [1.0, 0.01])
+def test_matches_lapack_bisection_on_bundled_configs(diffusion):
+    rates = (0.0, 0.4, 0.8)
+    for name in ("example1", "example2", "example3", "example4", "example4b"):
+        _, grid, env, sim = load_example(name, a=diffusion, b=diffusion)
+        for invader, resident in (("u", "v"), ("v", "u")):
+            inv_env = env if invader == "u" else env.swapped()
+            op = build_operator(inv_env.a, inv_env.P, grid)
+            level = neutral_level(op, inv_env)
+            for resident_rate in rates:
+                w = solve_semitrivial(resident, env, resident_rate, sim)
+                for invader_rate in rates:
+                    if invader == "u":
+                        hr = HarvestRates(invader_rate, resident_rate)
+                    else:
+                        hr = HarvestRates(resident_rate, invader_rate)
+                    potential = invasion_potential(invader, w, env, hr)
+                    res = principal_eigen(op, potential, inv_env.P)
+                    where = f"{name} {invader} invading at {hr}"
+                    assert abs(res.sigma1 - lapack_sigma1(op, potential)) <= level / 4, where
+                    assert np.all(res.psi > 0), where
+                    assert res.iterations < _NODA_CAP, where
+                    if name == "example1" and invader == "v" and invader_rate == resident_rate:
+                        # P = K makes u_alpha = (1 - alpha) K ideal free, so
+                        # sigma_v is 0 at alpha = beta
+                        assert abs(res.sigma1) <= level, where
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(env=environments(), seed=strategies.integers(0, 2**32 - 1))
+def test_sigma1_lies_in_collatz_wielandt_brackets(env, seed):
+    op = build_operator(env.a, env.P, env.grid)
+    potential = env.r * (1.0 - env.Q / env.K)
+    res = principal_eigen(op, potential, env.P)
+    H = symmetrized_dense(op, potential)
+    assert res.sigma1 == pytest.approx(float(np.linalg.eigvalsh(H)[-1]), abs=1e-10)
+    rng = np.random.default_rng(seed)
+    slack = 1e-12 * np.max(np.sum(np.abs(H), axis=1))
+    for phi in (np.sqrt(env.P), rng.uniform(0.1, 1.0, env.grid.n_cells)):
+        ratios = (H @ phi) / phi
+        assert np.min(ratios) - slack <= res.sigma1 <= np.max(ratios) + slack
