@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .dynamics import (
     HarvestRates,
@@ -133,10 +132,26 @@ class InequalityReport:
         return all(c.holds for c in self.checks if c.applicable)
 
 
+def _pair_nnls(p: Field, q: Field, k: Field) -> tuple[float, float]:
+    """Nonnegative least-squares coefficients (gamma, delta) of k ~ gamma*p +
+    delta*q. The objective is a convex quadratic, so when the unconstrained
+    fit has a negative coefficient the optimum lies on the boundary: one
+    coefficient is 0 and the other is its one-column fit, clamped at 0."""
+    (gamma, delta), *_ = np.linalg.lstsq(np.column_stack([p, q]), k, rcond=None)
+    if gamma >= 0 and delta >= 0:
+        return float(gamma), float(delta)
+    gamma = max(0.0, float(p @ k) / float(p @ p))
+    delta = max(0.0, float(q @ k) / float(q @ q))
+    if np.linalg.norm(k - gamma * p) <= np.linalg.norm(k - delta * q):
+        return gamma, 0.0
+    return 0.0, delta
+
+
 def fit_convex_hull(env: EnvironmentProfile) -> HullFit:
-    """Fit K = gamma*P + delta*Q by nonnegative least squares."""
-    coeffs, _ = nnls(np.column_stack([env.P, env.Q]), env.K)
-    gamma, delta = float(coeffs[0]), float(coeffs[1])
+    """Fit K = gamma*P + delta*Q by nonnegative least squares, solved exactly
+    for the two columns (_pair_nnls). residual is the largest misfit
+    relative to max |K|."""
+    gamma, delta = _pair_nnls(env.P, env.Q, env.K)
     resid = float(
         np.max(np.abs(env.K - gamma * env.P - delta * env.Q)) / np.max(np.abs(env.K))
     )

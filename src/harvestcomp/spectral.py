@@ -144,13 +144,18 @@ def rayleigh_lower_bound(
     """Rayleigh quotient of a trial field; never exceeds sigma1.
 
     Matches the variational form: flux energy of trial/R against the face
-    diffusivities plus the potential term, over the weighted norm.
+    diffusivities plus the potential term, over the weighted norm. The
+    potential and the trial field must be finite.
     """
     R = as_field(R, op.grid)
     potential = as_field(potential, op.grid)
     trial = as_field(trial, op.grid)
     if not np.array_equal(R, op.P):
         raise ConfigurationError("R must be the dispersal profile of the operator")
+    if not np.all(np.isfinite(potential)):
+        raise ConfigurationError("potential must be finite in every cell")
+    if not np.all(np.isfinite(trial)):
+        raise ConfigurationError("trial field must be finite in every cell")
     if not np.any(trial != 0):
         raise ConfigurationError("trial field must be nonzero")
 

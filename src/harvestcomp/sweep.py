@@ -11,7 +11,8 @@ no positive state, so its cells need no eigenvalue. One semi-trivial state
 is solved per alpha column and per beta row; one-species cells take their
 averages and yields from it, and coexistence cells from the stationary state
 solve_coexistence reaches from the sweep's initial data. The switch point is
-the root of sigma_u in alpha.
+the root of sigma_u in alpha, found by Newton's method: sigma_u is convex and
+strictly decreasing in alpha, and its slope comes with each eigenpair.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import spectral
 from .analysis import Outcome, OutcomeRecord, classify, invasion_potential, outcome_record
@@ -33,13 +33,17 @@ from .dynamics import (
     solve_coexistence,
     solve_semitrivial,
 )
-from .errors import ConfigurationError, HarvestCompError
+from .errors import ConfigurationError, ConvergenceError, HarvestCompError
 from .grid import Field
 from .operators import DiffusionOperator, annihilates, build_operator
 from .profiles import EnvironmentProfile
 
 #: Constant initial density used for every species unless overridden.
 DEFAULT_INITIAL_DENSITY = 2.1
+
+# find_switch takes 2 eigenpairs on the bundled configs, where r is constant
+# and sigma1 is affine in alpha, and 3-4 on random environments.
+_NEWTON_CAP = 50
 
 
 @dataclass(frozen=True)
@@ -88,16 +92,16 @@ def simulate_cell(
     return classify(final, env, rates, cfg)
 
 
-def _invasion_eigenvalue(
+def _invasion_eigen(
     op: DiffusionOperator, env: EnvironmentProfile, rates: HarvestRates, resident: Field
-) -> float:
-    """sigma_u: the principal eigenvalue of u, dispersing by op, invading
-    (0, resident). sigma_v is this function on env.swapped(), the swapped
-    rates and v's operator."""
+) -> spectral.EigenResult:
+    """The principal eigenpair of u, dispersing by op, invading (0, resident);
+    its sigma1 is sigma_u. sigma_v is this function on env.swapped(), the
+    swapped rates and v's operator."""
     potential = invasion_potential("u", resident, env, rates)
     # looked up on the module at call time, so a wrapper installed there
     # (bench/tracer.py) sees every solve
-    return spectral.principal_eigen(op, potential, env.P).sigma1
+    return spectral.principal_eigen(op, potential, env.P)
 
 
 def sweep_grid(
@@ -154,9 +158,9 @@ def sweep_grid(
         if beta >= 1:
             return outcome_record(Outcome.ONLY_U, u_alpha, absent, env, rates)
         v_beta = semitrivial("v", beta)
-        sigma_u = _invasion_eigenvalue(op_u, env, rates, v_beta)
+        sigma_u = _invasion_eigen(op_u, env, rates, v_beta).sigma1
         swapped_rates = HarvestRates(alpha=beta, beta=alpha)
-        sigma_v = _invasion_eigenvalue(op_v, swapped, swapped_rates, u_alpha)
+        sigma_v = _invasion_eigen(op_v, swapped, swapped_rates, u_alpha).sigma1
         sign_u = (sigma_u > level_u) - (sigma_u < -level_u)
         sign_v = (sigma_v > level_v) - (sigma_v < -level_v)
         if sign_u > 0 and sign_v > 0:
@@ -198,12 +202,23 @@ def find_switch(
 
     alpha** is the root of sigma1(alpha), the principal eigenvalue of u
     invading the harvested semi-trivial state (0, v_beta): (0, v_beta) turns
-    stable where sigma1 changes sign. sigma1 strictly decreases in alpha
-    (r >= 0 is positive somewhere and the eigenfunction is positive), so
-    brentq finds the root to near machine precision and sigma1 has opposite
-    signs at the two ends of the reported bracket, whose width is at most
-    tol. Returns None when sigma1 has one sign across the search interval
-    (no switch to report). Positive initial data do not enter the invasion
+    stable where sigma1 changes sign. sigma1 is the largest eigenvalue of
+    H0 - alpha * diag(r) with H0 self-adjoint, a maximum of Rayleigh
+    quotients affine in alpha, so it is convex in alpha (J. E. Cohen, Proc.
+    AMS 81 (1981) 657-658). Its slope at alpha is -h * sum(r * psi^2 / P)
+    for the eigenfunction psi normalized so that h * sum(psi^2 / P) = 1
+    (Hellmann-Feynman), which is negative because r >= 0 is positive
+    somewhere and psi is positive. A convex decreasing function lies above
+    its tangents, so Newton's method started at beta + eps, where
+    sigma1 >= 0, climbs to the root without overshooting it: no bracket or
+    line search is needed. It stops once sigma1 is within
+    spectral.neutral_level of 0 and returns that iterate plus its Newton
+    step. sigma1 has opposite signs at the two ends of the reported
+    bracket, centred on the root, whose width is at most tol.
+
+    Returns None when sigma1 has one sign across the search interval (no
+    switch to report): when sigma1 < 0 at beta + eps, or when an iterate
+    reaches 1 - eps. Positive initial data do not enter the invasion
     criterion: u0 and v0 are accepted for call compatibility and unused.
     """
     if not (math.isfinite(tol) and tol > 0):
@@ -216,12 +231,26 @@ def find_switch(
         return None
     v_beta = solve_semitrivial("v", env, beta, cfg)
     op = build_operator(env.a, env.P, env.grid)
+    level = spectral.neutral_level(op, env)
 
-    def sigma1(alpha: float) -> float:
-        return _invasion_eigenvalue(op, env, HarvestRates(alpha=alpha, beta=beta), v_beta)
+    def eigen(alpha: float) -> spectral.EigenResult:
+        return _invasion_eigen(op, env, HarvestRates(alpha=alpha, beta=beta), v_beta)
 
-    if (sigma1(lo) < 0) == (sigma1(hi) < 0):
+    res = eigen(lo)
+    if res.sigma1 < 0:
         return None
-    root = brentq(sigma1, lo, hi)
+    root = lo
+    for _ in range(_NEWTON_CAP):
+        root += res.sigma1 / (env.grid.h * float(np.sum(env.r * res.psi**2 / env.P)))
+        if root >= hi:
+            return None
+        if abs(res.sigma1) <= level:
+            break
+        res = eigen(root)
+    else:
+        raise ConvergenceError(
+            f"switch point not resolved after {_NEWTON_CAP} Newton steps: "
+            f"alpha** near {root:.12g}, sigma1 = {res.sigma1:.3e}"
+        )
     width = min(tol, 2.0 * (root - lo), 2.0 * (hi - root))
     return SwitchPoint(beta=beta, alpha_double_star=root, bracket_width=width)

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
+from scipy.optimize import nnls
 
 from harvestcomp import (
     ConfigurationError,
@@ -16,6 +20,8 @@ from harvestcomp import (
 )
 from harvestcomp.analysis import invasion_potential
 from harvestcomp.config import build_environment, parse_config_text, simulation_config
+from harvestcomp.grid import SpatialGrid
+from harvestcomp.profiles import EnvironmentProfile
 
 from conftest import load_example
 
@@ -55,6 +61,42 @@ def test_ideal_free_pair_detected_for_gaussian_bumps():
     assert pair is not None
     assert pair.gamma == pytest.approx(1.0, abs=1e-8)
     assert pair.delta == pytest.approx(1.0, abs=1e-8)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n=strategies.integers(3, 60),
+    seed=strategies.integers(0, 2**32 - 1),
+    gamma=strategies.floats(-1.0, 2.0),
+    delta=strategies.floats(-1.0, 2.0),
+    noise=strategies.floats(0.0, 1.0),
+)
+def test_pair_fit_matches_nnls(n, seed, gamma, delta, noise):
+    # a negative gamma or delta makes the unconstrained fit infeasible in
+    # most draws, so both branches of the exact two-column fit are taken
+    rng = np.random.default_rng(seed)
+    P, Q = rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n)
+    K = np.abs(gamma * P + delta * Q + noise * rng.normal(size=n)) + 0.01
+    ones = np.ones(n)
+    env = EnvironmentProfile(grid=SpatialGrid(1.0, n), K=K, r=ones, P=P, Q=Q, a=ones, b=ones)
+    fit = fit_convex_hull(env)
+    ref, rnorm = nnls(np.column_stack([P, Q]), K)
+    scale = float(np.max(ref))  # > 0: K, P and Q are positive
+    assert abs(fit.gamma - ref[0]) <= 1e-12 * scale
+    assert abs(fit.delta - ref[1]) <= 1e-12 * scale
+    assert np.linalg.norm(K - fit.gamma * P - fit.delta * Q) <= rnorm * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("diffusion", [1.0, 0.01])
+def test_ideal_free_pair_verdict_matches_nnls_on_bundled_configs(diffusion):
+    for name in ("example1", "example2", "example3", "example4", "example4b"):
+        _, _, env, _ = load_example(name, a=diffusion, b=diffusion)
+        fit = fit_convex_hull(env)
+        (gamma, delta), _ = nnls(np.column_stack([env.P, env.Q]), env.K)
+        residual = np.max(np.abs(env.K - gamma * env.P - delta * env.Q)) / np.max(env.K)
+        ref = dataclasses.replace(fit, gamma=gamma, delta=delta, residual=residual)
+        assert fit.is_ideal_free_pair() == ref.is_ideal_free_pair(), name
+        assert fit.is_ideal_free_pair() == (name in ("example3", "example4")), name
 
 
 # ------------------------------------------------------------- alpha_star

@@ -182,6 +182,19 @@ def test_non_finite_potential_is_a_configuration_error(bad):
         principal_eigen(op, potential, R)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["potential", "trial"])
+def test_rayleigh_rejects_non_finite_fields(field, bad):
+    g = random_grid(np.random.default_rng(8), 10, 20)
+    rng = np.random.default_rng(9)
+    R = random_positive_profile(rng, g)
+    op = build_operator(random_positive_profile(rng, g), R, g)
+    fields = {"potential": np.zeros(g.n_cells), "trial": R.copy()}
+    fields[field][g.n_cells // 2] = bad
+    with pytest.raises(ConfigurationError, match=f"{field}.* must be finite"):
+        rayleigh_lower_bound(op, fields["potential"], R, fields["trial"])
+
+
 @pytest.mark.parametrize("diffusion", [1.0, 0.01])
 def test_matches_lapack_bisection_on_bundled_configs(diffusion):
     rates = (0.0, 0.4, 0.8)

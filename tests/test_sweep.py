@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
+from scipy.optimize import brentq
 
 from harvestcomp import (
     ConfigurationError,
@@ -14,7 +15,7 @@ from harvestcomp import (
     principal_eigen,
     solve_semitrivial,
 )
-from harvestcomp import sweep
+from harvestcomp import spectral, sweep
 from harvestcomp.analysis import invasion_potential
 from harvestcomp.config import build_environment, parse_config_text
 from harvestcomp.operators import build_operator
@@ -70,6 +71,21 @@ def invasion_sigma1(alpha, beta, env, sim):
     return principal_eigen(build_operator(env.a, env.P, env.grid), potential, env.P).sigma1
 
 
+def brentq_switch(beta, env, sim, tol=1e-3):
+    """Oracle for find_switch: alpha** by bracketing, None when sigma1 has one
+    sign at the two ends of [beta + tol, 1 - tol]. xtol is tighter than
+    brentq's default, so that the oracle's own tolerance does not count
+    against the match."""
+    lo, hi = beta + tol, 1.0 - tol
+
+    def sigma1(alpha):
+        return invasion_sigma1(alpha, beta, env, sim)
+
+    if lo >= hi or (sigma1(lo) < 0) == (sigma1(hi) < 0):
+        return None
+    return brentq(sigma1, lo, hi, xtol=1e-15)
+
+
 def test_find_switch_brackets_the_exclusion_boundary(example1_small):
     grid, env, sim = example1_small
     sp = find_switch(0.0, env, sim, tol=2e-3)
@@ -115,6 +131,64 @@ def test_find_switch_exists_for_flat_capacity_control():
 def test_find_switch_reports_no_switch_when_bracket_degenerates(example1_small):
     grid, env, sim = example1_small
     assert find_switch(0.999, env, sim, tol=1e-3) is None
+
+
+@pytest.mark.parametrize("diffusion", [1.0, 0.01])
+def test_find_switch_matches_brentq_on_bundled_configs(diffusion):
+    for name in ("example1", "example2", "example3", "example4", "example4b"):
+        _, grid, env, sim = load_example(name, a=diffusion, b=diffusion)
+        for beta in (0.0, 0.4, 0.6, 0.8):
+            sp = find_switch(beta, env, sim)
+            ref = brentq_switch(beta, env, sim)
+            assert (sp is None) == (ref is None), (name, beta, sp, ref)
+            if sp is not None:
+                assert abs(sp.alpha_double_star - ref) <= 1e-12, (name, beta)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(env=environments(), beta=strategies.floats(0.0, 0.9))
+def test_find_switch_matches_brentq_on_random_environments(env, beta):
+    # r varies here, so sigma1 is not affine in alpha and Newton takes
+    # more than one step
+    sim = SimulationConfig()
+    sp = find_switch(beta, env, sim)
+    ref = brentq_switch(beta, env, sim)
+    assert (sp is None) == (ref is None), (sp, ref)
+    if sp is not None:
+        assert abs(sp.alpha_double_star - ref) <= 1e-11
+
+
+def test_find_switch_takes_two_eigenpairs_on_example1(monkeypatch):
+    # r is constant on example1, so sigma1 is affine in alpha: one Newton
+    # step from beta + tol lands on the root, and the second eigenpair
+    # confirms it
+    _, grid, env, sim = load_example("example1")
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return principal_eigen(*args)
+
+    monkeypatch.setattr(spectral, "principal_eigen", counting)
+    assert find_switch(0.4, env, sim) is not None
+    assert len(calls) == 2
+
+
+def test_find_switch_reports_no_switch_when_root_lies_above_the_interval():
+    # u tracks K, v gathers where K is low: alpha** = 0.806 at beta = 0. With
+    # eps = 0.3 the search interval (0.3, 0.7) lies below it, sigma1 is
+    # positive at both ends and Newton's iterate reaches 1 - eps
+    cfg = parse_config_text(
+        "L = 1\nn_cells = 60\nK = 1+0.9*cos(pi*x)\nr = 1+0.5*x\n"
+        "P = 1+0.9*cos(pi*x)\nQ = 1-0.9*cos(pi*x)\na = 1\nb = 1\n"
+    )
+    _, env = build_environment(cfg)
+    sim = SimulationConfig()
+    assert find_switch(0.0, env, sim, eps=0.3) is None
+    assert invasion_sigma1(0.7, 0.0, env, sim) > 0
+    sp = find_switch(0.0, env, sim, eps=0.1)
+    assert sp is not None
+    assert sp.alpha_double_star == pytest.approx(0.8063186, abs=1e-6)
 
 
 def test_effective_alpha_star_below_switch_on_bundled_configs():
