@@ -1,7 +1,8 @@
 """Simulation and analysis of two competing dispersing populations under
 proportional harvesting: time integration, semi-trivial steady states,
-principal eigenvalues, coexistence/exclusion bounds, sustainable yield,
-and harvesting-rate sweeps on 1-D habitats with zero-flux boundaries."""
+principal eigenvalues, coexistence/exclusion bounds, outcomes and yields by
+the invasion criterion, and harvesting-rate sweeps on 1-D habitats with
+zero-flux boundaries."""
 
 __version__ = "0.1.0"
 
@@ -11,14 +12,12 @@ from .analysis import (
     InequalityReport,
     Outcome,
     OutcomeRecord,
-    YieldReport,
     alpha_star,
     classify,
     detect_ideal_free_pair,
     fit_convex_hull,
     inequality_suite,
     invasion_potential,
-    sustainable_yield,
 )
 from .config import (
     RunConfig,

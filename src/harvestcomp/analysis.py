@@ -1,4 +1,5 @@
-"""Coexistence/exclusion bounds, outcome classification, and yield.
+"""Coexistence/exclusion bounds, outcome classification by the invasion
+criterion, and yield.
 
 The harvested system folds into an unharvested one with rescaled growth
 rate and carrying capacity; the guaranteed-coexistence threshold for the
@@ -18,22 +19,17 @@ applies instead. alpha_star() reports both from one v_beta solve.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .dynamics import (
-    HarvestRates,
-    PopulationState,
-    SimulationConfig,
-    solve_semitrivial,
-)
-from .errors import ConfigurationError
+from .dynamics import HarvestRates, SimulationConfig, solve_semitrivial
+from .errors import ConfigurationError, HarvestCompError
 from .grid import Field, average, integrate
-from .operators import annihilates, build_operator
+from .operators import DiffusionOperator, annihilates, build_operator
 from .profiles import EnvironmentProfile
+from .spectral import sign
 
 #: Largest relative misfit of K = gamma*P + delta*Q accepted as an ideal free pair.
 IFP_RESIDUAL_TOL = 1e-10
@@ -50,10 +46,12 @@ class Outcome(Enum):
 
 @dataclass(frozen=True)
 class OutcomeRecord:
-    """Classified long-run result of one simulation.
+    """Outcome of one (alpha, beta) cell with the averages and harvest yields
+    of the state it names: a semi-trivial state, a coexistence state, or
+    none for an over-exploited species.
 
-    resolved is False when the run hit its time cap without settling; the
-    outcome is then the time-horizon classification, not a certified limit.
+    resolved is always True: a cell the invasion criterion does not decide
+    is a sweep.CellFailure, not a record.
     """
 
     outcome: Outcome
@@ -106,12 +104,6 @@ class BoundsReport:
     def effective_alpha_star(self) -> float:
         """The applicable estimate: the ideal-free-pair one when valid."""
         return self.alpha_star if self.alpha_star_ifp is None else self.alpha_star_ifp
-
-
-@dataclass(frozen=True)
-class YieldReport:
-    sy: float
-    msy_reference: float
 
 
 @dataclass(frozen=True)
@@ -199,25 +191,42 @@ def alpha_star(beta: float, env: EnvironmentProfile, cfg: SimulationConfig) -> B
 
 
 def classify(
-    final: PopulationState,
-    env: EnvironmentProfile,
-    rates: HarvestRates,
-    cfg: SimulationConfig,
-) -> OutcomeRecord:
-    """Classify a (near-)final state by average density against the
-    extinction threshold cfg.extinction_fraction * average(K)."""
-    threshold = cfg.extinction_fraction * average(env.K, env.grid)
-    u_alive = average(final.u, env.grid) >= threshold
-    v_alive = average(final.v, env.grid) >= threshold
-    if u_alive and v_alive:
-        outcome = Outcome.COEXISTENCE
-    elif u_alive:
-        outcome = Outcome.ONLY_U
-    elif v_alive:
-        outcome = Outcome.ONLY_V
-    else:
-        outcome = Outcome.EXTINCTION
-    return outcome_record(outcome, final.u, final.v, env, rates, resolved=final.steady)
+    sigma_u: float,
+    sigma_v: float,
+    level_u: float,
+    level_v: float,
+    op_u: DiffusionOperator,
+    op_v: DiffusionOperator,
+    u_alpha: Field,
+    v_beta: Field,
+) -> Outcome:
+    """Outcome of one cell by the invasion criterion (Cantrell & Cosner,
+    Spatial Ecology via Reaction-Diffusion Equations, 2003, ch. 3).
+
+    sigma_u is the principal eigenvalue of u invading (0, v_beta) and
+    sigma_v that of v invading (u_alpha, 0); spectral.sign reads each
+    against its level (spectral.neutral_level). Both positive is
+    coexistence, and one positive and one negative is exclusion by the
+    species whose sigma is positive. When sigma_v is neutral, sigma_u > 0
+    and u_alpha is proportional to P (op_u, u's dispersal operator,
+    annihilates it), u is an ideal free disperser and excludes v (Averill,
+    Lou & Munther, J. Biol. Dyn. 6, 2012); the same holds with the species
+    exchanged. Any other neutral cell, and a bistable one (both sigmas
+    negative, the outcome set by the initial data), raises HarvestCompError
+    naming both sigmas.
+    """
+    sign_u, sign_v = sign(sigma_u, level_u), sign(sigma_v, level_v)
+    if sign_u > 0 and sign_v > 0:
+        return Outcome.COEXISTENCE
+    if sign_u > 0 and (sign_v < 0 or sign_v == 0 and annihilates(op_u, u_alpha)):
+        return Outcome.ONLY_U
+    if sign_v > 0 and (sign_u < 0 or sign_u == 0 and annihilates(op_v, v_beta)):
+        return Outcome.ONLY_V
+    kind = "bistable" if sign_u < 0 and sign_v < 0 else "neutral"
+    raise HarvestCompError(
+        f"{kind} cell, not decided by the invasion criterion: sigma_u = {sigma_u:.3e}, "
+        f"sigma_v = {sigma_v:.3e} (neutral within {level_u:.1e} and {level_v:.1e})"
+    )
 
 
 def outcome_record(
@@ -226,7 +235,6 @@ def outcome_record(
     v: Field,
     env: EnvironmentProfile,
     rates: HarvestRates,
-    resolved: bool = True,
 ) -> OutcomeRecord:
     """Record of an outcome with the averages and harvest yields of the
     state (u, v)."""
@@ -238,26 +246,7 @@ def outcome_record(
         yield_v=integrate(rates.beta * env.r * v, env.grid),
         alpha=rates.alpha,
         beta=rates.beta,
-        resolved=resolved,
     )
-
-
-def sustainable_yield(
-    final: PopulationState, env: EnvironmentProfile, rates: HarvestRates
-) -> YieldReport:
-    """Harvest flow at the final state, next to the theoretical ceiling
-    integral(r*K/4). Warns when the state is not stationary: the yield of a
-    transient is not a sustainable yield."""
-    if not final.steady:
-        warnings.warn(
-            f"state at t = {final.t:g} is not stationary "
-            f"(|d/dt| = {final.dudt_inf:.2e}); reported yield is transient",
-            stacklevel=2,
-        )
-    sy = integrate(rates.alpha * env.r * final.u, env.grid) + integrate(
-        rates.beta * env.r * final.v, env.grid
-    )
-    return YieldReport(sy=sy, msy_reference=integrate(0.25 * env.r * env.K, env.grid))
 
 
 def invasion_potential(

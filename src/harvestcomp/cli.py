@@ -2,7 +2,7 @@
 
 Subcommands: simulate, steady, eigen, bounds, sweep, switch, msy, check.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 unresolved classification (or restart disagreement) under --strict.
+4 unresolved classification under --strict.
 """
 
 from __future__ import annotations
@@ -15,14 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    OutcomeRecord,
-    alpha_star,
-    classify,
-    inequality_suite,
-    invasion_potential,
-    sustainable_yield,
-)
+from .analysis import OutcomeRecord, alpha_star, inequality_suite, invasion_potential
 from .config import (
     RunConfig,
     apply_overrides,
@@ -32,12 +25,12 @@ from .config import (
     load_config,
     simulation_config,
 )
-from .dynamics import run_to_time, solve_semitrivial
+from .dynamics import check_initial_data, run_to_time, solve_semitrivial
 from .errors import ConfigurationError, HarvestCompError, NumericalError
 from .grid import average, integrate
 from .operators import build_operator
-from .spectral import neutral_level, principal_eigen
-from .sweep import CellFailure, find_switch, sweep_grid
+from .spectral import neutral_level, principal_eigen, sign
+from .sweep import CellFailure, find_switch, simulate_cell, sweep_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -49,10 +42,6 @@ def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     return str(x)
-
-
-def _outcome_label(record: OutcomeRecord) -> str:
-    return record.outcome.value if record.resolved else "unresolved"
 
 
 def _record_row(record) -> list:
@@ -71,9 +60,13 @@ def _record_row(record) -> list:
     ]
 
 
-def _print_record(record: OutcomeRecord) -> None:
+def _print_record(record: OutcomeRecord | CellFailure) -> None:
+    where = f"alpha={record.alpha:g} beta={record.beta:g}"
+    if isinstance(record, CellFailure):
+        print(f"outcome=unresolved {where} reason={record.message}")
+        return
     print(
-        f"outcome={_outcome_label(record)} alpha={record.alpha:g} beta={record.beta:g} "
+        f"outcome={record.outcome.value} {where} "
         f"avg_u={record.avg_u:.6g} avg_v={record.avg_v:.6g} "
         f"yield={record.total_yield:.6g}"
     )
@@ -165,34 +158,19 @@ def _parse_betas(text: str) -> list[float]:
 
 
 def _cmd_simulate(args) -> int:
+    """The sweep record of the configured cell, and the profiles of the
+    march from (u0, v0); --strict fails an undecided cell or a march that
+    does not settle by t_final."""
     cfg, grid, env = _setup(args)
     sim = simulation_config(cfg)
     rates = harvest_rates(cfg)
     u0, v0 = initial_fields(cfg, grid)
     final = run_to_time(u0, v0, env, rates, sim)
-    record = classify(final, env, rates, sim)
+    (record,) = sweep_grid([rates.alpha], [rates.beta], env, sim, u0=u0, v0=v0).records[0]
     _print_record(record)
     print(f"t={final.t:g} steady={final.steady} dudt_inf={final.dudt_inf:.3e}")
     _write_output(args, ["x", "u", "v"], zip(grid.centers, final.u, final.v))
-
-    disagreement = False
-    if args.random_restarts:
-        rng = np.random.default_rng(args.seed)
-        avg_K = average(env.K, grid)
-        for k in range(args.random_restarts):
-            ru0 = rng.uniform(0.05, 2.0, grid.n_cells) * avg_K
-            rv0 = rng.uniform(0.05, 2.0, grid.n_cells) * avg_K
-            restarted = classify(run_to_time(ru0, rv0, env, rates, sim), env, rates, sim)
-            agree = restarted.outcome == record.outcome
-            disagreement |= not agree
-            print(
-                f"restart {k + 1}: outcome={_outcome_label(restarted)} "
-                f"avg_u={restarted.avg_u:.6g} avg_v={restarted.avg_v:.6g} "
-                f"{'agrees' if agree else 'DISAGREES'} with the default run"
-            )
-        if disagreement:
-            print("warning: classification depends on the initial condition", file=sys.stderr)
-    if args.strict and (not record.resolved or disagreement):
+    if args.strict and (isinstance(record, CellFailure) or not final.steady):
         return EXIT_UNRESOLVED
     return EXIT_OK
 
@@ -221,13 +199,9 @@ def _cmd_eigen(args) -> int:
     inv_env = env.swapped() if invader == "v" else env
     op = build_operator(inv_env.a, inv_env.P, grid)
     result = principal_eigen(op, potential, inv_env.P)
-    level = neutral_level(op, inv_env)
-    if result.sigma1 > level:
-        verdict = "unstable (invasible)"
-    elif result.sigma1 < -level:
-        verdict = "stable"
-    else:
-        verdict = "neutral"
+    verdict = {1: "unstable (invasible)", -1: "stable", 0: "neutral"}[
+        sign(result.sigma1, neutral_level(op, inv_env))
+    ]
     print(
         f"around={args.around}-branch invader={invader} sigma1={result.sigma1:.10g} "
         f"({verdict}, residual={result.residual:.3e}, steps={result.iterations})"
@@ -306,15 +280,15 @@ def _cmd_switch(args) -> int:
 
 def _cmd_msy(args) -> int:
     cfg, grid, env = _setup(args)
-    sim = simulation_config(cfg)
     rates = harvest_rates(cfg)
-    u0, v0 = initial_fields(cfg, grid)
-    final = run_to_time(u0, v0, env, rates, sim)
-    report = sustainable_yield(final, env, rates)
+    sim = simulation_config(cfg)
+    u0, v0 = check_initial_data(*initial_fields(cfg, grid), env, sim.dt)  # exit 2, not a cell failure
+    record = simulate_cell(rates.alpha, rates.beta, env, sim, u0, v0)
+    ceiling = integrate(0.25 * env.r * env.K, grid)
     print(
-        f"alpha={rates.alpha:g} beta={rates.beta:g} sy={report.sy:.8g} "
-        f"msy_reference={report.msy_reference:.8g} "
-        f"fraction={report.sy / report.msy_reference:.4f} steady={final.steady}"
+        f"alpha={rates.alpha:g} beta={rates.beta:g} sy={record.total_yield:.8g} "
+        f"msy_reference={ceiling:.8g} fraction={record.total_yield / ceiling:.4f} "
+        f"outcome={record.outcome.value}"
     )
     return EXIT_OK
 
@@ -367,14 +341,12 @@ def build_parser() -> argparse.ArgumentParser:
     def strict(p):
         p.add_argument("--strict", action="store_true", help="exit 4 on unresolved results")
 
-    p = sub.add_parser("simulate", help="run one simulation and classify the outcome")
+    p = sub.add_parser("simulate", help="outcome of one cell, and the profiles of a simulation")
     common(p)
     output(p, default="profile.csv")
     strict(p)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--random-restarts", type=int, default=0, metavar="N")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("steady", help="solve a semi-trivial single-species steady state")
@@ -417,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-3)
     p.set_defaults(handler=_cmd_switch)
 
-    p = sub.add_parser("msy", help="sustainable yield of the configured run")
+    p = sub.add_parser("msy", help="sustainable yield of the configured cell")
     common(p)
     p.set_defaults(handler=_cmd_msy)
 

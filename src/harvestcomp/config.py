@@ -3,9 +3,10 @@
 One assignment per line, '#' starts a comment. Keys:
 
     L, n_cells, K, r, P, Q, a, b, alpha, beta,
-    dt, t_final, steady_tol, extinction_fraction, u0, v0
+    dt, t_final, steady_tol, u0, v0
 
 K, r, P, Q, a, b, u0, v0 hold profile expressions; the rest are numbers.
+dt and t_final enter only simulate's time march (SimulationConfig).
 Unknown keys, malformed values, and out-of-range numbers fail fast with the
 key name and line number.
 """
@@ -41,7 +42,6 @@ class RunConfig:
     dt: float = 0.05
     t_final: float = 2000.0
     steady_tol: float = 1e-9
-    extinction_fraction: float = 1.5e-2
     u0: str = "2.1"
     v0: str = "2.1"
 
@@ -70,7 +70,7 @@ def _parse_value(key: str, text: str, where: str):
 
 
 def _check_range(key: str, value, where: str):
-    positive = {"L", "dt", "t_final", "steady_tol", "extinction_fraction"}
+    positive = {"L", "dt", "t_final", "steady_tol"}
     nonnegative = {"alpha", "beta"}
     if key in positive and not (np.isfinite(value) and value > 0):
         raise ConfigurationError(f"{where}: {key} must be positive, got {value}")
@@ -137,12 +137,7 @@ def initial_fields(cfg: RunConfig, grid: SpatialGrid) -> tuple[Field, Field]:
 
 
 def simulation_config(cfg: RunConfig) -> SimulationConfig:
-    return SimulationConfig(
-        dt=cfg.dt,
-        t_final=cfg.t_final,
-        steady_tol=cfg.steady_tol,
-        extinction_fraction=cfg.extinction_fraction,
-    )
+    return SimulationConfig(dt=cfg.dt, t_final=cfg.t_final, steady_tol=cfg.steady_tol)
 
 
 def harvest_rates(cfg: RunConfig) -> HarvestRates:

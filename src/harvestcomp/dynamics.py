@@ -74,32 +74,23 @@ class PopulationState:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Time stepping and classification knobs.
+    """Time stepping and steady-state knobs.
 
-    dt, t_final and extinction_fraction enter only simulation: the time
-    march and the classification of its final state (simulate and
-    simulate_cell). A sweep takes its outcomes from the invasion criterion
-    and uses dt only to check its initial data the way the march does.
-    steady_tol is the march's settling threshold on the max-norm time
+    dt and t_final enter only the time march (run_to_time, which simulate
+    runs for its profiles). A sweep takes its outcomes from the invasion
+    criterion and uses dt only to check its initial data the way the march
+    does. steady_tol is the march's settling threshold on the max-norm time
     derivative, and the max-norm stationary residual that solve_semitrivial
     and solve_coexistence must get below, unless rounding in D w alone
     exceeds it (see solve_semitrivial).
-
-    The extinction threshold is extinction_fraction * average(K). An
-    excluded species with a regular-diffusion strategy dies off only
-    algebraically, leaving a residue of up to ~1% of the capacity average
-    at t = 2000 in the benchmark environments, while the smallest genuine
-    coexistence averages there sit above 2%; the default fraction splits
-    the two regimes.
     """
 
     dt: float = 0.05
     t_final: float = 2000.0
     steady_tol: float = 1e-9
-    extinction_fraction: float = 1.5e-2
 
     def __post_init__(self):
-        for name in ("dt", "t_final", "steady_tol", "extinction_fraction"):
+        for name in ("dt", "t_final", "steady_tol"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ConfigurationError(f"{name} must be positive, got {v}")

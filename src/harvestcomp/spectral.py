@@ -135,6 +135,12 @@ def neutral_level(op: DiffusionOperator, env: EnvironmentProfile) -> float:
     return ROUNDING_FLOOR * float(np.finfo(float).eps) * scale
 
 
+def sign(sigma: float, level: float) -> int:
+    """1 when sigma > level, -1 when sigma < -level, and 0 (neutral) otherwise,
+    a NaN sigma included."""
+    return (sigma > level) - (sigma < -level)
+
+
 def rayleigh_lower_bound(
     op: DiffusionOperator,
     potential: Field,

@@ -29,13 +29,14 @@ from .dynamics import (
     HarvestRates,
     SimulationConfig,
     check_initial_data,
-    run_to_time,
+    # not called here; bench/tracer.py wraps it under this module's name
+    run_to_time,  # noqa: F401
     solve_coexistence,
     solve_semitrivial,
 )
 from .errors import ConfigurationError, ConvergenceError, HarvestCompError
 from .grid import Field
-from .operators import DiffusionOperator, annihilates, build_operator
+from .operators import DiffusionOperator, build_operator
 from .profiles import EnvironmentProfile
 
 #: Constant initial density used for every species unless overridden.
@@ -84,12 +85,13 @@ def simulate_cell(
     u0: Field | None = None,
     v0: Field | None = None,
 ) -> OutcomeRecord:
-    """One full simulation plus classification at a single (alpha, beta)."""
-    u0 = _default_initial(env) if u0 is None else u0
-    v0 = _default_initial(env) if v0 is None else v0
-    rates = HarvestRates(alpha=alpha, beta=beta)
-    final = run_to_time(u0, v0, env, rates, cfg)
-    return classify(final, env, rates, cfg)
+    """The record sweep_grid gives the single cell (alpha, beta). A cell it
+    does not decide, or whose solve fails, raises HarvestCompError with the
+    CellFailure's message."""
+    (record,) = sweep_grid([alpha], [beta], env, cfg, u0=u0, v0=v0).records[0]
+    if isinstance(record, CellFailure):
+        raise HarvestCompError(record.message)
+    return record
 
 
 def _invasion_eigen(
@@ -115,20 +117,17 @@ def sweep_grid(
 ) -> SweepGrid:
     """Full (alpha, beta) outcome matrix; rows indexed by beta.
 
-    Each cell is decided by the signs of sigma_u and sigma_v (see the
-    module docstring). A sigma within spectral.neutral_level of 0 is neutral. When
-    sigma_v is neutral, sigma_u > 0 and u_alpha is proportional to P, u is
-    an ideal free disperser and excludes v (Averill, Lou & Munther, J. Biol.
-    Dyn. 6, 2012), and the same holds with the species exchanged. Any other
-    neutral cell, and a bistable cell (both sigmas negative, outcome set by
-    the initial data), is a CellFailure whose message names both sigmas. So
-    is a cell whose solve fails.
+    Each cell is decided by analysis.classify from the signs of sigma_u
+    and sigma_v (see the module docstring), with a sigma within
+    spectral.neutral_level of 0 neutral. A cell it does not decide (neutral
+    or bistable) is a CellFailure whose message names both sigmas. So is a
+    cell whose solve fails.
 
     (u0, v0) are where coexistence states are sought from, and are checked
-    like simulate checks them (negative, or over dt not finite, fails every
-    cell) even where no cell needs them. cfg.dt enters only that check, and
-    cfg.t_final and cfg.extinction_fraction not at all. jobs is accepted for
-    call compatibility and unused: the sweep runs in this process.
+    like simulate's march checks them (negative, or over dt not finite,
+    fails every cell) even where no cell needs them. cfg.dt enters only that
+    check, and cfg.t_final not at all. jobs is accepted for call
+    compatibility and unused: the sweep runs in this process.
     """
     alphas = np.asarray(alpha_grid, dtype=float)
     betas = np.asarray(beta_grid, dtype=float)
@@ -161,20 +160,12 @@ def sweep_grid(
         sigma_u = _invasion_eigen(op_u, env, rates, v_beta).sigma1
         swapped_rates = HarvestRates(alpha=beta, beta=alpha)
         sigma_v = _invasion_eigen(op_v, swapped, swapped_rates, u_alpha).sigma1
-        sign_u = (sigma_u > level_u) - (sigma_u < -level_u)
-        sign_v = (sigma_v > level_v) - (sigma_v < -level_v)
-        if sign_u > 0 and sign_v > 0:
-            u, v = solve_coexistence(u0, v0, env, rates, cfg)
-            return outcome_record(Outcome.COEXISTENCE, u, v, env, rates)
-        if sign_u > 0 and (sign_v < 0 or sign_v == 0 and annihilates(op_u, u_alpha)):
-            return outcome_record(Outcome.ONLY_U, u_alpha, absent, env, rates)
-        if sign_v > 0 and (sign_u < 0 or sign_u == 0 and annihilates(op_v, v_beta)):
-            return outcome_record(Outcome.ONLY_V, absent, v_beta, env, rates)
-        kind = "bistable" if sign_u < 0 and sign_v < 0 else "neutral"
-        raise HarvestCompError(
-            f"{kind} cell, not decided by the invasion criterion: sigma_u = {sigma_u:.3e}, "
-            f"sigma_v = {sigma_v:.3e} (neutral within {level_u:.1e} and {level_v:.1e})"
-        )
+        outcome = classify(sigma_u, sigma_v, level_u, level_v, op_u, op_v, u_alpha, v_beta)
+        if outcome is Outcome.COEXISTENCE:
+            return outcome_record(outcome, *solve_coexistence(u0, v0, env, rates, cfg), env, rates)
+        if outcome is Outcome.ONLY_U:
+            return outcome_record(outcome, u_alpha, absent, env, rates)
+        return outcome_record(outcome, absent, v_beta, env, rates)
 
     records = []
     for beta in betas:

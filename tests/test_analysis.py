@@ -7,20 +7,20 @@ from scipy.optimize import nnls
 
 from harvestcomp import (
     ConfigurationError,
+    HarvestCompError,
     HarvestRates,
     Outcome,
-    PopulationState,
-    SimulationConfig,
     alpha_star,
     classify,
     detect_ideal_free_pair,
     fit_convex_hull,
     inequality_suite,
-    sustainable_yield,
 )
+from harvestcomp import analysis
 from harvestcomp.analysis import invasion_potential
 from harvestcomp.config import build_environment, parse_config_text, simulation_config
 from harvestcomp.grid import SpatialGrid
+from harvestcomp.operators import annihilates, build_operator
 from harvestcomp.profiles import EnvironmentProfile
 
 from conftest import load_example
@@ -134,101 +134,46 @@ def test_alpha_star_is_increasing_and_above_beta(name):
 # ---------------------------------------------------------------- classify
 
 
-def _state(grid, u_level, v_level, steady=True):
-    return PopulationState(
-        u=np.full(grid.n_cells, u_level),
-        v=np.full(grid.n_cells, v_level),
-        t=100.0,
-        steady=steady,
-        dudt_inf=0.0,
-    )
+def test_classify_truth_table(monkeypatch):
+    # u disperses toward P, v toward Q; u_alpha = 2P and v_beta = 3Q are
+    # ideal free states (their operator annihilates them), K is neither
+    _, grid, env, _ = load_example("example3", n_cells=32)
+    op_u = build_operator(env.a, env.P, grid)
+    op_v = build_operator(env.b, env.Q, grid)
+    free_u, free_v = 2.0 * env.P, 3.0 * env.Q
+    level = 1e-12
+    calls = []
 
+    def counting(op, w):
+        calls.append(op)
+        return annihilates(op, w)
 
-def test_classify_four_outcomes():
-    _, grid, env, sim = load_example("example1", n_cells=32)
-    rates = HarvestRates(0.2, 0.1)
+    monkeypatch.setattr(analysis, "annihilates", counting)
     cases = [
-        (1.0, 1.0, Outcome.COEXISTENCE),
-        (1.0, 1e-4, Outcome.ONLY_U),
-        (1e-4, 1.0, Outcome.ONLY_V),
-        (1e-4, 1e-4, Outcome.EXTINCTION),
+        # sigma_u, sigma_v, u_alpha, v_beta, outcome or failure kind, ideal-free tests run
+        (0.3, 0.2, env.K, env.K, Outcome.COEXISTENCE, 0),
+        (0.3, -0.2, env.K, env.K, Outcome.ONLY_U, 0),
+        (-0.3, 0.2, env.K, env.K, Outcome.ONLY_V, 0),
+        (0.3, 5e-13, free_u, env.K, Outcome.ONLY_U, 1),
+        (-5e-13, 0.2, env.K, free_v, Outcome.ONLY_V, 1),
+        (0.3, 0.0, env.K, free_v, "neutral", 1),
+        (0.0, 0.2, free_u, env.K, "neutral", 1),
+        (0.0, -0.0, free_u, free_v, "neutral", 0),
+        (-0.3, -0.2, free_u, free_v, "bistable", 0),
     ]
-    for u_level, v_level, expected in cases:
-        record = classify(_state(grid, u_level, v_level), env, rates, sim)
-        assert record.outcome is expected
-        assert record.alpha == 0.2 and record.beta == 0.1
-
-
-def test_classify_threshold_is_relative_to_capacity():
-    _, grid, env, sim = load_example("example1", n_cells=32)
-    # threshold = fraction * avg K = 1.5e-2 * 2
-    rates = HarvestRates(0, 0)
-    assert classify(_state(grid, 0.031, 1.0), env, rates, sim).outcome is Outcome.COEXISTENCE
-    assert classify(_state(grid, 0.029, 1.0), env, rates, sim).outcome is Outcome.ONLY_V
-
-
-def test_classify_scale_consistency_no_direct_coexistence_to_extinction_flip():
-    _, grid, env, sim = load_example("example1", n_cells=100)
-    from harvestcomp.sweep import simulate_cell
-
-    for alpha, beta in [(0.0, 0.0), (0.1, 0.0), (0.5, 0.6), (1.2, 1.1)]:
-        base = simulate_cell(alpha, beta, env, sim)
-        wide = SimulationConfig(
-            dt=sim.dt,
-            t_final=sim.t_final,
-            steady_tol=sim.steady_tol,
-            extinction_fraction=10 * sim.extinction_fraction,
-        )
-        rerun = simulate_cell(alpha, beta, env, wide)
-        if base.outcome is Outcome.COEXISTENCE:
-            assert rerun.outcome is not Outcome.EXTINCTION
-
-
-def test_classify_unresolved_flag_carried():
-    _, grid, env, sim = load_example("example1", n_cells=32)
-    record = classify(_state(grid, 1.0, 1.0, steady=False), env, HarvestRates(0, 0), sim)
-    assert not record.resolved
-
-
-# -------------------------------------------------------------------- yield
-
-
-def test_sustainable_yield_formula_and_reference():
-    _, grid, env, sim = load_example("example1", n_cells=400)
-    rates = HarvestRates(0.5, 0.6)
-    final = _state(grid, 1.0, 0.0)
-    report = sustainable_yield(final, env, rates)
-    # r = 1.1 constant: sy = 0.5 * 1.1 * integral(u) = 0.5 * 1.1 * 4
-    assert report.sy == pytest.approx(0.5 * 1.1 * 4.0, rel=1e-12)
-    assert report.msy_reference == pytest.approx(0.25 * 1.1 * 8.0, rel=1e-9)
-
-
-def test_sustainable_yield_zero_without_harvesting():
-    _, grid, env, sim = load_example("example1", n_cells=64)
-    report = sustainable_yield(_state(grid, 1.0, 1.0), env, HarvestRates(0, 0))
-    assert report.sy == 0.0
-
-
-def test_sustainable_yield_warns_on_transient():
-    _, grid, env, sim = load_example("example1", n_cells=64)
-    with pytest.warns(UserWarning, match="transient"):
-        sustainable_yield(_state(grid, 1.0, 1.0, steady=False), env, HarvestRates(0.5, 0))
-
-
-def test_sustainable_yield_ideal_free_pair_attains_ceiling():
-    # complementary dispersal with equal half-harvesting realizes the
-    # maximum: total density settles at K/2
-    _, grid, env, sim = load_example("example3", n_cells=200)
-    rates = HarvestRates(0.5, 0.5)
-    from harvestcomp import run_to_time
-
-    final = run_to_time(
-        np.full(grid.n_cells, 2.1), np.full(grid.n_cells, 2.1), env, rates, sim
-    )
-    with pytest.warns(UserWarning):  # a weakly damped exchange mode lingers
-        report = sustainable_yield(final, env, rates)
-    assert report.sy == pytest.approx(report.msy_reference, rel=0.01)
-    assert report.msy_reference == pytest.approx(2.2, rel=1e-9)
+    for sigma_u, sigma_v, u_alpha, v_beta, expected, tests in cases:
+        calls.clear()
+        args = (sigma_u, sigma_v, level, level, op_u, op_v, u_alpha, v_beta)
+        if isinstance(expected, Outcome):
+            assert classify(*args) is expected, (sigma_u, sigma_v)
+        else:
+            with pytest.raises(HarvestCompError) as failure:
+                classify(*args)
+            message = str(failure.value)
+            assert message.startswith(f"{expected} cell, not decided by the invasion criterion")
+            assert f"sigma_u = {sigma_u:.3e}" in message and f"sigma_v = {sigma_v:.3e}" in message
+        assert len(calls) == tests, (sigma_u, sigma_v)
+        assert all(op is (op_u if sigma_u > 0 else op_v) for op in calls)
 
 
 # -------------------------------------------------------- inequality suite

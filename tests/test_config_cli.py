@@ -123,13 +123,26 @@ def test_simulate_is_byte_identical_across_runs(fast_config, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_simulate_random_restarts_reported(fast_config, tmp_path, capsys):
+def test_simulate_outcome_is_the_sweep_record(tmp_path, capsys):
+    # the march settles in this coexistence cell with avg_u = 0.0447, under
+    # an extinction threshold of 1.5 % of average(K); the outcome line is the
+    # sweep's record and the profiles are the march's
+    _, _, env, sim = load_example("example4", n_cells=240)
+    (swept,) = sweep_grid([0.3], [0.15], env, sim).records[0]
+    out = tmp_path / "p.csv"
     code = run_cli(
-        "simulate", "--config", fast_config, "--set", "t_final=2000",
-        "--random-restarts", "1", "--seed", "3", "--output", tmp_path / "p.csv",
+        "simulate", "--config", bundled_config("example4"), "--set", "n_cells=240",
+        "--alpha", "0.3", "--beta", "0.15", "--output", out,
     )
     assert code == 0
-    assert "restart 1" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == (
+        f"outcome=coexist alpha=0.3 beta=0.15 avg_u={swept.avg_u:.6g} "
+        f"avg_v={swept.avg_v:.6g} yield={swept.total_yield:.6g}"
+    )
+    assert lines[1].startswith("t=") and " steady=True " in lines[1]
+    u = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
+    assert abs(u.mean() - swept.avg_u) < 1e-6
 
 
 def test_steady_command(fast_config, tmp_path, capsys):
@@ -203,6 +216,8 @@ def test_sweep_rejects_grid_below_one(fast_config, tmp_path, capsys, grid):
         ["check", "--output", "f.csv"],
         ["check", "--plot-script"],
         ["msy", "--output", "f.csv"],
+        ["simulate", "--random-restarts", "1"],
+        ["simulate", "--seed", "3"],
         ["msy", "--strict"],
         ["switch", "--plot-script"],
         ["bounds", "--strict"],
@@ -273,6 +288,26 @@ def test_msy_command(fast_config, capsys):
         "msy", "--config", fast_config, "--set", "alpha=0.5", "--set", "beta=0.6",
     ) == 0
     assert "msy_reference=" in capsys.readouterr().out
+    # initial data that the coexistence solve cannot take are a configuration
+    # error, as in simulate, not an unresolved cell
+    assert run_cli("msy", "--config", fast_config, "--set", "u0=1e308") == 2
+    assert "configuration error: initial condition u0 / dt" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_msy_of_the_ideal_free_pair_at_half_harvesting_is_the_ceiling(capsys):
+    # complementary dispersal with equal half-harvesting settles the total
+    # density at K/2, where the yield is integral(r K / 4) = 2.2; the march
+    # there never settles (a weakly damped exchange mode lingers), and msy
+    # reads the coexistence state instead
+    assert run_cli(
+        "msy", "--config", bundled_config("example3"), "--set", "n_cells=200",
+        "--set", "alpha=0.5", "--set", "beta=0.5",
+    ) == 0
+    fields = dict(item.split("=") for item in capsys.readouterr().out.split())
+    assert fields["outcome"] == "coexist"
+    assert abs(float(fields["sy"]) - float(fields["msy_reference"])) <= 1e-9
+    assert float(fields["msy_reference"]) == pytest.approx(2.2, rel=1e-9)
 
 
 def test_check_command(fast_config, capsys):
@@ -333,6 +368,15 @@ def test_exit_code_4_for_strict_unresolved(fast_config, tmp_path, capsys):
         neutral = next(csv.DictReader(fh))
     assert neutral["outcome"] == "unresolved"
     assert neutral["reason"].startswith("neutral cell, not decided by the invasion criterion")
+    # simulate reads the same record at that cell, and --strict also fails a
+    # march that has not settled by t_final
+    args = ["simulate", "--config", fast_config, "--set", "t_final=1", "--output", out]
+    assert run_cli(*args, *FLAT) == 0
+    assert f"outcome=unresolved alpha=0 beta=0 reason={neutral['reason']}\n" in capsys.readouterr().out
+    assert run_cli(*args, *FLAT, "--strict") == 4
+    assert run_cli(*args, "--set", "alpha=0.1", "--strict") == 4
+    assert "outcome=coexist" in capsys.readouterr().out
+    assert run_cli(*args, "--set", "alpha=0.1", "--set", "t_final=2000", "--strict") == 0
 
 
 @pytest.mark.parametrize("tol", ["0", "-0.5", "nan"])

@@ -12,7 +12,6 @@ from harvestcomp import (
     SimulationConfig,
     average,
     integrate,
-    classify,
     run_to_time,
     solve_coexistence,
     solve_semitrivial,
@@ -21,7 +20,7 @@ from harvestcomp import (
 from harvestcomp.operators import apply as op_apply
 from harvestcomp.operators import build_operator, gershgorin_bound, shifted_solver
 
-from conftest import environments, load_example
+from conftest import environments, load_example, threshold_classify
 
 
 def build_ops(env):
@@ -120,7 +119,7 @@ def test_exclusion_without_harvesting_small_grid():
     _, grid, env, sim = load_example("example1", n_cells=100)
     rates = HarvestRates(0.0, 0.0)
     final = run_to_time(np.full(100, 2.1), np.full(100, 2.1), env, rates, sim)
-    record = classify(final, env, rates, sim)
+    record = threshold_classify(final, env, rates)
     assert record.outcome is Outcome.ONLY_U
     assert record.avg_u == pytest.approx(2.0, abs=0.02)
 
@@ -129,7 +128,7 @@ def test_small_harvesting_restores_coexistence_small_grid():
     _, grid, env, sim = load_example("example1", n_cells=100)
     rates = HarvestRates(0.1, 0.0)
     final = run_to_time(np.full(100, 2.1), np.full(100, 2.1), env, rates, sim)
-    record = classify(final, env, rates, sim)
+    record = threshold_classify(final, env, rates)
     assert record.outcome is Outcome.COEXISTENCE
     assert final.steady
 
@@ -138,7 +137,7 @@ def test_over_exploitation_kills_both_small_grid():
     _, grid, env, sim = load_example("example1", n_cells=100)
     rates = HarvestRates(1.2, 1.1)
     final = run_to_time(np.full(100, 2.1), np.full(100, 2.1), env, rates, sim)
-    record = classify(final, env, rates, sim)
+    record = threshold_classify(final, env, rates)
     assert record.outcome is Outcome.EXTINCTION
 
 
@@ -236,10 +235,7 @@ def marched_semitrivial(which, env, rate, cfg):
 )
 def test_semitrivial_newton_matches_marched_fixed_point(name, diffusivity):
     _, grid, env, sim = load_example(name, n_cells=100, a=diffusivity, b=diffusivity)
-    other_steps = SimulationConfig(
-        dt=0.2, t_final=1.0, steady_tol=sim.steady_tol,
-        extinction_fraction=sim.extinction_fraction,
-    )
+    other_steps = SimulationConfig(dt=0.2, t_final=1.0, steady_tol=sim.steady_tol)
     for which in ("u", "v"):
         for rate in (0.0, 0.4, 0.8):
             w = solve_semitrivial(which, env, rate, sim)

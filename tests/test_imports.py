@@ -1,4 +1,7 @@
+import dataclasses
+import importlib
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -28,3 +31,13 @@ def test_package_does_not_load_scipy_optimize():
     done = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_bench_tracer_boundaries_resolve():
+    # bench/tracer.py wraps package functions by (module, attribute) name and
+    # bench/workloads.py reads OutcomeRecord.resolved; run without writing
+    # bytecode next to the bench sources
+    tracer = runpy.run_path(str(Path(__file__).resolve().parent.parent / "bench" / "tracer.py"))
+    for module, attribute in tracer["BOUNDARIES"]:
+        assert hasattr(importlib.import_module(module), attribute), (module, attribute)
+    assert "resolved" in {f.name for f in dataclasses.fields(harvestcomp.OutcomeRecord)}

@@ -11,14 +11,14 @@ import math
 import numpy as np
 import pytest
 
-from harvestcomp import HarvestRates, SimulationConfig, classify, run_to_time
+from harvestcomp import HarvestRates, SimulationConfig, run_to_time
 from harvestcomp import dynamics
 from harvestcomp.errors import ConfigurationError, UnstableStepError
 from harvestcomp.grid import as_field
 from harvestcomp.operators import build_operator, shifted_solver
 from harvestcomp.sweep import CellFailure, sweep_grid
 
-from conftest import load_example
+from conftest import load_example, threshold_classify
 
 RATES = np.linspace(0.0, 1.0, 4)
 # settles the off-diagonal cells at different steps; the alpha = beta cells
@@ -119,7 +119,7 @@ def test_sweep_records_agree_with_the_scalar_loop(example1_48, reference):
             if not steady:
                 continue
             state = dynamics.PopulationState(u=u, v=v, t=t, steady=steady, dudt_inf=dudt_inf)
-            oracle = classify(state, env, HarvestRates(a, b), QUICK)
+            oracle = threshold_classify(state, env, HarvestRates(a, b))
             record = sg.records[i][j]
             assert record.outcome is oracle.outcome
             assert abs(record.avg_u - oracle.avg_u) <= 1e-6

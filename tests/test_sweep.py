@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 
 from harvestcomp import (
     ConfigurationError,
+    HarvestCompError,
     HarvestRates,
     Outcome,
     SimulationConfig,
@@ -26,7 +27,7 @@ from harvestcomp.sweep import (
     sweep_grid,
 )
 
-from conftest import assert_sweep_matches_march, environments, load_example
+from conftest import assert_sweep_matches_march, environments, load_example, marched_record
 
 ORDER = {Outcome.ONLY_U: 0, Outcome.COEXISTENCE: 1, Outcome.ONLY_V: 2}
 
@@ -51,8 +52,7 @@ def test_sweep_record_matches_long_horizon_rerun(example1_small):
     # twice the sweep config's horizon
     grid, env, sim = example1_small
     sg = sweep_grid([0.1, 0.3], [0.0], env, sim)
-    longer = SimulationConfig(dt=sim.dt, t_final=2 * sim.t_final, steady_tol=1e-10,
-                              extinction_fraction=1e-4)
+    longer = SimulationConfig(dt=sim.dt, t_final=2 * sim.t_final, steady_tol=1e-10)
     assert assert_sweep_matches_march(sg, env, longer) == 2
 
 
@@ -100,8 +100,8 @@ def test_find_switch_brackets_the_exclusion_boundary(example1_small):
     # settle: u coexists below alpha** and is excluded above it. Closer in,
     # avg_u falls below the extinction threshold before u is excluded
     # (avg_u = 0.0298 at alpha** - 2e-3, run unsettled)
-    lo = simulate_cell(sp.alpha_double_star - 0.01, 0.0, env, sim)
-    hi = simulate_cell(sp.alpha_double_star + 0.01, 0.0, env, sim)
+    lo = marched_record(sp.alpha_double_star - 0.01, 0.0, env, sim)
+    hi = marched_record(sp.alpha_double_star + 0.01, 0.0, env, sim)
     assert lo.outcome is Outcome.COEXISTENCE and lo.resolved
     assert hi.outcome is Outcome.ONLY_V and hi.resolved
 
@@ -279,6 +279,21 @@ def test_flat_environment_at_equal_rates_is_a_named_neutral_failure():
     sigmas = re.findall(r"sigma_[uv] = ([-+.e\d]+)", neutral.message)
     assert len(sigmas) == 2 and all(abs(float(s)) < 1e-12 for s in sigmas)
     assert harder.outcome is Outcome.ONLY_V  # u harvested harder loses
+    with pytest.raises(HarvestCompError, match=re.escape(neutral.message)):
+        simulate_cell(0.2, 0.2, env, sim)
+
+
+def test_simulate_cell_is_the_sweep_record_where_the_march_settles_below_threshold():
+    # the march settles in this coexistence cell with avg_u = 0.0447, under
+    # the 1.5 % of average(K) (0.0636) that an extinction threshold would
+    # call extinct; the cell's record is the invasion criterion's
+    _, grid, env, sim = load_example("example4", n_cells=240)
+    (swept,) = sweep_grid([0.3], [0.15], env, sim).records[0]
+    record = simulate_cell(0.3, 0.15, env, sim)
+    assert record.outcome is swept.outcome is Outcome.COEXISTENCE
+    assert abs(record.avg_u - swept.avg_u) <= 1e-12
+    assert abs(record.avg_v - swept.avg_v) <= 1e-12
+    assert 0.04 < record.avg_u < 0.05
 
 
 def test_over_exploited_cells_need_no_solve(example1_small, monkeypatch):
