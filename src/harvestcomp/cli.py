@@ -25,7 +25,7 @@ from .config import (
     load_config,
     simulation_config,
 )
-from .dynamics import check_initial_data, run_to_time, solve_semitrivial
+from .dynamics import run_to_time, solve_semitrivial
 from .errors import ConfigurationError, HarvestCompError, NumericalError
 from .grid import average, integrate
 from .operators import build_operator
@@ -282,8 +282,7 @@ def _cmd_msy(args) -> int:
     cfg, grid, env = _setup(args)
     rates = harvest_rates(cfg)
     sim = simulation_config(cfg)
-    u0, v0 = check_initial_data(*initial_fields(cfg, grid), env, sim.dt)  # exit 2, not a cell failure
-    record = simulate_cell(rates.alpha, rates.beta, env, sim, u0, v0)
+    record = simulate_cell(rates.alpha, rates.beta, env, sim, *initial_fields(cfg, grid))
     ceiling = integrate(0.25 * env.r * env.K, grid)
     print(
         f"alpha={rates.alpha:g} beta={rates.beta:g} sy={record.total_yield:.8g} "

@@ -31,7 +31,6 @@ from scipy.linalg import solve_banded
 from .errors import (
     ConfigurationError,
     ConvergenceError,
-    HarvestCompError,
     NumericalError,
     SingularSystemError,
     UnstableStepError,
@@ -100,21 +99,18 @@ class SimulationConfig:
         return int(math.ceil(self.t_final / self.dt - 1e-12))
 
 
-def _reaction_coefficients(env: EnvironmentProfile, rates, dt: float):
-    """Per-column growth dt*r*(1 - effort) of each species, as (n, m)
-    Fortran-ordered arrays with one column per HarvestRates, and the shared
-    crowding coefficient dt*r/K as an (n, 1) column."""
-    dtr = (dt * env.r)[:, None]
-    grow_u = np.asfortranarray(dtr * (1.0 - np.array([x.alpha for x in rates])))
-    grow_v = np.asfortranarray(dtr * (1.0 - np.array([x.beta for x in rates])))
-    return grow_u, grow_v, (dt * env.r / env.K)[:, None]
+def _reaction_coefficients(env: EnvironmentProfile, rates: HarvestRates, dt: float):
+    """Growth dt*r*(1 - effort) of each species and the shared crowding
+    coefficient dt*r/K, as fields."""
+    dtr = dt * env.r
+    return dtr * (1.0 - rates.alpha), dtr * (1.0 - rates.beta), dtr / env.K
 
 
 def _split_step(solve_u, solve_v, u, v, grow_u, grow_v, susc, inv_dt):
-    """The reaction kernel: one split step of the (n, m) states u and v, one
-    cell per column. Implicit dispersal (one multi-RHS solve per species),
-    then the explicit logistic update clamped at zero. Returns the new states
-    and each column's max-norm time derivative."""
+    """The reaction kernel: one split step of the states u and v. Implicit
+    dispersal (one solve per species), then the explicit logistic update
+    clamped at zero. Returns the new states and the max-norm time derivative,
+    NaN when either state has a NaN."""
     u1 = solve_u(u * inv_dt)
     v1 = solve_v(v * inv_dt)
     total = u1 + v1
@@ -122,8 +118,8 @@ def _split_step(solve_u, solve_v, u, v, grow_u, grow_v, susc, inv_dt):
     v2 = v1 * (1.0 + grow_v - susc * total)
     np.maximum(u2, 0.0, out=u2)
     np.maximum(v2, 0.0, out=v2)
-    delta = np.maximum(np.abs(u2 - u).max(axis=0), np.abs(v2 - v).max(axis=0)) * inv_dt
-    return u2, v2, delta
+    delta = np.maximum(np.abs(u2 - u).max(), np.abs(v2 - v).max()) * inv_dt
+    return u2, v2, float(delta)
 
 
 def step(
@@ -133,16 +129,19 @@ def step(
     ops: tuple[DiffusionOperator, DiffusionOperator],
     dt: float,
 ) -> PopulationState:
-    """Advance one split step: implicit dispersal, explicit clamped reaction."""
+    """Advance one cell by one split step (run_to_time's kernel): implicit
+    dispersal, explicit clamped reaction. Raises UnstableStepError when the
+    new state is not finite, and SingularSystemError when a dispersal solve
+    fails."""
     op_u, op_v = ops
     inv_dt = 1.0 / dt
     u, v, delta = _split_step(
         shifted_solver(op_u, inv_dt), shifted_solver(op_v, inv_dt),
-        state.u[:, None], state.v[:, None], *_reaction_coefficients(env, [rates], dt), inv_dt,
+        state.u, state.v, *_reaction_coefficients(env, rates, dt), inv_dt,
     )
-    if not np.isfinite(delta[0]):
+    if not math.isfinite(delta):
         raise UnstableStepError(f"non-finite state after step with dt = {dt}")
-    return PopulationState(u=u[:, 0], v=v[:, 0], t=state.t + dt, dudt_inf=float(delta[0]))
+    return PopulationState(u=u, v=v, t=state.t + dt, dudt_inf=delta)
 
 
 def check_initial_data(u0: Field, v0: Field, env: EnvironmentProfile, dt: float):
@@ -165,76 +164,6 @@ def check_initial_data(u0: Field, v0: Field, env: EnvironmentProfile, dt: float)
     return fields
 
 
-def march(
-    u0: Field,
-    v0: Field,
-    env: EnvironmentProfile,
-    rates: list[HarvestRates],
-    cfg: SimulationConfig,
-) -> list[PopulationState | HarvestCompError]:
-    """run_to_time for many cells at once: one cell per HarvestRates, all
-    from (u0, v0), marched in lockstep as the columns of (n, m) arrays.
-
-    The dispersal operators do not depend on the rates, so each species is
-    factored once and every step makes one multi-RHS solve per species. A
-    column leaves the batch at the step where it settles; the rest run to
-    cfg.t_final. Each cell's state is bitwise the one run_to_time gives.
-    A cell that fails is returned as its exception: a column that turns
-    non-finite fails alone, and an error that involves the whole batch
-    (initial data, a factorization or a solve) fails every cell still
-    running.
-    """
-    if not rates:
-        return []
-    results: list = [None] * len(rates)
-    live = np.arange(len(rates))
-    try:
-        u, v = check_initial_data(u0, v0, env, cfg.dt)
-        dt = cfg.dt
-        inv_dt = 1.0 / dt
-        # looked up on the module at call time, so a wrapper installed there
-        # (bench/tracer.py) sees every factorization and solve
-        solve_u = shifted_solver(build_operator(env.a, env.P, env.grid), inv_dt)
-        solve_v = shifted_solver(build_operator(env.b, env.Q, env.grid), inv_dt)
-        grow_u, grow_v, susc = _reaction_coefficients(env, rates, dt)
-        u = np.asfortranarray(np.repeat(u[:, None], len(rates), axis=1))
-        v = np.asfortranarray(np.repeat(v[:, None], len(rates), axis=1))
-
-        delta = np.full(len(rates), math.inf)
-        steps = 0
-        for steps in range(1, cfg.n_steps + 1):
-            u, v, delta = _split_step(solve_u, solve_v, u, v, grow_u, grow_v, susc, inv_dt)
-            if delta.min() >= cfg.steady_tol and delta.max() < math.inf:
-                continue  # no column settled or turned non-finite (NaN fails both tests)
-            failed = ~np.isfinite(delta)
-            settled = delta < cfg.steady_tol
-            for k in np.flatnonzero(failed):
-                results[live[k]] = UnstableStepError(
-                    f"non-finite state at t = {steps * dt:g} with dt = {dt}"
-                )
-            for k in np.flatnonzero(settled):
-                results[live[k]] = PopulationState(
-                    u=u[:, k].copy(), v=v[:, k].copy(), t=steps * dt, steady=True,
-                    dudt_inf=float(delta[k]),
-                )
-            keep = ~(failed | settled)
-            live = live[keep]
-            u, v = np.asfortranarray(u[:, keep]), np.asfortranarray(v[:, keep])
-            grow_u, grow_v = np.asfortranarray(grow_u[:, keep]), np.asfortranarray(grow_v[:, keep])
-            delta = delta[keep]
-            if not live.size:
-                return results
-        for k, cell in enumerate(live):
-            results[cell] = PopulationState(
-                u=u[:, k].copy(), v=v[:, k].copy(), t=steps * dt, steady=False,
-                dudt_inf=float(delta[k]),
-            )
-    except HarvestCompError as exc:
-        for cell in live:
-            results[cell] = exc
-    return results
-
-
 def run_to_time(
     u0: Field,
     v0: Field,
@@ -242,12 +171,30 @@ def run_to_time(
     rates: HarvestRates,
     cfg: SimulationConfig,
 ) -> PopulationState:
-    """March to cfg.t_final, exiting early once the max-norm time derivative
-    of the state drops below cfg.steady_tol."""
-    (final,) = march(u0, v0, env, [rates], cfg)
-    if isinstance(final, HarvestCompError):
-        raise final
-    return final
+    """March one cell from (u0, v0) to cfg.t_final, exiting early at the
+    first step whose max-norm time derivative is below cfg.steady_tol. Each
+    step is step()'s kernel, with each species' dispersal factored once.
+    Raises ConfigurationError for initial data check_initial_data rejects,
+    UnstableStepError at the first step whose state is not finite, and
+    SingularSystemError when a dispersal solve fails."""
+    u, v = check_initial_data(u0, v0, env, cfg.dt)
+    dt = cfg.dt
+    inv_dt = 1.0 / dt
+    # looked up on the module at call time, so a wrapper installed there
+    # (bench/tracer.py) sees every factorization and solve
+    solve_u = shifted_solver(build_operator(env.a, env.P, env.grid), inv_dt)
+    solve_v = shifted_solver(build_operator(env.b, env.Q, env.grid), inv_dt)
+    coefficients = _reaction_coefficients(env, rates, dt)
+
+    delta = math.inf
+    steps = 0
+    for steps in range(1, cfg.n_steps + 1):
+        u, v, delta = _split_step(solve_u, solve_v, u, v, *coefficients, inv_dt)
+        if not math.isfinite(delta):
+            raise UnstableStepError(f"non-finite state at t = {steps * dt:g} with dt = {dt}")
+        if delta < cfg.steady_tol:
+            break
+    return PopulationState(u=u, v=v, t=steps * dt, steady=delta < cfg.steady_tol, dudt_inf=delta)
 
 
 # Newton takes 0-6 steps on the bundled configs. From far above the branch
@@ -318,7 +265,7 @@ def solve_semitrivial(
         if steps == _NEWTON_CAP:
             break
         # J dw = -F with J = D + diag(rr*(1 - 2w/K)), i.e. (diag(s) - D) dw = F
-        # for s = -rr*(1 - 2w/K); looked up on the module like march's solves
+        # for s = -rr*(1 - 2w/K); looked up on the module like run_to_time's solves
         w = w + shifted_solver(op, -rr * (1.0 - 2.0 * w / K_scale))(residual)
     raise ConvergenceError(
         f"semi-trivial {which}-branch did not converge in {_NEWTON_CAP} Newton steps "

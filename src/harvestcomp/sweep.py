@@ -73,8 +73,11 @@ class SweepGrid:
         return [c for row in self.records for c in row if isinstance(c, CellFailure)]
 
 
-def _default_initial(env: EnvironmentProfile) -> Field:
-    return np.full(env.grid.n_cells, DEFAULT_INITIAL_DENSITY)
+def _initial_data(u0: Field | None, v0: Field | None, env: EnvironmentProfile, dt: float):
+    """check_initial_data of (u0, v0), each defaulting to DEFAULT_INITIAL_DENSITY."""
+    default = np.full(env.grid.n_cells, DEFAULT_INITIAL_DENSITY)
+    return check_initial_data(default if u0 is None else u0, default if v0 is None else v0,
+                              env, dt)
 
 
 def simulate_cell(
@@ -85,9 +88,11 @@ def simulate_cell(
     u0: Field | None = None,
     v0: Field | None = None,
 ) -> OutcomeRecord:
-    """The record sweep_grid gives the single cell (alpha, beta). A cell it
-    does not decide, or whose solve fails, raises HarvestCompError with the
-    CellFailure's message."""
+    """The record sweep_grid gives the single cell (alpha, beta). Initial
+    data that check_initial_data rejects raise its ConfigurationError; a cell
+    sweep_grid does not decide, or whose solve fails, raises HarvestCompError
+    with the CellFailure's message."""
+    u0, v0 = _initial_data(u0, v0, env, cfg.dt)
     (record,) = sweep_grid([alpha], [beta], env, cfg, u0=u0, v0=v0).records[0]
     if isinstance(record, CellFailure):
         raise HarvestCompError(record.message)
@@ -131,10 +136,8 @@ def sweep_grid(
     """
     alphas = np.asarray(alpha_grid, dtype=float)
     betas = np.asarray(beta_grid, dtype=float)
-    u0 = _default_initial(env) if u0 is None else u0
-    v0 = _default_initial(env) if v0 is None else v0
     try:
-        check_initial_data(u0, v0, env, cfg.dt)
+        u0, v0 = _initial_data(u0, v0, env, cfg.dt)
     except HarvestCompError as exc:
         return SweepGrid(alphas=alphas, betas=betas, records=[
             [CellFailure(alpha=float(a), beta=float(b), message=str(exc)) for a in alphas]

@@ -24,7 +24,7 @@ from harvestcomp.config import (
     load_config,
     simulation_config,
 )
-from harvestcomp.dynamics import march, run_to_time
+from harvestcomp.dynamics import run_to_time
 from harvestcomp.profiles import EnvironmentProfile
 from harvestcomp.sweep import DEFAULT_INITIAL_DENSITY
 
@@ -109,7 +109,7 @@ def threshold_classify(
     return dataclasses.replace(record, resolved=final.steady)
 
 
-def marched_record(alpha: float, beta: float, env, cfg: SimulationConfig) -> OutcomeRecord:
+def record_of_march(alpha: float, beta: float, env, cfg: SimulationConfig) -> OutcomeRecord:
     """threshold_classify of the march under cfg from the constant
     DEFAULT_INITIAL_DENSITY at rates (alpha, beta)."""
     w0 = np.full(env.grid.n_cells, DEFAULT_INITIAL_DENSITY)
@@ -125,16 +125,18 @@ MARCH_ORACLE = SimulationConfig(dt=0.05, t_final=1000.0, steady_tol=1e-10)
 
 def assert_sweep_matches_march(sg, env, cfg=MARCH_ORACLE, u0=None, v0=None) -> int:
     """Check the records of a sweep against the march from its initial data
-    (default the constant DEFAULT_INITIAL_DENSITY): in every cell whose march
-    settles under cfg, the record has the outcome threshold_classify gives
-    the settled state at ORACLE_EXTINCTION_FRACTION, and both averages within
-    1e-6 of it. Returns the number of cells checked."""
+    (default the constant DEFAULT_INITIAL_DENSITY), run_to_time of each
+    record's cell on its own: in every cell whose march settles under cfg,
+    the record has the outcome threshold_classify gives the settled state at
+    ORACLE_EXTINCTION_FRACTION, and both averages within 1e-6 of it. Returns
+    the number of cells checked."""
     u0 = np.full(env.grid.n_cells, DEFAULT_INITIAL_DENSITY) if u0 is None else u0
     v0 = np.full(env.grid.n_cells, DEFAULT_INITIAL_DENSITY) if v0 is None else v0
     records = [rec for row in sg.records for rec in row if isinstance(rec, OutcomeRecord)]
-    rates = [HarvestRates(rec.alpha, rec.beta) for rec in records]
     checked = 0
-    for rec, r, final in zip(records, rates, march(u0, v0, env, rates, cfg)):
+    for rec in records:
+        r = HarvestRates(rec.alpha, rec.beta)
+        final = run_to_time(u0, v0, env, r, cfg)
         if not final.steady:
             continue
         oracle = threshold_classify(final, env, r, ORACLE_EXTINCTION_FRACTION)

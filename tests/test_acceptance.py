@@ -34,9 +34,9 @@ from conftest import (
     assert_sweep_matches_march,
     bundled_config,
     load_example,
-    marched_record,
     random_grid,
     random_positive_profile,
+    record_of_march,
 )
 
 
@@ -103,10 +103,10 @@ def test_criterion_3_alpha_star_ideal_free_pair():
 def test_criterion_4_competitive_exclusion_and_rescue():
     _, grid, env, sim = load_example("example1")
     start = time.monotonic()
-    rec0 = marched_record(0.0, 0.0, env, sim)
+    rec0 = record_of_march(0.0, 0.0, env, sim)
     t0 = time.monotonic() - start
     start = time.monotonic()
-    rec1 = marched_record(0.1, 0.0, env, sim)
+    rec1 = record_of_march(0.1, 0.0, env, sim)
     t1 = time.monotonic() - start
     rule = [simulate_cell(r.alpha, r.beta, env, sim).outcome for r in (rec0, rec1)]
     ok = (
@@ -176,8 +176,8 @@ def test_criterion_6_msy_bound_and_attainment():
 def test_criterion_7_over_exploitation():
     _, grid, env, _ = load_example("example1", n_cells=400)
     sim = SimulationConfig(dt=0.05, t_final=2000.0, steady_tol=1e-9)
-    rec_both = marched_record(1.2, 1.1, env, sim)
-    rec_u = marched_record(1.2, 0.3, env, sim)
+    rec_both = record_of_march(1.2, 1.1, env, sim)
+    rec_u = record_of_march(1.2, 0.3, env, sim)
     rule = [simulate_cell(r.alpha, r.beta, env, sim).outcome for r in (rec_both, rec_u)]
     ok = (
         rec_both.outcome is Outcome.EXTINCTION

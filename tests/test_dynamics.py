@@ -211,7 +211,7 @@ def test_semitrivial_grid_refinement_second_order():
             assert coarse / fine == pytest.approx(4.0, rel=0.3), rate
 
 
-def marched_semitrivial(which, env, rate, cfg):
+def semitrivial_by_march(which, env, rate, cfg):
     """The reference: the split-step march solve_semitrivial used to run,
     from w = (1-rate)*K to the post-dispersal iterate of its fixed point."""
     d, R = (env.a, env.P) if which == "u" else (env.b, env.Q)
@@ -241,7 +241,7 @@ def test_semitrivial_newton_matches_marched_fixed_point(name, diffusivity):
             w = solve_semitrivial(which, env, rate, sim)
             assert residual(which, env, rate, w) <= sim.steady_tol
             assert np.all(w > 0)
-            ref = marched_semitrivial(which, env, rate, sim)
+            ref = semitrivial_by_march(which, env, rate, sim)
             assert np.allclose(w, ref, rtol=1e-6, atol=0.0), (which, rate)
             # dt and t_final do not enter the solve
             assert np.array_equal(solve_semitrivial(which, env, rate, other_steps), w)
@@ -260,7 +260,7 @@ def test_semitrivial_stops_at_rounding_on_fine_grids(overrides):
         limit = 4 * np.finfo(float).eps * gershgorin_bound(op) * np.max(w)
         assert residual("v", env, rate, w) < max(sim.steady_tol, limit)
         assert np.all(w > 0)
-        ref = marched_semitrivial("v", env, rate, sim)
+        ref = semitrivial_by_march("v", env, rate, sim)
         assert np.allclose(w, ref, rtol=1e-6, atol=0.0), rate
 
 

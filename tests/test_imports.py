@@ -6,9 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import harvestcomp
+from harvestcomp import HarvestRates, SimulationConfig
+
+from conftest import load_example
 
 SRC = Path(harvestcomp.__file__).resolve().parent.parent
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 PROBE = """
 import sys
@@ -37,7 +43,29 @@ def test_bench_tracer_boundaries_resolve():
     # bench/tracer.py wraps package functions by (module, attribute) name and
     # bench/workloads.py reads OutcomeRecord.resolved; run without writing
     # bytecode next to the bench sources
-    tracer = runpy.run_path(str(Path(__file__).resolve().parent.parent / "bench" / "tracer.py"))
+    tracer = runpy.run_path(str(TRACER))
     for module, attribute in tracer["BOUNDARIES"]:
         assert hasattr(importlib.import_module(module), attribute), (module, attribute)
     assert "resolved" in {f.name for f in dataclasses.fields(harvestcomp.OutcomeRecord)}
+
+
+def test_bench_tracer_counts_the_steps_and_solves_of_one_march():
+    # the tracer wraps run_to_time where sweep imports it, and
+    # build_operator and shifted_solver where dynamics looks them up at call
+    # time: 20 steps of dt = 0.05, one factorization and one solve per
+    # species and step
+    tracer_module = runpy.run_path(str(TRACER))
+    _, grid, env, _ = load_example("example1", n_cells=32)
+    w0 = np.full(grid.n_cells, 2.1)
+    cfg = SimulationConfig(dt=0.05, t_final=1.0)
+    tracer = tracer_module["Tracer"]()
+    tracer.install({module: importlib.import_module(module)
+                    for module, _ in tracer_module["BOUNDARIES"]})
+    try:
+        harvestcomp.sweep.run_to_time(w0, w0, env, HarvestRates(0.1, 0.0), cfg)
+    finally:
+        tracer.uninstall()
+    metrics = tracer_module["layer_metrics"](tracer)
+    assert metrics["dynamics.steps"][0] == 20
+    assert metrics["operators.factor_calls"][0] == 2
+    assert metrics["operators.solve_calls"][0] == 40

@@ -1,9 +1,10 @@
-"""Lockstep marching against the one-cell loop it replaced.
+"""The one-cell march against the reference loop it must reproduce.
 
-scalar_run_to_time is the per-cell time loop kept as the reference: one
-1-D state per species, two single-RHS solves per step. The lockstep march
-does the same arithmetic on the columns of (n, m) arrays, so every cell
-must agree with it bit for bit.
+scalar_run_to_time spells the per-cell time loop out without the package's
+kernel: one 1-D state per species, two single-RHS solves per step.
+run_to_time must agree with it bit for bit in every cell of a 4x4 grid of
+rates that settle at different steps or not at all, and its first step must
+be dynamics.step.
 """
 
 import math
@@ -11,8 +12,9 @@ import math
 import numpy as np
 import pytest
 
-from harvestcomp import HarvestRates, SimulationConfig, run_to_time
+from harvestcomp import HarvestRates, PopulationState, SimulationConfig, run_to_time
 from harvestcomp import dynamics
+from harvestcomp.dynamics import step
 from harvestcomp.errors import ConfigurationError, UnstableStepError
 from harvestcomp.grid import as_field
 from harvestcomp.operators import build_operator, shifted_solver
@@ -86,24 +88,27 @@ def _assert_bitwise(state, ref):
 
 
 def test_reference_cells_settle_at_different_steps(reference):
-    # the case the lockstep bookkeeping has to get right
+    # the early exit is exercised at several steps, and the horizon too
     settled = {ab: r[2] for ab, r in reference.items() if r[3]}
     assert len(set(settled.values())) >= 3
     assert all(not reference[(a, a)][3] for a in RATES)
 
 
-def test_march_is_bitwise_the_scalar_loop(example1_48, reference):
-    env, u0, v0 = example1_48
-    rates = [HarvestRates(a, b) for a, b in reference]
-    finals = dynamics.march(u0, v0, env, rates, QUICK)
-    for r, final in zip(rates, finals):
-        _assert_bitwise(final, reference[(r.alpha, r.beta)])
-
-
 def test_run_to_time_is_bitwise_the_scalar_loop(example1_48, reference):
     env, u0, v0 = example1_48
-    for ab in ((0.0, 1.0), (1.0 / 3.0, 1.0 / 3.0), (1.0, 2.0 / 3.0)):
-        _assert_bitwise(run_to_time(u0, v0, env, HarvestRates(*ab), QUICK), reference[ab])
+    for ab, ref in reference.items():
+        _assert_bitwise(run_to_time(u0, v0, env, HarvestRates(*ab), QUICK), ref)
+
+
+def test_run_to_time_for_one_step_is_the_step_kernel(example1_48):
+    env, u0, v0 = example1_48
+    rates = HarvestRates(0.3, 0.1)
+    one_step = SimulationConfig(dt=QUICK.dt, t_final=QUICK.dt, steady_tol=QUICK.steady_tol)
+    marched = run_to_time(u0, v0, env, rates, one_step)
+    ops = (build_operator(env.a, env.P, env.grid), build_operator(env.b, env.Q, env.grid))
+    stepped = step(PopulationState(u=u0, v=v0, t=0.0), env, rates, ops, QUICK.dt)
+    assert np.array_equal(marched.u, stepped.u) and np.array_equal(marched.v, stepped.v)
+    assert (marched.t, marched.dudt_inf) == (stepped.t, stepped.dudt_inf)
 
 
 def test_sweep_records_agree_with_the_scalar_loop(example1_48, reference):
@@ -118,7 +123,7 @@ def test_sweep_records_agree_with_the_scalar_loop(example1_48, reference):
             u, v, t, steady, dudt_inf = reference[(a, b)]
             if not steady:
                 continue
-            state = dynamics.PopulationState(u=u, v=v, t=t, steady=steady, dudt_inf=dudt_inf)
+            state = PopulationState(u=u, v=v, t=t, steady=steady, dudt_inf=dudt_inf)
             oracle = threshold_classify(state, env, HarvestRates(a, b))
             record = sg.records[i][j]
             assert record.outcome is oracle.outcome
@@ -128,9 +133,9 @@ def test_sweep_records_agree_with_the_scalar_loop(example1_48, reference):
     assert checked == 12  # every cell off the diagonal, where the reference settled
 
 
-def test_non_finite_column_fails_alone(example1_48, reference, monkeypatch):
-    # a solve that turns one column to NaN at its third call: that cell
-    # fails with the step error, the others run on to the scalar answer
+def test_non_finite_state_fails_the_march(example1_48, monkeypatch):
+    # a solve that puts a NaN into one entry of its third result, in u's
+    # march and in v's: the march fails at step 3 with the step error
     env, u0, v0 = example1_48
     real = dynamics.shifted_solver
 
@@ -142,24 +147,21 @@ def test_non_finite_column_fails_alone(example1_48, reference, monkeypatch):
             x = solve(rhs)
             calls.append(None)
             if len(calls) == 3:
-                x[:, 1] = np.nan
+                x[1] = np.nan
             return x
 
         return solve_with_nan
 
     monkeypatch.setattr(dynamics, "shifted_solver", poisoned)
-    rates = [HarvestRates(a, 0.0) for a in RATES]
-    finals = dynamics.march(u0, v0, env, rates, QUICK)
-    assert isinstance(finals[1], UnstableStepError)
-    assert str(finals[1]) == f"non-finite state at t = {3 * QUICK.dt:g} with dt = {QUICK.dt}"
-    for k in (0, 2, 3):
-        _assert_bitwise(finals[k], reference[(RATES[k], 0.0)])
+    with pytest.raises(UnstableStepError) as failure:
+        run_to_time(u0, v0, env, HarvestRates(RATES[1], 0.0), QUICK)
+    assert str(failure.value) == "non-finite state at t = 0.15 with dt = 0.05"
 
 
 def test_bad_initial_data_fail_every_cell(example1_48):
     env, u0, _ = example1_48
-    finals = dynamics.march(u0, -u0, env, [HarvestRates(0.1, 0.2), HarvestRates(0.3, 0.4)], QUICK)
-    assert all(isinstance(f, ConfigurationError) and "nonnegative" in str(f) for f in finals)
+    with pytest.raises(ConfigurationError, match="initial condition v0 must be nonnegative"):
+        run_to_time(u0, -u0, env, HarvestRates(0.1, 0.2), QUICK)
     sg = sweep_grid([0.1, 0.3], [0.2], env, QUICK, u0=u0, v0=np.full_like(u0, np.nan))
     assert all(isinstance(c, CellFailure) and "v0 / dt is not finite" in c.message
                for c in sg.records[0])

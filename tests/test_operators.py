@@ -163,12 +163,12 @@ def test_prefactored_solver_matches_single_shot(rng):
 
 
 def test_multi_rhs_solve_is_bitwise_column_by_column(rng):
-    # lockstep marching relies on LAPACK's multi-RHS gttrs repeating the
-    # single-RHS arithmetic for every column
+    # a 2-D right-hand side is solved column by column with the single-RHS
+    # arithmetic
     g = random_grid(rng, 32, 64)
     op = build_operator(random_positive_profile(rng, g), random_positive_profile(rng, g), g)
     solve = shifted_solver(op, 20.0)
-    rhs = np.asfortranarray(rng.uniform(0.0, 5.0, size=(g.n_cells, 7)))
+    rhs = rng.uniform(0.0, 5.0, size=(g.n_cells, 7))
     x = solve(rhs)
     assert x.shape == rhs.shape
     for k in range(rhs.shape[1]):

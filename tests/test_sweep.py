@@ -27,7 +27,7 @@ from harvestcomp.sweep import (
     sweep_grid,
 )
 
-from conftest import assert_sweep_matches_march, environments, load_example, marched_record
+from conftest import assert_sweep_matches_march, environments, load_example, record_of_march
 
 ORDER = {Outcome.ONLY_U: 0, Outcome.COEXISTENCE: 1, Outcome.ONLY_V: 2}
 
@@ -100,8 +100,8 @@ def test_find_switch_brackets_the_exclusion_boundary(example1_small):
     # settle: u coexists below alpha** and is excluded above it. Closer in,
     # avg_u falls below the extinction threshold before u is excluded
     # (avg_u = 0.0298 at alpha** - 2e-3, run unsettled)
-    lo = marched_record(sp.alpha_double_star - 0.01, 0.0, env, sim)
-    hi = marched_record(sp.alpha_double_star + 0.01, 0.0, env, sim)
+    lo = record_of_march(sp.alpha_double_star - 0.01, 0.0, env, sim)
+    hi = record_of_march(sp.alpha_double_star + 0.01, 0.0, env, sim)
     assert lo.outcome is Outcome.COEXISTENCE and lo.resolved
     assert hi.outcome is Outcome.ONLY_V and hi.resolved
 
@@ -294,6 +294,16 @@ def test_simulate_cell_is_the_sweep_record_where_the_march_settles_below_thresho
     assert abs(record.avg_u - swept.avg_u) <= 1e-12
     assert abs(record.avg_v - swept.avg_v) <= 1e-12
     assert 0.04 < record.avg_u < 0.05
+
+
+def test_simulate_cell_raises_bad_initial_data_as_configuration_errors(example1_small):
+    # a 1x1 sweep keeps only the failure's message; simulate_cell checks the
+    # initial data itself, so the error class reaches the caller
+    grid, env, sim = example1_small
+    with pytest.raises(ConfigurationError, match=r"initial condition u0 / dt is not finite"):
+        simulate_cell(0.1, 0.0, env, sim, u0=np.full(grid.n_cells, 1e308))
+    with pytest.raises(ConfigurationError, match="initial condition v0 must be nonnegative"):
+        simulate_cell(0.1, 0.0, env, sim, v0=np.full(grid.n_cells, -1.0))
 
 
 def test_over_exploited_cells_need_no_solve(example1_small, monkeypatch):
