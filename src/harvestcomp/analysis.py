@@ -142,20 +142,30 @@ def _pair_nnls(p: Field, q: Field, k: Field) -> tuple[float, float]:
 def fit_convex_hull(env: EnvironmentProfile) -> HullFit:
     """Fit K = gamma*P + delta*Q by nonnegative least squares, solved exactly
     for the two columns (_pair_nnls). residual is the largest misfit
-    relative to max |K|."""
+    relative to max |K|.
+
+    The fit is computed once per environment: the profile is immutable, so
+    the first call keeps the fit in the instance's __dict__ (as
+    functools.cached_property would) and later calls return that same
+    HullFit. env.swapped() is a new instance and gets its own fit."""
+    fit = env.__dict__.get("_hull_fit")
+    if fit is not None:
+        return fit
     gamma, delta = _pair_nnls(env.P, env.Q, env.K)
     resid = float(
         np.max(np.abs(env.K - gamma * env.P - delta * env.Q)) / np.max(np.abs(env.K))
     )
     op_u = build_operator(env.a, env.P, env.grid)
     op_v = build_operator(env.b, env.Q, env.grid)
-    return HullFit(
+    fit = HullFit(
         gamma=gamma,
         delta=delta,
         residual=resid,
         nonprop_u=not annihilates(op_u, env.K),
         nonprop_v=not annihilates(op_v, env.K),
     )
+    env.__dict__["_hull_fit"] = fit
+    return fit
 
 
 def detect_ideal_free_pair(env: EnvironmentProfile) -> HullFit | None:

@@ -256,8 +256,8 @@ def solve_semitrivial(
     w = K_scale
     for steps in range(_NEWTON_CAP + 1):
         residual = apply_operator(op, w) + rr * w * (1.0 - w / K_scale)
-        res_norm = float(np.max(np.abs(residual)))
-        tol = max(cfg.steady_tol, rounding * float(np.max(np.abs(w))))
+        res_norm = float(np.abs(residual).max())
+        tol = max(cfg.steady_tol, rounding * float(np.abs(w).max()))
         if res_norm < tol:
             return w
         if not math.isfinite(res_norm):

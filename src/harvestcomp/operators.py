@@ -16,7 +16,8 @@ inner product weighted by 1/P.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -30,12 +31,25 @@ _gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.zeros(3),))
 ANNIHILATION_REL_TOL = 1e-10
 
 
+class EigenInvariants(NamedTuple):
+    """The parts of the principal eigenproblem that depend on the operator
+    alone (spectral.principal_eigen): with S = diag(sqrt(P)), the
+    off-diagonal of the symmetric S^-1 D S and its negation, sqrt(P), and
+    (D P)/P, the Collatz-Wielandt ratios of sqrt(P) under S^-1 D S."""
+
+    off: np.ndarray
+    neg_off: np.ndarray
+    sqrt_P: np.ndarray
+    kernel_ratio: np.ndarray
+
+
 @dataclass(frozen=True)
 class DiffusionOperator:
     """Tridiagonal dispersal operator, stored as bands.
 
     Row i of the matrix reads sub[i]*w[i-1] + diag[i]*w[i] + sup[i]*w[i+1]
-    (sub[0] and sup[-1] are zero).
+    (sub[0] and sup[-1] are zero). The operator is immutable, so what is
+    derived from it alone (eigen_invariants) is computed once and kept.
     """
 
     grid: SpatialGrid
@@ -50,6 +64,17 @@ class DiffusionOperator:
             arr = np.ascontiguousarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @cached_property
+    def eigen_invariants(self) -> EigenInvariants:
+        """EigenInvariants of this operator, computed on first use; the
+        arrays are read-only."""
+        P = self.P
+        off = self.sup[:-1] * np.sqrt(P[1:] / P[:-1])
+        parts = EigenInvariants(off, -off, np.sqrt(P), apply(self, P) / P)
+        for arr in parts:
+            arr.setflags(write=False)
+        return parts
 
 
 def build_operator(a: Field, P: Field, grid: SpatialGrid) -> DiffusionOperator:
@@ -110,7 +135,7 @@ def shifted_solver(op: DiffusionOperator, s: float | Field) -> Callable[[Field],
         if rhs.shape[0] != n:
             raise ConfigurationError("right-hand side does not match the operator grid")
         x, info = _gttrs(dl_f, d_f, du_f, du2, ipiv, rhs)
-        if info != 0 or not np.all(np.isfinite(x)):
+        if info != 0 or not np.isfinite(x).all():
             raise SingularSystemError(f"shifted solve with {_shift_text(s)} failed")
         return x
 

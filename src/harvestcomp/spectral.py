@@ -18,11 +18,18 @@ hi - phi_i / y_i, since (H y)_i = hi * y_i - phi_i. The bracket closes
 superlinearly from phi = sqrt(R), which is the exact kernel vector when
 q = 0; the iteration stops when it is narrower than the rounding level
 eps * gershgorin(H) of a ratio.
+
+Of H, the off-diagonal, the start sqrt(R) and the start's ratios for
+q = 0, (D R)/R, depend on the operator alone. They are computed once per
+operator (DiffusionOperator.eigen_invariants) and shared by every
+eigenpair on it; a call pays for the diagonal D_ii + q_i, its row sums
+and the Noda steps.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +38,7 @@ from scipy.linalg import get_lapack_funcs
 from .dynamics import ROUNDING_FLOOR
 from .errors import ConfigurationError, ConvergenceError
 from .grid import Field, as_field
-from .operators import DiffusionOperator, apply, gershgorin_bound
+from .operators import DiffusionOperator, gershgorin_bound
 from .profiles import EnvironmentProfile
 
 _ptsv = get_lapack_funcs("ptsv", (np.zeros(3),))
@@ -54,14 +61,6 @@ class EigenResult:
     residual: float
 
 
-def _symmetrized_bands(op: DiffusionOperator, potential: Field) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of H = S^-1 (D + diag(q)) S, S = diag(sqrt(R))."""
-    R = op.P
-    off = op.sup[:-1] * np.sqrt(R[1:] / R[:-1])
-    diag = op.diag + potential
-    return diag, off
-
-
 def principal_eigen(op: DiffusionOperator, potential: Field, R: Field) -> EigenResult:
     """Largest eigenvalue and positive eigenfunction of D + diag(potential).
 
@@ -76,25 +75,30 @@ def principal_eigen(op: DiffusionOperator, potential: Field, R: Field) -> EigenR
     the Euclidean norm of H phi - sigma1 phi for unit phi. Raises
     ConvergenceError, naming the bracket, when a fixed cap of steps does
     not close it.
+
+    The off-diagonal of H, sqrt(R) and the ratios (D R)/R depend on the
+    operator alone and are read from op.eigen_invariants, computed on the
+    operator's first eigenpair; each call computes only what involves its
+    potential.
     """
-    R = as_field(R, op.grid)
-    potential = as_field(potential, op.grid)
-    if not np.array_equal(R, op.P):
+    if R is not op.P and not np.array_equal(as_field(R, op.grid), op.P):
         raise ConfigurationError("R must be the dispersal profile of the operator")
-    if not np.all(np.isfinite(potential)):
+    potential = as_field(potential, op.grid)
+    if not np.isfinite(potential).all():
         raise ConfigurationError("potential must be finite in every cell")
 
-    diag, off = _symmetrized_bands(op, potential)
+    off, neg_off, sqrt_R, kernel_ratio = op.eigen_invariants
+    # H = S^-1 (D + diag(q)) S with S = diag(sqrt(R))
+    diag = op.diag + potential
     row = np.abs(diag)
     row[:-1] += off
     row[1:] += off
-    stop = float(np.finfo(float).eps) * float(np.max(row))
-    neg_off = -off
-    phi = np.sqrt(R)
+    stop = sys.float_info.epsilon * float(row.max())
+    phi = sqrt_R
     # the Collatz-Wielandt ratios (H phi)_i / phi_i of phi = sqrt(R) are
     # q_i + (D R)_i / R_i, and D R = 0 up to rounding
-    ratio = potential + apply(op, R) / R
-    lo, hi = float(np.min(ratio)), float(np.max(ratio))
+    ratio = potential + kernel_ratio
+    lo, hi = float(ratio.min()), float(ratio.max())
     steps = 0
     while not hi - lo <= stop:  # a NaN bracket runs on to the cap
         if steps == _NODA_CAP:
@@ -102,23 +106,24 @@ def principal_eigen(op: DiffusionOperator, potential: Field, R: Field) -> EigenR
                 f"principal eigenvalue not resolved after {steps} Noda steps: "
                 f"sigma1 in [{lo:.12g}, {hi:.12g}]"
             )
-        _, _, y, info = _ptsv(hi - diag, neg_off, phi)
+        _, _, y, info = _ptsv(hi - diag, neg_off, phi, overwrite_d=1)
         if info != 0:  # hi*I - H is singular to rounding: hi is sigma1
             break
         # (H y)_i = hi * y_i - phi_i, so the ratios of y are hi - phi_i / y_i
         shrink = phi / y
-        lo, hi = hi - float(np.max(shrink)), hi - float(np.min(shrink))
-        phi = y / np.max(y)
+        lo, hi = hi - float(shrink.max()), hi - float(shrink.min())
+        phi = y / y.max()
         steps += 1
 
-    phi /= math.sqrt(float(phi @ phi))
+    phi = phi / math.sqrt(float(phi @ phi))  # not in place: phi may be sqrt_R
     h_phi = diag * phi
     h_phi[:-1] += off * phi[1:]
     h_phi[1:] += off * phi[:-1]
     rho = float(phi @ h_phi)
-    residual = float(np.linalg.norm(h_phi - rho * phi))
+    r = h_phi - rho * phi
+    residual = math.sqrt(float(r @ r))
     phi /= math.sqrt(op.grid.h)
-    psi = phi * np.sqrt(R)
+    psi = phi * sqrt_R
     return EigenResult(sigma1=rho, psi=psi, iterations=steps, residual=residual)
 
 

@@ -99,6 +99,32 @@ def test_ideal_free_pair_verdict_matches_nnls_on_bundled_configs(diffusion):
         assert fit.is_ideal_free_pair() == (name in ("example3", "example4")), name
 
 
+def test_hull_fit_is_computed_once_per_environment(monkeypatch):
+    # K = P + 2Q: an ideal free pair with gamma != delta
+    _, _, env, sim = load_example("example3", n_cells=100, Q="0.45+0.25*cos(pi*x)")
+    calls = []
+    pair_nnls = analysis._pair_nnls
+
+    def counting(p, q, k):
+        calls.append(k)
+        return pair_nnls(p, q, k)
+
+    monkeypatch.setattr(analysis, "_pair_nnls", counting)
+    fit = fit_convex_hull(env)
+    assert fit_convex_hull(env) is fit
+    for beta in (0.0, 0.2, 0.4, 0.6):
+        assert alpha_star(beta, env, sim).alpha_star_ifp is not None
+    inequality_suite(env, sim)
+    assert len(calls) == 1
+    swapped = fit_convex_hull(env.swapped())
+    assert len(calls) == 2
+    assert fit_convex_hull(env.swapped()) is not swapped  # a new instance, a new fit
+    assert fit.gamma == pytest.approx(1.0, abs=1e-10)
+    assert fit.delta == pytest.approx(2.0, abs=1e-10)
+    assert swapped.gamma == pytest.approx(fit.delta, abs=1e-12)
+    assert swapped.delta == pytest.approx(fit.gamma, abs=1e-12)
+
+
 # ------------------------------------------------------------- alpha_star
 
 

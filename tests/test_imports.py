@@ -69,3 +69,29 @@ def test_bench_tracer_counts_the_steps_and_solves_of_one_march():
     assert metrics["dynamics.steps"][0] == 20
     assert metrics["operators.factor_calls"][0] == 2
     assert metrics["operators.solve_calls"][0] == 40
+
+
+def test_bench_tracer_sees_every_eigenpair_and_detection_of_a_bounds_curve():
+    # one curve of the bounds workload: alpha_star at beta = 0.4, then
+    # sigma1 at 21 alphas on one operator. The eigen invariants and the hull
+    # fit are kept on the operator and the environment; every boundary call
+    # must still reach the tracer, with the counts of a computation that
+    # keeps nothing
+    tracer_module = runpy.run_path(str(TRACER))
+    _, grid, env, sim = load_example("example1")
+    tracer = tracer_module["Tracer"]()
+    tracer.install({module: importlib.import_module(module)
+                    for module, _ in tracer_module["BOUNDARIES"]})
+    try:
+        report = harvestcomp.analysis.alpha_star(0.4, env, sim)
+        op = harvestcomp.operators.build_operator(env.a, env.P, grid)
+        for alpha in np.linspace(0.0, 1.0, 21):
+            potential = harvestcomp.analysis.invasion_potential(
+                "u", report.v_beta_star, env, HarvestRates(float(alpha), 0.4))
+            harvestcomp.spectral.principal_eigen(op, potential, env.P)
+    finally:
+        tracer.uninstall()
+    metrics = tracer_module["layer_metrics"](tracer)
+    assert metrics["spectral.eigen_calls"][0] == 21
+    assert metrics["spectral.eigen_iterations"][0] == 63
+    assert metrics["analysis.ifp_detect_calls"][0] == 1

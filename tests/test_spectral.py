@@ -236,3 +236,61 @@ def test_sigma1_lies_in_collatz_wielandt_brackets(env, seed):
     for phi in (np.sqrt(env.P), rng.uniform(0.1, 1.0, env.grid.n_cells)):
         ratios = (H @ phi) / phi
         assert np.min(ratios) - slack <= res.sigma1 <= np.max(ratios) + slack
+
+
+# ------------------------------------------------- per-operator invariants
+
+
+def test_principal_eigen_on_a_used_operator_matches_a_fresh_one():
+    # op.eigen_invariants is kept from the first call on; an operator that has
+    # already served other potentials, the zero potential among them (0 Noda
+    # steps, so phi is sqrt(R) itself), gives the fresh operator's eigenpair
+    # bit for bit
+    _, grid, env, sim = load_example("example2", n_cells=200)
+    v_beta = solve_semitrivial("v", env, 0.4, sim)
+    used = build_operator(env.a, env.P, grid)
+    for potential in (np.zeros(grid.n_cells),
+                      invasion_potential("u", v_beta, env, HarvestRates(0.1, 0.4))):
+        principal_eigen(used, potential, env.P)
+    potential = invasion_potential("u", v_beta, env, HarvestRates(0.6, 0.4))
+    again = principal_eigen(used, potential, env.P)
+    fresh = principal_eigen(build_operator(env.a, env.P, grid), potential, env.P)
+    assert again.sigma1.hex() == fresh.sigma1.hex()
+    assert again.psi.tobytes() == fresh.psi.tobytes()
+    assert again.iterations == fresh.iterations > 0
+    assert again.residual.hex() == fresh.residual.hex()
+    assert np.array_equal(used.eigen_invariants.sqrt_P, np.sqrt(env.P))
+
+
+def test_eigen_invariants_are_read_only_and_belong_to_one_operator():
+    rng = np.random.default_rng(21)
+    g = random_grid(rng, 10, 20)
+    a = random_positive_profile(rng, g)
+    op1 = build_operator(a, random_positive_profile(rng, g), g)
+    op2 = build_operator(a, random_positive_profile(rng, g), g)
+    parts1, parts2 = op1.eigen_invariants, op2.eigen_invariants
+    assert op1.eigen_invariants is parts1
+    for x, y in zip(parts1, parts2):
+        with pytest.raises(ValueError):
+            x[0] = 1.0
+        assert not np.shares_memory(x, y)
+        assert not np.array_equal(x, y)
+    assert np.array_equal(parts2.sqrt_P, np.sqrt(op2.P))
+
+
+def test_profile_argument_is_checked_on_a_used_operator():
+    rng = np.random.default_rng(22)
+    g = random_grid(rng, 10, 20)
+    R = random_positive_profile(rng, g)
+    op = build_operator(random_positive_profile(rng, g), R, g)
+    potential = np.cos(np.pi * g.centers / g.length)
+    res = principal_eigen(op, potential, op.P)
+    copy = principal_eigen(op, potential, R.copy())
+    assert copy.sigma1 == res.sigma1 and np.array_equal(copy.psi, res.psi)
+    other = R.copy()
+    other[0] *= 1.5
+    with pytest.raises(ConfigurationError, match="dispersal profile"):
+        principal_eigen(op, potential, other)
+    potential[1] = np.nan
+    with pytest.raises(ConfigurationError, match="potential"):
+        principal_eigen(op, potential, op.P)
