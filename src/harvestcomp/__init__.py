@@ -33,7 +33,6 @@ from .dynamics import (
     run_to_time,
     solve_coexistence,
     solve_semitrivial,
-    step,
 )
 from .errors import (
     ConfigurationError,

@@ -214,7 +214,7 @@ def _cmd_eigen(args) -> int:
 def _cmd_bounds(args) -> int:
     cfg, grid, env = _setup(args)
     sim = simulation_config(cfg)
-    betas = _parse_betas(args.betas) if args.betas else [cfg.beta]
+    betas = [cfg.beta] if args.betas is None else _parse_betas(args.betas)
     rows = []
     for beta in betas:
         report = alpha_star(beta, env, sim)

@@ -129,11 +129,7 @@ def build_environment(cfg: RunConfig) -> tuple[SpatialGrid, EnvironmentProfile]:
 
 
 def initial_fields(cfg: RunConfig, grid: SpatialGrid) -> tuple[Field, Field]:
-    u0 = sample(parse(cfg.u0), grid)
-    v0 = sample(parse(cfg.v0), grid)
-    if np.any(u0 < 0) or np.any(v0 < 0):
-        raise ConfigurationError("initial conditions u0, v0 must be nonnegative")
-    return u0, v0
+    return sample(parse(cfg.u0), grid), sample(parse(cfg.v0), grid)
 
 
 def simulation_config(cfg: RunConfig) -> SimulationConfig:

@@ -36,7 +36,7 @@ from .errors import (
     UnstableStepError,
 )
 from .grid import Field, as_field
-from .operators import DiffusionOperator, build_operator, gershgorin_bound, shifted_solver
+from .operators import ROUNDING_FLOOR, build_operator, rounding_level, shifted_solver
 from .operators import apply as apply_operator
 from .profiles import EnvironmentProfile
 
@@ -99,51 +99,6 @@ class SimulationConfig:
         return int(math.ceil(self.t_final / self.dt - 1e-12))
 
 
-def _reaction_coefficients(env: EnvironmentProfile, rates: HarvestRates, dt: float):
-    """Growth dt*r*(1 - effort) of each species and the shared crowding
-    coefficient dt*r/K, as fields."""
-    dtr = dt * env.r
-    return dtr * (1.0 - rates.alpha), dtr * (1.0 - rates.beta), dtr / env.K
-
-
-def _split_step(solve_u, solve_v, u, v, grow_u, grow_v, susc, inv_dt):
-    """The reaction kernel: one split step of the states u and v. Implicit
-    dispersal (one solve per species), then the explicit logistic update
-    clamped at zero. Returns the new states and the max-norm time derivative,
-    NaN when either state has a NaN."""
-    u1 = solve_u(u * inv_dt)
-    v1 = solve_v(v * inv_dt)
-    total = u1 + v1
-    u2 = u1 * (1.0 + grow_u - susc * total)
-    v2 = v1 * (1.0 + grow_v - susc * total)
-    np.maximum(u2, 0.0, out=u2)
-    np.maximum(v2, 0.0, out=v2)
-    delta = np.maximum(np.abs(u2 - u).max(), np.abs(v2 - v).max()) * inv_dt
-    return u2, v2, float(delta)
-
-
-def step(
-    state: PopulationState,
-    env: EnvironmentProfile,
-    rates: HarvestRates,
-    ops: tuple[DiffusionOperator, DiffusionOperator],
-    dt: float,
-) -> PopulationState:
-    """Advance one cell by one split step (run_to_time's kernel): implicit
-    dispersal, explicit clamped reaction. Raises UnstableStepError when the
-    new state is not finite, and SingularSystemError when a dispersal solve
-    fails."""
-    op_u, op_v = ops
-    inv_dt = 1.0 / dt
-    u, v, delta = _split_step(
-        shifted_solver(op_u, inv_dt), shifted_solver(op_v, inv_dt),
-        state.u, state.v, *_reaction_coefficients(env, rates, dt), inv_dt,
-    )
-    if not math.isfinite(delta):
-        raise UnstableStepError(f"non-finite state after step with dt = {dt}")
-    return PopulationState(u=u, v=v, t=state.t + dt, dudt_inf=delta)
-
-
 def check_initial_data(u0: Field, v0: Field, env: EnvironmentProfile, dt: float):
     """(u0, v0) as fields on env's grid. Raises ConfigurationError naming
     the one that is negative somewhere, or whose quotient by dt is not
@@ -173,10 +128,12 @@ def run_to_time(
 ) -> PopulationState:
     """March one cell from (u0, v0) to cfg.t_final, exiting early at the
     first step whose max-norm time derivative is below cfg.steady_tol. Each
-    step is step()'s kernel, with each species' dispersal factored once.
-    Raises ConfigurationError for initial data check_initial_data rejects,
-    UnstableStepError at the first step whose state is not finite, and
-    SingularSystemError when a dispersal solve fails."""
+    step is implicit dispersal (one solve per species, each factored once
+    per march), then the explicit logistic update clamped at zero; one step
+    is run_to_time with t_final = dt. Raises ConfigurationError for initial
+    data check_initial_data rejects, UnstableStepError at the first step
+    whose state is not finite, and SingularSystemError when a dispersal
+    solve fails."""
     u, v = check_initial_data(u0, v0, env, cfg.dt)
     dt = cfg.dt
     inv_dt = 1.0 / dt
@@ -184,12 +141,22 @@ def run_to_time(
     # (bench/tracer.py) sees every factorization and solve
     solve_u = shifted_solver(build_operator(env.a, env.P, env.grid), inv_dt)
     solve_v = shifted_solver(build_operator(env.b, env.Q, env.grid), inv_dt)
-    coefficients = _reaction_coefficients(env, rates, dt)
+    dtr = dt * env.r
+    grow_u, grow_v, susc = dtr * (1.0 - rates.alpha), dtr * (1.0 - rates.beta), dtr / env.K
 
     delta = math.inf
     steps = 0
     for steps in range(1, cfg.n_steps + 1):
-        u, v, delta = _split_step(solve_u, solve_v, u, v, *coefficients, inv_dt)
+        u1 = solve_u(u * inv_dt)
+        v1 = solve_v(v * inv_dt)
+        total = u1 + v1
+        u2 = u1 * (1.0 + grow_u - susc * total)
+        v2 = v1 * (1.0 + grow_v - susc * total)
+        np.maximum(u2, 0.0, out=u2)
+        np.maximum(v2, 0.0, out=v2)
+        # np.maximum, not max: a NaN in either state makes delta NaN
+        delta = float(np.maximum(np.abs(u2 - u).max(), np.abs(v2 - v).max()) * inv_dt)
+        u, v = u2, v2
         if not math.isfinite(delta):
             raise UnstableStepError(f"non-finite state at t = {steps * dt:g} with dt = {dt}")
         if delta < cfg.steady_tol:
@@ -201,11 +168,6 @@ def run_to_time(
 # it only halves the excess per step, so a capacity spanning tens of decades
 # can need more than the cap, which then ends the solve.
 _NEWTON_CAP = 50
-#: Evaluating D w in floating point leaves a residual of about
-#: eps * gershgorin_bound(D) * max|w| that no iterate gets below (Newton
-#: stalls at up to 1.04 times it on the bundled configs, n up to 25600, L
-#: down to 0.25); the stop tests allow this many times that bound.
-ROUNDING_FLOOR = 4.0
 
 
 def solve_semitrivial(
@@ -251,7 +213,7 @@ def solve_semitrivial(
     op = build_operator(env.a, env.P, env.grid)
     rr = (1.0 - rate) * env.r
     K_scale = (1.0 - rate) * env.K
-    rounding = ROUNDING_FLOOR * np.finfo(float).eps * gershgorin_bound(op)
+    rounding = rounding_level(op)
 
     w = K_scale
     for steps in range(_NEWTON_CAP + 1):
@@ -306,7 +268,10 @@ def solve_coexistence(
     4 * eps * gershgorin_bound(D) * max(u, v), with D the dispersal operator
     of larger bound. cfg.dt and cfg.t_final do not enter. Raises
     ConvergenceError when a fixed cap of steps does not get there, and
-    NumericalError when the state reached is not positive in both species.
+    NumericalError when the state reached is not positive in both species,
+    or when either species' maximum is below ROUNDING_FLOOR * eps * max K,
+    a state collapsed toward 0 that the absolute stop test cannot tell
+    from a stationary one.
     """
     u = as_field(u0, env.grid)
     v = as_field(v0, env.grid)
@@ -315,9 +280,7 @@ def solve_coexistence(
     grow_u = env.r * (1.0 - rates.alpha)
     grow_v = env.r * (1.0 - rates.beta)
     susc = env.r / env.K
-    rounding = ROUNDING_FLOOR * np.finfo(float).eps * max(
-        gershgorin_bound(op_u), gershgorin_bound(op_v)
-    )
+    rounding = max(rounding_level(op_u), rounding_level(op_v))
 
     # (I/tau - J) in banded storage: row 2 - k holds diagonal k of the
     # interleaved order u_0, v_0, u_1, v_1, ...; the dispersal bands sit at
@@ -362,10 +325,17 @@ def solve_coexistence(
         F1, res1 = residual(u1, v1)
         tau *= res / max(res1, np.finfo(float).tiny)
         u, v, F, res = u1, v1, F1, res1
+    # the stop test is absolute, so it also passes a state collapsing toward 0
+    collapse = ROUNDING_FLOOR * np.finfo(float).eps * float(env.K.max())
     for name, w in (("u", u), ("v", v)):
         if not w.min() > 0:
             raise NumericalError(
                 f"stationary state reached from (u0, v0) is not a coexistence state: "
                 f"min {name} = {w.min():g}"
+            )
+        if not w.max() >= collapse:
+            raise NumericalError(
+                f"coexistence state collapsed: max {name} = {w.max():g} is below "
+                f"{collapse:.3e}, the rounding level of max K"
             )
     return u, v

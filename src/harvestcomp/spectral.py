@@ -35,10 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .dynamics import ROUNDING_FLOOR
 from .errors import ConfigurationError, ConvergenceError
 from .grid import Field, as_field
-from .operators import DiffusionOperator, gershgorin_bound
+from .operators import ROUNDING_FLOOR, DiffusionOperator, rounding_level
 from .profiles import EnvironmentProfile
 
 _ptsv = get_lapack_funcs("ptsv", (np.zeros(3),))
@@ -136,8 +135,9 @@ def neutral_level(op: DiffusionOperator, env: EnvironmentProfile) -> float:
     1.75e6 times it; the level allows the Newton floor's factor. The
     bracket principal_eigen stops at, eps * gershgorin(H), is about a
     quarter of the level."""
-    scale = gershgorin_bound(op) + float(np.max(env.r))
-    return ROUNDING_FLOOR * float(np.finfo(float).eps) * scale
+    # rounding_level's factor is a power of two, so this is that factor
+    # times (gershgorin_bound(D) + max r) exactly
+    return rounding_level(op) + ROUNDING_FLOOR * sys.float_info.epsilon * float(np.max(env.r))
 
 
 def sign(sigma: float, level: float) -> int:

@@ -73,13 +73,6 @@ class SweepGrid:
         return [c for row in self.records for c in row if isinstance(c, CellFailure)]
 
 
-def _initial_data(u0: Field | None, v0: Field | None, env: EnvironmentProfile, dt: float):
-    """check_initial_data of (u0, v0), each defaulting to DEFAULT_INITIAL_DENSITY."""
-    default = np.full(env.grid.n_cells, DEFAULT_INITIAL_DENSITY)
-    return check_initial_data(default if u0 is None else u0, default if v0 is None else v0,
-                              env, dt)
-
-
 def simulate_cell(
     alpha: float,
     beta: float,
@@ -89,10 +82,9 @@ def simulate_cell(
     v0: Field | None = None,
 ) -> OutcomeRecord:
     """The record sweep_grid gives the single cell (alpha, beta). Initial
-    data that check_initial_data rejects raise its ConfigurationError; a cell
-    sweep_grid does not decide, or whose solve fails, raises HarvestCompError
-    with the CellFailure's message."""
-    u0, v0 = _initial_data(u0, v0, env, cfg.dt)
+    data that check_initial_data rejects raise its ConfigurationError, as in
+    sweep_grid; a cell sweep_grid does not decide, or whose solve fails,
+    raises HarvestCompError with the CellFailure's message."""
     (record,) = sweep_grid([alpha], [beta], env, cfg, u0=u0, v0=v0).records[0]
     if isinstance(record, CellFailure):
         raise HarvestCompError(record.message)
@@ -128,21 +120,18 @@ def sweep_grid(
     or bistable) is a CellFailure whose message names both sigmas. So is a
     cell whose solve fails.
 
-    (u0, v0) are where coexistence states are sought from, and are checked
-    like simulate's march checks them (negative, or over dt not finite,
-    fails every cell) even where no cell needs them. cfg.dt enters only that
-    check, and cfg.t_final not at all. jobs is accepted for call
+    (u0, v0), each DEFAULT_INITIAL_DENSITY when not given, are where
+    coexistence states are sought from. Initial data that check_initial_data
+    rejects (negative, or over dt not finite) raise its ConfigurationError
+    before any cell is solved, even where no cell needs them. cfg.dt enters
+    only that check, and cfg.t_final not at all. jobs is accepted for call
     compatibility and unused: the sweep runs in this process.
     """
     alphas = np.asarray(alpha_grid, dtype=float)
     betas = np.asarray(beta_grid, dtype=float)
-    try:
-        u0, v0 = _initial_data(u0, v0, env, cfg.dt)
-    except HarvestCompError as exc:
-        return SweepGrid(alphas=alphas, betas=betas, records=[
-            [CellFailure(alpha=float(a), beta=float(b), message=str(exc)) for a in alphas]
-            for b in betas
-        ])
+    default = np.full(env.grid.n_cells, DEFAULT_INITIAL_DENSITY)
+    u0, v0 = check_initial_data(default if u0 is None else u0, default if v0 is None else v0,
+                                env, cfg.dt)
     swapped = env.swapped()
     op_u = build_operator(env.a, env.P, env.grid)
     op_v = build_operator(swapped.a, swapped.P, env.grid)
@@ -187,12 +176,11 @@ def find_switch(
     env: EnvironmentProfile,
     cfg: SimulationConfig,
     tol: float = 1e-3,
-    eps: float | None = None,
     u0: Field | None = None,
     v0: Field | None = None,
 ) -> SwitchPoint | None:
     """Largest harvesting effort alpha** that still lets the first species
-    invade (0, v_beta), searched between alpha = beta + eps and 1 - eps.
+    invade (0, v_beta), searched between alpha = beta + tol and 1 - tol.
 
     alpha** is the root of sigma1(alpha), the principal eigenvalue of u
     invading the harvested semi-trivial state (0, v_beta): (0, v_beta) turns
@@ -203,7 +191,7 @@ def find_switch(
     for the eigenfunction psi normalized so that h * sum(psi^2 / P) = 1
     (Hellmann-Feynman), which is negative because r >= 0 is positive
     somewhere and psi is positive. A convex decreasing function lies above
-    its tangents, so Newton's method started at beta + eps, where
+    its tangents, so Newton's method started at beta + tol, where
     sigma1 >= 0, climbs to the root without overshooting it: no bracket or
     line search is needed. It stops once sigma1 is within
     spectral.neutral_level of 0 and returns that iterate plus its Newton
@@ -211,16 +199,14 @@ def find_switch(
     bracket, centred on the root, whose width is at most tol.
 
     Returns None when sigma1 has one sign across the search interval (no
-    switch to report): when sigma1 < 0 at beta + eps, or when an iterate
-    reaches 1 - eps. Positive initial data do not enter the invasion
+    switch to report): when sigma1 < 0 at beta + tol, or when an iterate
+    reaches 1 - tol. Positive initial data do not enter the invasion
     criterion: u0 and v0 are accepted for call compatibility and unused.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigurationError(f"switch tolerance tol must be finite and positive, got {tol}")
-    if eps is None:
-        eps = tol
-    lo = beta + eps
-    hi = 1.0 - eps
+    lo = beta + tol
+    hi = 1.0 - tol
     if lo >= hi:
         return None
     v_beta = solve_semitrivial("v", env, beta, cfg)

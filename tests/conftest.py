@@ -44,6 +44,11 @@ def load_example(name: str, **overrides):
     return cfg, grid, env, simulation_config(cfg)
 
 
+def one_step(u, v, env, rates: HarvestRates, dt: float) -> PopulationState:
+    """One split step from (u, v): run_to_time with t_final = dt."""
+    return run_to_time(u, v, env, rates, SimulationConfig(dt=dt, t_final=dt))
+
+
 def random_positive_profile(rng, grid: SpatialGrid, low: float = 0.3) -> np.ndarray:
     """Smooth strictly positive field: offset plus a few random harmonics."""
     x = grid.centers

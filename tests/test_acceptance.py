@@ -12,7 +12,6 @@ import pytest
 from harvestcomp import (
     HarvestRates,
     Outcome,
-    PopulationState,
     SimulationConfig,
     alpha_star,
     average,
@@ -21,7 +20,6 @@ from harvestcomp import (
     principal_eigen,
     rayleigh_lower_bound,
     run_to_time,
-    step,
 )
 from harvestcomp.cli import main as cli_main
 from harvestcomp.config import build_environment, parse_config_text
@@ -34,6 +32,7 @@ from conftest import (
     assert_sweep_matches_march,
     bundled_config,
     load_example,
+    one_step,
     random_grid,
     random_positive_profile,
     record_of_march,
@@ -128,13 +127,7 @@ def test_criterion_4_competitive_exclusion_and_rescue():
 def test_criterion_5_ideal_free_pair_stationarity():
     _, grid, env, sim = load_example("example3")
     rates = HarvestRates(0.0, 0.0)
-    ops = (
-        build_operator(env.a, env.P, grid),
-        build_operator(env.b, env.Q, grid),
-    )
-    first = step(
-        PopulationState(u=env.P.copy(), v=env.Q.copy(), t=0.0), env, rates, ops, sim.dt
-    )
+    first = one_step(env.P.copy(), env.Q.copy(), env, rates, sim.dt)
     final = run_to_time(np.full(grid.n_cells, 2.1), np.full(grid.n_cells, 2.1), env, rates, sim)
     au, av = average(final.u, grid), average(final.v, grid)
     ok = (

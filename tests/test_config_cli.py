@@ -193,7 +193,7 @@ def test_bounds_command_csv_contract(fast_config, tmp_path, capsys):
     assert np.isnan(float(row[3]))  # switch point only under --with-switch
 
 
-@pytest.mark.parametrize("betas, entry", [("0,,0.4", "''"), ("abc", "'abc'")])
+@pytest.mark.parametrize("betas, entry", [("0,,0.4", "''"), ("abc", "'abc'"), ("", "''")])
 def test_bounds_rejects_malformed_betas(fast_config, capsys, betas, entry):
     assert run_cli("bounds", "--config", fast_config, "--betas", betas) == 2
     assert f"--betas entry {entry} is not a number" in capsys.readouterr().err
@@ -253,23 +253,25 @@ def _sweep_rows(fast_config, tmp_path, *extra):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_sweep_outcome_labels(fast_config, tmp_path):
+def test_sweep_outcome_labels(fast_config, tmp_path, capsys):
     code, rows = _sweep_rows(fast_config, tmp_path)
     assert code == 0
     # u tracks K (P = K), so it excludes v at alpha = beta = 0 by theorem;
     # an over-exploited species is absent without a solve
     assert [row["outcome"] for row in rows] == ["only_u", "only_v", "only_u", "extinct"]
     assert {row["reason"] for row in rows} == {""}
-    # a failed cell (u0 / dt would overflow) carries its message; --strict
-    # counts it as unresolved too
-    code, rows = _sweep_rows(fast_config, tmp_path, "--set", "u0=1e308", "--strict")
-    assert code == 4
-    for row in rows:
-        assert row["outcome"] == "unresolved"
-        assert row["reason"] == (
-            "initial condition u0 / dt is not finite (max u0 = 1e+308, dt = 0.05)"
-        )
-        assert row["avg_u"] == "nan"
+    # initial data that would overflow u0 / dt are a configuration error,
+    # as in simulate and msy, not a sweep of unresolved cells
+    capsys.readouterr()
+    out = tmp_path / "rejected.csv"
+    code = run_cli("sweep", "--config", fast_config, "--grid", "2", "--set", "u0=1e308",
+                   "--strict", "--output", out)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "configuration error: initial condition u0 / dt is not finite "
+        "(max u0 = 1e+308, dt = 0.05)\n"
+    )
+    assert not out.exists()
 
 
 # K = P = Q: at alpha = beta = 0 both invasion eigenvalues are 0, a neutral cell

@@ -15,19 +15,12 @@ from harvestcomp import (
     run_to_time,
     solve_coexistence,
     solve_semitrivial,
-    step,
 )
+from harvestcomp import dynamics
 from harvestcomp.operators import apply as op_apply
 from harvestcomp.operators import build_operator, gershgorin_bound, shifted_solver
 
-from conftest import environments, load_example, threshold_classify
-
-
-def build_ops(env):
-    return (
-        build_operator(env.a, env.P, env.grid),
-        build_operator(env.b, env.Q, env.grid),
-    )
+from conftest import environments, load_example, one_step, threshold_classify
 
 
 # --------------------------------------------------------------------- step
@@ -36,44 +29,40 @@ def build_ops(env):
 def test_step_keeps_trivial_equilibrium():
     _, grid, env, sim = load_example("example1", n_cells=32)
     zero = np.zeros(grid.n_cells)
-    out = step(PopulationState(u=zero, v=zero, t=0.0), env, HarvestRates(0, 0), build_ops(env), sim.dt)
+    out = one_step(zero, zero, env, HarvestRates(0, 0), sim.dt)
     assert np.array_equal(out.u, zero) and np.array_equal(out.v, zero)
 
 
 def test_step_keeps_capacity_tracking_equilibrium():
     # P proportional to K: (K, 0) is stationary
     _, grid, env, sim = load_example("example1", n_cells=64)
-    st = PopulationState(u=env.K.copy(), v=np.zeros(grid.n_cells), t=0.0)
-    out = step(st, env, HarvestRates(0, 0), build_ops(env), sim.dt)
+    out = one_step(env.K.copy(), np.zeros(grid.n_cells), env, HarvestRates(0, 0), sim.dt)
     assert np.max(np.abs(out.u - env.K)) <= 1e-12
     assert np.max(np.abs(out.v)) == 0.0
 
 
 def test_step_keeps_ideal_free_pair_equilibrium():
     _, grid, env, sim = load_example("example3", n_cells=64)
-    st = PopulationState(u=env.P.copy(), v=env.Q.copy(), t=0.0)
-    out = step(st, env, HarvestRates(0, 0), build_ops(env), sim.dt)
+    out = one_step(env.P.copy(), env.Q.copy(), env, HarvestRates(0, 0), sim.dt)
     assert np.max(np.abs(out.u - env.P)) <= 1e-12
     assert np.max(np.abs(out.v - env.Q)) <= 1e-12
 
 
 def test_step_preserves_positivity(rng):
     _, grid, env, sim = load_example("example1", n_cells=48)
-    ops = build_ops(env)
     st = PopulationState(
         u=rng.uniform(0, 6, grid.n_cells), v=rng.uniform(0, 6, grid.n_cells), t=0.0
     )
     for _ in range(200):
-        st = step(st, env, HarvestRates(0.3, 0.1), ops, sim.dt)
+        st = one_step(st.u, st.v, env, HarvestRates(0.3, 0.1), sim.dt)
         assert np.all(st.u >= 0) and np.all(st.v >= 0)
 
 
 def test_absent_species_stays_absent(rng):
     _, grid, env, sim = load_example("example1", n_cells=48)
-    ops = build_ops(env)
     st = PopulationState(u=rng.uniform(0.5, 3, grid.n_cells), v=np.zeros(grid.n_cells), t=0.0)
     for _ in range(50):
-        st = step(st, env, HarvestRates(0, 0), ops, sim.dt)
+        st = one_step(st.u, st.v, env, HarvestRates(0, 0), sim.dt)
     assert np.all(st.v == 0.0)
 
 
@@ -314,3 +303,17 @@ def test_coexistence_reports_nonconvergence():
     start = np.full(grid.n_cells, 2.1)
     with pytest.raises(ConvergenceError, match="did not converge in 50 pseudo-transient steps"):
         solve_coexistence(start, start, env, HarvestRates(0.1, 0.0), sim)
+
+
+def test_coexistence_rejects_a_collapsed_state(monkeypatch):
+    # K spans 18 decades: the absolute stop test passes a state whose v has
+    # collapsed to max v = 7.9e-13, far below max K = 4.8e8, and only the
+    # step cap stops the solve before it gets there
+    _, grid, env, sim = load_example("example1", n_cells=200, K="exp(20*cos(pi*x))")
+    start = np.full(grid.n_cells, 2.1)
+    rates = HarvestRates(0.1, 0.0)
+    with pytest.raises(ConvergenceError, match="did not converge in 50 pseudo-transient steps"):
+        solve_coexistence(start, start, env, rates, sim)
+    monkeypatch.setattr(dynamics, "_PTC_CAP", 400)
+    with pytest.raises(NumericalError, match=r"collapsed: max v = 7\.8\d*e-13 is below 4\.267e-07"):
+        solve_coexistence(start, start, env, rates, sim)

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import os
@@ -30,6 +31,45 @@ assert harvestcomp.find_switch(0.4, env, simulation_config(cfg)) is not None
 harvestcomp.fit_convex_hull(env)
 print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
 """
+
+
+# each module imports only from modules of lower layers; profiles and
+# operators share one layer and import neither each other
+LAYERS = ("errors", "grid", ("profiles", "operators"), "spectral", "dynamics", "analysis",
+          "sweep", "config", "cli")
+LAYER = {name: i for i, layer in enumerate(LAYERS)
+         for name in ((layer,) if isinstance(layer, str) else layer)}
+# (module, name) imported and never used there, each with why it stays
+UNUSED_IMPORTS = {("sweep", "run_to_time"): "bench/tracer.py wraps harvestcomp.sweep.run_to_time"}
+
+
+def _imports(tree):
+    """(bound name, intra-package module or None, line) of every import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], None, node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                # `from . import spectral` names a module; `from . import
+                # __version__` names the package itself
+                module = node.module if node.module else alias.name
+                yield alias.asname or alias.name, module if node.level else None, node.lineno
+
+
+def test_modules_import_down_the_layers_and_use_every_import():
+    modules = sorted(p for p in (SRC / "harvestcomp").glob("*.py") if p.stem != "__init__")
+    assert {p.stem for p in modules} == set(LAYER)
+    unused = set()
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for name, module, line in _imports(tree):
+            if module in LAYER:
+                assert LAYER[module] < LAYER[path.stem], f"{path.name}:{line} imports {module}"
+            if name not in used:
+                unused.add((path.stem, name))
+    assert unused == set(UNUSED_IMPORTS), sorted(unused ^ set(UNUSED_IMPORTS))
 
 
 def test_package_does_not_load_scipy_optimize():

@@ -3,8 +3,7 @@
 scalar_run_to_time spells the per-cell time loop out without the package's
 kernel: one 1-D state per species, two single-RHS solves per step.
 run_to_time must agree with it bit for bit in every cell of a 4x4 grid of
-rates that settle at different steps or not at all, and its first step must
-be dynamics.step.
+rates that settle at different steps or not at all.
 """
 
 import math
@@ -14,11 +13,10 @@ import pytest
 
 from harvestcomp import HarvestRates, PopulationState, SimulationConfig, run_to_time
 from harvestcomp import dynamics
-from harvestcomp.dynamics import step
 from harvestcomp.errors import ConfigurationError, UnstableStepError
 from harvestcomp.grid import as_field
 from harvestcomp.operators import build_operator, shifted_solver
-from harvestcomp.sweep import CellFailure, sweep_grid
+from harvestcomp.sweep import sweep_grid
 
 from conftest import load_example, threshold_classify
 
@@ -100,17 +98,6 @@ def test_run_to_time_is_bitwise_the_scalar_loop(example1_48, reference):
         _assert_bitwise(run_to_time(u0, v0, env, HarvestRates(*ab), QUICK), ref)
 
 
-def test_run_to_time_for_one_step_is_the_step_kernel(example1_48):
-    env, u0, v0 = example1_48
-    rates = HarvestRates(0.3, 0.1)
-    one_step = SimulationConfig(dt=QUICK.dt, t_final=QUICK.dt, steady_tol=QUICK.steady_tol)
-    marched = run_to_time(u0, v0, env, rates, one_step)
-    ops = (build_operator(env.a, env.P, env.grid), build_operator(env.b, env.Q, env.grid))
-    stepped = step(PopulationState(u=u0, v=v0, t=0.0), env, rates, ops, QUICK.dt)
-    assert np.array_equal(marched.u, stepped.u) and np.array_equal(marched.v, stepped.v)
-    assert (marched.t, marched.dudt_inf) == (stepped.t, stepped.dudt_inf)
-
-
 def test_sweep_records_agree_with_the_scalar_loop(example1_48, reference):
     # the sweep takes outcomes from the invasion criterion; wherever the
     # reference march settled, each cell has its outcome and, to 1e-6, its
@@ -159,9 +146,10 @@ def test_non_finite_state_fails_the_march(example1_48, monkeypatch):
 
 
 def test_bad_initial_data_fail_every_cell(example1_48):
+    # the march and the sweep reject initial data by the one check, before
+    # any step or cell
     env, u0, _ = example1_48
     with pytest.raises(ConfigurationError, match="initial condition v0 must be nonnegative"):
         run_to_time(u0, -u0, env, HarvestRates(0.1, 0.2), QUICK)
-    sg = sweep_grid([0.1, 0.3], [0.2], env, QUICK, u0=u0, v0=np.full_like(u0, np.nan))
-    assert all(isinstance(c, CellFailure) and "v0 / dt is not finite" in c.message
-               for c in sg.records[0])
+    with pytest.raises(ConfigurationError, match=r"initial condition v0 / dt is not finite"):
+        sweep_grid([0.1, 0.3], [0.2], env, QUICK, u0=u0, v0=np.full_like(u0, np.nan))

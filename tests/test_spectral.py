@@ -6,18 +6,16 @@ from scipy.linalg import eigh_tridiagonal
 from harvestcomp import (
     ConfigurationError,
     HarvestRates,
-    PopulationState,
     integrate,
     principal_eigen,
     rayleigh_lower_bound,
     solve_semitrivial,
-    step,
 )
 from harvestcomp.analysis import invasion_potential
 from harvestcomp.operators import build_operator
 from harvestcomp.spectral import _NODA_CAP, neutral_level
 
-from conftest import environments, load_example, random_grid, random_positive_profile
+from conftest import environments, load_example, one_step, random_grid, random_positive_profile
 
 
 def dense_sigma1(op, potential):
@@ -160,14 +158,14 @@ def test_positive_sigma1_agrees_with_dynamics():
     res = principal_eigen(op, potential, env.P)
     assert res.sigma1 > 0
 
-    ops = (op, build_operator(env.b, env.Q, grid))
-    state = PopulationState(u=1e-4 * env.P, v=v_star.copy(), t=0.0)
-    mass0 = integrate(state.u, grid)
+    u, v = 1e-4 * env.P, v_star.copy()
+    mass0 = integrate(u, grid)
     horizon = 10.0 / res.sigma1
     n_steps = int(horizon / sim.dt)
     for _ in range(n_steps):
-        state = step(state, env, rates, ops, sim.dt)
-    assert integrate(state.u, grid) > 10 * mass0
+        state = one_step(u, v, env, rates, sim.dt)
+        u, v = state.u, state.v
+    assert integrate(u, grid) > 10 * mass0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

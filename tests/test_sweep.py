@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 
 from harvestcomp import (
     ConfigurationError,
+    ConvergenceError,
     HarvestCompError,
     HarvestRates,
     Outcome,
@@ -109,8 +110,8 @@ def test_find_switch_brackets_the_exclusion_boundary(example1_small):
 def test_find_switch_independent_of_starting_bracket(example1_small):
     grid, env, sim = example1_small
     tol = 2e-3
-    a = find_switch(0.0, env, sim, tol=tol, eps=tol)
-    b = find_switch(0.0, env, sim, tol=tol, eps=0.05)
+    a = find_switch(0.0, env, sim, tol=tol)
+    b = find_switch(0.0, env, sim, tol=0.05)
     assert abs(a.alpha_double_star - b.alpha_double_star) <= 2 * tol
 
 
@@ -176,17 +177,17 @@ def test_find_switch_takes_two_eigenpairs_on_example1(monkeypatch):
 
 def test_find_switch_reports_no_switch_when_root_lies_above_the_interval():
     # u tracks K, v gathers where K is low: alpha** = 0.806 at beta = 0. With
-    # eps = 0.3 the search interval (0.3, 0.7) lies below it, sigma1 is
-    # positive at both ends and Newton's iterate reaches 1 - eps
+    # tol = 0.3 the search interval (0.3, 0.7) lies below it, sigma1 is
+    # positive at both ends and Newton's iterate reaches 1 - tol
     cfg = parse_config_text(
         "L = 1\nn_cells = 60\nK = 1+0.9*cos(pi*x)\nr = 1+0.5*x\n"
         "P = 1+0.9*cos(pi*x)\nQ = 1-0.9*cos(pi*x)\na = 1\nb = 1\n"
     )
     _, env = build_environment(cfg)
     sim = SimulationConfig()
-    assert find_switch(0.0, env, sim, eps=0.3) is None
+    assert find_switch(0.0, env, sim, tol=0.3) is None
     assert invasion_sigma1(0.7, 0.0, env, sim) > 0
-    sp = find_switch(0.0, env, sim, eps=0.1)
+    sp = find_switch(0.0, env, sim, tol=0.1)
     assert sp is not None
     assert sp.alpha_double_star == pytest.approx(0.8063186, abs=1e-6)
 
@@ -194,7 +195,7 @@ def test_find_switch_reports_no_switch_when_root_lies_above_the_interval():
 def test_effective_alpha_star_below_switch_on_bundled_configs():
     # the guaranteed-coexistence bound never exceeds the switch point. beta
     # = 0.8 is left out: on example3 its root (~0.8007) lies inside
-    # (beta, beta + eps], so find_switch returns None there
+    # (beta, beta + tol], so find_switch returns None there
     for name in ("example1", "example2", "example3", "example4", "example4b"):
         _, grid, env, sim = load_example(name, n_cells=200)
         for beta in (0.0, 0.4, 0.6):
@@ -208,7 +209,7 @@ def test_find_switch_ideal_free_pair_dominates_estimate():
     # the exclusion switch sits above the analytic coexistence bound 0.2024
     _, grid, env, _ = load_example("example3", n_cells=100)
     sim = SimulationConfig(dt=0.05, t_final=2000.0, steady_tol=1e-7)
-    sp = find_switch(0.2, env, sim, tol=2e-3, eps=1e-3)
+    sp = find_switch(0.2, env, sim, tol=1e-3)
     assert sp is not None
     assert sp.alpha_double_star >= 0.2024
 
@@ -258,13 +259,40 @@ def test_sweep_symmetric_environment_mirrors_records():
     assert rec.yield_v == mirror.yield_u
 
 
-def test_sweep_records_failures_in_place(example1_small):
+def test_sweep_records_failures_in_place(example1_small, monkeypatch):
+    # a cell whose solve fails is a CellFailure in its place, and the cells
+    # around it keep their records
     grid, env, sim = example1_small
-    bad_u0 = np.full(grid.n_cells, -1.0)  # rejected up front, though no cell needs it
-    sg = sweep_grid([0.0, 0.5], [0.0], env, sim, u0=bad_u0)
-    assert all(isinstance(c, CellFailure) for c in sg.records[0])
-    assert len(sg.failures()) == 2
-    assert "initial condition u0 must be nonnegative" in sg.failures()[0].message
+    real = sweep.solve_semitrivial
+
+    def failing(which, env, rate, cfg):
+        if (which, rate) == ("u", 0.5):
+            raise ConvergenceError("no u-branch at alpha = 0.5")
+        return real(which, env, rate, cfg)
+
+    monkeypatch.setattr(sweep, "solve_semitrivial", failing)
+    sg = sweep_grid([0.0, 0.5, 1.0], [0.0], env, sim)
+    assert sg.failures() == [CellFailure(alpha=0.5, beta=0.0, message="no u-branch at alpha = 0.5")]
+    assert sg.records[0][1] is sg.failures()[0]
+    assert [c.outcome for c in sg.records[0][::2]] == [Outcome.ONLY_U, Outcome.ONLY_V]
+
+
+@pytest.mark.parametrize(
+    "which, value, message",
+    [
+        ("u0", -1.0, "initial condition u0 must be nonnegative (min u0 = -1)"),
+        ("v0", np.nan, "initial condition v0 / dt is not finite (max v0 = nan, dt = 0.05)"),
+        ("u0", 1e308, "initial condition u0 / dt is not finite (max u0 = 1e+308, dt = 0.05)"),
+    ],
+    ids=["negative", "nan", "overflow"],
+)
+def test_sweep_grid_raises_rejected_initial_data(example1_small, which, value, message):
+    # rejected before any cell is solved, even where no cell needs them
+    # (alpha = 1 leaves u no state to seek)
+    grid, env, sim = example1_small
+    with pytest.raises(ConfigurationError) as rejected:
+        sweep_grid([0.5, 1.0], [0.0], env, sim, **{which: np.full(grid.n_cells, value)})
+    assert str(rejected.value) == message
 
 
 def test_flat_environment_at_equal_rates_is_a_named_neutral_failure():
@@ -297,8 +325,8 @@ def test_simulate_cell_is_the_sweep_record_where_the_march_settles_below_thresho
 
 
 def test_simulate_cell_raises_bad_initial_data_as_configuration_errors(example1_small):
-    # a 1x1 sweep keeps only the failure's message; simulate_cell checks the
-    # initial data itself, so the error class reaches the caller
+    # simulate_cell is a 1x1 sweep, and sweep_grid raises check_initial_data's
+    # ConfigurationError itself
     grid, env, sim = example1_small
     with pytest.raises(ConfigurationError, match=r"initial condition u0 / dt is not finite"):
         simulate_cell(0.1, 0.0, env, sim, u0=np.full(grid.n_cells, 1e308))
