@@ -27,7 +27,7 @@ import numpy as np
 from .dynamics import HarvestRates, SimulationConfig, solve_semitrivial
 from .errors import ConfigurationError, HarvestCompError
 from .grid import Field, average, integrate
-from .operators import DiffusionOperator, annihilates, build_operator
+from .operators import annihilates
 from .profiles import EnvironmentProfile
 from .spectral import sign
 
@@ -147,7 +147,7 @@ def fit_convex_hull(env: EnvironmentProfile) -> HullFit:
     The fit is computed once per environment: the profile is immutable, so
     the first call keeps the fit in the instance's __dict__ (as
     functools.cached_property would) and later calls return that same
-    HullFit. env.swapped() is a new instance and gets its own fit."""
+    HullFit. env.swapped() is another instance, with a fit of its own."""
     fit = env.__dict__.get("_hull_fit")
     if fit is not None:
         return fit
@@ -155,14 +155,12 @@ def fit_convex_hull(env: EnvironmentProfile) -> HullFit:
     resid = float(
         np.max(np.abs(env.K - gamma * env.P - delta * env.Q)) / np.max(np.abs(env.K))
     )
-    op_u = build_operator(env.a, env.P, env.grid)
-    op_v = build_operator(env.b, env.Q, env.grid)
     fit = HullFit(
         gamma=gamma,
         delta=delta,
         residual=resid,
-        nonprop_u=not annihilates(op_u, env.K),
-        nonprop_v=not annihilates(op_v, env.K),
+        nonprop_u=not annihilates(env.dispersal, env.K),
+        nonprop_v=not annihilates(env.swapped().dispersal, env.K),
     )
     env.__dict__["_hull_fit"] = fit
     return fit
@@ -205,8 +203,7 @@ def classify(
     sigma_v: float,
     level_u: float,
     level_v: float,
-    op_u: DiffusionOperator,
-    op_v: DiffusionOperator,
+    env: EnvironmentProfile,
     u_alpha: Field,
     v_beta: Field,
 ) -> Outcome:
@@ -218,19 +215,21 @@ def classify(
     against its level (spectral.neutral_level). Both positive is
     coexistence, and one positive and one negative is exclusion by the
     species whose sigma is positive. When sigma_v is neutral, sigma_u > 0
-    and u_alpha is proportional to P (op_u, u's dispersal operator,
-    annihilates it), u is an ideal free disperser and excludes v (Averill,
-    Lou & Munther, J. Biol. Dyn. 6, 2012); the same holds with the species
-    exchanged. Any other neutral cell, and a bistable one (both sigmas
-    negative, the outcome set by the initial data), raises HarvestCompError
-    naming both sigmas.
+    and u_alpha is proportional to P (u's dispersal operator,
+    env.dispersal, annihilates it), u is an ideal free disperser and
+    excludes v (Averill, Lou & Munther, J. Biol. Dyn. 6, 2012); the same
+    holds with the species exchanged (v's operator is
+    env.swapped().dispersal). Any other neutral cell, and a bistable one
+    (both sigmas negative, the outcome set by the initial data), raises
+    HarvestCompError naming both sigmas.
     """
     sign_u, sign_v = sign(sigma_u, level_u), sign(sigma_v, level_v)
     if sign_u > 0 and sign_v > 0:
         return Outcome.COEXISTENCE
-    if sign_u > 0 and (sign_v < 0 or sign_v == 0 and annihilates(op_u, u_alpha)):
+    if sign_u > 0 and (sign_v < 0 or sign_v == 0 and annihilates(env.dispersal, u_alpha)):
         return Outcome.ONLY_U
-    if sign_v > 0 and (sign_u < 0 or sign_u == 0 and annihilates(op_v, v_beta)):
+    if sign_v > 0 and (sign_u < 0 or sign_u == 0
+                       and annihilates(env.swapped().dispersal, v_beta)):
         return Outcome.ONLY_V
     kind = "bistable" if sign_u < 0 and sign_v < 0 else "neutral"
     raise HarvestCompError(

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import OutcomeRecord, alpha_star, inequality_suite, invasion_potential
+from .analysis import OutcomeRecord, alpha_star, inequality_suite
 from .config import (
     RunConfig,
     apply_overrides,
@@ -25,12 +25,11 @@ from .config import (
     load_config,
     simulation_config,
 )
-from .dynamics import run_to_time, solve_semitrivial
+from .dynamics import HarvestRates, run_to_time, solve_semitrivial
 from .errors import ConfigurationError, HarvestCompError, NumericalError
 from .grid import average, integrate
-from .operators import build_operator
-from .spectral import neutral_level, principal_eigen, sign
-from .sweep import CellFailure, find_switch, simulate_cell, sweep_grid
+from .spectral import neutral_level, sign
+from .sweep import CellFailure, find_switch, invasion_eigen, simulate_cell, sweep_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -100,10 +99,19 @@ print("wrote", {png!r})
 '''
 
 
+def _create(path):
+    """Open path for writing text; ConfigurationError names a path that
+    cannot be opened and why."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _write_output(args, header: list[str], rows) -> None:
     """Write the --output CSV and, under --plot-script (not registered for
     every command), a matplotlib companion next to it."""
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
+    with _create(args.output) as fh:
         writer = csv.writer(fh, lineterminator="\n")  # quotes a field holding a comma
         writer.writerow(header)
         writer.writerows([_fmt(c) for c in row] for row in rows)
@@ -112,7 +120,8 @@ def _write_output(args, header: list[str], rows) -> None:
         csv_path = Path(args.output)
         script = csv_path.with_name(f"plot_{csv_path.stem}.py")
         png = str(csv_path.with_suffix(".png"))
-        script.write_text(_PLOT_TEMPLATE.format(csv=str(csv_path), png=png), encoding="utf-8")
+        with _create(script) as fh:
+            fh.write(_PLOT_TEMPLATE.format(csv=str(csv_path), png=png))
         print(f"wrote plot script {script}")
 
 
@@ -195,12 +204,11 @@ def _cmd_eigen(args) -> int:
     rate = cfg.alpha if args.around == "u" else cfg.beta
     resident = solve_semitrivial(args.around, env, rate, sim)
     invader = "v" if args.around == "u" else "u"
-    potential = invasion_potential(invader, resident, env, rates)
-    inv_env = env.swapped() if invader == "v" else env
-    op = build_operator(inv_env.a, inv_env.P, grid)
-    result = principal_eigen(op, potential, inv_env.P)
+    if invader == "v":  # v invading (u_alpha, 0) is u invading the swapped environment
+        env, rates = env.swapped(), HarvestRates(rates.beta, rates.alpha)
+    result = invasion_eigen(env, rates, resident)
     verdict = {1: "unstable (invasible)", -1: "stable", 0: "neutral"}[
-        sign(result.sigma1, neutral_level(op, inv_env))
+        sign(result.sigma1, neutral_level(env))
     ]
     print(
         f"around={args.around}-branch invader={invader} sigma1={result.sigma1:.10g} "

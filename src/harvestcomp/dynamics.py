@@ -36,8 +36,10 @@ from .errors import (
     UnstableStepError,
 )
 from .grid import Field, as_field
-from .operators import ROUNDING_FLOOR, build_operator, rounding_level, shifted_solver
+from .operators import ROUNDING_FLOOR, rounding_level, shifted_solver
 from .operators import apply as apply_operator
+# not called here; bench/tracer.py wraps it under this module's name
+from .operators import build_operator  # noqa: F401
 from .profiles import EnvironmentProfile
 
 
@@ -93,6 +95,10 @@ class SimulationConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ConfigurationError(f"{name} must be positive, got {v}")
+        if not math.isfinite(self.t_final / self.dt):
+            raise ConfigurationError(
+                f"t_final / dt is not finite (t_final = {self.t_final}, dt = {self.dt})"
+            )
 
     @property
     def n_steps(self) -> int:
@@ -139,8 +145,8 @@ def run_to_time(
     inv_dt = 1.0 / dt
     # looked up on the module at call time, so a wrapper installed there
     # (bench/tracer.py) sees every factorization and solve
-    solve_u = shifted_solver(build_operator(env.a, env.P, env.grid), inv_dt)
-    solve_v = shifted_solver(build_operator(env.b, env.Q, env.grid), inv_dt)
+    solve_u = shifted_solver(env.dispersal, inv_dt)
+    solve_v = shifted_solver(env.swapped().dispersal, inv_dt)
     dtr = dt * env.r
     grow_u, grow_v, susc = dtr * (1.0 - rates.alpha), dtr * (1.0 - rates.beta), dtr / env.K
 
@@ -210,14 +216,13 @@ def solve_semitrivial(
     if which == "v":
         env = env.swapped()
 
-    op = build_operator(env.a, env.P, env.grid)
     rr = (1.0 - rate) * env.r
     K_scale = (1.0 - rate) * env.K
-    rounding = rounding_level(op)
+    rounding = rounding_level(env.dispersal)
 
     w = K_scale
     for steps in range(_NEWTON_CAP + 1):
-        residual = apply_operator(op, w) + rr * w * (1.0 - w / K_scale)
+        residual = apply_operator(env.dispersal, w) + rr * w * (1.0 - w / K_scale)
         res_norm = float(np.abs(residual).max())
         tol = max(cfg.steady_tol, rounding * float(np.abs(w).max()))
         if res_norm < tol:
@@ -228,7 +233,7 @@ def solve_semitrivial(
             break
         # J dw = -F with J = D + diag(rr*(1 - 2w/K)), i.e. (diag(s) - D) dw = F
         # for s = -rr*(1 - 2w/K); looked up on the module like run_to_time's solves
-        w = w + shifted_solver(op, -rr * (1.0 - 2.0 * w / K_scale))(residual)
+        w = w + shifted_solver(env.dispersal, -rr * (1.0 - 2.0 * w / K_scale))(residual)
     raise ConvergenceError(
         f"semi-trivial {which}-branch did not converge in {_NEWTON_CAP} Newton steps "
         f"(residual {res_norm:.3e}, tolerance {tol:.3e})"
@@ -275,8 +280,7 @@ def solve_coexistence(
     """
     u = as_field(u0, env.grid)
     v = as_field(v0, env.grid)
-    op_u = build_operator(env.a, env.P, env.grid)
-    op_v = build_operator(env.b, env.Q, env.grid)
+    op_u, op_v = env.dispersal, env.swapped().dispersal
     grow_u = env.r * (1.0 - rates.alpha)
     grow_v = env.r * (1.0 - rates.beta)
     susc = env.r / env.K

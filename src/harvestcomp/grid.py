@@ -32,7 +32,8 @@ class SpatialGrid:
     def __post_init__(self):
         if not (np.isfinite(self.length) and self.length > 0):
             raise ConfigurationError(f"domain length must be positive, got {self.length}")
-        if int(self.n_cells) != self.n_cells or self.n_cells < 3:
+        # NaN and inf fail the bounds before int() sees them
+        if not (3 <= self.n_cells < np.inf and int(self.n_cells) == self.n_cells):
             raise ConfigurationError(f"n_cells must be an integer >= 3, got {self.n_cells}")
         h = self.length / self.n_cells
         centers = (np.arange(self.n_cells) + 0.5) * h

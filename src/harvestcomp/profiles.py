@@ -17,12 +17,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Union
 
 import numpy as np
 
 from .errors import ConfigurationError, ExpressionError
 from .grid import Field, SpatialGrid
+from .operators import DiffusionOperator, build_operator
 
 FUNCTIONS = {"cos": np.cos, "sin": np.sin, "exp": np.exp, "abs": np.abs}
 
@@ -264,7 +266,11 @@ def sample(e: Expression, grid: SpatialGrid) -> Field:
 @dataclass(frozen=True)
 class EnvironmentProfile:
     """Sampled environment: carrying capacity K, growth rate r, dispersal
-    targets P and Q, and diffusivities a and b, all on one grid."""
+    targets P and Q, and diffusivities a and b, all on one grid.
+
+    The profile is immutable, so what is derived from it alone is made on
+    first use and kept: u's dispersal operator (dispersal) and the swapped
+    environment, whose dispersal is v's operator."""
 
     grid: SpatialGrid
     K: Field
@@ -282,11 +288,22 @@ class EnvironmentProfile:
             f.setflags(write=False)
             object.__setattr__(self, name, f)
 
+    @cached_property
+    def dispersal(self) -> DiffusionOperator:
+        """u's dispersal operator div[a grad(u/P)]; v's is
+        self.swapped().dispersal. Built on first use and kept."""
+        return build_operator(self.a, self.P, self.grid)
+
     def swapped(self) -> "EnvironmentProfile":
         """The environment with the two species exchanged: (a, P) and
         (b, Q) trade places; K, r and the grid are shared, not copied.
-        Whatever the u species does in the result, the v species does here."""
-        return replace(self, P=self.Q, Q=self.P, a=self.b, b=self.a)
+        Whatever the u species does in the result, the v species does here.
+        Made on the first call and kept: every call returns the same
+        instance, and env.swapped().swapped() is env."""
+        if "_swapped" not in self.__dict__:
+            other = replace(self, P=self.Q, Q=self.P, a=self.b, b=self.a)
+            self.__dict__["_swapped"], other.__dict__["_swapped"] = other, self
+        return self.__dict__["_swapped"]
 
 
 def environment_from_expressions(grid: SpatialGrid, **sources: str) -> EnvironmentProfile:

@@ -126,9 +126,9 @@ def principal_eigen(op: DiffusionOperator, potential: Field, R: Field) -> EigenR
     return EigenResult(sigma1=rho, psi=psi, iterations=steps, residual=residual)
 
 
-def neutral_level(op: DiffusionOperator, env: EnvironmentProfile) -> float:
-    """Rounding level of the invasion eigenvalue of the species dispersing
-    by op in env (pass env.swapped() for v): a sigma within it of 0 is
+def neutral_level(env: EnvironmentProfile) -> float:
+    """Rounding level of the invasion eigenvalue of u, dispersing by
+    env.dispersal (pass env.swapped() for v): a sigma within it of 0 is
     neutral. On the bundled configs at n = 200, 240 and 800, over a 20x20
     grid of rates in [0, 0.95], zero sigmas sit at most 0.011 times
     eps * (gershgorin_bound(D) + max r) and every other |sigma| at least
@@ -137,7 +137,8 @@ def neutral_level(op: DiffusionOperator, env: EnvironmentProfile) -> float:
     quarter of the level."""
     # rounding_level's factor is a power of two, so this is that factor
     # times (gershgorin_bound(D) + max r) exactly
-    return rounding_level(op) + ROUNDING_FLOOR * sys.float_info.epsilon * float(np.max(env.r))
+    eps = sys.float_info.epsilon
+    return rounding_level(env.dispersal) + ROUNDING_FLOOR * eps * float(np.max(env.r))
 
 
 def sign(sigma: float, level: float) -> int:

@@ -36,7 +36,6 @@ from .dynamics import (
 )
 from .errors import ConfigurationError, ConvergenceError, HarvestCompError
 from .grid import Field
-from .operators import DiffusionOperator, build_operator
 from .profiles import EnvironmentProfile
 
 #: Constant initial density used for every species unless overridden.
@@ -91,16 +90,17 @@ def simulate_cell(
     return record
 
 
-def _invasion_eigen(
-    op: DiffusionOperator, env: EnvironmentProfile, rates: HarvestRates, resident: Field
+def invasion_eigen(
+    env: EnvironmentProfile, rates: HarvestRates, resident: Field
 ) -> spectral.EigenResult:
-    """The principal eigenpair of u, dispersing by op, invading (0, resident);
-    its sigma1 is sigma_u. sigma_v is this function on env.swapped(), the
-    swapped rates and v's operator."""
+    """The principal eigenpair of u, dispersing by env.dispersal, invading
+    (0, resident); its sigma1 is sigma_u. sigma_v, the eigenvalue of v
+    invading (resident, 0), is this function on env.swapped() with the
+    rates exchanged."""
     potential = invasion_potential("u", resident, env, rates)
     # looked up on the module at call time, so a wrapper installed there
     # (bench/tracer.py) sees every solve
-    return spectral.principal_eigen(op, potential, env.P)
+    return spectral.principal_eigen(env.dispersal, potential, env.P)
 
 
 def sweep_grid(
@@ -133,9 +133,7 @@ def sweep_grid(
     u0, v0 = check_initial_data(default if u0 is None else u0, default if v0 is None else v0,
                                 env, cfg.dt)
     swapped = env.swapped()
-    op_u = build_operator(env.a, env.P, env.grid)
-    op_v = build_operator(swapped.a, swapped.P, env.grid)
-    level_u, level_v = spectral.neutral_level(op_u, env), spectral.neutral_level(op_v, swapped)
+    level_u, level_v = spectral.neutral_level(env), spectral.neutral_level(swapped)
     absent = np.zeros(env.grid.n_cells)
     semitrivial = functools.cache(lambda which, rate: solve_semitrivial(which, env, rate, cfg))
 
@@ -149,10 +147,9 @@ def sweep_grid(
         if beta >= 1:
             return outcome_record(Outcome.ONLY_U, u_alpha, absent, env, rates)
         v_beta = semitrivial("v", beta)
-        sigma_u = _invasion_eigen(op_u, env, rates, v_beta).sigma1
-        swapped_rates = HarvestRates(alpha=beta, beta=alpha)
-        sigma_v = _invasion_eigen(op_v, swapped, swapped_rates, u_alpha).sigma1
-        outcome = classify(sigma_u, sigma_v, level_u, level_v, op_u, op_v, u_alpha, v_beta)
+        sigma_u = invasion_eigen(env, rates, v_beta).sigma1
+        sigma_v = invasion_eigen(swapped, HarvestRates(alpha=beta, beta=alpha), u_alpha).sigma1
+        outcome = classify(sigma_u, sigma_v, level_u, level_v, env, u_alpha, v_beta)
         if outcome is Outcome.COEXISTENCE:
             return outcome_record(outcome, *solve_coexistence(u0, v0, env, rates, cfg), env, rates)
         if outcome is Outcome.ONLY_U:
@@ -210,11 +207,10 @@ def find_switch(
     if lo >= hi:
         return None
     v_beta = solve_semitrivial("v", env, beta, cfg)
-    op = build_operator(env.a, env.P, env.grid)
-    level = spectral.neutral_level(op, env)
+    level = spectral.neutral_level(env)
 
     def eigen(alpha: float) -> spectral.EigenResult:
-        return _invasion_eigen(op, env, HarvestRates(alpha=alpha, beta=beta), v_beta)
+        return invasion_eigen(env, HarvestRates(alpha=alpha, beta=beta), v_beta)
 
     res = eigen(lo)
     if res.sigma1 < 0:

@@ -20,7 +20,7 @@ from harvestcomp import analysis
 from harvestcomp.analysis import invasion_potential
 from harvestcomp.config import build_environment, parse_config_text, simulation_config
 from harvestcomp.grid import SpatialGrid
-from harvestcomp.operators import annihilates, build_operator
+from harvestcomp.operators import annihilates
 from harvestcomp.profiles import EnvironmentProfile
 
 from conftest import load_example
@@ -118,7 +118,7 @@ def test_hull_fit_is_computed_once_per_environment(monkeypatch):
     assert len(calls) == 1
     swapped = fit_convex_hull(env.swapped())
     assert len(calls) == 2
-    assert fit_convex_hull(env.swapped()) is not swapped  # a new instance, a new fit
+    assert fit_convex_hull(env.swapped()) is swapped  # swapped() is one kept instance
     assert fit.gamma == pytest.approx(1.0, abs=1e-10)
     assert fit.delta == pytest.approx(2.0, abs=1e-10)
     assert swapped.gamma == pytest.approx(fit.delta, abs=1e-12)
@@ -164,8 +164,7 @@ def test_classify_truth_table(monkeypatch):
     # u disperses toward P, v toward Q; u_alpha = 2P and v_beta = 3Q are
     # ideal free states (their operator annihilates them), K is neither
     _, grid, env, _ = load_example("example3", n_cells=32)
-    op_u = build_operator(env.a, env.P, grid)
-    op_v = build_operator(env.b, env.Q, grid)
+    op_u, op_v = env.dispersal, env.swapped().dispersal
     free_u, free_v = 2.0 * env.P, 3.0 * env.Q
     level = 1e-12
     calls = []
@@ -189,7 +188,7 @@ def test_classify_truth_table(monkeypatch):
     ]
     for sigma_u, sigma_v, u_alpha, v_beta, expected, tests in cases:
         calls.clear()
-        args = (sigma_u, sigma_v, level, level, op_u, op_v, u_alpha, v_beta)
+        args = (sigma_u, sigma_v, level, level, env, u_alpha, v_beta)
         if isinstance(expected, Outcome):
             assert classify(*args) is expected, (sigma_u, sigma_v)
         else:

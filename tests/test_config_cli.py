@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from harvestcomp import ConfigurationError, Outcome
+from harvestcomp import ConfigurationError, Outcome, SimulationConfig
 from harvestcomp.cli import main
 from harvestcomp.config import apply_overrides, load_config, parse_config_text
 from harvestcomp.sweep import find_switch, sweep_grid
@@ -386,3 +386,42 @@ def test_exit_code_4_for_strict_unresolved(fast_config, tmp_path, capsys):
 def test_switch_tolerance_must_be_positive(fast_config, capsys, command, tol):
     assert run_cli(*command, "--config", fast_config, "--tol", tol) == 2
     assert "switch tolerance tol must be finite and positive" in capsys.readouterr().err
+
+
+def test_step_count_must_be_finite(fast_config, tmp_path, capsys):
+    # t_final / dt overflows to inf, so the march has no step count
+    with pytest.raises(ConfigurationError, match=r"t_final = 1e\+300, dt = 1e-300"):
+        SimulationConfig(dt=1e-300, t_final=1e300)
+    code = run_cli(
+        "simulate", "--config", fast_config, "--set", "dt=1e-300", "--set", "t_final=1e300",
+        "--output", tmp_path / "p.csv",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "configuration error: t_final / dt is not finite (t_final = 1e+300, dt = 1e-300)\n"
+    )
+
+
+@pytest.mark.parametrize("case", ["config_is_directory", "config_not_utf8", "steady_output",
+                                  "sweep_output", "plot_script"])
+def test_unreadable_config_or_unwritable_output_is_a_config_error(
+    fast_config, tmp_path, capsys, case
+):
+    missing = tmp_path / "missing" / "x.csv"
+    not_utf8 = tmp_path / "latin1.cfg"
+    not_utf8.write_bytes(fast_config.read_bytes() + "# caf\xe9\n".encode("latin-1"))
+    (tmp_path / "plot_s.py").mkdir()  # the plot companion's path is taken
+    argv, path, reason = {
+        "config_is_directory": (["check", "--config", tmp_path], tmp_path, "Is a directory"),
+        "config_not_utf8": (["check", "--config", not_utf8], not_utf8, "not UTF-8"),
+        "steady_output": (["steady", "--config", fast_config, "--branch", "u",
+                           "--output", missing], missing, "No such file or directory"),
+        "sweep_output": (["sweep", "--config", fast_config, "--grid", "1",
+                          "--output", missing], missing, "No such file or directory"),
+        "plot_script": (["sweep", "--config", fast_config, "--grid", "1", "--plot-script",
+                         "--output", tmp_path / "s.csv"], tmp_path / "plot_s.py",
+                        "Is a directory"),
+    }[case]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and str(path) in err and reason in err

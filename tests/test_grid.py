@@ -17,7 +17,12 @@ def test_grid_centers_and_width():
     assert np.allclose(g.centers, (np.arange(8) + 0.5) * 0.5)
 
 
-@pytest.mark.parametrize("bad", [dict(length=-1.0, n_cells=10), dict(length=4.0, n_cells=2)])
+@pytest.mark.parametrize("bad", [
+    dict(length=-1.0, n_cells=10),
+    dict(length=4.0, n_cells=2),
+    dict(length=4.0, n_cells=float("nan")),
+    dict(length=4.0, n_cells=float("inf")),
+])
 def test_grid_rejects_bad_parameters(bad):
     with pytest.raises(ConfigurationError):
         SpatialGrid(**bad)

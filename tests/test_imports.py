@@ -33,14 +33,15 @@ print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
 """
 
 
-# each module imports only from modules of lower layers; profiles and
-# operators share one layer and import neither each other
-LAYERS = ("errors", "grid", ("profiles", "operators"), "spectral", "dynamics", "analysis",
+# each module imports only from modules of lower layers
+LAYERS = ("errors", "grid", "operators", "profiles", "spectral", "dynamics", "analysis",
           "sweep", "config", "cli")
-LAYER = {name: i for i, layer in enumerate(LAYERS)
-         for name in ((layer,) if isinstance(layer, str) else layer)}
+LAYER = {name: i for i, name in enumerate(LAYERS)}
 # (module, name) imported and never used there, each with why it stays
-UNUSED_IMPORTS = {("sweep", "run_to_time"): "bench/tracer.py wraps harvestcomp.sweep.run_to_time"}
+UNUSED_IMPORTS = {
+    ("sweep", "run_to_time"): "bench/tracer.py wraps harvestcomp.sweep.run_to_time",
+    ("dynamics", "build_operator"): "bench/tracer.py wraps harvestcomp.dynamics.build_operator",
+}
 
 
 def _imports(tree):
@@ -70,6 +71,21 @@ def test_modules_import_down_the_layers_and_use_every_import():
             if name not in used:
                 unused.add((path.stem, name))
     assert unused == set(UNUSED_IMPORTS), sorted(unused ^ set(UNUSED_IMPORTS))
+
+
+def test_only_the_environment_builds_dispersal_operators():
+    # each species' operator is EnvironmentProfile.dispersal (v's on the
+    # swapped environment), built once per environment; no other module
+    # pairs a species with its (diffusivity, profile) and builds one
+    callers = set()
+    for path in (SRC / "harvestcomp").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "build_operator":
+                    callers.add(path.stem)
+    assert callers == {"profiles"}
 
 
 def test_package_does_not_load_scipy_optimize():

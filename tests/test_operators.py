@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from harvestcomp import ConfigurationError, SingularSystemError, SpatialGrid, integrate
+from harvestcomp import (
+    ConfigurationError,
+    SingularSystemError,
+    SpatialGrid,
+    integrate,
+    solve_semitrivial,
+)
 from harvestcomp.operators import (
     annihilates,
     apply,
@@ -10,7 +16,7 @@ from harvestcomp.operators import (
     shifted_solver,
 )
 
-from conftest import random_grid, random_positive_profile
+from conftest import load_example, random_grid, random_positive_profile
 
 
 def dense_matrix(op):
@@ -197,3 +203,13 @@ def test_annihilates_detects_proportionality():
     K = 2.0 + np.cos(np.pi * g.centers)
     assert annihilates(build_operator(np.ones(100), 3.7 * K, g), K)
     assert not annihilates(build_operator(np.ones(100), np.ones(100), g), K)
+
+
+def test_annihilates_tells_proportionality_on_a_refined_grid():
+    # the residual of a state not proportional to Q shrinks like h^2: v at
+    # rate 0.95 on example3 leaves max|D w| at 1.9e-11 of gershgorin_bound(D)
+    # * max|w| at n = 12800, far above rounding, while D(c*Q) stays at rounding
+    _, _, env, sim = load_example("example3", n_cells=12800)
+    op_v = env.swapped().dispersal
+    assert not annihilates(op_v, solve_semitrivial("v", env, 0.95, sim))
+    assert annihilates(op_v, 0.3 * env.Q)

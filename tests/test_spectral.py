@@ -201,7 +201,7 @@ def test_matches_lapack_bisection_on_bundled_configs(diffusion):
         for invader, resident in (("u", "v"), ("v", "u")):
             inv_env = env if invader == "u" else env.swapped()
             op = build_operator(inv_env.a, inv_env.P, grid)
-            level = neutral_level(op, inv_env)
+            level = neutral_level(inv_env)
             for resident_rate in rates:
                 w = solve_semitrivial(resident, env, resident_rate, sim)
                 for invader_rate in rates:
