@@ -59,7 +59,7 @@ from .profiles import (
     to_string,
     validate_environment,
 )
-from .spectral import EigenResult, principal_eigen, rayleigh_lower_bound
+from .spectral import EigenResult, principal_eigen
 from .sweep import (
     CellFailure,
     SweepGrid,

@@ -35,6 +35,8 @@ class SpatialGrid:
         # NaN and inf fail the bounds before int() sees them
         if not (3 <= self.n_cells < np.inf and int(self.n_cells) == self.n_cells):
             raise ConfigurationError(f"n_cells must be an integer >= 3, got {self.n_cells}")
+        # an integral float such as 5.0 is kept as the int it names
+        object.__setattr__(self, "n_cells", int(self.n_cells))
         h = self.length / self.n_cells
         centers = (np.arange(self.n_cells) + 0.5) * h
         centers.setflags(write=False)

@@ -146,36 +146,3 @@ def sign(sigma: float, level: float) -> int:
     a NaN sigma included."""
     return (sigma > level) - (sigma < -level)
 
-
-def rayleigh_lower_bound(
-    op: DiffusionOperator,
-    potential: Field,
-    R: Field,
-    trial: Field,
-) -> float:
-    """Rayleigh quotient of a trial field; never exceeds sigma1.
-
-    Matches the variational form: flux energy of trial/R against the face
-    diffusivities plus the potential term, over the weighted norm. The
-    potential and the trial field must be finite.
-    """
-    R = as_field(R, op.grid)
-    potential = as_field(potential, op.grid)
-    trial = as_field(trial, op.grid)
-    if not np.array_equal(R, op.P):
-        raise ConfigurationError("R must be the dispersal profile of the operator")
-    if not np.all(np.isfinite(potential)):
-        raise ConfigurationError("potential must be finite in every cell")
-    if not np.all(np.isfinite(trial)):
-        raise ConfigurationError("trial field must be finite in every cell")
-    if not np.any(trial != 0):
-        raise ConfigurationError("trial field must be nonzero")
-
-    h = op.grid.h
-    g = trial / R
-    a_face = 0.5 * (op.a[:-1] + op.a[1:])
-    flux_energy = float(np.sum(a_face * np.diff(g) ** 2)) / h
-    weighted_sq = trial**2 / R
-    num = -flux_energy + h * float(np.sum(potential * weighted_sq))
-    den = h * float(np.sum(weighted_sq))
-    return num / den

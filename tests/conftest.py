@@ -1,6 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
 import dataclasses
+import functools
 from importlib.resources import files
 from pathlib import Path
 
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import strategies
 
 from harvestcomp import (
+    ConfigurationError,
+    HarvestCompError,
     HarvestRates,
     Outcome,
     OutcomeRecord,
@@ -17,16 +20,23 @@ from harvestcomp import (
     SpatialGrid,
     average,
 )
-from harvestcomp.analysis import outcome_record
+from harvestcomp import spectral, sweep
+from harvestcomp.analysis import classify, outcome_record
 from harvestcomp.config import (
     apply_overrides,
     build_environment,
     load_config,
     simulation_config,
 )
-from harvestcomp.dynamics import run_to_time
+from harvestcomp.dynamics import (
+    check_initial_data,
+    run_to_time,
+    solve_coexistence,
+    solve_semitrivial,
+)
+from harvestcomp.grid import as_field
 from harvestcomp.profiles import EnvironmentProfile
-from harvestcomp.sweep import DEFAULT_INITIAL_DENSITY
+from harvestcomp.sweep import DEFAULT_INITIAL_DENSITY, CellFailure
 
 CONFIG_DIR = Path(str(files("harvestcomp") / "configs"))
 
@@ -150,3 +160,81 @@ def assert_sweep_matches_march(sg, env, cfg=MARCH_ORACLE, u0=None, v0=None) -> i
         assert abs(rec.avg_v - oracle.avg_v) <= 1e-6, (rec, oracle)
         checked += 1
     return checked
+
+
+def rayleigh_lower_bound(op, potential, R, trial) -> float:
+    """Rayleigh quotient of a trial field; never exceeds sigma1. An oracle
+    for principal_eigen independent of its iteration.
+
+    Matches the variational form: flux energy of trial/R against the face
+    diffusivities plus the potential term, over the weighted norm. The
+    potential and the trial field must be finite.
+    """
+    R = as_field(R, op.grid)
+    potential = as_field(potential, op.grid)
+    trial = as_field(trial, op.grid)
+    if not np.array_equal(R, op.P):
+        raise ConfigurationError("R must be the dispersal profile of the operator")
+    if not np.all(np.isfinite(potential)):
+        raise ConfigurationError("potential must be finite in every cell")
+    if not np.all(np.isfinite(trial)):
+        raise ConfigurationError("trial field must be finite in every cell")
+    if not np.any(trial != 0):
+        raise ConfigurationError("trial field must be nonzero")
+
+    h = op.grid.h
+    g = trial / R
+    a_face = 0.5 * (op.a[:-1] + op.a[1:])
+    flux_energy = float(np.sum(a_face * np.diff(g) ** 2)) / h
+    weighted_sq = trial**2 / R
+    num = -flux_energy + h * float(np.sum(potential * weighted_sq))
+    den = h * float(np.sum(weighted_sq))
+    return num / den
+
+
+def per_cell_sweep(alphas, betas, env, cfg: SimulationConfig, u0=None, v0=None) -> list:
+    """The records sweep_grid gives, computed cell by cell: both invasion
+    eigenvalues in every cell with both rates below 1, then
+    analysis.classify, with a CellFailure in place of a cell whose solve
+    raises. An oracle for the sweep's sign certificates, which skip most of
+    these eigenpairs."""
+    default = np.full(env.grid.n_cells, DEFAULT_INITIAL_DENSITY)
+    u0, v0 = check_initial_data(default if u0 is None else u0, default if v0 is None else v0,
+                                env, cfg.dt)
+    swapped = env.swapped()
+    level_u, level_v = spectral.neutral_level(env), spectral.neutral_level(swapped)
+    absent = np.zeros(env.grid.n_cells)
+
+    semitrivial = functools.cache(lambda which, rate: solve_semitrivial(which, env, rate, cfg))
+
+    def cell(alpha, beta):
+        rates = HarvestRates(alpha=alpha, beta=beta)
+        if alpha >= 1:
+            if beta >= 1:
+                return outcome_record(Outcome.EXTINCTION, absent, absent, env, rates)
+            return outcome_record(Outcome.ONLY_V, absent, semitrivial("v", beta), env, rates)
+        u_alpha = semitrivial("u", alpha)
+        if beta >= 1:
+            return outcome_record(Outcome.ONLY_U, u_alpha, absent, env, rates)
+        v_beta = semitrivial("v", beta)
+        sigma_u = sweep.invasion_eigen(env, rates, v_beta).sigma1
+        sigma_v = sweep.invasion_eigen(swapped, HarvestRates(alpha=beta, beta=alpha),
+                                       u_alpha).sigma1
+        outcome = classify(sigma_u, sigma_v, level_u, level_v, env, u_alpha, v_beta)
+        if outcome is Outcome.COEXISTENCE:
+            return outcome_record(outcome, *solve_coexistence(u0, v0, env, rates, cfg), env,
+                                  rates)
+        if outcome is Outcome.ONLY_U:
+            return outcome_record(outcome, u_alpha, absent, env, rates)
+        return outcome_record(outcome, absent, v_beta, env, rates)
+
+    records = []
+    for beta in np.asarray(betas, dtype=float):
+        row = []
+        for alpha in np.asarray(alphas, dtype=float):
+            try:
+                row.append(cell(float(alpha), float(beta)))
+            except HarvestCompError as exc:
+                row.append(CellFailure(alpha=float(alpha), beta=float(beta), message=str(exc)))
+        records.append(row)
+    return records

@@ -18,7 +18,6 @@ from harvestcomp import (
     inequality_suite,
     integrate,
     principal_eigen,
-    rayleigh_lower_bound,
     run_to_time,
 )
 from harvestcomp.cli import main as cli_main
@@ -35,6 +34,7 @@ from conftest import (
     one_step,
     random_grid,
     random_positive_profile,
+    rayleigh_lower_bound,
     record_of_march,
 )
 

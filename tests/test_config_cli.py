@@ -1,5 +1,6 @@
 import csv
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,6 +273,16 @@ def test_sweep_outcome_labels(fast_config, tmp_path, capsys):
         "(max u0 = 1e+308, dt = 0.05)\n"
     )
     assert not out.exists()
+
+
+def test_sweep_csv_is_byte_identical_to_the_golden_file(tmp_path):
+    # the golden file is the CSV of the per-cell sweep, before the sign
+    # certificates decided most cells
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--config", bundled_config("example1"), "--set", "n_cells=200",
+                   "--grid", "11", "--output", out) == 0
+    golden = Path(__file__).parent / "data" / "sweep_example1_n200_grid11.csv"
+    assert out.read_bytes() == golden.read_bytes()
 
 
 # K = P = Q: at alpha = beta = 0 both invasion eigenvalues are 0, a neutral cell

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from harvestcomp import ConfigurationError, SpatialGrid, average, integrate
-from harvestcomp.profiles import parse, sample
+from harvestcomp.profiles import EnvironmentProfile, parse, sample
 
 from conftest import load_example
 
@@ -26,6 +26,15 @@ def test_grid_centers_and_width():
 def test_grid_rejects_bad_parameters(bad):
     with pytest.raises(ConfigurationError):
         SpatialGrid(**bad)
+
+
+def test_grid_keeps_an_integral_float_cell_count_as_an_int():
+    g = SpatialGrid(4.0, 5.0)
+    assert g.n_cells == 5 and type(g.n_cells) is int
+    assert g.h == 0.8
+    ones = np.ones(5)
+    env = EnvironmentProfile(grid=g, K=ones, r=ones, P=ones, Q=ones, a=ones, b=ones)
+    assert env.dispersal.diag.shape == (5,)
 
 
 def test_integrate_constant_is_exact():

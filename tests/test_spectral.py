@@ -8,14 +8,20 @@ from harvestcomp import (
     HarvestRates,
     integrate,
     principal_eigen,
-    rayleigh_lower_bound,
     solve_semitrivial,
 )
 from harvestcomp.analysis import invasion_potential
 from harvestcomp.operators import build_operator
 from harvestcomp.spectral import _NODA_CAP, neutral_level
 
-from conftest import environments, load_example, one_step, random_grid, random_positive_profile
+from conftest import (
+    environments,
+    load_example,
+    one_step,
+    random_grid,
+    random_positive_profile,
+    rayleigh_lower_bound,
+)
 
 
 def dense_sigma1(op, potential):

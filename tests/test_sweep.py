@@ -28,7 +28,13 @@ from harvestcomp.sweep import (
     sweep_grid,
 )
 
-from conftest import assert_sweep_matches_march, environments, load_example, record_of_march
+from conftest import (
+    assert_sweep_matches_march,
+    environments,
+    load_example,
+    per_cell_sweep,
+    record_of_march,
+)
 
 ORDER = {Outcome.ONLY_U: 0, Outcome.COEXISTENCE: 1, Outcome.ONLY_V: 2}
 
@@ -370,3 +376,77 @@ def test_sweep_agrees_with_march_on_random_environments(env, alphas, betas):
     for failure in sg.failures():
         assert "not decided by the invasion criterion" in failure.message
     assert_sweep_matches_march(sg, env, u0=u0, v0=v0)
+
+
+@pytest.mark.parametrize("diffusion", [1.0, 0.01])
+@pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4", "example4b"])
+def test_sweep_is_the_per_cell_sweep_on_bundled_configs(name, diffusion):
+    # the climbs' sign certificates decide most cells; every record, failure
+    # messages included, is the one of computing both sigmas in every cell
+    _, grid, env, sim = load_example(name, n_cells=200, a=diffusion, b=diffusion)
+    rates = np.linspace(0.0, 1.0, 41)
+    assert sweep_grid(rates, rates, env, sim).records == per_cell_sweep(rates, rates, env, sim)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(env=environments())
+def test_sweep_is_the_per_cell_sweep_on_random_environments(env):
+    # r varies here, so the climbs take several Newton steps and the
+    # certificate's slope bound min r is not the slope
+    rates = np.linspace(0.0, 1.0, 15)
+    sim = SimulationConfig()
+    assert sweep_grid(rates, rates, env, sim).records == per_cell_sweep(rates, rates, env, sim)
+
+
+def test_a_solve_failing_mid_climb_fails_only_its_own_cell(monkeypatch):
+    _, grid, env, sim = load_example("example1", n_cells=200)
+    real = sweep.invasion_eigen
+    row_rates = []
+
+    def spy(invader, rates, resident):
+        if invader is env:
+            row_rates.append(rates.alpha)
+        return real(invader, rates, resident)
+
+    monkeypatch.setattr(sweep, "invasion_eigen", spy)
+    sweep_grid([0.0, 0.9], [0.0], env, sim)
+    # the row's climb evaluates its first node, then its first Newton iterate
+    start, iterate = row_rates[:2]
+    assert start == 0.0 and 0.0 < iterate < 0.9
+
+    def failing(invader, rates, resident):
+        if invader is env and rates == HarvestRates(iterate, 0.0):
+            raise ConvergenceError("no eigenpair at the climb's iterate")
+        return real(invader, rates, resident)
+
+    # put the iterate on the grid: the climb of row beta = 0 fails at its
+    # second point, and that row's cells are computed one by one
+    monkeypatch.setattr(sweep, "invasion_eigen", failing)
+    alphas, betas = [0.0, iterate, 0.5, 0.9], [0.0, 0.3]
+    sg = sweep_grid(alphas, betas, env, sim)
+    failure = CellFailure(alpha=iterate, beta=0.0, message="no eigenpair at the climb's iterate")
+    assert sg.failures() == [failure]
+    assert sg.records[0][1] == failure
+    assert sg.records == per_cell_sweep(alphas, betas, env, sim)
+
+
+@pytest.mark.parametrize("points, most", [(1, 2), (11, 80), (41, 320)])
+def test_sweep_eigenpair_counts_on_example1(monkeypatch, points, most):
+    # computing both sigmas in every cell with both rates below 1 takes
+    # 2, 200 and 3,200 eigenpairs; one climb per row and per column takes
+    # about 2 eigenpairs each, and a 1x1 sweep one per climb
+    _, grid, env, sim = load_example("example1", n_cells=200)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return principal_eigen(*args)
+
+    monkeypatch.setattr(spectral, "principal_eigen", counting)
+    rates = [0.3] if points == 1 else np.linspace(0.0, 1.0, points)
+    sg = sweep_grid(rates, rates, env, sim)
+    assert not sg.failures()
+    if points == 1:
+        assert len(calls) == 2
+    else:
+        assert len(calls) <= most
