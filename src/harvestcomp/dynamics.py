@@ -16,8 +16,9 @@ directly, each step one tridiagonal solve shifted by -f'(w) per cell. dt
 and t_final do not enter it; its residual is below steady_tol or below the
 rounding limit of evaluating D w, whichever is larger. Coexistence states
 (solve_coexistence) are solved the same way by pseudo-transient
-continuation from given initial data, each step one banded solve on u and
-v together.
+continuation from given initial data, each step one solve on u and v
+together: one LAPACK gbsv call on a (2, 2)-banded matrix kept for the
+solve.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from .errors import (
     ConfigurationError,
@@ -41,6 +42,8 @@ from .operators import apply as apply_operator
 # not called here; bench/tracer.py wraps it under this module's name
 from .operators import build_operator  # noqa: F401
 from .profiles import EnvironmentProfile
+
+_gbsv = get_lapack_funcs("gbsv", (np.zeros(3),))
 
 
 @dataclass(frozen=True)
@@ -289,18 +292,23 @@ def solve_coexistence(
     # (I/tau - J) in banded storage: row 2 - k holds diagonal k of the
     # interleaved order u_0, v_0, u_1, v_1, ...; the dispersal bands sit at
     # +-2 and the u-v coupling at +-1 (within a cell)
-    bands = np.zeros((5, 2 * len(u)))
+    m = 2 * len(u)
+    bands = np.zeros((5, m))
     bands[0, 2::2], bands[0, 3::2] = -op_u.sup[:-1], -op_v.sup[:-1]
     bands[4, 0:-2:2], bands[4, 1:-2:2] = -op_u.sub[1:], -op_v.sub[1:]
+    # gbsv's band, kept for the solve: rows 0-1 are its fill-in workspace
+    # (LAPACK sets them), rows 2-6 take bands before each step, since the
+    # LU overwrites them. Fortran order, so f2py passes it without a copy.
+    band = np.empty((7, m), order="F")
 
     def residual(u, v):
         crowd = susc * (u + v)
-        F = np.empty(2 * len(u))
+        F = np.empty(m)
         F[0::2] = apply_operator(op_u, u) + u * (grow_u - crowd)
         F[1::2] = apply_operator(op_v, v) + v * (grow_v - crowd)
-        return F, float(np.max(np.abs(F)))
+        return F, float(np.max(np.abs(F))), crowd
 
-    F, res = residual(u, v)
+    F, res, crowd = residual(u, v)
     tau = 1.0 / float(np.max(env.r))
     for steps in range(_PTC_CAP + 1):
         tol = max(cfg.steady_tol, rounding * max(float(u.max()), float(v.max())))
@@ -313,22 +321,28 @@ def solve_coexistence(
                 f"coexistence state did not converge in {_PTC_CAP} pseudo-transient steps "
                 f"(residual {res:.3e}, tolerance {tol:.3e})"
             )
-        crowd = susc * (u + v)
-        bands[2, 0::2] = 1.0 / tau - op_u.diag - (grow_u - crowd - susc * u)
-        bands[2, 1::2] = 1.0 / tau - op_v.diag - (grow_v - crowd - susc * v)
-        bands[1, 1::2] = susc * u
-        bands[3, 0::2] = susc * v
-        try:
-            dw = solve_banded((2, 2), bands, F)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"pseudo-transient step with tau = {tau:g}: {exc}") from None
+        # gbsv gets no finiteness check (solve_banded's check_finite): a
+        # non-finite residual raised above, and the band and F are built
+        # from that same finite state
+        susc_u, susc_v = susc * u, susc * v
+        bands[2, 0::2] = 1.0 / tau - op_u.diag - (grow_u - crowd - susc_u)
+        bands[2, 1::2] = 1.0 / tau - op_v.diag - (grow_v - crowd - susc_v)
+        bands[1, 1::2] = susc_u
+        bands[3, 0::2] = susc_v
+        band[2:] = bands
+        # F is not overwritten: a rejected step solves again with it
+        _, _, dw, info = _gbsv(2, 2, band, F, overwrite_ab=1)
+        if info > 0:
+            raise SingularSystemError(f"pseudo-transient step with tau = {tau:g}: singular matrix")
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}-th argument of internal gbsv")
         u1, v1 = u + dw[0::2], v + dw[1::2]
         if u1.min() < 0 or v1.min() < 0:
             tau *= 0.25
             continue
-        F1, res1 = residual(u1, v1)
+        F1, res1, crowd1 = residual(u1, v1)
         tau *= res / max(res1, np.finfo(float).tiny)
-        u, v, F, res = u1, v1, F1, res1
+        u, v, F, res, crowd = u1, v1, F1, res1, crowd1
     # the stop test is absolute, so it also passes a state collapsing toward 0
     collapse = ROUNDING_FLOOR * np.finfo(float).eps * float(env.K.max())
     for name, w in (("u", u), ("v", v)):

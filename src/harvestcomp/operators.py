@@ -47,7 +47,8 @@ class DiffusionOperator:
 
     Row i of the matrix reads sub[i]*w[i-1] + diag[i]*w[i] + sup[i]*w[i+1]
     (sub[0] and sup[-1] are zero). The operator is immutable, so what is
-    derived from it alone (eigen_invariants) is computed once and kept.
+    derived from it alone (eigen_invariants, gershgorin) is computed once
+    and kept.
     """
 
     grid: SpatialGrid
@@ -73,6 +74,12 @@ class DiffusionOperator:
         for arr in parts:
             arr.setflags(write=False)
         return parts
+
+    @cached_property
+    def gershgorin(self) -> float:
+        """Upper bound on the spectral radius of D, the largest absolute row
+        sum; computed on first use."""
+        return float(np.max(np.abs(self.diag) + np.abs(self.sub) + np.abs(self.sup)))
 
 
 def build_operator(a: Field, P: Field, grid: SpatialGrid) -> DiffusionOperator:
@@ -141,8 +148,9 @@ def shifted_solver(op: DiffusionOperator, s: float | Field) -> Callable[[Field],
 
 
 def gershgorin_bound(op: DiffusionOperator) -> float:
-    """Upper bound on the spectral radius of D (used for scale thresholds)."""
-    return float(np.max(np.abs(op.diag) + np.abs(op.sub) + np.abs(op.sup)))
+    """Upper bound on the spectral radius of D (used for scale thresholds),
+    kept on the operator."""
+    return op.gershgorin
 
 
 #: Evaluating D w in floating point leaves a residual of about
@@ -157,7 +165,7 @@ def rounding_level(op: DiffusionOperator) -> float:
     """ROUNDING_FLOOR * eps * gershgorin_bound(op): the stationary residual,
     per unit of max|w|, that rounding in D w alone leaves. ROUNDING_FLOOR *
     eps is a power of two, so scaling by it is exact."""
-    return ROUNDING_FLOOR * sys.float_info.epsilon * gershgorin_bound(op)
+    return ROUNDING_FLOOR * sys.float_info.epsilon * op.gershgorin
 
 
 def annihilates(op: DiffusionOperator, w: Field) -> bool:

@@ -52,12 +52,17 @@ class EigenResult:
     """Principal eigenpair: psi is positive and normalized so that the
     quadrature of psi^2 / R equals one. iterations counts the Noda steps
     (shifted solves) taken; 0 means the start sqrt(R) already closed the
-    Collatz-Wielandt bracket."""
+    Collatz-Wielandt bracket. [lo, hi] is the last bracket: lo <= sigma1 <=
+    hi up to the rounding eps * gershgorin(H) of a ratio, and hi - lo is
+    below that width unless the iteration ended because hi*I - H no longer
+    factored, with hi sigma1 to rounding."""
 
     sigma1: float
     psi: Field
     iterations: int
     residual: float
+    lo: float
+    hi: float
 
 
 def principal_eigen(op: DiffusionOperator, potential: Field, R: Field) -> EigenResult:
@@ -70,8 +75,9 @@ def principal_eigen(op: DiffusionOperator, potential: Field, R: Field) -> EigenR
     [lo, hi] is narrower than eps * gershgorin(H), or once hi*I - H no
     longer factors as positive definite, which happens only when hi is
     sigma1 to rounding. sigma1 is the Rayleigh quotient of the last phi,
-    a weighted mean of its ratios and so inside the bracket; residual is
-    the Euclidean norm of H phi - sigma1 phi for unit phi. Raises
+    a weighted mean of its ratios and so inside the bracket, which is
+    returned as lo and hi; residual is the Euclidean norm of
+    H phi - sigma1 phi for unit phi. Raises
     ConvergenceError, naming the bracket, when a fixed cap of steps does
     not close it.
 
@@ -123,7 +129,7 @@ def principal_eigen(op: DiffusionOperator, potential: Field, R: Field) -> EigenR
     residual = math.sqrt(float(r @ r))
     phi /= math.sqrt(op.grid.h)
     psi = phi * sqrt_R
-    return EigenResult(sigma1=rho, psi=psi, iterations=steps, residual=residual)
+    return EigenResult(sigma1=rho, psi=psi, iterations=steps, residual=residual, lo=lo, hi=hi)
 
 
 def neutral_level(env: EnvironmentProfile) -> float:

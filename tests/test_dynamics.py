@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
+from scipy.linalg import solve_banded
 
 from harvestcomp import (
     ConfigurationError,
@@ -10,6 +13,7 @@ from harvestcomp import (
     Outcome,
     PopulationState,
     SimulationConfig,
+    SingularSystemError,
     average,
     integrate,
     run_to_time,
@@ -317,3 +321,66 @@ def test_coexistence_rejects_a_collapsed_state(monkeypatch):
     monkeypatch.setattr(dynamics, "_PTC_CAP", 400)
     with pytest.raises(NumericalError, match=r"collapsed: max v = 7\.8\d*e-13 is below 4\.267e-07"):
         solve_coexistence(start, start, env, rates, sim)
+
+
+# coexistence cells of 21x21 sweeps of the bundled configs; with weak
+# diffusion, example2 rejects two steps at (0.3, 0) and solves each again
+# with the same F
+COEXISTENCE_CELLS = [
+    ("example2", {}, 0.1, 0.0),
+    ("example2", {}, 0.5, 0.4),
+    ("example2", {}, 0.8, 0.75),
+    ("example2", {"a": 0.01, "b": 0.01}, 0.3, 0.0),
+    ("example4", {}, 0.0, 0.0),
+    ("example4", {}, 0.5, 0.5),
+    ("example4", {}, 0.9, 0.9),
+]
+
+
+@pytest.mark.parametrize("n_cells", [200, 800])
+def test_coexistence_steps_solve_what_solve_banded_solves_bit_for_bit(monkeypatch, n_cells):
+    # each step calls gbsv on the band kept for the solve; its solution is
+    # scipy.linalg.solve_banded's on the 5 Jacobian rows entering it, and F
+    # is left as it was, since a rejected step solves with it again
+    real = dynamics._gbsv
+    solved = []
+
+    def checked(kl, ku, band, F, overwrite_ab=0):
+        expected = solve_banded((kl, ku), band[2:], F)
+        entering = F.copy()
+        out = real(kl, ku, band, F, overwrite_ab=overwrite_ab)
+        assert out[3] == 0
+        assert np.array_equal(out[2], expected)
+        assert np.array_equal(F, entering)
+        solved.append(F)
+        return out
+
+    monkeypatch.setattr(dynamics, "_gbsv", checked)
+    for name, overrides, alpha, beta in COEXISTENCE_CELLS:
+        _, grid, env, sim = load_example(name, n_cells=n_cells, **overrides)
+        start = np.full(grid.n_cells, 2.1)
+        solve_coexistence(start, start, env, HarvestRates(alpha, beta), sim)
+    assert len(solved) >= 6 * len(COEXISTENCE_CELLS)
+    assert sum(a is b for a, b in zip(solved, solved[1:])) >= 2
+
+
+def test_a_singular_coexistence_step_is_named(monkeypatch):
+    # gbsv reports a zero pivot by info > 0 and an illegal argument by
+    # info < 0; the step raises for them what scipy.linalg.solve_banded
+    # raised, a SingularSystemError naming tau and a ValueError
+    _, grid, env, sim = load_example("example2", n_cells=48)
+    start = np.full(grid.n_cells, 2.1)
+    real = dynamics._gbsv
+    tau = 1.0 / float(np.max(env.r))
+
+    for info, error, message in (
+        (1, SingularSystemError, f"pseudo-transient step with tau = {tau:g}: singular matrix"),
+        (-4, ValueError, "illegal value in 4-th argument of internal gbsv"),
+    ):
+        def failing(*args, info=info, **kwargs):
+            lu, piv, x, _ = real(*args, **kwargs)
+            return lu, piv, x, info
+
+        monkeypatch.setattr(dynamics, "_gbsv", failing)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            solve_coexistence(start, start, env, HarvestRates(0.1, 0.0), sim)

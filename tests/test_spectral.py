@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
 
 from harvestcomp import (
     ConfigurationError,
@@ -240,6 +242,57 @@ def test_sigma1_lies_in_collatz_wielandt_brackets(env, seed):
     for phi in (np.sqrt(env.P), rng.uniform(0.1, 1.0, env.grid.n_cells)):
         ratios = (H @ phi) / phi
         assert np.min(ratios) - slack <= res.sigma1 <= np.max(ratios) + slack
+
+
+_pttrf = get_lapack_funcs("pttrf", (np.zeros(3),))
+
+
+def assert_bracket(res, op, potential, where=""):
+    """res carries the final Collatz-Wielandt bracket of principal_eigen:
+    lo <= sigma1 <= hi to the stop width eps * gershgorin(H), and hi - lo
+    below that width unless hi*I - H no longer factors as positive definite,
+    the iteration's other exit. Returns whether it ended on the bracket."""
+    off = op.eigen_invariants.off
+    diag = op.diag + potential
+    row = np.abs(diag)
+    row[:-1] += off
+    row[1:] += off
+    stop = np.finfo(float).eps * float(row.max())
+    assert res.lo - stop <= res.sigma1 <= res.hi + stop, where
+    on_bracket = res.hi - res.lo <= stop
+    if not on_bracket:
+        assert _pttrf(res.hi - diag, -off)[-1] != 0, where
+    return on_bracket
+
+
+def test_eigen_result_carries_its_bracket_on_bundled_configs():
+    ended = []
+    for name, diffusion in itertools.product(
+        ("example1", "example2", "example3", "example4", "example4b"), (1.0, 0.01)
+    ):
+        _, grid, env, sim = load_example(name, n_cells=200, a=diffusion, b=diffusion)
+        for invader, resident in (("u", "v"), ("v", "u")):
+            inv_env = env if invader == "u" else env.swapped()
+            for resident_rate in (0.0, 0.4, 0.8):
+                w = solve_semitrivial(resident, env, resident_rate, sim)
+                for invader_rate in (0.0, 0.4, 0.8):
+                    rates = (invader_rate, resident_rate)
+                    hr = HarvestRates(*rates if invader == "u" else rates[::-1])
+                    potential = invasion_potential(invader, w, env, hr)
+                    res = principal_eigen(inv_env.dispersal, potential, inv_env.P)
+                    ended.append(assert_bracket(res, inv_env.dispersal, potential,
+                                                f"{name} {invader} invading at {hr}"))
+    # both exits are taken (the factorization's only with weak diffusion),
+    # so each clause is exercised
+    assert any(ended) and not all(ended)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(env=environments(), alpha=strategies.floats(0.0, 1.0))
+def test_eigen_result_carries_its_bracket_on_random_environments(env, alpha):
+    potential = env.r * (1.0 - alpha - env.Q / env.K)
+    res = principal_eigen(env.dispersal, potential, env.P)
+    assert_bracket(res, env.dispersal, potential)
 
 
 # ------------------------------------------------- per-operator invariants

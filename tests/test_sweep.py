@@ -388,6 +388,32 @@ def test_sweep_is_the_per_cell_sweep_on_bundled_configs(name, diffusion):
     assert sweep_grid(rates, rates, env, sim).records == per_cell_sweep(rates, rates, env, sim)
 
 
+
+@pytest.mark.parametrize("r_min, expected", [(0.5, 0), (2.0, -1)])
+def test_certified_sign_falls_at_least_at_the_smallest_growth_rate(r_min, expected):
+    # from the single point (0, 1) with slope -2, sigma(1.5) is at most
+    # 1 - 1.5 * r_min: 0.25 proves no sign, -2 proves -1. The tangent's
+    # -2 is no upper bound, so a bound using the point's own slope would
+    # certify -1 for both
+    assert sweep._certified_sign([(0.0, 1.0, -2.0)], 1.5, r_min, 1e-6) == expected
+
+
+def test_sweep_bounds_the_slope_by_min_r(monkeypatch):
+    # with r not constant, every certificate gets min r, not max r or a mean
+    _, grid, env, sim = load_example("example2", n_cells=100, r="1+0.5*cos(pi*x)")
+    assert np.min(env.r) < np.max(env.r)
+    real = sweep._certified_sign
+    slopes = []
+
+    def spy(points, x, r_min, level):
+        slopes.append(r_min)
+        return real(points, x, r_min, level)
+
+    monkeypatch.setattr(sweep, "_certified_sign", spy)
+    rates = np.linspace(0.0, 1.0, 5)
+    sweep_grid(rates, rates, env, sim)
+    assert slopes and set(slopes) == {float(np.min(env.r))}
+
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(env=environments())
 def test_sweep_is_the_per_cell_sweep_on_random_environments(env):
