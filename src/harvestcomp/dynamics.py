@@ -12,7 +12,8 @@ stable; the clamp removes splitting-induced negative undershoot.
 
 Single-species stationary states (solve_semitrivial) are not marched:
 Newton's method solves the discrete stationary system D w + f(w) = 0
-directly, each step one tridiagonal solve shifted by -f'(w) per cell. dt
+directly, each step one LAPACK ptsv call on the symmetric positive definite
+form of the tridiagonal solve shifted by -f'(w) per cell. dt
 and t_final do not enter it; its residual is below steady_tol or below the
 rounding limit of evaluating D w, whichever is larger. Coexistence states
 (solve_coexistence) are solved the same way by pseudo-transient
@@ -37,7 +38,7 @@ from .errors import (
     UnstableStepError,
 )
 from .grid import Field, as_field
-from .operators import ROUNDING_FLOOR, rounding_level, shifted_solver
+from .operators import ROUNDING_FLOOR, _ptsv, rounding_level, shifted_solver
 from .operators import apply as apply_operator
 # not called here; bench/tracer.py wraps it under this module's name
 from .operators import build_operator  # noqa: F401
@@ -173,9 +174,11 @@ def run_to_time(
     return PopulationState(u=u, v=v, t=steps * dt, steady=delta < cfg.steady_tol, dudt_inf=delta)
 
 
-# Newton takes 0-6 steps on the bundled configs. From far above the branch
-# it only halves the excess per step, so a capacity spanning tens of decades
-# can need more than the cap, which then ends the solve.
+# Newton takes 0-6 steps on the bundled configs at n = 800 (40 rates in
+# [0, 0.975] per branch; 0-5 with a = b = 1, 0-6 with a = b = 0.01 and 0-4
+# with a = b = 1e-4). From far above the branch it only halves the excess
+# per step, so a capacity spanning tens of decades can need more than the
+# cap, which then ends the solve.
 _NEWTON_CAP = 50
 
 
@@ -196,7 +199,10 @@ def solve_semitrivial(
     0 <= rate < 1. Solved by Newton's method from w = (1-rate)*K. The
     Jacobian there is D - (1-rate)*r, which is nonsingular; the reaction
     is concave, so every iterate after the first lies at or above the
-    positive branch and decreases monotonically to it.
+    positive branch and decreases monotonically to it. At each such
+    iterate -J is positive definite in the 1/R-weighted inner product, and
+    each step is one ptsv call on its symmetric form
+    (operators.EigenInvariants).
 
     Returns the first iterate whose stationary residual, in max norm, is
     below cfg.steady_tol or below the rounding limit of evaluating D w,
@@ -204,7 +210,8 @@ def solve_semitrivial(
     grows as (n/L)^2; on the bundled configs (n = 800, L = 4) it is at most
     3e-9, and at n = 12800 up to 8e-7. cfg.dt and cfg.t_final do not
     enter. Raises ConvergenceError when a fixed cap of Newton steps does
-    not get there.
+    not get there, and SingularSystemError, naming the branch and the rate,
+    when a step's -J does not factor as positive definite.
     """
     if which not in ("u", "v"):
         raise ConfigurationError(f"branch must be 'u' or 'v', got {which!r}")
@@ -219,13 +226,18 @@ def solve_semitrivial(
     if which == "v":
         env = env.swapped()
 
+    op = env.dispersal
+    _, neg_off, sqrt_R, _ = op.eigen_invariants
     rr = (1.0 - rate) * env.r
     K_scale = (1.0 - rate) * env.K
-    rounding = rounding_level(env.dispersal)
+    crowd = rr / K_scale
+    crowd2 = 2.0 * crowd
+    shift = rr + op.diag
+    rounding = rounding_level(op)
 
     w = K_scale
     for steps in range(_NEWTON_CAP + 1):
-        residual = apply_operator(env.dispersal, w) + rr * w * (1.0 - w / K_scale)
+        residual = apply_operator(op, w) + w * (rr - crowd * w)
         res_norm = float(np.abs(residual).max())
         tol = max(cfg.steady_tol, rounding * float(np.abs(w).max()))
         if res_norm < tol:
@@ -234,9 +246,17 @@ def solve_semitrivial(
             raise UnstableStepError(f"non-finite semi-trivial {which}-branch Newton iterate")
         if steps == _NEWTON_CAP:
             break
-        # J dw = -F with J = D + diag(rr*(1 - 2w/K)), i.e. (diag(s) - D) dw = F
-        # for s = -rr*(1 - 2w/K); looked up on the module like run_to_time's solves
-        w = w + shifted_solver(env.dispersal, -rr * (1.0 - 2.0 * w / K_scale))(residual)
+        # J dw = -F with J = D + diag(rr - 2 (rr/K) w), i.e. (diag(s) - D) dw = F
+        # for s = 2 (rr/K) w - rr, solved in the symmetric form: ptsv's
+        # diagonal is s - diag(D)
+        _, _, z, info = _ptsv(crowd2 * w - shift, neg_off, residual / sqrt_R,
+                              overwrite_d=1, overwrite_b=1)
+        if info != 0:
+            raise SingularSystemError(
+                f"semi-trivial {which}-branch Newton step at rate {rate} is singular "
+                f"(row {info})"
+            )
+        w = w + sqrt_R * z
     raise ConvergenceError(
         f"semi-trivial {which}-branch did not converge in {_NEWTON_CAP} Newton steps "
         f"(residual {res_norm:.3e}, tolerance {tol:.3e})"

@@ -26,14 +26,21 @@ from scipy.linalg import get_lapack_funcs
 from .errors import ConfigurationError, SingularSystemError
 from .grid import Field, SpatialGrid, as_field
 
-_gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.zeros(3),))
+# gttrf/gttrs factor a scalar shift once for the march's many solves; ptsv
+# solves the symmetric positive definite form S^-1 (diag(s) - D) S of a
+# Newton step (dynamics) or a Noda step (spectral) in one call
+_gttrf, _gttrs, _ptsv = get_lapack_funcs(("gttrf", "gttrs", "ptsv"), (np.zeros(3),))
 
 
 class EigenInvariants(NamedTuple):
-    """The parts of the principal eigenproblem that depend on the operator
-    alone (spectral.principal_eigen): with S = diag(sqrt(P)), the
-    off-diagonal of the symmetric S^-1 D S and its negation, sqrt(P), and
-    (D P)/P, the Collatz-Wielandt ratios of sqrt(P) under S^-1 D S."""
+    """The parts of the symmetric form of D that depend on the operator
+    alone: with S = diag(sqrt(P)), the off-diagonal of S^-1 D S and its
+    negation, sqrt(P), and (D P)/P, the Collatz-Wielandt ratios of sqrt(P)
+    under S^-1 D S. A shifted system (diag(s) - D) x = b is
+    (diag(s) - S^-1 D S) z = b / sqrt(P) with x = sqrt(P) * z, one ptsv call
+    on the diagonal s - diag(D) and neg_off when it is positive definite;
+    the Noda steps of spectral.principal_eigen and the Newton steps of
+    dynamics.solve_semitrivial solve that form."""
 
     off: np.ndarray
     neg_off: np.ndarray
@@ -109,31 +116,21 @@ def apply(op: DiffusionOperator, w: Field) -> Field:
     return out
 
 
-def _shift_text(s: float | Field) -> str:
-    """Name a shift in an error message without printing a whole field."""
-    if np.ndim(s) == 0:
-        return f"s = {s}"
-    return f"per-cell s in [{np.min(s):g}, {np.max(s):g}]"
-
-
-def shifted_solver(op: DiffusionOperator, s: float | Field) -> Callable[[Field], Field]:
-    """Factor (diag(s) - D) once; the returned callable solves for many right
-    hand sides. The shift s is a scalar or a per-cell field. s > 0 in every
-    cell guarantees nonsingularity (D has nonpositive spectrum in the
-    1/P-weighted inner product, in which diag(s) is positive definite); a
-    shift of either sign, such as a Newton step's -f'(w), may be singular
-    and raises SingularSystemError."""
-    n = op.grid.n_cells
+def shifted_solver(op: DiffusionOperator, s: float) -> Callable[[Field], Field]:
+    """Factor (s*I - D) once for a scalar shift s; the returned callable
+    solves for many right-hand sides. s > 0 guarantees nonsingularity (D has
+    nonpositive spectrum in the 1/P-weighted inner product); s <= 0 may be
+    singular and raises SingularSystemError. The Newton and Noda steps, whose
+    shift varies per cell, solve the symmetric form by ptsv instead."""
     if np.ndim(s) != 0:
-        s = as_field(s, op.grid)
+        raise ConfigurationError(f"shift must be a scalar, got shape {np.shape(s)}")
+    n = op.grid.n_cells
     d = s - op.diag
     dl = -op.sub[1:]
     du = -op.sup[:-1]
     dl_f, d_f, du_f, du2, ipiv, info = _gttrf(dl, d, du)
     if info != 0:
-        raise SingularSystemError(
-            f"shifted system with {_shift_text(s)} is singular (row {info})"
-        )
+        raise SingularSystemError(f"shifted system with s = {s} is singular (row {info})")
 
     def solve(rhs: Field) -> Field:
         rhs = np.asarray(rhs, dtype=float)
@@ -141,7 +138,7 @@ def shifted_solver(op: DiffusionOperator, s: float | Field) -> Callable[[Field],
             raise ConfigurationError("right-hand side does not match the operator grid")
         x, info = _gttrs(dl_f, d_f, du_f, du2, ipiv, rhs)
         if info != 0 or not np.isfinite(x).all():
-            raise SingularSystemError(f"shifted solve with {_shift_text(s)} failed")
+            raise SingularSystemError(f"shifted solve with s = {s} failed")
         return x
 
     return solve

@@ -14,10 +14,14 @@ lo <= sigma1 <= hi. Each step shifts to hi and solves (hi*I - H) y = phi by
 one LAPACK ptsv call (the pttrf factorization and pttrs solve). hi*I - H is
 a positive definite M-matrix, so the substitutions only add positive
 terms and y is strictly positive by construction. Its ratios are
-hi - phi_i / y_i, since (H y)_i = hi * y_i - phi_i. The bracket closes
-superlinearly from phi = sqrt(R), which is the exact kernel vector when
-q = 0; the iteration stops when it is narrower than the rounding level
-eps * gershgorin(H) of a ratio.
+hi - phi_i / y_i, since (H y)_i = hi * y_i - phi_i. The next phi is y
+scaled by the smallest phi_i / y_i: it keeps its value in that cell and
+grows in none, so it cannot overflow, and no step normalizes it. The
+bracket closes superlinearly from phi = sqrt(R), which is the exact
+kernel vector when q = 0; the iteration stops when it is narrower than the
+rounding level eps * gershgorin(H) of a ratio. The Rayleigh quotient and
+the residual are taken on the last phi as it stands, dividing once by
+phi . phi.
 
 Of H, the off-diagonal, the start sqrt(R) and the start's ratios for
 q = 0, (D R)/R, depend on the operator alone. They are computed once per
@@ -33,14 +37,11 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import ConfigurationError, ConvergenceError
 from .grid import Field, as_field
-from .operators import ROUNDING_FLOOR, DiffusionOperator, rounding_level
+from .operators import ROUNDING_FLOOR, DiffusionOperator, _ptsv, rounding_level
 from .profiles import EnvironmentProfile
-
-_ptsv = get_lapack_funcs("ptsv", (np.zeros(3),))
 
 # Noda takes 0-6 steps on the bundled configs and 0-7 with a = b down to
 # 1e-4, at n = 200 to 3200.
@@ -116,19 +117,20 @@ def principal_eigen(op: DiffusionOperator, potential: Field, R: Field) -> EigenR
             break
         # (H y)_i = hi * y_i - phi_i, so the ratios of y are hi - phi_i / y_i
         shrink = phi / y
-        lo, hi = hi - float(shrink.max()), hi - float(shrink.min())
-        phi = y / y.max()
+        smin = float(shrink.min())
+        lo, hi = hi - float(shrink.max()), hi - smin
+        # smin * y_i <= phi_i in every cell, so the iterates never grow
+        phi = smin * y
         steps += 1
 
-    phi = phi / math.sqrt(float(phi @ phi))  # not in place: phi may be sqrt_R
     h_phi = diag * phi
     h_phi[:-1] += off * phi[1:]
     h_phi[1:] += off * phi[:-1]
-    rho = float(phi @ h_phi)
+    norm2 = float(phi @ phi)
+    rho = float(phi @ h_phi) / norm2
     r = h_phi - rho * phi
-    residual = math.sqrt(float(r @ r))
-    phi /= math.sqrt(op.grid.h)
-    psi = phi * sqrt_R
+    residual = math.sqrt(float(r @ r) / norm2)
+    psi = phi * sqrt_R / math.sqrt(norm2 * op.grid.h)
     return EigenResult(sigma1=rho, psi=psi, iterations=steps, residual=residual, lo=lo, hi=hi)
 
 

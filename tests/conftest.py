@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import strategies
+from scipy.linalg import solve_banded
 
 from harvestcomp import (
     ConfigurationError,
@@ -20,7 +21,7 @@ from harvestcomp import (
     SpatialGrid,
     average,
 )
-from harvestcomp import spectral, sweep
+from harvestcomp import dynamics, operators, spectral, sweep
 from harvestcomp.analysis import classify, outcome_record
 from harvestcomp.config import (
     apply_overrides,
@@ -190,6 +191,31 @@ def rayleigh_lower_bound(op, potential, R, trial) -> float:
     num = -flux_energy + h * float(np.sum(potential * weighted_sq))
     den = h * float(np.sum(weighted_sq))
     return num / den
+
+
+def semitrivial_by_newton(which, env, rate, cfg: SimulationConfig):
+    """(w, steps): solve_semitrivial's Newton iteration with each step a
+    general banded solve of (diag(s) - D) dw = F, s = -rr*(1 - 2w/K), by
+    scipy.linalg.solve_banded on D itself rather than its symmetric form.
+    An oracle for the ptsv steps; same start, stop test and cap."""
+    if which == "v":
+        env = env.swapped()
+    op = env.dispersal
+    rr = (1.0 - rate) * env.r
+    K_scale = (1.0 - rate) * env.K
+    rounding = operators.rounding_level(op)
+    bands = np.zeros((3, env.grid.n_cells))
+    bands[0, 1:] = -op.sup[:-1]
+    bands[2, :-1] = -op.sub[1:]
+    w = K_scale
+    for steps in range(dynamics._NEWTON_CAP + 1):
+        residual = operators.apply(op, w) + rr * w * (1.0 - w / K_scale)
+        tol = max(cfg.steady_tol, rounding * float(np.abs(w).max()))
+        if float(np.abs(residual).max()) < tol:
+            return w, steps
+        bands[1] = -rr * (1.0 - 2.0 * w / K_scale) - op.diag
+        w = w + solve_banded((1, 1), bands, residual)
+    raise AssertionError(f"oracle Newton on the {which}-branch did not converge")
 
 
 def per_cell_sweep(alphas, betas, env, cfg: SimulationConfig, u0=None, v0=None) -> list:

@@ -24,7 +24,13 @@ from harvestcomp import dynamics
 from harvestcomp.operators import apply as op_apply
 from harvestcomp.operators import build_operator, gershgorin_bound, shifted_solver
 
-from conftest import environments, load_example, one_step, threshold_classify
+from conftest import (
+    environments,
+    load_example,
+    one_step,
+    semitrivial_by_newton,
+    threshold_classify,
+)
 
 
 # --------------------------------------------------------------------- step
@@ -277,6 +283,111 @@ def test_semitrivial_validates_arguments():
         solve_semitrivial("v", env, 1.0, sim)
     with pytest.raises(ConfigurationError, match=f"u{below_one} nan"):
         solve_semitrivial("u", env, float("nan"), sim)
+
+
+def record_ptsv_steps(monkeypatch):
+    """Wrap dynamics._ptsv; each Newton step appends (d, e, b, z) as they
+    entered and left the call."""
+    real = dynamics._ptsv
+    steps = []
+
+    def recorded(d, e, b, **kwargs):
+        entering = d.copy(), e.copy(), b.copy()
+        out = real(d, e, b, **kwargs)
+        steps.append((*entering, out[2].copy()))
+        return out
+
+    monkeypatch.setattr(dynamics, "_ptsv", recorded)
+    return steps
+
+
+def agreement_bound(env, which, rate):
+    """Relative bound on the gap between solve_semitrivial and the banded
+    Newton oracle. Both solve each step backward stably, so they agree to
+    1e-13 where the steps are well conditioned; near rate 1 the first step
+    from (1-rate)*K, shifted by s = rr, has condition number up to
+    kappa = (gershgorin(D) + max rr) / min rr (1.5e11 at rate 1 - 1e-6,
+    n = 800), and the two may differ by about eps * kappa."""
+    if rate <= 0.8:
+        return 1e-13
+    op = (env if which == "u" else env.swapped()).dispersal
+    rr = (1.0 - rate) * env.r
+    kappa = (gershgorin_bound(op) + rr.max()) / rr.min()
+    return 4 * np.finfo(float).eps * kappa
+
+
+def check_steps_against_dense_solves(op, steps):
+    """Each step's dw = sqrt(R) * z solves (diag(s) - D) dw = F, with
+    d = s - diag(D) and b = F / sqrt(R), as np.linalg.solve does on the
+    dense matrix, to 4 eps times the condition number of the symmetric
+    form (measured: at most 0.86 eps times it)."""
+    _, neg_off, sqrt_R, _ = op.eigen_invariants
+    D = np.diag(op.diag) + np.diag(op.sub[1:], -1) + np.diag(op.sup[:-1], 1)
+    for d, e, b, z in steps:
+        assert np.array_equal(e, neg_off)
+        dense = np.linalg.solve(np.diag(d + op.diag) - D, b * sqrt_R)
+        eigenvalues = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        assert eigenvalues[0] > 0
+        kappa = eigenvalues[-1] / eigenvalues[0]
+        gap = np.max(np.abs(sqrt_R * z - dense))
+        assert gap <= 4 * np.finfo(float).eps * kappa * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("n_cells", [200, 800])
+@pytest.mark.parametrize("diffusivity", ["1", "0.01", "1e-4"])
+@pytest.mark.parametrize(
+    "name", ["example1", "example2", "example3", "example4", "example4b"]
+)
+def test_semitrivial_ptsv_steps_match_the_banded_newton_oracle(
+    monkeypatch, name, diffusivity, n_cells
+):
+    _, _, env, sim = load_example(name, n_cells=n_cells, a=diffusivity, b=diffusivity)
+    steps = record_ptsv_steps(monkeypatch)
+    for which in ("u", "v"):
+        for rate in (0.0, 0.4, 0.8, 1.0 - 1e-6):
+            steps.clear()
+            w = solve_semitrivial(which, env, rate, sim)
+            ref, ref_steps = semitrivial_by_newton(which, env, rate, sim)
+            assert len(steps) == ref_steps, (which, rate)
+            gap = np.max(np.abs(w - ref))
+            assert gap <= agreement_bound(env, which, rate) * np.max(np.abs(ref)), (which, rate)
+            if n_cells <= 200:
+                check_steps_against_dense_solves(
+                    (env if which == "u" else env.swapped()).dispersal, steps
+                )
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(env=environments(), rate=strategies.floats(0.0, 0.99),
+       which=strategies.sampled_from("uv"))
+def test_semitrivial_ptsv_steps_match_the_banded_newton_oracle_on_random_environments(
+    env, rate, which
+):
+    sim = SimulationConfig()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        steps = record_ptsv_steps(monkeypatch)
+        w = solve_semitrivial(which, env, rate, sim)
+    ref, ref_steps = semitrivial_by_newton(which, env, rate, sim)
+    assert len(steps) == ref_steps
+    assert np.max(np.abs(w - ref)) <= agreement_bound(env, which, rate) * np.max(np.abs(ref))
+    check_steps_against_dense_solves((env if which == "u" else env.swapped()).dispersal, steps)
+
+
+def test_a_singular_semitrivial_step_is_named(monkeypatch):
+    # -J is positive definite at every iterate, so ptsv cannot fail on its
+    # own; a stubbed zero pivot raises the SingularSystemError naming the
+    # branch and the rate
+    _, _, env, sim = load_example("example2", n_cells=48)
+    real = dynamics._ptsv
+
+    def failing(*args, **kwargs):
+        d, e, x, _ = real(*args, **kwargs)
+        return d, e, x, 1
+
+    monkeypatch.setattr(dynamics, "_ptsv", failing)
+    message = "semi-trivial v-branch Newton step at rate 0.4 is singular (row 1)"
+    with pytest.raises(SingularSystemError, match=f"^{re.escape(message)}$"):
+        solve_semitrivial("v", env, 0.4, sim)
 
 
 # ------------------------------------------------------- coexistence states

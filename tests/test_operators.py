@@ -130,33 +130,6 @@ def test_solve_shifted_matches_dense_oracle(rng):
     assert np.allclose(shifted_solver(op, 2.5)(rhs), dense, atol=1e-10)
 
 
-def test_field_shift_matches_dense_oracle(rng):
-    for _ in range(20):
-        g = random_grid(rng)
-        n = g.n_cells
-        op = build_operator(
-            random_positive_profile(rng, g), random_positive_profile(rng, g), g
-        )
-        # either sign, like the -f'(w) of a Newton step
-        s = rng.uniform(-1.0, 30.0, size=n)
-        rhs = rng.normal(size=n)
-        dense = np.linalg.solve(np.diag(s) - dense_matrix(op), rhs)
-        x = shifted_solver(op, s)(rhs)
-        assert np.allclose(x, dense, rtol=1e-9, atol=1e-12 * np.max(np.abs(dense)))
-        # a constant field is the scalar shift
-        constant = shifted_solver(op, np.full(n, 2.5))(rhs)
-        assert np.array_equal(constant, shifted_solver(op, 2.5)(rhs))
-
-
-def test_singular_field_shift_is_reported(rng):
-    # s = diag(D) leaves a zero diagonal; a tridiagonal matrix of odd order
-    # with zero diagonal is singular
-    g = SpatialGrid(length=4.0, n_cells=13)
-    op = build_operator(random_positive_profile(rng, g), random_positive_profile(rng, g), g)
-    with pytest.raises(SingularSystemError, match=r"per-cell s in \[\S+, \S+\] is singular"):
-        shifted_solver(op, op.diag.copy())
-
-
 def test_prefactored_solver_matches_single_shot(rng):
     g = SpatialGrid(length=4.0, n_cells=40)
     op = build_operator(
