@@ -56,7 +56,6 @@ from .profiles import (
     evaluate,
     parse,
     sample,
-    to_string,
     validate_environment,
 )
 from .spectral import EigenResult, principal_eigen

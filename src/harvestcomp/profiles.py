@@ -14,11 +14,13 @@ optional exponent. "x" is the only variable, "pi" a reserved constant.
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 import re
+import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Union
 
 import numpy as np
 
@@ -27,225 +29,103 @@ from .grid import Field, SpatialGrid
 from .operators import DiffusionOperator, build_operator
 
 FUNCTIONS = {"cos": np.cos, "sin": np.sin, "exp": np.exp, "abs": np.abs}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: np.divide, ast.Pow: np.power}
+_NUMBER = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
+# a character outside the grammar, or a "**" the user wrote ("^" is ours)
+_FOREIGN = re.compile(r"[^A-Za-z0-9_\s.+\-*/^()]|\*\*")
+# zeros leading an integer part, which Python rejects in "01" but the
+# grammar allows; blanked in place, so offsets keep
+_LEADING_ZEROS = re.compile(r"(?<![\w.])(?<![eE][+-])0+(?=\d)")
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Sym:
-    """Named atom: the variable 'x' or the constant 'pi'."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expression"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * / ^
-    left: "Expression"
-    right: "Expression"
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: "Expression"
-
-
-Expression = Union[Num, Sym, Neg, BinOp, Call]
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
-
-
-def _tokenize(src: str) -> list[tuple[str, str, int]]:
-    tokens = []
+def _offset(src: str, t: int) -> int:
+    """Offset in src of offset t in its rewrite, where each "^" is "**"."""
     pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            # skip over trailing whitespace before declaring an error
-            rest = src[pos:]
-            if rest.strip() == "":
-                break
-            bad = pos + len(rest) - len(rest.lstrip())
-            raise ExpressionError(f"unexpected character {src[bad]!r}", bad)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    tokens.append(("end", "", len(src)))
-    return tokens
+    for c in src:
+        t -= 2 if c == "^" else 1
+        if t < 0:
+            break
+        pos += 1
+    return pos
 
 
-class _Parser:
-    def __init__(self, src: str):
-        self.src = src
-        self.tokens = _tokenize(src)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, text, pos = self.peek()
-        if kind != "op" or text != op:
-            raise ExpressionError(f"expected {op!r}, found {text!r}", pos)
-        self.advance()
-
-    def parse(self) -> Expression:
-        e = self.expr()
-        kind, text, pos = self.peek()
-        if kind != "end":
-            raise ExpressionError(f"unexpected trailing input {text!r}", pos)
-        return e
-
-    def expr(self) -> Expression:
-        node = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = BinOp(text, node, self.term())
-            else:
-                return node
-
-    def term(self) -> Expression:
-        node = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = BinOp(text, node, self.factor())
-            else:
-                return node
-
-    def factor(self) -> Expression:
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            return Neg(self.factor())
-        node = self.atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            node = BinOp("^", node, self.factor())
-        return node
-
-    def atom(self) -> Expression:
-        kind, text, pos = self.advance()
-        if kind == "num":
-            return Num(float(text))
-        if kind == "ident":
-            if text == "x":
-                return Sym("x")
-            if text == "pi":
-                return Sym("pi")
-            if text in FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(text, arg)
-            raise ExpressionError(f"unknown identifier {text!r}", pos)
-        if kind == "op" and text == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExpressionError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
-
-
-def parse(src: str) -> Expression:
-    """Parse an expression string into an AST."""
+def parse(src: str) -> ast.expr:
+    """Parse an expression string into a syntax tree of the grammar above,
+    held as Python ast nodes; a constant's value is float(its source)."""
     if not src or not src.strip():
         raise ExpressionError("empty expression")
-    return _Parser(src).parse()
+    foreign = _FOREIGN.search(src)
+    if foreign:
+        pos = foreign.end() - 1
+        raise ExpressionError(f"unexpected character {src[pos]!r}", pos)
+    # Python's "**" is the grammar's "^": right-associative and binding
+    # tighter than unary minus. Python would see an indent in leading
+    # blanks and a line break in "\n", which the grammar ignores.
+    text = re.sub(r"\s", " ", src).replace("^", "**")
+    text = _LEADING_ZEROS.sub(lambda m: " " * len(m[0]), text)
+    lead = len(text) - len(text.lstrip())
+    text = text[lead:]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "1if x" warns, then fails below
+            tree = ast.parse(text, mode="eval").body
+    except SyntaxError as exc:  # offset 0: the end of the input
+        t = exc.offset - 1 if exc.offset else len(text)
+        message = re.split(r"[.:;] ", exc.msg)[0]  # without Python's hints
+        if t >= len(text) and message == "invalid syntax":
+            message = "unexpected end of input"
+        raise ExpressionError(message, _offset(src, lead + t)) from None
+
+    def check(node):
+        kind = type(node)
+        if kind is ast.Constant:
+            digits = text[node.col_offset : node.end_col_offset]
+            if _NUMBER.fullmatch(digits):
+                node.value = float(digits)
+                return
+        elif kind is ast.Name and node.id in ("x", "pi"):
+            return
+        elif kind is ast.UnaryOp and type(node.op) is ast.USub:
+            return check(node.operand)
+        elif kind is ast.BinOp and type(node.op) in _BINARY:
+            check(node.left)
+            return check(node.right)
+        elif (
+            kind is ast.Call
+            and type(node.func) is ast.Name
+            and node.func.id in FUNCTIONS
+            and node.func.col_offset == node.col_offset  # not "(cos)(x)"
+            and len(node.args) == 1  # no "," or "=" gets here: no keywords
+        ):
+            return check(node.args[0])
+        what, name = "unexpected", getattr(node, "func", node)
+        if type(name) is ast.Name and name.id not in ("x", "pi", *FUNCTIONS):
+            what, node = "unknown identifier", name
+        start = _offset(src, lead + node.col_offset)
+        end = _offset(src, lead + node.end_col_offset)
+        raise ExpressionError(f"{what} {src[start:end]!r}", start)
+
+    check(tree)
+    return tree
 
 
-def evaluate(e: Expression, x):
+def evaluate(e: ast.expr, x):
     """Evaluate at x (scalar or array). Non-finite results are the caller's
     concern; sample() turns them into errors."""
-    if isinstance(e, Num):
+    kind = type(e)
+    if kind is ast.Constant:
         return e.value
-    if isinstance(e, Sym):
-        return math.pi if e.name == "pi" else x
-    if isinstance(e, Neg):
+    if kind is ast.Name:
+        return x if e.id == "x" else math.pi
+    if kind is ast.UnaryOp:
         return -evaluate(e.operand, x)
-    if isinstance(e, Call):
-        return FUNCTIONS[e.func](evaluate(e.arg, x))
-    assert isinstance(e, BinOp)
-    left = evaluate(e.left, x)
-    right = evaluate(e.right, x)
-    if e.op == "+":
-        return left + right
-    if e.op == "-":
-        return left - right
-    if e.op == "*":
-        return left * right
-    if e.op == "/":
-        return np.divide(left, right)
-    return np.power(left, right)
+    if kind is ast.Call:
+        return FUNCTIONS[e.func.id](evaluate(e.args[0], x))
+    return _BINARY[type(e.op)](evaluate(e.left, x), evaluate(e.right, x))
 
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4, "atom": 5}
-
-
-def _prec(e: Expression) -> int:
-    if isinstance(e, BinOp):
-        return _PREC[e.op]
-    if isinstance(e, Neg):
-        return _PREC["neg"]
-    return _PREC["atom"]
-
-
-def to_string(e: Expression) -> str:
-    """Canonical printer; parse(to_string(e)) reproduces e."""
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Sym):
-        return e.name
-    if isinstance(e, Neg):
-        inner = to_string(e.operand)
-        if _prec(e.operand) < _PREC["neg"]:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(e, Call):
-        return f"{e.func}({to_string(e.arg)})"
-    assert isinstance(e, BinOp)
-    lp, rp = _prec(e.left), _prec(e.right)
-    mine = _PREC[e.op]
-    left = to_string(e.left)
-    right = to_string(e.right)
-    if e.op == "^":
-        # right-associative; a Neg base must keep its parentheses
-        if lp <= mine:
-            left = f"({left})"
-        if rp < _PREC["neg"]:
-            right = f"({right})"
-    else:
-        if lp < mine:
-            left = f"({left})"
-        # left-associative: a right child of equal precedence needs parens
-        # to reproduce the same tree on reparse
-        if rp <= mine:
-            right = f"({right})"
-    return f"{left}{e.op}{right}"
-
-
-def sample(e: Expression, grid: SpatialGrid) -> Field:
+def sample(e: ast.expr, grid: SpatialGrid) -> Field:
     """Evaluate pointwise at the cell centers.
 
     Division by zero, overflow, and 0^negative surface as errors naming the

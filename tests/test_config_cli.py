@@ -98,6 +98,14 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def test_bad_expression_override_exits_2_naming_key_and_position(capsys):
+    code = run_cli("check", "--config", bundled_config("example1"), "--set", "K=x**2")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad expression for 'K'" in err
+    assert "(at position 2)" in err
+
+
 def test_simulate_writes_profile_and_roundtrips(fast_config, tmp_path, capsys):
     out = tmp_path / "prof.csv"
     code = run_cli(

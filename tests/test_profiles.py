@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from harvestcomp import ConfigurationError, ExpressionError, SpatialGrid
 from harvestcomp.profiles import (
@@ -7,7 +10,6 @@ from harvestcomp.profiles import (
     evaluate,
     parse,
     sample,
-    to_string,
     validate_environment,
 )
 
@@ -30,63 +32,86 @@ from conftest import load_example
         ("1.5e2/3", 0.0, 50.0),
         (".5*x", 3.0, 1.5),
         ("--x", 2.5, 2.5),
+        (" x ", 1.5, 1.5),  # leading and trailing blanks
+        ("(\nx)", 1.5, 1.5),  # a line break inside parentheses
+        ("x\n+1", 1.5, 2.5),  # and outside them
+        ("01+x", 0.5, 1.5),  # a leading zero
+        ("1.5e+01-01", 0.0, 14.0),  # one in an exponent, one after it
+        ("2+cos(pi*x)", 1.0, 1.0),
+        # 10 exp(-pi^2/8) - exp(-pi^2/2) + 1; a short id keeps it apart from the x=2 case
+        pytest.param(
+            "10*exp(-12.5*pi^2*(x-2)^2) - exp(-50*pi^2*(x-2)^2) + 1", 2.1, 3.9049374487843824,
+            id="example2_K-2.1-3.9049374487843824",
+        ),
+        ("-x^2", 1.5, -2.25),
+        ("(-x)^2", 1.5, 2.25),
+        ("x^-2", 2.0, 0.25),
+        ("1-(2-3)", 0.0, 2.0),
+        ("8/(4/2)", 0.0, 4.0),
+        ("2^(3^2)", 0.0, 512.0),
+        ("(2^3)^2", 0.0, 64.0),
+        ("-(x+1)", 1.5, -2.5),
+        ("abs(x)*sin(x)/(1+x)", -0.5, -0.479425538604203),  # sin(-0.5)
     ],
 )
 def test_parse_and_evaluate(src, x, expected):
     assert evaluate(parse(src), x) == pytest.approx(expected, abs=1e-12)
 
 
+_XS = np.linspace(-2.0, 2.0, 9)  # holds 0, so "/" and "^" meet inf and nan
+_NUMPY_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+_NUMPY_CALLS = {"cos": np.cos, "sin": np.sin, "exp": np.exp, "abs": np.abs}
+
+
+def _quietly(f, *args):
+    with np.errstate(all="ignore"):
+        return f(*args)
+
+
+def _trees():
+    """Expression trees as (fully parenthesized source, value at _XS), the
+    value computed by direct numpy operations."""
+    leaves = strategies.one_of(
+        strategies.floats(0.0, 10.0).map(lambda v: (repr(v), v)),
+        strategies.just(("x", _XS)),
+        strategies.just(("pi", math.pi)),
+    )
+
+    def extend(children):
+        return strategies.one_of(
+            children.map(lambda c: (f"(-{c[0]})", _quietly(np.negative, c[1]))),
+            strategies.tuples(strategies.sampled_from(sorted(_NUMPY_CALLS)), children).map(
+                lambda t: (f"{t[0]}({t[1][0]})", _quietly(_NUMPY_CALLS[t[0]], t[1][1]))
+            ),
+            strategies.tuples(strategies.sampled_from("+-*/^"), children, children).map(
+                lambda t: (
+                    f"({t[1][0]}{t[0]}{t[2][0]})",
+                    _quietly(_NUMPY_BINARY[t[0]], t[1][1], t[2][1]),
+                )
+            ),
+        )
+
+    return strategies.recursive(leaves, extend, max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tree=_trees())
+def test_random_trees_evaluate_as_numpy(tree):
+    src, value = tree
+    with np.errstate(all="ignore"):
+        got = evaluate(parse(src), _XS)
+    expected = np.broadcast_to(value, _XS.shape)
+    assert np.array_equal(np.broadcast_to(got, _XS.shape), expected, equal_nan=True), src
+
+
 @pytest.mark.parametrize(
     "src",
     [
-        "2+cos(pi*x)",
-        "10*exp(-12.5*pi^2*(x-2)^2) - exp(-50*pi^2*(x-2)^2) + 1",
-        "-x^2",
-        "(-x)^2",
-        "x^-2",
-        "1-(2-3)",
-        "8/(4/2)",
-        "2^(3^2)",
-        "(2^3)^2",
-        "-(x+1)",
-        "abs(x)*sin(x)/(1+x)",
+        "", "   ", "2+*3", "2+", "cos(", "cos 2", "tan(x)", "y+1", "1..2", "(1+2", "2 3",
+        # what Python's own grammar accepts and this one does not
+        "1_000", "0x10", "0b1", "1j", "True", "x**2", "+x", "x #c", "x\\\n+1", "(cos)(x)",
+        "cos(x,1)", "cos(x=1)", "x(2)", "x<1", "x if x else 1", "[x]", "x.real",
     ],
-)
-def test_printer_round_trip(src):
-    ast = parse(src)
-    printed = to_string(ast)
-    assert parse(printed) == ast
-    assert to_string(parse(printed)) == printed
-
-
-def _random_ast(rng, depth=0):
-    from harvestcomp.profiles import BinOp, Call, Neg, Num, Sym
-
-    choices = ["num", "x", "pi"] if depth > 3 else ["num", "x", "pi", "bin", "neg", "call"]
-    kind = rng.choice(choices)
-    if kind == "num":
-        return Num(float(np.round(rng.uniform(0, 10), 3)))
-    if kind == "x":
-        return Sym("x")
-    if kind == "pi":
-        return Sym("pi")
-    if kind == "neg":
-        return Neg(_random_ast(rng, depth + 1))
-    if kind == "call":
-        return Call(str(rng.choice(["cos", "sin", "exp", "abs"])), _random_ast(rng, depth + 1))
-    op = str(rng.choice(list("+-*/^")))
-    return BinOp(op, _random_ast(rng, depth + 1), _random_ast(rng, depth + 1))
-
-
-def test_printer_round_trip_random(rng):
-    for _ in range(300):
-        ast = _random_ast(rng)
-        assert parse(to_string(ast)) == ast
-
-
-@pytest.mark.parametrize(
-    "src",
-    ["", "   ", "2+*3", "2+", "cos(", "cos 2", "tan(x)", "y+1", "1..2", "(1+2", "2 3"],
 )
 def test_parse_errors(src):
     with pytest.raises(ExpressionError):
@@ -94,9 +119,18 @@ def test_parse_errors(src):
 
 
 def test_parse_error_carries_position():
-    with pytest.raises(ExpressionError) as err:
-        parse("1+&2")
-    assert err.value.position == 2
+    # offsets into the string as written, though Python reads "^" as "**"
+    for src, position in [("1+&2", 2), ("x^2+&", 4), ("x^2^2 y", 6)]:
+        with pytest.raises(ExpressionError) as err:
+            parse(src)
+        assert err.value.position == position, src
+
+
+def test_rejection_leaks_no_python_warning(recwarn):
+    # Python warns of "1if" before it fails or parses on
+    with pytest.raises(ExpressionError, match="invalid decimal literal"):
+        parse("1if x else 2")
+    assert not recwarn.list
 
 
 def test_unknown_identifier_names_it():
@@ -127,6 +161,22 @@ def test_sample_overflow_is_an_error():
     g = SpatialGrid(length=4.0, n_cells=8)
     with pytest.raises(ExpressionError):
         sample(parse("exp(1000*x)"), g)
+
+
+def test_huge_literals_are_expression_errors():
+    g = SpatialGrid(length=4.0, n_cells=5)
+    with pytest.raises(ExpressionError, match="non-finite"):
+        sample(parse("9" * 400), g)  # float() of its digits is inf
+    with pytest.raises(ExpressionError):
+        parse("9" * 5000)  # past the digit limit of Python's integer literals
+
+
+@pytest.mark.parametrize("src", ["1/0", "0^-1", "(-8)^(1/3)"])
+def test_constant_singularities_are_sampled_as_errors(src):
+    # numpy's inf and nan, not Python's ZeroDivisionError or complex power
+    g = SpatialGrid(length=4.0, n_cells=5)
+    with pytest.raises(ExpressionError, match="non-finite"):
+        sample(parse(src), g)
 
 
 def test_sample_zero_to_negative_power_is_an_error():
