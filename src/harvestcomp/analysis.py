@@ -15,6 +15,9 @@ sharper estimate
     alpha_star_ifp = 1 - integral(P * r * v_beta / K) / integral(r * P)
 
 applies instead. alpha_star() reports both from one v_beta solve.
+
+classify is the package's only outcome rule; sweep reads its sign table,
+OUTCOME_OF_SIGNS, for the cells whose signs it certifies without eigenpairs.
 """
 
 from __future__ import annotations
@@ -42,6 +45,11 @@ class Outcome(Enum):
     ONLY_U = "only_u"
     ONLY_V = "only_v"
     EXTINCTION = "extinct"
+
+
+#: The outcomes that the signs of (sigma_u, sigma_v) decide alone.
+OUTCOME_OF_SIGNS = {(1, 1): Outcome.COEXISTENCE, (1, -1): Outcome.ONLY_U,
+                    (-1, 1): Outcome.ONLY_V}
 
 
 @dataclass(frozen=True)
@@ -112,7 +120,6 @@ class InequalityCheck:
     applicable: bool
     margin: float | None
     holds: bool | None
-    detail: str
 
 
 @dataclass(frozen=True)
@@ -214,22 +221,22 @@ def classify(
     sigma_v that of v invading (u_alpha, 0); spectral.sign reads each
     against its level (spectral.neutral_level). Both positive is
     coexistence, and one positive and one negative is exclusion by the
-    species whose sigma is positive. When sigma_v is neutral, sigma_u > 0
-    and u_alpha is proportional to P (u's dispersal operator,
-    env.dispersal, annihilates it), u is an ideal free disperser and
-    excludes v (Averill, Lou & Munther, J. Biol. Dyn. 6, 2012); the same
+    species whose sigma is positive (OUTCOME_OF_SIGNS). When sigma_v is
+    neutral, sigma_u > 0 and u_alpha is proportional to P (u's dispersal
+    operator, env.dispersal, annihilates it), u is an ideal free disperser
+    and excludes v (Averill, Lou & Munther, J. Biol. Dyn. 6, 2012); the same
     holds with the species exchanged (v's operator is
     env.swapped().dispersal). Any other neutral cell, and a bistable one
     (both sigmas negative, the outcome set by the initial data), raises
     HarvestCompError naming both sigmas.
     """
     sign_u, sign_v = sign(sigma_u, level_u), sign(sigma_v, level_v)
-    if sign_u > 0 and sign_v > 0:
-        return Outcome.COEXISTENCE
-    if sign_u > 0 and (sign_v < 0 or sign_v == 0 and annihilates(env.dispersal, u_alpha)):
+    outcome = OUTCOME_OF_SIGNS.get((sign_u, sign_v))
+    if outcome is not None:
+        return outcome
+    if sign_u > 0 and sign_v == 0 and annihilates(env.dispersal, u_alpha):
         return Outcome.ONLY_U
-    if sign_v > 0 and (sign_u < 0 or sign_u == 0
-                       and annihilates(env.swapped().dispersal, v_beta)):
+    if sign_v > 0 and sign_u == 0 and annihilates(env.swapped().dispersal, v_beta):
         return Outcome.ONLY_V
     kind = "bistable" if sign_u < 0 and sign_v < 0 else "neutral"
     raise HarvestCompError(
@@ -293,61 +300,26 @@ def inequality_suite(env: EnvironmentProfile, cfg: SimulationConfig) -> Inequali
     fit = fit_convex_hull(env)
     prop_u, prop_v = not fit.nonprop_u, not fit.nonprop_v
 
-    checks: list[InequalityCheck] = []
-
-    def add(name, applicable, margin, detail):
-        checks.append(
-            InequalityCheck(
-                name=name,
-                applicable=applicable,
-                margin=float(margin) if applicable else None,
-                holds=bool(margin > 0) if applicable else None,
-                detail=detail,
-            )
-        )
-
+    plain_fisher = (_is_constant(env.a) and _is_constant(env.P)
+                    and np.allclose(env.r, env.K, rtol=1e-12, atol=0.0))
     rK = integrate(env.r * env.K, g)
-    add(
-        "u_average_below_capacity",
-        not prop_u,
-        rK - integrate(env.r * u_star, g),
-        "integral(r*K) - integral(r*u*) > 0 on the u-branch",
+    table = (  # (name, applicable, margin) in print order
+        ("u_average_below_capacity", not prop_u, rK - integrate(env.r * u_star, g)),
+        ("v_average_below_capacity", not prop_v, rK - integrate(env.r * v_star, g)),
+        ("u_dispersal_weighted_excess", not prop_u,
+         integrate(env.r * env.P * (u_star / env.K - 1.0), g)),
+        ("v_dispersal_weighted_excess", not prop_v,
+         integrate(env.r * env.Q * (v_star / env.K - 1.0), g)),
+        ("invader_growth_at_u_branch", fit.is_ideal_free_pair(),
+         integrate(env.r * env.Q * (1.0 - u_star / env.K), g)),
+        ("u_higher_average_plain_diffusion", plain_fisher and not prop_u,
+         integrate(u_star, g) - integrate(env.K, g)),
     )
-    add(
-        "v_average_below_capacity",
-        not prop_v,
-        rK - integrate(env.r * v_star, g),
-        "integral(r*K) - integral(r*v*) > 0 on the v-branch",
-    )
-    add(
-        "u_dispersal_weighted_excess",
-        not prop_u,
-        integrate(env.r * env.P * (u_star / env.K - 1.0), g),
-        "integral(r*P*(u*/K - 1)) > 0 on the u-branch",
-    )
-    add(
-        "v_dispersal_weighted_excess",
-        not prop_v,
-        integrate(env.r * env.Q * (v_star / env.K - 1.0), g),
-        "integral(r*Q*(v*/K - 1)) > 0 on the v-branch",
-    )
-    add(
-        "invader_growth_at_u_branch",
-        fit.is_ideal_free_pair(),
-        integrate(env.r * env.Q * (1.0 - u_star / env.K), g),
-        "integral(r*Q*(1 - u*/K)) > 0 for an ideal free pair",
-    )
-    plain_fisher = (
-        _is_constant(env.a)
-        and _is_constant(env.P)
-        and np.allclose(env.r, env.K, rtol=1e-12, atol=0.0)
-    )
-    add(
-        "u_higher_average_plain_diffusion",
-        plain_fisher and not prop_u,
-        integrate(u_star, g) - integrate(env.K, g),
-        "integral(u*) > integral(K) for constant a, P with r = K",
-    )
+    checks = [
+        InequalityCheck(name, applicable, float(margin) if applicable else None,
+                        bool(margin > 0) if applicable else None)
+        for name, applicable, margin in table
+    ]
 
     diagnostics = {
         "K_min": float(np.min(env.K)),

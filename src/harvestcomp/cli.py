@@ -147,9 +147,10 @@ def _resolve_config(args) -> RunConfig:
 
 
 def _setup(args):
+    """The run configuration, its grid, environment and SimulationConfig."""
     cfg = _resolve_config(args)
     grid, env = build_environment(cfg)
-    return cfg, grid, env
+    return cfg, grid, env, simulation_config(cfg)
 
 
 def _parse_betas(text: str) -> list[float]:
@@ -170,8 +171,7 @@ def _cmd_simulate(args) -> int:
     """The sweep record of the configured cell, and the profiles of the
     march from (u0, v0); --strict fails an undecided cell or a march that
     does not settle by t_final."""
-    cfg, grid, env = _setup(args)
-    sim = simulation_config(cfg)
+    cfg, grid, env, sim = _setup(args)
     rates = harvest_rates(cfg)
     u0, v0 = initial_fields(cfg, grid)
     final = run_to_time(u0, v0, env, rates, sim)
@@ -185,8 +185,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_steady(args) -> int:
-    cfg, grid, env = _setup(args)
-    sim = simulation_config(cfg)
+    cfg, grid, env, sim = _setup(args)
     rate = cfg.alpha if args.branch == "u" else cfg.beta
     w = solve_semitrivial(args.branch, env, rate, sim)
     print(
@@ -198,8 +197,7 @@ def _cmd_steady(args) -> int:
 
 
 def _cmd_eigen(args) -> int:
-    cfg, grid, env = _setup(args)
-    sim = simulation_config(cfg)
+    cfg, grid, env, sim = _setup(args)
     rates = harvest_rates(cfg)
     rate = cfg.alpha if args.around == "u" else cfg.beta
     resident = solve_semitrivial(args.around, env, rate, sim)
@@ -220,8 +218,7 @@ def _cmd_eigen(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    cfg, grid, env = _setup(args)
-    sim = simulation_config(cfg)
+    cfg, grid, env, sim = _setup(args)
     betas = [cfg.beta] if args.betas is None else _parse_betas(args.betas)
     rows = []
     for beta in betas:
@@ -248,8 +245,7 @@ def _cmd_sweep(args) -> int:
     n = args.grid if args.grid is not None else 41 if args.beta is None else 101
     if n < 1:
         raise ConfigurationError(f"--grid needs at least 1 point per axis, got {n}")
-    cfg, grid, env = _setup(args)
-    sim = simulation_config(cfg)
+    cfg, grid, env, sim = _setup(args)
     u0, v0 = initial_fields(cfg, grid)
 
     alphas = np.linspace(0.0, 1.0, n)
@@ -266,8 +262,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_switch(args) -> int:
-    cfg, grid, env = _setup(args)
-    sim = simulation_config(cfg)
+    cfg, grid, env, sim = _setup(args)
     beta = args.beta if args.beta is not None else cfg.beta
     sp = find_switch(beta, env, sim, tol=args.tol)
     if sp is None:
@@ -287,9 +282,8 @@ def _cmd_switch(args) -> int:
 
 
 def _cmd_msy(args) -> int:
-    cfg, grid, env = _setup(args)
+    cfg, grid, env, sim = _setup(args)
     rates = harvest_rates(cfg)
-    sim = simulation_config(cfg)
     record = simulate_cell(rates.alpha, rates.beta, env, sim, *initial_fields(cfg, grid))
     ceiling = integrate(0.25 * env.r * env.K, grid)
     print(
@@ -301,8 +295,7 @@ def _cmd_msy(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    cfg, grid, env = _setup(args)
-    sim = simulation_config(cfg)
+    cfg, grid, env, sim = _setup(args)
     report = inequality_suite(env, sim)
     for c in report.checks:
         if not c.applicable:

@@ -206,7 +206,7 @@ def solve_semitrivial(
 
     Returns the first iterate whose stationary residual, in max norm, is
     below cfg.steady_tol or below the rounding limit of evaluating D w,
-    4 * eps * gershgorin_bound(D) * max|w|, whichever is larger. The limit
+    4 * eps * D.gershgorin * max|w|, whichever is larger. The limit
     grows as (n/L)^2; on the bundled configs (n = 800, L = 4) it is at most
     3e-9, and at n = 12800 up to 8e-7. cfg.dt and cfg.t_final do not
     enter. Raises ConvergenceError when a fixed cap of Newton steps does
@@ -293,7 +293,7 @@ def solve_coexistence(
     negative is retried with tau quartered.
 
     Stops like solve_semitrivial: max|F| below cfg.steady_tol or below
-    4 * eps * gershgorin_bound(D) * max(u, v), with D the dispersal operator
+    4 * eps * D.gershgorin * max(u, v), with D the dispersal operator
     of larger bound. cfg.dt and cfg.t_final do not enter. Raises
     ConvergenceError when a fixed cap of steps does not get there, and
     NumericalError when the state reached is not positive in both species,

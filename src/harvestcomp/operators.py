@@ -144,14 +144,8 @@ def shifted_solver(op: DiffusionOperator, s: float) -> Callable[[Field], Field]:
     return solve
 
 
-def gershgorin_bound(op: DiffusionOperator) -> float:
-    """Upper bound on the spectral radius of D (used for scale thresholds),
-    kept on the operator."""
-    return op.gershgorin
-
-
 #: Evaluating D w in floating point leaves a residual of about
-#: eps * gershgorin_bound(D) * max|w| that no iterate gets below (Newton
+#: eps * D.gershgorin * max|w| that no iterate gets below (Newton
 #: stalls at up to 1.04 times it on the bundled configs, n up to 25600, L
 #: down to 0.25); the stop tests and annihilates allow this many times that
 #: bound.
@@ -159,7 +153,7 @@ ROUNDING_FLOOR = 4.0
 
 
 def rounding_level(op: DiffusionOperator) -> float:
-    """ROUNDING_FLOOR * eps * gershgorin_bound(op): the stationary residual,
+    """ROUNDING_FLOOR * eps * op.gershgorin: the stationary residual,
     per unit of max|w|, that rounding in D w alone leaves. ROUNDING_FLOOR *
     eps is a power of two, so scaling by it is exact."""
     return ROUNDING_FLOOR * sys.float_info.epsilon * op.gershgorin
@@ -171,7 +165,7 @@ def annihilates(op: DiffusionOperator, w: Field) -> bool:
 
     Used to test proportionality: D w = 0 exactly iff w is proportional
     to the operator's dispersal profile P, and evaluating D(c*P) leaves at
-    most about eps * gershgorin_bound(D) * max|c*P| (1.06 eps on random
+    most about eps * D.gershgorin * max|c*P| (1.06 eps on random
     profiles, n up to 4000). A w not proportional to P leaves a residual
     that shrinks only like h^2 as the grid is refined.
     """

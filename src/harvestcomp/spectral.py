@@ -139,12 +139,12 @@ def neutral_level(env: EnvironmentProfile) -> float:
     env.dispersal (pass env.swapped() for v): a sigma within it of 0 is
     neutral. On the bundled configs at n = 200, 240 and 800, over a 20x20
     grid of rates in [0, 0.95], zero sigmas sit at most 0.011 times
-    eps * (gershgorin_bound(D) + max r) and every other |sigma| at least
+    eps * (D.gershgorin + max r) and every other |sigma| at least
     1.75e6 times it; the level allows the Newton floor's factor. The
     bracket principal_eigen stops at, eps * gershgorin(H), is about a
     quarter of the level."""
     # rounding_level's factor is a power of two, so this is that factor
-    # times (gershgorin_bound(D) + max r) exactly
+    # times (D.gershgorin + max r) exactly
     eps = sys.float_info.epsilon
     return rounding_level(env.dispersal) + ROUNDING_FLOOR * eps * float(np.max(env.r))
 

@@ -7,10 +7,13 @@ and sigma_v that of v invading (u_alpha, 0); sigma_v is sigma_u of the
 swapped environment with the rates exchanged. Both positive means
 coexistence, and one positive and one negative means exclusion by the
 species whose sigma is positive. A harvesting rate >= 1 leaves that species
-no positive state, so its cells need no eigenvalue. One semi-trivial state
-is solved per alpha column and per beta row; one-species cells take their
-averages and yields from it, and coexistence cells from the stationary state
-solve_coexistence reaches from the sweep's initial data.
+no positive state, so its cells need no eigenvalue. A cell's outcome is
+decided first: over-exploitation, then signs its line's climbs certify
+(analysis.OUTCOME_OF_SIGNS), then analysis.classify. One semi-trivial state
+is solved per alpha column and per beta row; a one-species cell takes the
+kept species' (average, yield) from it and 0 for the other, and a
+coexistence cell both from the stationary state solve_coexistence reaches
+from the sweep's initial data.
 
 sigma_u is convex and strictly decreasing in alpha (J. E. Cohen, Proc. AMS
 81 (1981) 657-658), with slope -h * sum(r * psi^2 / P) from its own
@@ -34,7 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .analysis import Outcome, OutcomeRecord, classify, invasion_potential, outcome_record
+from .analysis import (
+    OUTCOME_OF_SIGNS,
+    Outcome,
+    OutcomeRecord,
+    classify,
+    invasion_potential,
+    outcome_record,
+)
 from .dynamics import (
     HarvestRates,
     SimulationConfig,
@@ -45,7 +55,7 @@ from .dynamics import (
     solve_semitrivial,
 )
 from .errors import ConfigurationError, ConvergenceError, HarvestCompError
-from .grid import Field
+from .grid import Field, average, integrate
 from .profiles import EnvironmentProfile
 
 #: Constant initial density used for every species unless overridden.
@@ -157,11 +167,6 @@ def _certified_sign(points, x: float, r_min: float, level: float) -> int:
     return -1 if upper < -2.0 * level else 0
 
 
-#: The outcome of a cell whose two signs are certified, not both negative.
-_OUTCOME_OF_SIGNS = {(1, 1): Outcome.COEXISTENCE, (1, -1): Outcome.ONLY_U,
-                     (-1, 1): Outcome.ONLY_V}
-
-
 def sweep_grid(
     alpha_grid,
     beta_grid,
@@ -191,12 +196,13 @@ def sweep_grid(
     (x - x_k) bounds it from above. A node's sign is +1 where lower >
     2 * level and -1 where upper < -2 * level; the factor 2 covers the
     eigensolver's rounding, whose bracket stop is about level / 4. Where
-    both signs are certified and not both negative, the outcome follows
-    from them. Every other cell computes both sigmas (eigenpairs are kept by
-    rate, so a climb point on a node is not recomputed) and calls classify,
-    so its outcome and message are those of computing every cell. A climb
-    whose solve raises certifies nothing on its line, and each cell there is
-    computed alone.
+    both signs are certified and not both negative, the outcome is their
+    entry in analysis.OUTCOME_OF_SIGNS, the table classify reads. Every
+    other cell computes both sigmas (eigenpairs are kept by rate, so a climb
+    point on a node is not recomputed) and calls classify, so its outcome
+    and message are those of computing every cell. A climb whose solve
+    raises certifies nothing on its line, and each cell there is computed
+    alone.
 
     (u0, v0), each DEFAULT_INITIAL_DENSITY when not given, are where
     coexistence states are sought from. Initial data that check_initial_data
@@ -213,18 +219,13 @@ def sweep_grid(
     swapped = env.swapped()
     level_u, level_v = spectral.neutral_level(env), spectral.neutral_level(swapped)
     r_min = float(np.min(env.r))
-    absent = np.zeros(env.grid.n_cells)
     semitrivial = functools.cache(lambda which, rate: solve_semitrivial(which, env, rate, cfg))
 
     @functools.cache
-    def alone(which: str, rate: float) -> OutcomeRecord:
-        # the record of one species alone at its rate, the other's rate 0:
-        # the absent species' average and yield are 0 at any rate
-        if which == "u":
-            return outcome_record(Outcome.ONLY_U, semitrivial("u", rate), absent, env,
-                                  HarvestRates(alpha=rate, beta=0.0))
-        return outcome_record(Outcome.ONLY_V, absent, semitrivial("v", rate), env,
-                              HarvestRates(alpha=0.0, beta=rate))
+    def alone(which: str, rate: float) -> tuple[float, float]:
+        # (average, yield) of one species alone at its rate, which is below 1
+        w = semitrivial(which, rate)
+        return average(w, env.grid), integrate(rate * env.r * w, env.grid)
 
     @functools.cache
     def eigen_u(beta: float, alpha: float) -> spectral.EigenResult:
@@ -239,8 +240,6 @@ def sweep_grid(
         # certified sign at each rate of the line in [0, 1), none where the
         # climb fails
         nodes = sorted({float(x) for x in line if 0 <= x < 1})
-        if not nodes:
-            return {}
         try:
             points, _ = _newton_climb(eigen, invader, nodes[0], nodes[-1], level)
         except HarvestCompError:
@@ -255,31 +254,23 @@ def sweep_grid(
     def column_signs(alpha: float) -> dict:
         return certify(functools.partial(eigen_v, alpha), swapped, betas, level_v)
 
-    def at(record: OutcomeRecord, alpha: float, beta: float) -> OutcomeRecord:
-        # a one-species record copied to the cell's rates by the constructor,
-        # which takes a third of the time of dataclasses.replace
-        return OutcomeRecord(record.outcome, record.avg_u, record.avg_v, record.yield_u,
-                             record.yield_v, alpha, beta)
-
     def cell(alpha: float, beta: float) -> OutcomeRecord:
         rates = HarvestRates(alpha=alpha, beta=beta)
-        if alpha >= 1:
-            if beta >= 1:
-                return outcome_record(Outcome.EXTINCTION, absent, absent, env, rates)
-            return at(alone("v", beta), alpha, beta)
-        if beta >= 1:
-            return at(alone("u", alpha), alpha, beta)
-        u_alpha, v_beta = semitrivial("u", alpha), semitrivial("v", beta)
-        signs = (row_signs(beta).get(alpha, 0), column_signs(alpha).get(beta, 0))
-        outcome = _OUTCOME_OF_SIGNS.get(signs)
+        if alpha >= 1 or beta >= 1:
+            outcome = (Outcome.ONLY_U if alpha < 1 else Outcome.ONLY_V if beta < 1
+                       else Outcome.EXTINCTION)
+        else:
+            outcome = OUTCOME_OF_SIGNS.get((row_signs(beta).get(alpha, 0),
+                                            column_signs(alpha).get(beta, 0)))
         if outcome is None:
+            u_alpha, v_beta = semitrivial("u", alpha), semitrivial("v", beta)
             outcome = classify(eigen_u(beta, alpha).sigma1, eigen_v(alpha, beta).sigma1,
                                level_u, level_v, env, u_alpha, v_beta)
         if outcome is Outcome.COEXISTENCE:
             return outcome_record(outcome, *solve_coexistence(u0, v0, env, rates, cfg), env, rates)
-        if outcome is Outcome.ONLY_U:
-            return at(alone("u", alpha), alpha, beta)
-        return at(alone("v", beta), alpha, beta)
+        avg_u, yield_u = alone("u", alpha) if outcome is Outcome.ONLY_U else (0.0, 0.0)
+        avg_v, yield_v = alone("v", beta) if outcome is Outcome.ONLY_V else (0.0, 0.0)
+        return OutcomeRecord(outcome, avg_u, avg_v, yield_u, yield_v, alpha, beta)
 
     records = []
     for beta in betas:

@@ -23,7 +23,7 @@ from harvestcomp import (
 from harvestcomp.cli import main as cli_main
 from harvestcomp.config import build_environment, parse_config_text
 from harvestcomp.operators import apply as op_apply
-from harvestcomp.operators import build_operator, gershgorin_bound
+from harvestcomp.operators import build_operator
 from harvestcomp.profiles import EnvironmentProfile
 from harvestcomp.sweep import simulate_cell, sweep_grid
 
@@ -223,7 +223,7 @@ def test_criterion_9a_operator_invariants_on_randomized_profiles():
         g = random_grid(rng, 8, 48)
         P = random_positive_profile(rng, g)
         op = build_operator(random_positive_profile(rng, g), P, g)
-        scale = gershgorin_bound(op)
+        scale = op.gershgorin
         w = rng.normal(size=g.n_cells)
         z = rng.normal(size=g.n_cells)
 

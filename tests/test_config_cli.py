@@ -7,7 +7,13 @@ import pytest
 
 from harvestcomp import ConfigurationError, Outcome, SimulationConfig
 from harvestcomp.cli import main
-from harvestcomp.config import apply_overrides, load_config, parse_config_text
+from harvestcomp.config import (
+    apply_overrides,
+    build_environment,
+    load_config,
+    parse_config_text,
+    simulation_config,
+)
 from harvestcomp.sweep import find_switch, sweep_grid
 
 from conftest import bundled_config, load_example
@@ -202,6 +208,24 @@ def test_bounds_command_csv_contract(fast_config, tmp_path, capsys):
     assert np.isnan(float(row[3]))  # switch point only under --with-switch
 
 
+def test_bounds_with_switch_writes_the_switch_point(fast_config, tmp_path, capsys):
+    # beta = 0.9985 leaves (beta + tol, 1 - tol) empty: no switch, nan
+    out = tmp_path / "bounds.csv"
+    code = run_cli("bounds", "--config", fast_config, "--betas", "0,0.4,0.9985", "--with-switch",
+                   "--output", out)
+    assert code == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    cfg = load_config(fast_config)
+    _, env = build_environment(cfg)
+    sim = simulation_config(cfg)
+    for row, beta in zip(rows[:2], [0.0, 0.4]):
+        assert float(row["beta"]) == beta
+        assert float(row["alpha_double_star"]) == find_switch(beta, env, sim).alpha_double_star
+    assert rows[2]["beta"] == "0.9985" and rows[2]["alpha_double_star"] == "nan"
+    assert "alpha_double_star=nan" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("betas, entry", [("0,,0.4", "''"), ("abc", "'abc'"), ("", "''")])
 def test_bounds_rejects_malformed_betas(fast_config, capsys, betas, entry):
     assert run_cli("bounds", "--config", fast_config, "--betas", betas) == 2
@@ -306,6 +330,58 @@ def test_switch_command(fast_config, capsys):
     assert "alpha_double_star=" in capsys.readouterr().out
 
 
+def test_switch_reports_no_switch_and_writes_its_row(fast_config, tmp_path, capsys):
+    assert run_cli("switch", "--config", fast_config, "--beta", "0.9985") == 0
+    assert capsys.readouterr().out == "beta=0.9985: no switch inside (beta, 1)\n"
+    out = tmp_path / "switch.csv"
+    assert run_cli("switch", "--config", fast_config, "--beta", "0.2", "--output", out) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[-1] == f"wrote {out}"
+    header, row = out.read_text().splitlines()
+    assert header == "beta,alpha_double_star,bracket_width"
+    beta, switch, width = map(float, row.split(","))
+    assert beta == 0.2 and 0.2 < switch < 1 and width == 0.001
+    assert printed[0] == f"beta=0.2 alpha_double_star={switch:.6g} bracket_width={width:.3g}"
+
+
+def test_eigen_writes_the_eigenfunction(fast_config, tmp_path, capsys):
+    out = tmp_path / "psi.csv"
+    assert run_cli("eigen", "--config", fast_config, "--around", "v", "--output", out) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "x,psi" and len(lines) == 49
+    assert all(float(line.split(",")[1]) > 0 for line in lines[1:])
+    assert f"wrote {out}" in capsys.readouterr().out
+
+
+def test_msy_of_a_neutral_cell_exits_3(fast_config, capsys):
+    # K = r = P = Q = a = b = 1: at alpha = beta both sigmas are 0
+    flat = ["--set", "K=1", "--set", "r=1", "--set", "P=1"]
+    code = run_cli("msy", "--config", fast_config, *flat, "--set", "alpha=0.3",
+                   "--set", "beta=0.3")
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: neutral cell, not decided by the invasion criterion: sigma_u = "
+    )
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("K", "--set expects key=value, got 'K'"),
+        ("K= ", "override K: empty expression for 'K'"),
+        ("n_cells=2", "override n_cells: n_cells must be >= 3, got 2"),
+        ("K=1/(x-x)", "profile K = '1/(x-x)': expression evaluates to a non-finite value at "
+                      "x = 0.041666666666666664"),
+    ],
+    ids=["no_equals", "blank", "n_cells", "non_finite"],
+)
+def test_malformed_overrides_exit_2_naming_the_setting(fast_config, capsys, setting, message):
+    assert run_cli("check", "--config", fast_config, "--set", setting) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
 def test_msy_command(fast_config, capsys):
     assert run_cli(
         "msy", "--config", fast_config, "--set", "alpha=0.5", "--set", "beta=0.6",
@@ -355,6 +431,11 @@ def test_exit_code_2_for_config_errors(tmp_path, capsys):
     bad.write_text(MINIMAL + "alpha = -1\n")
     assert run_cli("simulate", "--config", bad) == 2
     capsys.readouterr()
+    bad.write_text(MINIMAL + "badline\n")
+    assert run_cli("check", "--config", bad) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: {bad}:8: expected 'key = value', got 'badline'\n"
+    )
 
 
 def test_exit_code_2_for_rate_without_semitrivial_branch(fast_config, tmp_path, capsys):

@@ -22,7 +22,7 @@ from harvestcomp import (
 )
 from harvestcomp import dynamics
 from harvestcomp.operators import apply as op_apply
-from harvestcomp.operators import build_operator, gershgorin_bound, shifted_solver
+from harvestcomp.operators import build_operator, shifted_solver
 
 from conftest import (
     environments,
@@ -99,9 +99,24 @@ def test_swap_symmetry_is_exact(env, alpha, beta):
     sim = SimulationConfig()
     w = solve_semitrivial("v", env, beta, sim)
     op = build_operator(env.b, env.Q, env.grid)
-    limit = 4 * np.finfo(float).eps * gershgorin_bound(op) * np.max(w)
+    limit = 4 * np.finfo(float).eps * op.gershgorin * np.max(w)
     assert residual("v", env, beta, w) < max(sim.steady_tol, limit)
     assert np.all(w > 0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: HarvestRates(-0.1, 0), "harvest rate alpha must be finite and >= 0, got -0.1"),
+        (lambda: HarvestRates(float("nan"), 0), "harvest rate alpha must be finite and >= 0, got nan"),
+        (lambda: SimulationConfig(dt=0), "dt must be positive, got 0"),
+    ],
+    ids=["negative_alpha", "nan_alpha", "zero_dt"],
+)
+def test_rates_and_simulation_config_name_the_rejected_field(build, message):
+    with pytest.raises(ConfigurationError) as rejected:
+        build()
+    assert str(rejected.value) == message
 
 
 def test_run_rejects_negative_initial_condition():
@@ -256,7 +271,7 @@ def test_semitrivial_stops_at_rounding_on_fine_grids(overrides):
     op = build_operator(env.b, env.Q, env.grid)
     for rate in (0.0, 0.4, 0.8):
         w = solve_semitrivial("v", env, rate, sim)
-        limit = 4 * np.finfo(float).eps * gershgorin_bound(op) * np.max(w)
+        limit = 4 * np.finfo(float).eps * op.gershgorin * np.max(w)
         assert residual("v", env, rate, w) < max(sim.steady_tol, limit)
         assert np.all(w > 0)
         ref = semitrivial_by_march("v", env, rate, sim)
@@ -312,7 +327,7 @@ def agreement_bound(env, which, rate):
         return 1e-13
     op = (env if which == "u" else env.swapped()).dispersal
     rr = (1.0 - rate) * env.r
-    kappa = (gershgorin_bound(op) + rr.max()) / rr.min()
+    kappa = (op.gershgorin + rr.max()) / rr.min()
     return 4 * np.finfo(float).eps * kappa
 
 

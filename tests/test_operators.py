@@ -12,7 +12,6 @@ from harvestcomp.operators import (
     annihilates,
     apply,
     build_operator,
-    gershgorin_bound,
     shifted_solver,
 )
 
@@ -47,7 +46,7 @@ def test_dispersal_profile_multiples_in_kernel():
     K = 2.0 + np.cos(np.pi * g.centers)
     op = build_operator(np.ones(200), K, g)
     out = apply(op, 3.7 * K)
-    assert np.max(np.abs(out)) <= 1e-12 * gershgorin_bound(op) * np.max(K)
+    assert np.max(np.abs(out)) <= 1e-12 * op.gershgorin * np.max(K)
 
 
 def test_conservation_on_random_fields(rng):
@@ -82,7 +81,7 @@ def test_self_adjoint_in_weighted_inner_product(rng):
         z = rng.normal(size=g.n_cells)
         lhs = np.sum(apply(op, w) * z / P)
         rhs = np.sum(apply(op, z) * w / P)
-        scale = gershgorin_bound(op) * np.max(np.abs(w)) * np.max(np.abs(z)) * g.n_cells
+        scale = op.gershgorin * np.max(np.abs(w)) * np.max(np.abs(z)) * g.n_cells
         assert abs(lhs - rhs) <= 1e-13 * scale
 
 
@@ -93,7 +92,7 @@ def test_negative_semidefinite_with_kernel_equality(rng):
         op = build_operator(random_positive_profile(rng, g), P, g)
         w = rng.normal(size=g.n_cells)
         quad = np.sum(apply(op, w) * w / P)
-        scale = gershgorin_bound(op) * np.max(w**2) * g.n_cells
+        scale = op.gershgorin * np.max(w**2) * g.n_cells
         assert quad <= 1e-13 * scale
     quad_kernel = np.sum(apply(op, 2.0 * P) * 2.0 * P / P)
     assert abs(quad_kernel) <= 1e-12 * scale
@@ -171,6 +170,13 @@ def test_grid_mismatch_is_configuration_error():
         shifted_solver(op, np.ones(11))
 
 
+def test_shifted_solve_rejects_a_right_hand_side_off_the_grid():
+    g = SpatialGrid(length=4.0, n_cells=12)
+    solve = shifted_solver(build_operator(np.ones(12), np.ones(12), g), 20.0)
+    with pytest.raises(ConfigurationError, match="right-hand side does not match the operator grid"):
+        solve(np.ones(11))
+
+
 def test_annihilates_detects_proportionality():
     g = SpatialGrid(length=4.0, n_cells=100)
     K = 2.0 + np.cos(np.pi * g.centers)
@@ -180,7 +186,7 @@ def test_annihilates_detects_proportionality():
 
 def test_annihilates_tells_proportionality_on_a_refined_grid():
     # the residual of a state not proportional to Q shrinks like h^2: v at
-    # rate 0.95 on example3 leaves max|D w| at 1.9e-11 of gershgorin_bound(D)
+    # rate 0.95 on example3 leaves max|D w| at 1.9e-11 of D.gershgorin
     # * max|w| at n = 12800, far above rounding, while D(c*Q) stays at rounding
     _, _, env, sim = load_example("example3", n_cells=12800)
     op_v = env.swapped().dispersal

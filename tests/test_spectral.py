@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
 
 from harvestcomp import (
     ConfigurationError,
+    ConvergenceError,
     HarvestRates,
     integrate,
     principal_eigen,
     solve_semitrivial,
 )
+from harvestcomp import spectral
 from harvestcomp.analysis import invasion_potential
 from harvestcomp.operators import build_operator
 from harvestcomp.spectral import _NODA_CAP, neutral_level
@@ -153,6 +156,20 @@ def test_invasion_predicted_unstable_at_regular_competitor():
     assert res.sigma1 == pytest.approx(dense_sigma1(op, potential), abs=1e-8)
     # the capacity profile as a trial function already certifies instability
     assert rayleigh_lower_bound(op, potential, env.P, env.K) > 0
+
+
+def test_noda_past_its_cap_names_the_unclosed_bracket(monkeypatch):
+    _, grid, env, sim = load_example("example1", n_cells=64)
+    v_star = solve_semitrivial("v", env, 0.0, sim)
+    potential = invasion_potential("u", v_star, env, HarvestRates(0.05, 0.0))
+    assert principal_eigen(env.dispersal, potential, env.P).iterations > 0
+    monkeypatch.setattr(spectral, "_NODA_CAP", 0)
+    with pytest.raises(ConvergenceError) as failure:
+        principal_eigen(env.dispersal, potential, env.P)
+    message = str(failure.value)
+    assert message.startswith("principal eigenvalue not resolved after 0 Noda steps: sigma1 in [")
+    lo, hi = map(float, re.search(r"\[(\S+), (\S+)\]$", message).groups())
+    assert lo < hi
 
 
 def test_positive_sigma1_agrees_with_dynamics():

@@ -14,6 +14,8 @@ from harvestcomp import (
     Outcome,
     SimulationConfig,
     alpha_star,
+    average,
+    integrate,
     principal_eigen,
     solve_semitrivial,
 )
@@ -352,12 +354,45 @@ def test_over_exploited_cells_need_no_solve(example1_small, monkeypatch):
     assert (both.avg_u, both.avg_v, both.total_yield) == (0.0, 0.0, 0.0)
 
 
+def test_one_species_records_hold_the_semitrivial_state_bitwise():
+    # the kept species' average and yield are those of its state alone, the
+    # yield as integral(rate * r * w); the absent species' are +0.0
+    _, grid, env, sim = load_example("example4", n_cells=200)
+    sg = sweep_grid([0.3, 1.0], [0.6, 1.2], env, sim)
+    records = [rec for row in sg.records for rec in row]
+    assert [rec.outcome for rec in records] == [Outcome.ONLY_U, Outcome.ONLY_V,
+                                                Outcome.ONLY_U, Outcome.EXTINCTION]
+    kept = {Outcome.ONLY_U: "u", Outcome.ONLY_V: "v", Outcome.EXTINCTION: None}
+    for rec in records:
+        for which, rate, avg, yield_ in (("u", rec.alpha, rec.avg_u, rec.yield_u),
+                                         ("v", rec.beta, rec.avg_v, rec.yield_v)):
+            if kept[rec.outcome] == which:
+                w = solve_semitrivial(which, env, rate, sim)
+                assert (avg, yield_) == (average(w, grid), integrate(rate * env.r * w, grid))
+            else:
+                assert (avg, yield_) == (0.0, 0.0)
+                assert math.copysign(1.0, avg) == math.copysign(1.0, yield_) == 1.0
+
+
 @pytest.mark.parametrize("tol", [0.0, -0.5, math.nan])
 def test_find_switch_rejects_tolerance_not_positive(example1_small, tol):
     grid, env, sim = example1_small
     message = f"switch tolerance tol must be finite and positive, got {tol}"
     with pytest.raises(ConfigurationError, match=message):
         find_switch(0.2, env, sim, tol=tol)
+
+
+def test_a_climb_past_its_cap_fails_find_switch_and_leaves_the_sweep_per_cell(monkeypatch):
+    # with no Newton step allowed, a climb that does not stop at its first
+    # point raises: find_switch names the rate, and sweep_grid computes each
+    # cell of that line alone
+    _, grid, env, sim = load_example("example1", n_cells=200)
+    monkeypatch.setattr(sweep, "_NEWTON_CAP", 0)
+    message = "switch point not resolved after 0 Newton steps: rate near 0.401, sigma1 = "
+    with pytest.raises(ConvergenceError, match=re.escape(message)):
+        find_switch(0.4, env, sim)
+    rates = np.linspace(0.0, 1.0, 6)
+    assert sweep_grid(rates, rates, env, sim).records == per_cell_sweep(rates, rates, env, sim)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
