@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import (
     ConfigurationError,
@@ -38,13 +37,11 @@ from .errors import (
     UnstableStepError,
 )
 from .grid import Field, as_field
-from .operators import ROUNDING_FLOOR, _ptsv, rounding_level, shifted_solver
+from .operators import ROUNDING_FLOOR, _gbsv, _ptsv, rounding_level, shifted_solver
 from .operators import apply as apply_operator
 # not called here; bench/tracer.py wraps it under this module's name
 from .operators import build_operator  # noqa: F401
 from .profiles import EnvironmentProfile
-
-_gbsv = get_lapack_funcs("gbsv", (np.zeros(3),))
 
 
 @dataclass(frozen=True)

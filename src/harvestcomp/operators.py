@@ -15,21 +15,50 @@ inner product weighted by 1/P.
 
 from __future__ import annotations
 
+import importlib
+import os
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import find_spec, module_from_spec
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import ConfigurationError, SingularSystemError
 from .grid import Field, SpatialGrid, as_field
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _load_flapack(directory: str):
+    """scipy's compiled LAPACK wrappers, the extension module _FLAPACK: the
+    one in sys.modules if any, else loaded from its file in directory and
+    registered there, else (no such file) imported through scipy.linalg."""
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK]
+    spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(_FLAPACK)
+    if spec is None:
+        return importlib.import_module(_FLAPACK)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_FLAPACK] = module
+    return module
+
+
+# The LAPACK handles are the float64 functions of scipy.linalg._flapack, the
+# very objects scipy.linalg.get_lapack_funcs returns. That extension is
+# loaded from its file so that scipy's __init__ files do not run: importing
+# the scipy.linalg package costs about 0.3 s, mostly its array API shim,
+# which imports numpy.f2py, numpy.testing and more. A scipy without the file
+# in its linalg directory (an editable install) takes the package import.
 # gttrf/gttrs factor a scalar shift once for the march's many solves; ptsv
 # solves the symmetric positive definite form S^-1 (diag(s) - D) S of a
-# Newton step (dynamics) or a Noda step (spectral) in one call
-_gttrf, _gttrs, _ptsv = get_lapack_funcs(("gttrf", "gttrs", "ptsv"), (np.zeros(3),))
+# Newton step (dynamics) or a Noda step (spectral) in one call; gbsv solves
+# a coexistence step's banded system (dynamics).
+_flapack = _load_flapack(os.path.join(find_spec("scipy").submodule_search_locations[0], "linalg"))
+_gttrf, _gttrs, _ptsv, _gbsv = _flapack.dgttrf, _flapack.dgttrs, _flapack.dptsv, _flapack.dgbsv
 
 
 class EigenInvariants(NamedTuple):

@@ -20,7 +20,7 @@ import operator
 import re
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -50,9 +50,14 @@ def _offset(src: str, t: int) -> int:
     return pos
 
 
+@lru_cache
 def parse(src: str) -> ast.expr:
     """Parse an expression string into a syntax tree of the grammar above,
-    held as Python ast nodes; a constant's value is float(its source)."""
+    held as Python ast nodes; a constant's value is float(its source).
+
+    The trees of recent sources are kept (a config's expressions are parsed
+    when it is read and again when they are sampled), so a call may return
+    the tree an earlier call did: the tree must not be changed."""
     if not src or not src.strip():
         raise ExpressionError("empty expression")
     foreign = _FOREIGN.search(src)

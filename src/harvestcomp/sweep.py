@@ -202,7 +202,8 @@ def sweep_grid(
     point on a node is not recomputed) and calls classify, so its outcome
     and message are those of computing every cell. A climb whose solve
     raises certifies nothing on its line, and each cell there is computed
-    alone.
+    alone. Each semi-trivial state is solved at most once per sweep; a
+    solve that fails fails every cell needing it with its message.
 
     (u0, v0), each DEFAULT_INITIAL_DENSITY when not given, are where
     coexistence states are sought from. Initial data that check_initial_data
@@ -219,7 +220,20 @@ def sweep_grid(
     swapped = env.swapped()
     level_u, level_v = spectral.neutral_level(env), spectral.neutral_level(swapped)
     r_min = float(np.min(env.r))
-    semitrivial = functools.cache(lambda which, rate: solve_semitrivial(which, env, rate, cfg))
+
+    @functools.cache
+    def solved(which: str, rate: float):
+        # functools.cache keeps no exception: the error is returned to keep it
+        try:
+            return solve_semitrivial(which, env, rate, cfg)
+        except HarvestCompError as exc:
+            return exc
+
+    def semitrivial(which: str, rate: float) -> Field:
+        w = solved(which, rate)
+        if isinstance(w, HarvestCompError):
+            raise w
+        return w
 
     @functools.cache
     def alone(which: str, rate: float) -> tuple[float, float]:

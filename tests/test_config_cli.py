@@ -10,10 +10,12 @@ from harvestcomp.cli import main
 from harvestcomp.config import (
     apply_overrides,
     build_environment,
+    initial_fields,
     load_config,
     parse_config_text,
     simulation_config,
 )
+from harvestcomp.profiles import parse
 from harvestcomp.sweep import find_switch, sweep_grid
 
 from conftest import bundled_config, load_example
@@ -31,6 +33,16 @@ def test_load_bundled_example1():
     assert cfg.K == "2+cos(pi*x)"
     assert cfg.r == "1.1"
     assert cfg.u0 == "2.1"
+
+
+def test_each_distinct_expression_is_parsed_once():
+    # example1 has 4 distinct expressions among K, r, P, Q, a, b, u0 and v0;
+    # validating them at load and sampling them afterwards parse each once
+    parse.cache_clear()
+    cfg = load_config(bundled_config("example1"))
+    grid, _ = build_environment(cfg)
+    initial_fields(cfg, grid)
+    assert parse.cache_info().misses == 4
 
 
 def test_defaults_applied():

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import harvestcomp
 from harvestcomp import HarvestRates, SimulationConfig
@@ -31,6 +32,52 @@ assert harvestcomp.find_switch(0.4, env, simulation_config(cfg)) is not None
 harvestcomp.fit_convex_hull(env)
 print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
 """
+
+# the four LAPACK handles, checked against get_lapack_funcs after importing
+# harvestcomp and scipy.linalg in the order given on the command line
+HANDLES = """
+import sys
+import numpy as np
+
+first, second = sys.argv[1:]
+__import__(first)
+if first == "harvestcomp":
+    assert [m for m in sys.modules if m.startswith("scipy")] == ["scipy.linalg._flapack"]
+__import__(second)
+from harvestcomp import dynamics, operators
+from scipy.linalg import _flapack, get_lapack_funcs
+
+names = ("ptsv", "gbsv", "gttrf", "gttrs")
+assert operators._flapack is _flapack
+assert all(f is getattr(operators, "_" + name)
+           for name, f in zip(names, get_lapack_funcs(names, (np.zeros(3),))))
+assert dynamics._ptsv is operators._ptsv and dynamics._gbsv is operators._gbsv
+"""
+
+# the loader given a directory without the extension imports it through
+# scipy.linalg, the slow path of a scipy whose files lie elsewhere
+FALLBACK = """
+import sys
+import tempfile
+from harvestcomp import operators
+
+del sys.modules[operators._FLAPACK]
+with tempfile.TemporaryDirectory() as empty:
+    flapack = operators._load_flapack(empty)
+assert "scipy.linalg" in sys.modules
+from scipy.linalg import _flapack
+
+assert flapack is _flapack is sys.modules[operators._FLAPACK]
+assert flapack.dptsv is operators._ptsv
+"""
+
+
+def _run(script, *args):
+    """stdout of the script run in a fresh interpreter, which must succeed."""
+    done = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 # each module imports only from modules of lower layers
@@ -90,9 +137,19 @@ def test_only_the_environment_builds_dispersal_operators():
 
 def test_package_does_not_load_scipy_optimize():
     # scipy.optimize takes about 0.3 s to import; the package needs none of it
-    done = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+    assert _run(PROBE).strip() == "[]"
+
+
+@pytest.mark.parametrize("order", [("harvestcomp", "scipy.linalg"), ("scipy.linalg", "harvestcomp")])
+def test_lapack_handles_are_scipys_without_importing_scipy_linalg(order):
+    # importing the scipy.linalg package takes about 0.3 s; the package
+    # loads only its LAPACK extension, and the handles are the functions
+    # scipy hands out, whichever is imported first
+    _run(HANDLES, *order)
+
+
+def test_lapack_loader_falls_back_to_importing_scipy_linalg():
+    _run(FALLBACK)
 
 
 def test_bench_tracer_boundaries_resolve():

@@ -285,6 +285,31 @@ def test_sweep_records_failures_in_place(example1_small, monkeypatch):
     assert [c.outcome for c in sg.records[0][::2]] == [Outcome.ONLY_U, Outcome.ONLY_V]
 
 
+def test_a_failing_semitrivial_solve_runs_once_per_sweep(example1_small, monkeypatch):
+    # the column climb at alpha = 0.5 and each of that column's 11 cells
+    # need u_alpha; the failed solve is kept, and every cell there fails
+    # with its message while the other cells keep their records
+    grid, env, sim = example1_small
+    rates = np.linspace(0.0, 1.0, 11)
+    expected = sweep_grid(rates, rates, env, sim).records
+    real = sweep.solve_semitrivial
+    calls = []
+
+    def failing(which, env, rate, cfg):
+        calls.append((which, rate))
+        if (which, rate) == ("u", 0.5):
+            raise ConvergenceError("no u-branch at alpha = 0.5")
+        return real(which, env, rate, cfg)
+
+    monkeypatch.setattr(sweep, "solve_semitrivial", failing)
+    sg = sweep_grid(rates, rates, env, sim)
+    assert calls.count(("u", 0.5)) == 1
+    assert sg.failures() == [CellFailure(alpha=0.5, beta=float(beta),
+                                         message="no u-branch at alpha = 0.5") for beta in rates]
+    for got, want in zip(sg.records, expected):
+        assert got[:5] + got[6:] == want[:5] + want[6:]
+
+
 @pytest.mark.parametrize(
     "which, value, message",
     [
