@@ -103,7 +103,6 @@ class HullFit:
 @dataclass(frozen=True)
 class BoundsReport:
     beta: float
-    c_star: float
     alpha_star: float
     alpha_star_ifp: float | None
     v_beta_star: Field = field(repr=False)
@@ -112,6 +111,11 @@ class BoundsReport:
     def effective_alpha_star(self) -> float:
         """The applicable estimate: the ideal-free-pair one when valid."""
         return self.alpha_star if self.alpha_star_ifp is None else self.alpha_star_ifp
+
+    @property
+    def c_star(self) -> float:
+        """c* = (1 - alpha*) / (1 - beta) of the applicable estimate."""
+        return (1.0 - self.effective_alpha_star) / (1.0 - self.beta)
 
 
 @dataclass(frozen=True)
@@ -184,10 +188,10 @@ def alpha_star(beta: float, env: EnvironmentProfile, cfg: SimulationConfig) -> B
     """Guaranteed-coexistence harvesting bound for a fixed competitor rate.
 
     Solves the competitor's single-species steady state v_beta harvested at
-    rate beta (0 <= beta < 1) and evaluates the bound; reports the matching
-    c_star = (1 - alpha_star) / (1 - beta). When the environment carries an
-    ideal free pair, alpha_star_ifp holds the sharper bound from the same
-    v_beta, and None otherwise.
+    rate beta (0 <= beta < 1) and evaluates the bound. When the environment
+    carries an ideal free pair, alpha_star_ifp holds the sharper bound from
+    the same v_beta, and None otherwise; effective_alpha_star and c_star
+    belong to the bound that applies.
     """
     v_beta = solve_semitrivial("v", env, beta, cfg)
     num = integrate(env.r * v_beta, env.grid)
@@ -198,7 +202,6 @@ def alpha_star(beta: float, env: EnvironmentProfile, cfg: SimulationConfig) -> B
         ifp_value = 1.0 - ifp_num / integrate(env.r * env.P, env.grid)
     return BoundsReport(
         beta=beta,
-        c_star=num / ((1.0 - beta) * den),
         alpha_star=1.0 - num / den,
         alpha_star_ifp=ifp_value,
         v_beta_star=v_beta,

@@ -37,12 +37,6 @@ EXIT_NUMERICAL = 3
 EXIT_UNRESOLVED = 4
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
 def _record_row(record) -> list:
     """Sweep CSV row; reason is the failure message of an unresolved cell."""
     if isinstance(record, CellFailure):
@@ -114,7 +108,7 @@ def _write_output(args, header: list[str], rows) -> None:
     with _create(args.output) as fh:
         writer = csv.writer(fh, lineterminator="\n")  # quotes a field holding a comma
         writer.writerow(header)
-        writer.writerows([_fmt(c) for c in row] for row in rows)
+        writer.writerows(rows)
     print(f"wrote {args.output}")
     if getattr(args, "plot_script", False):
         csv_path = Path(args.output)
@@ -223,8 +217,6 @@ def _cmd_bounds(args) -> int:
     rows = []
     for beta in betas:
         report = alpha_star(beta, env, sim)
-        a_eff = report.effective_alpha_star
-        c_eff = (1.0 - a_eff) / (1.0 - beta)
         if args.with_switch:
             sp = find_switch(beta, env, sim, tol=args.tol)
             a_switch = sp.alpha_double_star if sp is not None else float("nan")
@@ -232,10 +224,11 @@ def _cmd_bounds(args) -> int:
             a_switch = float("nan")
         kind = "ideal-free-pair" if report.alpha_star_ifp is not None else "proportional"
         print(
-            f"beta={beta:g} alpha_star={a_eff:.6g} c_star={c_eff:.6g} "
+            f"beta={beta:g} alpha_star={report.effective_alpha_star:.6g} "
+            f"c_star={report.c_star:.6g} "
             f"alpha_double_star={a_switch:.6g} ({kind} estimate)"
         )
-        rows.append([beta, c_eff, a_eff, a_switch])
+        rows.append([beta, report.c_star, report.effective_alpha_star, a_switch])
     if args.output:
         _write_output(args, ["beta", "c_star", "alpha_star", "alpha_double_star"], rows)
     return EXIT_OK
@@ -263,13 +256,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_switch(args) -> int:
     cfg, grid, env, sim = _setup(args)
-    beta = args.beta if args.beta is not None else cfg.beta
-    sp = find_switch(beta, env, sim, tol=args.tol)
+    sp = find_switch(cfg.beta, env, sim, tol=args.tol)
     if sp is None:
-        print(f"beta={beta:g}: no switch inside (beta, 1)")
+        print(f"beta={cfg.beta:g}: no switch inside (beta, 1)")
         return EXIT_OK
     print(
-        f"beta={beta:g} alpha_double_star={sp.alpha_double_star:.6g} "
+        f"beta={cfg.beta:g} alpha_double_star={sp.alpha_double_star:.6g} "
         f"bracket_width={sp.bracket_width:.3g}"
     )
     if args.output:
@@ -319,15 +311,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="path to a key = value config file")
+    common.add_argument(
+        "--set",
+        action="append",
+        metavar="KEY=VALUE",
+        help="override a config key (repeatable)",
+    )
 
-    def common(p):
-        p.add_argument("--config", required=True, help="path to a key = value config file")
-        p.add_argument(
-            "--set",
-            action="append",
-            metavar="KEY=VALUE",
-            help="override a config key (repeatable)",
-        )
+    def command(name, help):
+        return sub.add_parser(name, parents=[common], help=help)
 
     def output(p, default=None, plot_script=True):
         p.add_argument(
@@ -341,22 +335,19 @@ def build_parser() -> argparse.ArgumentParser:
     def strict(p):
         p.add_argument("--strict", action="store_true", help="exit 4 on unresolved results")
 
-    p = sub.add_parser("simulate", help="outcome of one cell, and the profiles of a simulation")
-    common(p)
+    p = command("simulate", help="outcome of one cell, and the profiles of a simulation")
     output(p, default="profile.csv")
     strict(p)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.set_defaults(handler=_cmd_simulate)
 
-    p = sub.add_parser("steady", help="solve a semi-trivial single-species steady state")
-    common(p)
+    p = command("steady", help="solve a semi-trivial single-species steady state")
     output(p, default="steady.csv")
     p.add_argument("--branch", choices=("u", "v"), required=True)
     p.set_defaults(handler=_cmd_steady)
 
-    p = sub.add_parser("eigen", help="principal eigenvalue of the invasion linearization")
-    common(p)
+    p = command("eigen", help="principal eigenvalue of the invasion linearization")
     output(p)
     p.add_argument(
         "--around",
@@ -366,35 +357,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_eigen)
 
-    p = sub.add_parser("bounds", help="coexistence bounds alpha_star for fixed beta values")
-    common(p)
+    p = command("bounds", help="coexistence bounds alpha_star for fixed beta values")
     output(p)
     p.add_argument("--betas", default=None, help="comma-separated beta values")
     p.add_argument("--with-switch", action="store_true", help="also find alpha_double_star")
     p.add_argument("--tol", type=float, default=1e-3, help="switch bracket width")
     p.set_defaults(handler=_cmd_bounds)
 
-    p = sub.add_parser("sweep", help="outcome sweep over harvesting rates")
-    common(p)
+    p = command("sweep", help="outcome sweep over harvesting rates")
     output(p, default="sweep.csv")
     strict(p)
     p.add_argument("--grid", type=int, default=None, help="points per axis")
     p.add_argument("--beta", type=float, default=None, help="sweep alpha for this fixed beta")
     p.set_defaults(handler=_cmd_sweep)
 
-    p = sub.add_parser("switch", help="largest alpha at which the first species can invade")
-    common(p)
+    p = command("switch", help="largest alpha at which the first species can invade")
     output(p, plot_script=False)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--tol", type=float, default=1e-3)
     p.set_defaults(handler=_cmd_switch)
 
-    p = sub.add_parser("msy", help="sustainable yield of the configured cell")
-    common(p)
+    p = command("msy", help="sustainable yield of the configured cell")
     p.set_defaults(handler=_cmd_msy)
 
-    p = sub.add_parser("check", help="steady-state inequality suite")
-    common(p)
+    p = command("check", help="steady-state inequality suite")
     p.set_defaults(handler=_cmd_check)
 
     return parser

@@ -6,7 +6,10 @@ One assignment per line, '#' starts a comment. Keys:
     dt, t_final, steady_tol, u0, v0
 
 K, r, P, Q, a, b, u0, v0 hold profile expressions; the rest are numbers.
-dt and t_final enter only simulate's time march (SimulationConfig).
+t_final enters only simulate's time march (SimulationConfig); dt is its
+step and also bounds u0/dt and v0/dt in the initial-data check of sweep,
+simulate_cell and msy. dt, t_final and steady_tol default to
+SimulationConfig's defaults, u0 and v0 to sweep.DEFAULT_INITIAL_DENSITY.
 Unknown keys, malformed values, and out-of-range numbers fail fast with the
 key name and line number.
 """
@@ -21,7 +24,9 @@ import numpy as np
 from .dynamics import HarvestRates, SimulationConfig
 from .errors import ConfigurationError, ExpressionError
 from .grid import Field, SpatialGrid
-from .profiles import EnvironmentProfile, environment_from_expressions, parse, sample, validate_environment
+from .profiles import (EnvironmentProfile, environment_from_expressions, parse, sample_source,
+                       validate_environment)
+from .sweep import DEFAULT_INITIAL_DENSITY
 
 _EXPR_KEYS = ("K", "r", "P", "Q", "a", "b", "u0", "v0")
 _REQUIRED = ("L", "K", "r", "P", "Q", "a", "b")
@@ -39,11 +44,11 @@ class RunConfig:
     n_cells: int = 800
     alpha: float = 0.0
     beta: float = 0.0
-    dt: float = 0.05
-    t_final: float = 2000.0
-    steady_tol: float = 1e-9
-    u0: str = "2.1"
-    v0: str = "2.1"
+    dt: float = SimulationConfig.dt
+    t_final: float = SimulationConfig.t_final
+    steady_tol: float = SimulationConfig.steady_tol
+    u0: str = repr(DEFAULT_INITIAL_DENSITY)
+    v0: str = repr(DEFAULT_INITIAL_DENSITY)
 
 
 _KEY_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -122,12 +127,8 @@ def apply_overrides(cfg: RunConfig, overrides: dict[str, str]) -> RunConfig:
     return replace(cfg, **parsed)
 
 
-def build_grid(cfg: RunConfig) -> SpatialGrid:
-    return SpatialGrid(length=cfg.L, n_cells=cfg.n_cells)
-
-
 def build_environment(cfg: RunConfig) -> tuple[SpatialGrid, EnvironmentProfile]:
-    grid = build_grid(cfg)
+    grid = SpatialGrid(length=cfg.L, n_cells=cfg.n_cells)
     env = environment_from_expressions(
         grid, K=cfg.K, r=cfg.r, P=cfg.P, Q=cfg.Q, a=cfg.a, b=cfg.b
     )
@@ -135,7 +136,8 @@ def build_environment(cfg: RunConfig) -> tuple[SpatialGrid, EnvironmentProfile]:
 
 
 def initial_fields(cfg: RunConfig, grid: SpatialGrid) -> tuple[Field, Field]:
-    return sample(parse(cfg.u0), grid), sample(parse(cfg.v0), grid)
+    return (sample_source("initial condition u0", cfg.u0, grid),
+            sample_source("initial condition v0", cfg.v0, grid))
 
 
 def simulation_config(cfg: RunConfig) -> SimulationConfig:

@@ -191,6 +191,15 @@ class EnvironmentProfile:
         return self.__dict__["_swapped"]
 
 
+def sample_source(name: str, src: str, grid: SpatialGrid) -> Field:
+    """sample(parse(src), grid); an ExpressionError names what src is:
+    "{name} = {src!r}: {the error}"."""
+    try:
+        return sample(parse(src), grid)
+    except ExpressionError as exc:
+        raise ExpressionError(f"{name} = {src!r}: {exc}") from exc
+
+
 def environment_from_expressions(grid: SpatialGrid, **sources: str) -> EnvironmentProfile:
     """Parse and sample K, r, P, Q, a, b expression strings onto the grid."""
     fields = {}
@@ -199,10 +208,7 @@ def environment_from_expressions(grid: SpatialGrid, **sources: str) -> Environme
             src = sources.pop(name)
         except KeyError:
             raise ConfigurationError(f"missing profile expression for {name!r}") from None
-        try:
-            fields[name] = sample(parse(src), grid)
-        except ExpressionError as exc:
-            raise ExpressionError(f"profile {name} = {src!r}: {exc}") from exc
+        fields[name] = sample_source(f"profile {name}", src, grid)
     if sources:
         raise ConfigurationError(f"unknown profile names: {sorted(sources)}")
     return EnvironmentProfile(grid=grid, **fields)

@@ -217,8 +217,10 @@ def sweep_grid(
     default = np.full(env.grid.n_cells, DEFAULT_INITIAL_DENSITY)
     u0, v0 = check_initial_data(default if u0 is None else u0, default if v0 is None else v0,
                                 env, cfg.dt)
-    swapped = env.swapped()
-    level_u, level_v = spectral.neutral_level(env), spectral.neutral_level(swapped)
+    # per invader: its environment, the resident's branch, its neutral level
+    # and its own line of rates; v invading is u invading env.swapped()
+    sides = {"u": (env, "v", spectral.neutral_level(env), alphas),
+             "v": (env.swapped(), "u", spectral.neutral_level(env.swapped()), betas)}
     r_min = float(np.min(env.r))
 
     @functools.cache
@@ -242,31 +244,24 @@ def sweep_grid(
         return average(w, env.grid), integrate(rate * env.r * w, env.grid)
 
     @functools.cache
-    def eigen_u(beta: float, alpha: float) -> spectral.EigenResult:
-        return invasion_eigen(env, HarvestRates(alpha=alpha, beta=beta), semitrivial("v", beta))
+    def eigen(invader: str, other: float, own: float) -> spectral.EigenResult:
+        # the invader at its own rate, the resident alone at the other rate
+        invader_env, resident, _, _ = sides[invader]
+        return invasion_eigen(invader_env, HarvestRates(alpha=own, beta=other),
+                              semitrivial(resident, other))
 
     @functools.cache
-    def eigen_v(alpha: float, beta: float) -> spectral.EigenResult:
-        return invasion_eigen(swapped, HarvestRates(alpha=beta, beta=alpha),
-                              semitrivial("u", alpha))
-
-    def certify(eigen, invader: EnvironmentProfile, line, level: float) -> dict:
-        # certified sign at each rate of the line in [0, 1), none where the
-        # climb fails
+    def signs(invader: str, other: float) -> dict:
+        # certified sign at each of the invader's rates in [0, 1), none where
+        # the climb fails
+        invader_env, _, level, line = sides[invader]
         nodes = sorted({float(x) for x in line if 0 <= x < 1})
         try:
-            points, _ = _newton_climb(eigen, invader, nodes[0], nodes[-1], level)
+            points, _ = _newton_climb(functools.partial(eigen, invader, other), invader_env,
+                                      nodes[0], nodes[-1], level)
         except HarvestCompError:
             return {}
         return {x: _certified_sign(points, x, r_min, level) for x in nodes}
-
-    @functools.cache
-    def row_signs(beta: float) -> dict:
-        return certify(functools.partial(eigen_u, beta), env, alphas, level_u)
-
-    @functools.cache
-    def column_signs(alpha: float) -> dict:
-        return certify(functools.partial(eigen_v, alpha), swapped, betas, level_v)
 
     def cell(alpha: float, beta: float) -> OutcomeRecord:
         rates = HarvestRates(alpha=alpha, beta=beta)
@@ -274,12 +269,12 @@ def sweep_grid(
             outcome = (Outcome.ONLY_U if alpha < 1 else Outcome.ONLY_V if beta < 1
                        else Outcome.EXTINCTION)
         else:
-            outcome = OUTCOME_OF_SIGNS.get((row_signs(beta).get(alpha, 0),
-                                            column_signs(alpha).get(beta, 0)))
+            outcome = OUTCOME_OF_SIGNS.get((signs("u", beta).get(alpha, 0),
+                                            signs("v", alpha).get(beta, 0)))
         if outcome is None:
             u_alpha, v_beta = semitrivial("u", alpha), semitrivial("v", beta)
-            outcome = classify(eigen_u(beta, alpha).sigma1, eigen_v(alpha, beta).sigma1,
-                               level_u, level_v, env, u_alpha, v_beta)
+            outcome = classify(eigen("u", beta, alpha).sigma1, eigen("v", alpha, beta).sigma1,
+                               sides["u"][2], sides["v"][2], env, u_alpha, v_beta)
         if outcome is Outcome.COEXISTENCE:
             return outcome_record(outcome, *solve_coexistence(u0, v0, env, rates, cfg), env, rates)
         avg_u, yield_u = alone("u", alpha) if outcome is Outcome.ONLY_U else (0.0, 0.0)

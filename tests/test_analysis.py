@@ -151,9 +151,10 @@ def test_alpha_star_is_increasing_and_above_beta(name):
     values = [r.effective_alpha_star for r in reports]
     assert all(v > b for v, b in zip(values, betas))
     assert all(v2 > v1 for v1, v2 in zip(values, values[1:]))
-    # ties the two presentations together: alpha* = 1 - c*(1 - beta)
+    # ties the two presentations of the applied estimate together:
+    # alpha* = 1 - c*(1 - beta)
     for b, r in zip(betas, reports):
-        assert r.alpha_star == pytest.approx(1 - r.c_star * (1 - b), abs=1e-12)
+        assert r.effective_alpha_star == pytest.approx(1 - r.c_star * (1 - b), abs=1e-12)
         assert 0 < r.c_star < 1
 
 

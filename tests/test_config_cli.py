@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from harvestcomp import ConfigurationError, Outcome, SimulationConfig
+from harvestcomp import ConfigurationError, Outcome, SimulationConfig, alpha_star
 from harvestcomp.cli import main
 from harvestcomp.config import (
     apply_overrides,
@@ -238,6 +238,23 @@ def test_bounds_with_switch_writes_the_switch_point(fast_config, tmp_path, capsy
     assert "alpha_double_star=nan" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4", "example4b"])
+def test_bounds_c_star_is_the_library_c_star_of_the_applied_estimate(name, tmp_path, capsys):
+    # example3 and example4 carry ideal free pairs: c* belongs to the
+    # ideal-free-pair estimate the row applies, in the CSV and the library
+    out = tmp_path / "bounds.csv"
+    assert run_cli("bounds", "--config", bundled_config(name), "--set", "n_cells=200",
+                   "--betas", "0,0.4", "--output", out) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    _, _, env, sim = load_example(name, n_cells=200)
+    for row, beta in zip(rows, [0.0, 0.4], strict=True):
+        report = alpha_star(beta, env, sim)
+        assert float(row["alpha_star"]) == report.effective_alpha_star
+        assert float(row["c_star"]) == report.c_star
+        assert float(row["c_star"]) == (1.0 - float(row["alpha_star"])) / (1.0 - beta)
+
+
 @pytest.mark.parametrize("betas, entry", [("0,,0.4", "''"), ("abc", "'abc'"), ("", "''")])
 def test_bounds_rejects_malformed_betas(fast_config, capsys, betas, entry):
     assert run_cli("bounds", "--config", fast_config, "--betas", betas) == 2
@@ -386,11 +403,16 @@ def test_msy_of_a_neutral_cell_exits_3(fast_config, capsys):
         ("n_cells=2", "override n_cells: n_cells must be >= 3, got 2"),
         ("K=1/(x-x)", "profile K = '1/(x-x)': expression evaluates to a non-finite value at "
                       "x = 0.041666666666666664"),
+        ("u0=1/(x-x)", "initial condition u0 = '1/(x-x)': expression evaluates to a non-finite "
+                       "value at x = 0.041666666666666664"),
+        ("v0=1/(x-x)", "initial condition v0 = '1/(x-x)': expression evaluates to a non-finite "
+                       "value at x = 0.041666666666666664"),
     ],
-    ids=["no_equals", "blank", "n_cells", "non_finite"],
+    ids=["no_equals", "blank", "n_cells", "non_finite", "non_finite_u0", "non_finite_v0"],
 )
 def test_malformed_overrides_exit_2_naming_the_setting(fast_config, capsys, setting, message):
-    assert run_cli("check", "--config", fast_config, "--set", setting) == 2
+    # msy samples every setting, u0 and v0 included, before its first solve
+    assert run_cli("msy", "--config", fast_config, "--set", setting) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 

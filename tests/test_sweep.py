@@ -484,8 +484,9 @@ def test_sweep_is_the_per_cell_sweep_on_random_environments(env):
     assert sweep_grid(rates, rates, env, sim).records == per_cell_sweep(rates, rates, env, sim)
 
 
-def test_a_solve_failing_mid_climb_fails_only_its_own_cell(monkeypatch):
-    _, grid, env, sim = load_example("example1", n_cells=200)
+def _row_climb_rates(monkeypatch, env, sim) -> list:
+    """The alphas at which the climb along the row beta = 0 of a sweep over
+    alphas [0, 0.9] evaluates sigma_u, in order."""
     real = sweep.invasion_eigen
     row_rates = []
 
@@ -494,10 +495,17 @@ def test_a_solve_failing_mid_climb_fails_only_its_own_cell(monkeypatch):
             row_rates.append(rates.alpha)
         return real(invader, rates, resident)
 
-    monkeypatch.setattr(sweep, "invasion_eigen", spy)
-    sweep_grid([0.0, 0.9], [0.0], env, sim)
+    with monkeypatch.context() as patch:
+        patch.setattr(sweep, "invasion_eigen", spy)
+        sweep_grid([0.0, 0.9], [0.0], env, sim)
+    return row_rates
+
+
+def test_a_solve_failing_mid_climb_fails_only_its_own_cell(monkeypatch):
+    _, grid, env, sim = load_example("example1", n_cells=200)
+    real = sweep.invasion_eigen
     # the row's climb evaluates its first node, then its first Newton iterate
-    start, iterate = row_rates[:2]
+    start, iterate = _row_climb_rates(monkeypatch, env, sim)[:2]
     assert start == 0.0 and 0.0 < iterate < 0.9
 
     def failing(invader, rates, resident):
@@ -513,6 +521,23 @@ def test_a_solve_failing_mid_climb_fails_only_its_own_cell(monkeypatch):
     failure = CellFailure(alpha=iterate, beta=0.0, message="no eigenpair at the climb's iterate")
     assert sg.failures() == [failure]
     assert sg.records[0][1] == failure
+    assert sg.records == per_cell_sweep(alphas, betas, env, sim)
+
+
+@pytest.mark.parametrize("r", ["1.1+0.5*cos(pi*x)", "1+0.5*cos(pi*x)", "1.1+0.3*sin(pi*x/2)"])
+def test_the_climb_iterate_is_left_open_by_the_min_r_slope_bound(monkeypatch, r):
+    # on alphas [0, x1], x1 the climb's first Newton iterate, the row's
+    # climb stops at its first point: its iterate reaches the last node.
+    # That point's tangent is 0 at x1 up to rounding, and sigma_u(x1) is
+    # small and positive. The slope bound -min r leaves x1 open, so the
+    # cell computes both sigmas and coexists; -max r would certify
+    # sigma_u(x1) < 0 and make the cell only_v
+    _, grid, env, sim = load_example("example1", n_cells=200, r=r)
+    assert np.min(env.r) < np.max(env.r)
+    x1 = _row_climb_rates(monkeypatch, env, sim)[1]
+    alphas, betas = [0.0, x1], [0.0, 0.3]
+    sg = sweep_grid(alphas, betas, env, sim)
+    assert sg.records[0][1].outcome is Outcome.COEXISTENCE
     assert sg.records == per_cell_sweep(alphas, betas, env, sim)
 
 
