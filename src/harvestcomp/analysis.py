@@ -78,8 +78,8 @@ class OutcomeRecord:
 
 @dataclass(frozen=True)
 class HullFit:
-    """Least-squares decomposition K ~ gamma*P + delta*Q with nonnegative
-    coefficients, plus the non-proportionality facts needed to accept it."""
+    """Least-squares decomposition K ~ gamma*P + delta*Q, plus the
+    non-proportionality facts needed to accept it as an ideal free pair."""
 
     gamma: float
     delta: float
@@ -135,25 +135,11 @@ class InequalityReport:
         return all(c.holds for c in self.checks if c.applicable)
 
 
-def _pair_nnls(p: Field, q: Field, k: Field) -> tuple[float, float]:
-    """Nonnegative least-squares coefficients (gamma, delta) of k ~ gamma*p +
-    delta*q. The objective is a convex quadratic, so when the unconstrained
-    fit has a negative coefficient the optimum lies on the boundary: one
-    coefficient is 0 and the other is its one-column fit, clamped at 0."""
-    (gamma, delta), *_ = np.linalg.lstsq(np.column_stack([p, q]), k, rcond=None)
-    if gamma >= 0 and delta >= 0:
-        return float(gamma), float(delta)
-    gamma = max(0.0, float(p @ k) / float(p @ p))
-    delta = max(0.0, float(q @ k) / float(q @ q))
-    if np.linalg.norm(k - gamma * p) <= np.linalg.norm(k - delta * q):
-        return gamma, 0.0
-    return 0.0, delta
-
-
 def fit_convex_hull(env: EnvironmentProfile) -> HullFit:
-    """Fit K = gamma*P + delta*Q by nonnegative least squares, solved exactly
-    for the two columns (_pair_nnls). residual is the largest misfit
-    relative to max |K|.
+    """Fit K = gamma*P + delta*Q by least squares. residual is the largest
+    misfit relative to max |K|. The coefficients are left unconstrained: when
+    they leave the open positive quadrant, the nonnegative fit of this convex
+    quadratic has a zero coefficient, and is_ideal_free_pair() rejects both.
 
     The fit is computed once per environment: the profile is immutable, so
     the first call keeps the fit in the instance's __dict__ (as
@@ -162,7 +148,8 @@ def fit_convex_hull(env: EnvironmentProfile) -> HullFit:
     fit = env.__dict__.get("_hull_fit")
     if fit is not None:
         return fit
-    gamma, delta = _pair_nnls(env.P, env.Q, env.K)
+    pair = np.column_stack([env.P, env.Q])
+    gamma, delta = np.linalg.lstsq(pair, env.K, rcond=None)[0].tolist()
     resid = float(
         np.max(np.abs(env.K - gamma * env.P - delta * env.Q)) / np.max(np.abs(env.K))
     )
@@ -178,8 +165,9 @@ def fit_convex_hull(env: EnvironmentProfile) -> HullFit:
 
 
 def detect_ideal_free_pair(env: EnvironmentProfile) -> HullFit | None:
-    """Return the hull fit when it is an ideal free pair
-    (HullFit.is_ideal_free_pair), None otherwise."""
+    """Return the least-squares hull fit when it is an ideal free pair
+    (HullFit.is_ideal_free_pair: a tiny misfit, both coefficients positive,
+    neither dispersal aligned with K), None otherwise."""
     f = fit_convex_hull(env)
     return f if f.is_ideal_free_pair() else None
 

@@ -27,7 +27,7 @@ class NumericalError(HarvestCompError):
 
 
 class UnstableStepError(NumericalError):
-    """Non-finite values appeared during time integration."""
+    """Non-finite values appeared in a time step or a Newton iterate."""
 
 
 class ConvergenceError(NumericalError):
@@ -35,4 +35,4 @@ class ConvergenceError(NumericalError):
 
 
 class SingularSystemError(NumericalError):
-    """A shifted tridiagonal system was singular or numerically unsolvable."""
+    """A shifted tridiagonal system, or a Newton step's system, was singular or unsolvable."""

@@ -38,6 +38,9 @@ class SpatialGrid:
         # an integral float such as 5.0 is kept as the int it names
         object.__setattr__(self, "n_cells", int(self.n_cells))
         h = self.length / self.n_cells
+        if h * h == 0 or not np.isfinite(1.0 / (h * h)):  # the stencil scales by 1/h^2
+            raise ConfigurationError(f"cell width h = L/n_cells = {self.length}/{self.n_cells} "
+                                     f"= {h} is too small: 1/h^2 is not finite")
         centers = (np.arange(self.n_cells) + 0.5) * h
         centers.setflags(write=False)
         object.__setattr__(self, "h", h)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,11 +68,13 @@ _NEWTON_CAP = 50
 
 @dataclass(frozen=True)
 class CellFailure:
-    """Marker stored in place of a record when a sweep cell fails."""
+    """Marker stored in place of a record when a sweep cell fails. error is the
+    class of its exception: an instance would keep its traceback's frames."""
 
     alpha: float
     beta: float
     message: str
+    error: type[HarvestCompError] = field(default=HarvestCompError, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -103,10 +105,10 @@ def simulate_cell(
     """The record sweep_grid gives the single cell (alpha, beta). Initial
     data that check_initial_data rejects raise its ConfigurationError, as in
     sweep_grid; a cell sweep_grid does not decide, or whose solve fails,
-    raises HarvestCompError with the CellFailure's message."""
+    raises the CellFailure's error with its message."""
     (record,) = sweep_grid([alpha], [beta], env, cfg, u0=u0, v0=v0).records[0]
     if isinstance(record, CellFailure):
-        raise HarvestCompError(record.message)
+        raise record.error(record.message)
     return record
 
 
@@ -288,7 +290,7 @@ def sweep_grid(
             try:
                 row.append(cell(float(alpha), float(beta)))
             except HarvestCompError as exc:
-                row.append(CellFailure(alpha=float(alpha), beta=float(beta), message=str(exc)))
+                row.append(CellFailure(float(alpha), float(beta), str(exc), type(exc)))
         records.append(row)
     return SweepGrid(alphas=alphas, betas=betas, records=records)
 

@@ -17,13 +17,14 @@ from harvestcomp import (
     inequality_suite,
 )
 from harvestcomp import analysis
-from harvestcomp.analysis import invasion_potential
+from harvestcomp.analysis import IFP_RESIDUAL_TOL, invasion_potential
+from harvestcomp.cli import main
 from harvestcomp.config import build_environment, parse_config_text, simulation_config
 from harvestcomp.grid import SpatialGrid
 from harvestcomp.operators import annihilates
 from harvestcomp.profiles import EnvironmentProfile
 
-from conftest import load_example
+from conftest import bundled_config, load_example
 
 CONSTANT_ENV = "L = 4\nn_cells = 64\nK = 1\nr = 1.1\nP = 1\nQ = 1\na = 1\nb = 1\n"
 
@@ -63,6 +64,22 @@ def test_ideal_free_pair_detected_for_gaussian_bumps():
     assert pair.delta == pytest.approx(1.0, abs=1e-8)
 
 
+def test_an_exact_fit_outside_the_cone_is_no_ideal_free_pair(capsys):
+    # K = 3+2cos(pi x) = 2P - Q: the fit is exact and neither dispersal is
+    # aligned with K, so only the sign of delta rejects the pair
+    _, _, env, sim = load_example("example1", n_cells=200, K="3+2*cos(pi*x)")
+    fit = fit_convex_hull(env)
+    assert fit.gamma == pytest.approx(2.0, abs=1e-10)
+    assert fit.delta == pytest.approx(-1.0, abs=1e-10)
+    assert fit.residual < IFP_RESIDUAL_TOL
+    assert fit.nonprop_u and fit.nonprop_v
+    assert not fit.is_ideal_free_pair()
+    assert alpha_star(0.4, env, sim).alpha_star_ifp is None
+    assert main(["check", "--config", str(bundled_config("example1")), "--set", "n_cells=200",
+                 "--set", "K=3+2*cos(pi*x)"]) == 0
+    assert "invader_growth_at_u_branch: skipped (not applicable)\n" in capsys.readouterr().out
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     n=strategies.integers(3, 60),
@@ -72,8 +89,8 @@ def test_ideal_free_pair_detected_for_gaussian_bumps():
     noise=strategies.floats(0.0, 1.0),
 )
 def test_pair_fit_matches_nnls(n, seed, gamma, delta, noise):
-    # a negative gamma or delta makes the unconstrained fit infeasible in
-    # most draws, so both branches of the exact two-column fit are taken
+    # a negative gamma or delta puts the unconstrained fit outside the
+    # positive quadrant in most draws, where nnls clamps a coefficient to 0
     rng = np.random.default_rng(seed)
     P, Q = rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n)
     K = np.abs(gamma * P + delta * Q + noise * rng.normal(size=n)) + 0.01
@@ -81,10 +98,15 @@ def test_pair_fit_matches_nnls(n, seed, gamma, delta, noise):
     env = EnvironmentProfile(grid=SpatialGrid(1.0, n), K=K, r=ones, P=P, Q=Q, a=ones, b=ones)
     fit = fit_convex_hull(env)
     ref, rnorm = nnls(np.column_stack([P, Q]), K)
-    scale = float(np.max(ref))  # > 0: K, P and Q are positive
-    assert abs(fit.gamma - ref[0]) <= 1e-12 * scale
-    assert abs(fit.delta - ref[1]) <= 1e-12 * scale
+    # the unconstrained residual is the global minimum
     assert np.linalg.norm(K - fit.gamma * P - fit.delta * Q) <= rnorm * (1 + 1e-12)
+    if np.all(ref > 0):
+        scale = float(np.max(ref))
+        assert abs(fit.gamma - ref[0]) <= 1e-12 * scale
+        assert abs(fit.delta - ref[1]) <= 1e-12 * scale
+    residual = np.max(np.abs(K - ref[0] * P - ref[1] * Q)) / np.max(K)
+    nnls_fit = dataclasses.replace(fit, gamma=ref[0], delta=ref[1], residual=residual)
+    assert fit.is_ideal_free_pair() == nnls_fit.is_ideal_free_pair()
 
 
 @pytest.mark.parametrize("diffusion", [1.0, 0.01])
@@ -103,13 +125,13 @@ def test_hull_fit_is_computed_once_per_environment(monkeypatch):
     # K = P + 2Q: an ideal free pair with gamma != delta
     _, _, env, sim = load_example("example3", n_cells=100, Q="0.45+0.25*cos(pi*x)")
     calls = []
-    pair_nnls = analysis._pair_nnls
+    lstsq = np.linalg.lstsq
 
-    def counting(p, q, k):
-        calls.append(k)
-        return pair_nnls(p, q, k)
+    def counting(a, b, rcond=None):
+        calls.append(b)
+        return lstsq(a, b, rcond=rcond)
 
-    monkeypatch.setattr(analysis, "_pair_nnls", counting)
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
     fit = fit_convex_hull(env)
     assert fit_convex_hull(env) is fit
     for beta in (0.0, 0.2, 0.4, 0.6):

@@ -472,6 +472,23 @@ def test_exit_code_2_for_config_errors(tmp_path, capsys):
     )
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_domain_too_small_for_the_stencil_is_a_config_error(capsys):
+    example1 = bundled_config("example1")
+    assert run_cli("check", "--config", example1, "--set", "n_cells=200",
+                   "--set", "L=1e-200") == 2
+    assert capsys.readouterr().err == (
+        "configuration error: cell width h = L/n_cells = 1e-200/200 = 5e-203 is too small:"
+        " 1/h^2 is not finite\n"
+    )
+    assert run_cli("check", "--config", example1, "--set", "n_cells=30",
+                   "--set", "L=1e-155") == 2
+    assert "L/n_cells = 1e-155/30" in capsys.readouterr().err
+    # the stencil of L = 1e-150 is finite: it builds, and check runs through
+    assert run_cli("check", "--config", example1, "--set", "n_cells=30",
+                   "--set", "L=1e-150") == 0
+
+
 def test_exit_code_2_for_rate_without_semitrivial_branch(fast_config, tmp_path, capsys):
     # harvesting at rate 1 leaves no positive single-species state
     assert run_cli(

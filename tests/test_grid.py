@@ -22,6 +22,8 @@ def test_grid_centers_and_width():
     dict(length=4.0, n_cells=2),
     dict(length=4.0, n_cells=float("nan")),
     dict(length=4.0, n_cells=float("inf")),
+    dict(length=1e-200, n_cells=50),  # 1/h^2 divides by zero
+    dict(length=1e-155, n_cells=30),  # 1/h^2 overflows
 ])
 def test_grid_rejects_bad_parameters(bad):
     with pytest.raises(ConfigurationError):

@@ -21,6 +21,7 @@ from harvestcomp import (
 )
 from harvestcomp import spectral, sweep
 from harvestcomp.analysis import invasion_potential
+from harvestcomp.cli import main
 from harvestcomp.config import build_environment, parse_config_text
 from harvestcomp.operators import build_operator
 from harvestcomp.sweep import (
@@ -32,6 +33,7 @@ from harvestcomp.sweep import (
 
 from conftest import (
     assert_sweep_matches_march,
+    bundled_config,
     environments,
     load_example,
     per_cell_sweep,
@@ -283,6 +285,25 @@ def test_sweep_records_failures_in_place(example1_small, monkeypatch):
     assert sg.failures() == [CellFailure(alpha=0.5, beta=0.0, message="no u-branch at alpha = 0.5")]
     assert sg.records[0][1] is sg.failures()[0]
     assert [c.outcome for c in sg.records[0][::2]] == [Outcome.ONLY_U, Outcome.ONLY_V]
+
+
+def test_a_failed_cell_keeps_the_class_of_its_error(example1_small, monkeypatch, capsys):
+    # simulate_cell and msy raise the failed solve's ConvergenceError, not a
+    # bare HarvestCompError, so the CLI reports it as a numerical failure
+    grid, env, sim = example1_small
+
+    def failing(which, env, rate, cfg):
+        raise ConvergenceError(f"no {which}-branch at rate {rate}")
+
+    monkeypatch.setattr(sweep, "solve_semitrivial", failing)
+    (failure,) = sweep_grid([0.2], [0.1], env, sim).failures()
+    assert failure.error is ConvergenceError
+    with pytest.raises(ConvergenceError, match=re.escape(failure.message)):
+        simulate_cell(0.2, 0.1, env, sim)
+    code = main(["msy", "--config", str(bundled_config("example1")), "--set", "n_cells=30",
+                 "--set", "alpha=0.2", "--set", "beta=0.1"])
+    assert code == 3
+    assert capsys.readouterr().err == f"numerical failure: {failure.message}\n"
 
 
 def test_a_failing_semitrivial_solve_runs_once_per_sweep(example1_small, monkeypatch):

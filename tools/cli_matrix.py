@@ -51,6 +51,7 @@ CASES = (
     ("bad_u0", ["sweep", "--grid", "3", "--set", f"u0={NON_FINITE}"]),
     ("bad_v0", ["msy", "--set", f"v0={NON_FINITE}"]),
     ("negative_u0", ["simulate", "--set", "u0=-1"]),
+    ("tiny_domain", ["check", "--set", "L=1e-200"]),
 )
 
 
