@@ -14,8 +14,8 @@ Single-species stationary states (solve_semitrivial) are not marched:
 Newton's method solves the discrete stationary system D w + f(w) = 0
 directly, each step one LAPACK ptsv call on the symmetric positive definite
 form of the tridiagonal solve shifted by -f'(w) per cell. dt
-and t_final do not enter it; its residual is below steady_tol or below the
-rounding limit of evaluating D w, whichever is larger. Coexistence states
+and t_final do not enter it; its residual is below steady_tol or below
+spectral.neutral_level times the state, whichever is larger. Coexistence states
 (solve_coexistence) are solved the same way by pseudo-transient
 continuation from given initial data, each step one solve on u and v
 together: one LAPACK gbsv call on a (2, 2)-banded matrix kept for the
@@ -37,11 +37,12 @@ from .errors import (
     UnstableStepError,
 )
 from .grid import Field, as_field
-from .operators import ROUNDING_FLOOR, _gbsv, _ptsv, rounding_level, shifted_solver
+from .operators import ROUNDING_FLOOR, _gbsv, _ptsv, shifted_solver
 from .operators import apply as apply_operator
 # not called here; bench/tracer.py wraps it under this module's name
 from .operators import build_operator  # noqa: F401
 from .profiles import EnvironmentProfile
+from .spectral import neutral_level
 
 
 @dataclass(frozen=True)
@@ -83,8 +84,8 @@ class SimulationConfig:
     criterion and uses dt only to check its initial data the way the march
     does. steady_tol is the march's settling threshold on the max-norm time
     derivative, and the max-norm stationary residual that solve_semitrivial
-    and solve_coexistence must get below, unless rounding in D w alone
-    exceeds it (see solve_semitrivial).
+    and solve_coexistence must get below, unless the stationary problem's
+    rounding level (spectral.neutral_level) times the state exceeds it.
     """
 
     dt: float = 0.05
@@ -179,6 +180,7 @@ def run_to_time(
 _NEWTON_CAP = 50
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is raised by name below
 def solve_semitrivial(
     which: str,
     env: EnvironmentProfile,
@@ -202,13 +204,14 @@ def solve_semitrivial(
     (operators.EigenInvariants).
 
     Returns the first iterate whose stationary residual, in max norm, is
-    below cfg.steady_tol or below the rounding limit of evaluating D w,
-    4 * eps * D.gershgorin * max|w|, whichever is larger. The limit
-    grows as (n/L)^2; on the bundled configs (n = 800, L = 4) it is at most
+    below cfg.steady_tol or below neutral_level(env) * max|w| (env the
+    branch's environment), whichever is larger. That limit grows as (n/L)^2
+    and with max r; on the bundled configs (n = 800, L = 4) it is at most
     3e-9, and at n = 12800 up to 8e-7. cfg.dt and cfg.t_final do not
     enter. Raises ConvergenceError when a fixed cap of Newton steps does
-    not get there, and SingularSystemError, naming the branch and the rate,
-    when a step's -J does not factor as positive definite.
+    not get there, UnstableStepError at a non-finite residual, and
+    SingularSystemError, naming the branch and the rate, when a step's -J
+    does not factor as positive definite.
     """
     if which not in ("u", "v"):
         raise ConfigurationError(f"branch must be 'u' or 'v', got {which!r}")
@@ -230,7 +233,7 @@ def solve_semitrivial(
     crowd = rr / K_scale
     crowd2 = 2.0 * crowd
     shift = rr + op.diag
-    rounding = rounding_level(op)
+    rounding = neutral_level(env)
 
     w = K_scale
     for steps in range(_NEWTON_CAP + 1):
@@ -268,6 +271,7 @@ def solve_semitrivial(
 _PTC_CAP = 50
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is raised by name below
 def solve_coexistence(
     u0: Field,
     v0: Field,
@@ -290,13 +294,13 @@ def solve_coexistence(
     negative is retried with tau quartered.
 
     Stops like solve_semitrivial: max|F| below cfg.steady_tol or below
-    4 * eps * D.gershgorin * max(u, v), with D the dispersal operator
-    of larger bound. cfg.dt and cfg.t_final do not enter. Raises
-    ConvergenceError when a fixed cap of steps does not get there, and
-    NumericalError when the state reached is not positive in both species,
-    or when either species' maximum is below ROUNDING_FLOOR * eps * max K,
-    a state collapsed toward 0 that the absolute stop test cannot tell
-    from a stationary one.
+    the larger neutral_level of the two species times max(u, v). cfg.dt
+    and cfg.t_final do not enter. Raises ConvergenceError when a fixed cap
+    of steps does not get there, UnstableStepError at a non-finite
+    residual, and NumericalError when the state reached is not positive in
+    both species, or when either species' maximum is below ROUNDING_FLOOR *
+    eps * max K, a collapsed state the absolute stop test cannot tell from
+    a stationary one.
     """
     u = as_field(u0, env.grid)
     v = as_field(v0, env.grid)
@@ -304,7 +308,7 @@ def solve_coexistence(
     grow_u = env.r * (1.0 - rates.alpha)
     grow_v = env.r * (1.0 - rates.beta)
     susc = env.r / env.K
-    rounding = max(rounding_level(op_u), rounding_level(op_v))
+    rounding = max(neutral_level(env), neutral_level(env.swapped()))
 
     # (I/tau - J) in banded storage: row 2 - k holds diagonal k of the
     # interleaved order u_0, v_0, u_1, v_1, ...; the dispersal bands sit at

@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps ConfigurationError to exit code 2 and NumericalError to 3.
+The CLI maps ConfigurationError to exit code 2 and NumericalError to 3;
+any other HarvestCompError also exits 3, printed as "error: ...".
 """
 
 

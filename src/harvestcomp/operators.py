@@ -173,24 +173,17 @@ def shifted_solver(op: DiffusionOperator, s: float) -> Callable[[Field], Field]:
     return solve
 
 
-#: Evaluating D w in floating point leaves a residual of about
-#: eps * D.gershgorin * max|w| that no iterate gets below (Newton
-#: stalls at up to 1.04 times it on the bundled configs, n up to 25600, L
-#: down to 0.25); the stop tests and annihilates allow this many times that
-#: bound.
+#: Evaluating D w + f(w) in floating point leaves a residual of about
+#: eps * (D.gershgorin + max r) * max|w| that no iterate gets below (Newton
+#: stalls at up to 1.04 times its D part on the bundled configs, n up to
+#: 25600, L down to 0.25). spectral.neutral_level, the stationary problem's
+#: one rounding level, and annihilates allow this many times that bound.
 ROUNDING_FLOOR = 4.0
 
 
-def rounding_level(op: DiffusionOperator) -> float:
-    """ROUNDING_FLOOR * eps * op.gershgorin: the stationary residual,
-    per unit of max|w|, that rounding in D w alone leaves. ROUNDING_FLOOR *
-    eps is a power of two, so scaling by it is exact."""
-    return ROUNDING_FLOOR * sys.float_info.epsilon * op.gershgorin
-
-
 def annihilates(op: DiffusionOperator, w: Field) -> bool:
-    """True when D w vanishes to rounding: max|D w| <= rounding_level(op) *
-    max|w|.
+    """True when D w vanishes to rounding: max|D w| <= ROUNDING_FLOOR * eps *
+    D.gershgorin * max|w|.
 
     Used to test proportionality: D w = 0 exactly iff w is proportional
     to the operator's dispersal profile P, and evaluating D(c*P) leaves at
@@ -199,4 +192,5 @@ def annihilates(op: DiffusionOperator, w: Field) -> bool:
     that shrinks only like h^2 as the grid is refined.
     """
     w = as_field(w, op.grid)
-    return float(np.max(np.abs(apply(op, w)))) <= rounding_level(op) * float(np.max(np.abs(w)))
+    bound = ROUNDING_FLOOR * sys.float_info.epsilon * op.gershgorin
+    return float(np.max(np.abs(apply(op, w)))) <= bound * float(np.max(np.abs(w)))

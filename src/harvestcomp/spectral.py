@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError
 from .grid import Field, as_field
-from .operators import ROUNDING_FLOOR, DiffusionOperator, _ptsv, rounding_level
+from .operators import ROUNDING_FLOOR, DiffusionOperator, _ptsv
 from .profiles import EnvironmentProfile
 
 # Noda takes 0-6 steps on the bundled configs and 0-7 with a = b down to
@@ -128,25 +128,25 @@ def principal_eigen(op: DiffusionOperator, potential: Field, R: Field) -> EigenR
     h_phi[1:] += off * phi[:-1]
     norm2 = float(phi @ phi)
     rho = float(phi @ h_phi) / norm2
-    r = h_phi - rho * phi
-    residual = math.sqrt(float(r @ r) / norm2)
+    unit = math.ldexp(1.0, math.frexp(stop)[1])  # a power of two above the stop width
+    r = np.subtract(h_phi, rho * phi, out=h_phi)
+    r /= unit  # exactly, and so that r . r stays finite
+    residual = unit * math.sqrt(float(r @ r) / norm2)
     psi = phi * sqrt_R / math.sqrt(norm2 * op.grid.h)
     return EigenResult(sigma1=rho, psi=psi, iterations=steps, residual=residual, lo=lo, hi=hi)
 
 
 def neutral_level(env: EnvironmentProfile) -> float:
-    """Rounding level of the invasion eigenvalue of u, dispersing by
-    env.dispersal (pass env.swapped() for v): a sigma within it of 0 is
-    neutral. On the bundled configs at n = 200, 240 and 800, over a 20x20
-    grid of rates in [0, 0.95], zero sigmas sit at most 0.011 times
-    eps * (D.gershgorin + max r) and every other |sigma| at least
-    1.75e6 times it; the level allows the Newton floor's factor. The
-    bracket principal_eigen stops at, eps * gershgorin(H), is about a
-    quarter of the level."""
-    # rounding_level's factor is a power of two, so this is that factor
-    # times (D.gershgorin + max r) exactly
-    eps = sys.float_info.epsilon
-    return rounding_level(env.dispersal) + ROUNDING_FLOOR * eps * float(np.max(env.r))
+    """ROUNDING_FLOOR * eps * (D.gershgorin + max r), D = env.dispersal: the
+    rounding level of u's stationary problem per unit of state (pass
+    env.swapped() for v's). A sigma within it of 0 is neutral; the
+    stationary solves stop at it times max|w| (dynamics). On the bundled
+    configs at n = 200, 240 and 800 and rates in [0, 0.95], zero sigmas sit
+    within 0.011 times eps * (D.gershgorin + max r) and every other |sigma|
+    beyond 1.75e6 times it. principal_eigen's bracket stop, eps *
+    gershgorin(H), is about a quarter of the level."""
+    return ROUNDING_FLOOR * sys.float_info.epsilon * (env.dispersal.gershgorin
+                                                      + float(env.r.max()))
 
 
 def sign(sigma: float, level: float) -> int:

@@ -203,7 +203,7 @@ def semitrivial_by_newton(which, env, rate, cfg: SimulationConfig):
     op = env.dispersal
     rr = (1.0 - rate) * env.r
     K_scale = (1.0 - rate) * env.K
-    rounding = operators.rounding_level(op)
+    rounding = spectral.neutral_level(env)
     bands = np.zeros((3, env.grid.n_cells))
     bands[0, 1:] = -op.sup[:-1]
     bands[2, :-1] = -op.sub[1:]

@@ -207,6 +207,44 @@ def test_eigen_verdict_uses_the_sweep_neutral_level(capsys):
     assert abs(float(out.split("sigma1=")[1].split()[0])) < 1e-11
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv,message", [
+    (["steady", "--branch", "u", "--set", "K=1e308"],
+     "non-finite semi-trivial u-branch Newton iterate"),
+    (["msy", "--set", "alpha=0.1", "--set", "beta=0", "--set", "u0=1e300", "--set", "v0=1e300"],
+     "non-finite coexistence iterate"),
+], ids=["steady", "msy"])
+def test_an_overflowing_solve_fails_by_name_without_warnings(
+    tmp_path, monkeypatch, capsys, argv, message
+):
+    monkeypatch.chdir(tmp_path)  # steady would write steady.csv there
+    code = run_cli(argv[0], "--config", bundled_config("example1"), "--set", "n_cells=30",
+                   *argv[1:])
+    assert code == 3
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_eigen_under_huge_growth_prints_a_finite_residual(capsys):
+    code = run_cli("eigen", "--config", bundled_config("example1"), "--set", "n_cells=30",
+                   "--around", "v", "--set", "r=1e300", "--set", "beta=0.1")
+    assert code == 0
+    residual = float(re.search(r"residual=(\S+),", capsys.readouterr().out).group(1))
+    assert np.isfinite(residual)
+
+
+def test_fast_growth_is_solved(tmp_path, capsys):
+    # the stationary residual carries r w, so the solves stop at the
+    # rounding level of the reaction term as well as of D w
+    code = run_cli("steady", "--config", bundled_config("example1"), "--set", "n_cells=200",
+                   "--branch", "v", "--set", "r=1e7", "--output", tmp_path / "v.csv")
+    assert code == 0
+    code = run_cli("sweep", "--config", bundled_config("example2"), "--set", "n_cells=100",
+                   "--set", "r=1e10", "--grid", "11", "--strict", "--output", tmp_path / "s.csv")
+    assert code == 0
+    assert "unresolved" not in capsys.readouterr().out
+
+
 def test_bounds_command_csv_contract(fast_config, tmp_path, capsys):
     out = tmp_path / "bounds.csv"
     code = run_cli("bounds", "--config", fast_config, "--betas", "0,0.4", "--output", out)

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from harvestcomp import (
     PopulationState,
     SimulationConfig,
     SingularSystemError,
+    UnstableStepError,
     average,
     integrate,
     run_to_time,
@@ -388,6 +390,32 @@ def test_semitrivial_ptsv_steps_match_the_banded_newton_oracle_on_random_environ
     check_steps_against_dense_solves((env if which == "u" else env.swapped()).dispersal, steps)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(env=environments(), c=strategies.sampled_from([1e7, 1e10, 1e14]),
+       which=strategies.sampled_from("uv"), rate=strategies.floats(0.0, 0.975))
+def test_semitrivial_of_fast_growth_is_the_rescaled_solve_on_random_environments(
+    env, c, which, rate
+):
+    # D w + c r w (1 - w/K) = 0 is (D/c) w + r w (1 - w/K) = 0, and D/c is
+    # the operator of (a/c, P): the state of growth c r is the state of
+    # diffusivities a/c and b/c, solved here to the rounding floor. The
+    # residual of the fast problem carries c r w, so its solve must stop at
+    # the rounding level of the reaction term too, not of D w alone.
+    w = solve_semitrivial(which, replace(env, r=c * env.r), rate, SimulationConfig())
+    ref = solve_semitrivial(which, replace(env, a=env.a / c, b=env.b / c), rate,
+                            SimulationConfig(steady_tol=1e-300))
+    assert np.max(np.abs(w - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_semitrivial_state_that_overflows_is_named():
+    # K = 1e308 starts Newton at a state whose D w overflows
+    _, _, env, sim = load_example("example1", n_cells=30, K="1e308")
+    message = "non-finite semi-trivial u-branch Newton iterate"
+    with pytest.raises(UnstableStepError, match=f"^{re.escape(message)}$"):
+        solve_semitrivial("u", env, 0.0, sim)
+
+
 def test_a_singular_semitrivial_step_is_named(monkeypatch):
     # -J is positive definite at every iterate, so ptsv cannot fail on its
     # own; a stubbed zero pivot raises the SingularSystemError naming the
@@ -432,6 +460,15 @@ def test_coexistence_reports_nonconvergence():
     _, grid, env, sim = load_example("example1", n_cells=32, K="exp(60*cos(pi*x))")
     start = np.full(grid.n_cells, 2.1)
     with pytest.raises(ConvergenceError, match="did not converge in 50 pseudo-transient steps"):
+        solve_coexistence(start, start, env, HarvestRates(0.1, 0.0), sim)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_coexistence_state_that_overflows_is_named():
+    # from u = v = 1e300 the logistic term u * (r - r (u + v) / K) overflows
+    _, grid, env, sim = load_example("example1", n_cells=30)
+    start = np.full(grid.n_cells, 1e300)
+    with pytest.raises(UnstableStepError, match="^non-finite coexistence iterate$"):
         solve_coexistence(start, start, env, HarvestRates(0.1, 0.0), sim)
 
 

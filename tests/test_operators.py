@@ -177,6 +177,16 @@ def test_shifted_solve_rejects_a_right_hand_side_off_the_grid():
         solve(np.ones(11))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_shifted_solve_names_a_non_finite_solution(bad):
+    g = SpatialGrid(length=4.0, n_cells=12)
+    solve = shifted_solver(build_operator(np.ones(12), np.ones(12), g), 20.0)
+    rhs = np.ones(12)
+    rhs[5] = bad
+    with pytest.raises(SingularSystemError, match=r"^shifted solve with s = 20\.0 failed$"):
+        solve(rhs)
+
+
 def test_annihilates_detects_proportionality():
     g = SpatialGrid(length=4.0, n_cells=100)
     K = 2.0 + np.cos(np.pi * g.centers)

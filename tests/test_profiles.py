@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies
 from harvestcomp import ConfigurationError, ExpressionError, SpatialGrid
 from harvestcomp.profiles import (
     EnvironmentProfile,
+    environment_from_expressions,
     evaluate,
     parse,
     sample,
@@ -192,6 +193,27 @@ def _constant_env(grid, **kw):
     )
     fields.update(kw)
     return EnvironmentProfile(grid=grid, **fields)
+
+
+def test_a_profile_off_the_grid_is_named():
+    g = SpatialGrid(length=4.0, n_cells=10)
+    with pytest.raises(ConfigurationError, match="^profile Q does not match the grid$"):
+        _constant_env(g, Q=np.ones(9))
+
+
+SOURCES = dict(K="2", r="1", P="1", Q="1", a="1", b="1")
+
+
+def test_a_missing_profile_expression_is_named():
+    sources = {k: v for k, v in SOURCES.items() if k != "P"}
+    with pytest.raises(ConfigurationError, match="^missing profile expression for 'P'$"):
+        environment_from_expressions(SpatialGrid(length=4.0, n_cells=10), **sources)
+
+
+def test_unknown_profile_names_are_named():
+    with pytest.raises(ConfigurationError, match=r"^unknown profile names: \['c', 'd'\]$"):
+        environment_from_expressions(SpatialGrid(length=4.0, n_cells=10), **SOURCES,
+                                     d="1", c="1")
 
 
 def test_validate_accepts_positive_environment():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 
 import numpy as np
@@ -191,6 +192,23 @@ def test_positive_sigma1_agrees_with_dynamics():
         state = one_step(u, v, env, rates, sim.dt)
         u, v = state.u, state.v
     assert integrate(u, grid) > 10 * mass0
+
+
+@pytest.mark.filterwarnings("error")
+def test_residual_stays_finite_under_a_huge_potential():
+    # sigma1 near 1e300: the squares of H phi - sigma1 phi overflow unless
+    # the residual is scaled first. D is below the rounding of H here, so
+    # the eigenpair is poor, and the finite residual must say so: it is the
+    # dense residual of the returned pair, taken in units of 1e300.
+    _, grid, env, _ = load_example("example1", n_cells=30)
+    op = env.dispersal
+    potential = 1e300 * (1.5 + np.cos(np.pi * grid.centers / grid.length))
+    res = principal_eigen(op, potential, env.P)
+    assert math.isfinite(res.residual)
+    phi = res.psi / np.sqrt(env.P)
+    phi /= np.linalg.norm(phi)
+    scaled = (symmetrized_dense(op, potential) / 1e300) @ phi - (res.sigma1 / 1e300) * phi
+    assert res.residual == pytest.approx(1e300 * np.linalg.norm(scaled), rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -52,6 +52,9 @@ CASES = (
     ("bad_v0", ["msy", "--set", f"v0={NON_FINITE}"]),
     ("negative_u0", ["simulate", "--set", "u0=-1"]),
     ("tiny_domain", ["check", "--set", "L=1e-200"]),
+    ("fast_growth", ["steady", "--branch", "v", "--set", "r=1e10"]),
+    ("huge_r_eigen", ["eigen", "--around", "v", "--set", "r=1e300", "--set", "beta=0.1"]),
+    ("overflow_K", ["steady", "--branch", "u", "--set", "K=1e308"]),
 )
 
 
