@@ -21,7 +21,8 @@ bracket closes superlinearly from phi = sqrt(R), which is the exact
 kernel vector when q = 0; the iteration stops when it is narrower than the
 rounding level eps * gershgorin(H) of a ratio. The Rayleigh quotient and
 the residual are taken on the last phi as it stands, dividing once by
-phi . phi.
+phi . phi, with H phi in units of a power of two near that level so that
+neither product overflows; the residual is computed when first read.
 
 Of H, the off-diagonal, the start sqrt(R) and the start's ratios for
 q = 0, (D R)/R, depend on the operator alone. They are computed once per
@@ -34,7 +35,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,14 +58,26 @@ class EigenResult:
     Collatz-Wielandt bracket. [lo, hi] is the last bracket: lo <= sigma1 <=
     hi up to the rounding eps * gershgorin(H) of a ratio, and hi - lo is
     below that width unless the iteration ended because hi*I - H no longer
-    factored, with hi sigma1 to rounding."""
+    factored, which puts sigma1 within that width of hi. residual, the
+    Euclidean norm of H phi - sigma1 phi for the unit vector phi = psi /
+    sqrt(R) up to scale, is computed when first read."""
 
     sigma1: float
     psi: Field
     iterations: int
-    residual: float
     lo: float
     hi: float
+    # the last phi, phi . phi, and H phi in units of the power of two unit
+    _phi: np.ndarray = field(repr=False, compare=False)
+    _norm2: float = field(repr=False, compare=False)
+    _h_phi: np.ndarray = field(repr=False, compare=False)
+    _unit: float = field(repr=False, compare=False)
+
+    @cached_property
+    def residual(self) -> float:
+        # in units of unit, exactly, so that the squares stay finite
+        r = self._h_phi - (self.sigma1 / self._unit) * self._phi
+        return self._unit * math.sqrt(float(r @ r) / self._norm2)
 
 
 def principal_eigen(op: DiffusionOperator, potential: Field, R: Field) -> EigenResult:
@@ -74,13 +88,12 @@ def principal_eigen(op: DiffusionOperator, potential: Field, R: Field) -> EigenR
     potential must be finite. Noda's iteration runs from phi = sqrt(R) on
     the symmetrized H and stops once its Collatz-Wielandt bracket
     [lo, hi] is narrower than eps * gershgorin(H), or once hi*I - H no
-    longer factors as positive definite, which happens only when hi is
-    sigma1 to rounding. sigma1 is the Rayleigh quotient of the last phi,
-    a weighted mean of its ratios and so inside the bracket, which is
-    returned as lo and hi; residual is the Euclidean norm of
-    H phi - sigma1 phi for unit phi. Raises
-    ConvergenceError, naming the bracket, when a fixed cap of steps does
-    not close it.
+    longer factors as positive definite, which proves sigma1 >= hi - that
+    width. sigma1 is the Rayleigh quotient of the last phi, a weighted mean
+    of its ratios and so inside the bracket, which is returned as lo and
+    hi; on the second exit it is raised to hi - that width if it is below.
+    Raises ConvergenceError, naming the bracket, when a fixed cap of steps
+    does not close it.
 
     The off-diagonal of H, sqrt(R) and the ratios (D R)/R depend on the
     operator alone and are read from op.eigen_invariants, computed on the
@@ -90,21 +103,24 @@ def principal_eigen(op: DiffusionOperator, potential: Field, R: Field) -> EigenR
     if R is not op.P and not np.array_equal(as_field(R, op.grid), op.P):
         raise ConfigurationError("R must be the dispersal profile of the operator")
     potential = as_field(potential, op.grid)
-    if not np.isfinite(potential).all():
+    off, neg_off, sqrt_R, kernel_ratio = op.eigen_invariants
+    phi = sqrt_R
+    # the Collatz-Wielandt ratios (H phi)_i / phi_i of phi = sqrt(R) are
+    # q_i + (D R)_i / R_i, and D R = 0 up to rounding
+    ratio = potential + kernel_ratio
+    lo, hi = float(ratio.min()), float(ratio.max())
+    # a potential that is not finite makes the bracket so
+    if not (math.isfinite(lo) and math.isfinite(hi)) and not np.isfinite(potential).all():
         raise ConfigurationError("potential must be finite in every cell")
 
-    off, neg_off, sqrt_R, kernel_ratio = op.eigen_invariants
     # H = S^-1 (D + diag(q)) S with S = diag(sqrt(R))
     diag = op.diag + potential
     row = np.abs(diag)
     row[:-1] += off
     row[1:] += off
     stop = sys.float_info.epsilon * float(row.max())
-    phi = sqrt_R
-    # the Collatz-Wielandt ratios (H phi)_i / phi_i of phi = sqrt(R) are
-    # q_i + (D R)_i / R_i, and D R = 0 up to rounding
-    ratio = potential + kernel_ratio
-    lo, hi = float(ratio.min()), float(ratio.max())
+    floor = -math.inf  # sigma1 is at least this
+    shifted, shrink = row, ratio  # spent: the Noda steps' work arrays
     steps = 0
     while not hi - lo <= stop:  # a NaN bracket runs on to the cap
         if steps == _NODA_CAP:
@@ -112,28 +128,29 @@ def principal_eigen(op: DiffusionOperator, potential: Field, R: Field) -> EigenR
                 f"principal eigenvalue not resolved after {steps} Noda steps: "
                 f"sigma1 in [{lo:.12g}, {hi:.12g}]"
             )
-        _, _, y, info = _ptsv(hi - diag, neg_off, phi, overwrite_d=1)
-        if info != 0:  # hi*I - H is singular to rounding: hi is sigma1
+        np.subtract(hi, diag, out=shifted)
+        _, _, y, info = _ptsv(shifted, neg_off, phi, overwrite_d=1)
+        if info != 0:  # hi*I - H is not positive definite to rounding
+            floor = hi - stop
             break
         # (H y)_i = hi * y_i - phi_i, so the ratios of y are hi - phi_i / y_i
-        shrink = phi / y
+        np.divide(phi, y, out=shrink)
         smin = float(shrink.min())
         lo, hi = hi - float(shrink.max()), hi - smin
         # smin * y_i <= phi_i in every cell, so the iterates never grow
-        phi = smin * y
+        phi = np.multiply(y, smin, out=y)
         steps += 1
 
     h_phi = diag * phi
     h_phi[:-1] += off * phi[1:]
     h_phi[1:] += off * phi[:-1]
-    norm2 = float(phi @ phi)
-    rho = float(phi @ h_phi) / norm2
     unit = math.ldexp(1.0, math.frexp(stop)[1])  # a power of two above the stop width
-    r = np.subtract(h_phi, rho * phi, out=h_phi)
-    r /= unit  # exactly, and so that r . r stays finite
-    residual = unit * math.sqrt(float(r @ r) / norm2)
+    h_phi /= unit  # exactly, and so that phi . h_phi stays finite
+    norm2 = float(phi @ phi)
+    sigma1 = max(unit * (float(phi @ h_phi) / norm2), floor)
     psi = phi * sqrt_R / math.sqrt(norm2 * op.grid.h)
-    return EigenResult(sigma1=rho, psi=psi, iterations=steps, residual=residual, lo=lo, hi=hi)
+    return EigenResult(sigma1=sigma1, psi=psi, iterations=steps, lo=lo, hi=hi,
+                       _phi=phi, _norm2=norm2, _h_phi=h_phi, _unit=unit)
 
 
 def neutral_level(env: EnvironmentProfile) -> float:

@@ -23,8 +23,8 @@ per row and per column finds where, and the points it evaluates bound
 sigma at every other rate: from below by their tangents, and from above by
 the slope bound -min r. A cell whose two signs these bounds prove is decided
 without its own eigenpairs (sweep_grid states the bounds); any other cell
-computes both sigmas. An 11x11 sweep of example1 at n = 200 takes 56
-eigenpairs this way instead of 200, and a 41x41 sweep 235 instead of 3,200.
+computes both sigmas. An 11x11 sweep of example1 at n = 200 takes 38
+eigenpairs this way instead of 200, and a 41x41 sweep 158 instead of 3,200.
 find_switch is the same climb on one row, from beta + tol.
 """
 
@@ -61,7 +61,7 @@ from .profiles import EnvironmentProfile
 #: Constant initial density used for every species unless overridden.
 DEFAULT_INITIAL_DENSITY = 2.1
 
-# a climb takes 2 eigenpairs on the bundled configs, where r is constant and
+# a climb takes 1 eigenpair on the bundled configs, where r is constant and
 # sigma1 is affine in its rate, and 3-4 on random environments.
 _NEWTON_CAP = 50
 
@@ -133,11 +133,16 @@ def _newton_climb(eigen, env: EnvironmentProfile, start: float, stop: float, lev
     sigma is convex and strictly decreasing in x (see find_switch), so from
     a point where sigma > 0 each iterate stays below the root. The climb
     stops at the first point where sigma < 0, where |sigma| <= level, or
-    whose Newton iterate reaches stop. Returns the evaluated points
-    (x, sigma, slope), with the Hellmann-Feynman slope
+    whose Newton iterate reaches stop. It also stops at a point (x_k,
+    sigma_k, s_k) with sigma_k > level whose bounds already put the
+    iterate's sigma within level of 0: its tangent is 0 there and sigma lies
+    above it, and sigma falls at least at the rate min r, so sigma(iterate)
+    is in [0, sigma_k - min r * (iterate - x_k)]. Returns the evaluated
+    points (x, sigma, slope), with the Hellmann-Feynman slope
     -h * sum(r * psi^2 / P), and that last Newton iterate. Raises
     ConvergenceError when a fixed cap of steps does not stop it.
     """
+    r_min = float(np.min(env.r))
     points = []
     x = start
     for _ in range(_NEWTON_CAP + 1):
@@ -145,7 +150,8 @@ def _newton_climb(eigen, env: EnvironmentProfile, start: float, stop: float, lev
         slope = -env.grid.h * float(np.sum(env.r * res.psi**2 / env.P))
         points.append((x, res.sigma1, slope))
         iterate = x - res.sigma1 / slope
-        if res.sigma1 < 0 or iterate >= stop or abs(res.sigma1) <= level:
+        if (res.sigma1 < 0 or iterate >= stop or abs(res.sigma1) <= level
+                or res.sigma1 - r_min * (iterate - x) <= level):
             return points, iterate
         x = iterate
     x, sigma, _ = points[-1]
@@ -190,22 +196,24 @@ def sweep_grid(
     one per alpha column on sigma_v(beta), the latter on env.swapped() with
     u_alpha resident. A climb runs over the line's rates in [0, 1): it
     starts at the smallest and stops where sigma < 0, where |sigma| <=
-    level, or where its iterate reaches the largest. At each evaluated point
-    x_k it keeps sigma_k and the slope s_k = -h * sum(r * psi^2 / P), which
-    lies in [-max r, -min r] since h * sum(psi^2 / P) = 1. sigma is convex,
-    so lower(x) = max_k sigma_k + s_k * (x - x_k) bounds it from below
-    everywhere, and upper(x) = min over x_k <= x of sigma_k - min r *
-    (x - x_k) bounds it from above. A node's sign is +1 where lower >
-    2 * level and -1 where upper < -2 * level; the factor 2 covers the
-    eigensolver's rounding, whose bracket stop is about level / 4. Where
-    both signs are certified and not both negative, the outcome is their
-    entry in analysis.OUTCOME_OF_SIGNS, the table classify reads. Every
-    other cell computes both sigmas (eigenpairs are kept by rate, so a climb
-    point on a node is not recomputed) and calls classify, so its outcome
-    and message are those of computing every cell. A climb whose solve
-    raises certifies nothing on its line, and each cell there is computed
-    alone. Each semi-trivial state is solved at most once per sweep; a
-    solve that fails fails every cell needing it with its message.
+    level, where its iterate reaches the largest, or where the bounds below
+    put sigma at its iterate within level of 0 (_newton_climb). At each
+    evaluated point x_k it keeps sigma_k and the slope
+    s_k = -h * sum(r * psi^2 / P), which lies in [-max r, -min r] since
+    h * sum(psi^2 / P) = 1. sigma is convex, so lower(x) = max_k sigma_k +
+    s_k * (x - x_k) bounds it from below everywhere, and upper(x) = min
+    over x_k <= x of sigma_k - min r * (x - x_k) bounds it from above. A
+    node's sign is +1 where lower > 2 * level and -1 where upper <
+    -2 * level; the factor 2 covers the eigensolver's rounding, whose
+    bracket stop is about level / 4. Where both signs are certified and not
+    both negative, the outcome is their entry in analysis.OUTCOME_OF_SIGNS,
+    the table classify reads. Every other cell computes both sigmas
+    (eigenpairs are kept by rate, so a climb point on a node is not
+    recomputed) and calls classify, so its outcome and message are those of
+    computing every cell. A climb whose solve raises certifies nothing on
+    its line, and each cell there is computed alone. Each semi-trivial
+    state is solved at most once per sweep; a solve that fails fails every
+    cell needing it with its message.
 
     (u0, v0), each DEFAULT_INITIAL_DENSITY when not given, are where
     coexistence states are sought from. Initial data that check_initial_data
@@ -318,10 +326,13 @@ def find_switch(
     its tangents, so Newton's method started at beta + tol, where
     sigma1 >= 0, climbs to the root without overshooting it: no bracket or
     line search is needed. It is sweep_grid's climb on one row: it stops
-    once sigma1 is within spectral.neutral_level of 0 (or below 0) and
-    returns that iterate plus its Newton step. sigma1 has opposite signs at
-    the two ends of the reported bracket, centred on the root, whose width
-    is at most tol.
+    once sigma1 is within spectral.neutral_level of 0 (or below 0), or once
+    the last point's tangent and the slope bound -min r put sigma1 at its
+    Newton iterate within that level of 0, and returns the last point's
+    Newton iterate. On the bundled configs, where r is constant and sigma1
+    affine, the first point stops it so. sigma1 has opposite signs at the
+    two ends of the reported bracket, centred on the root, whose width is
+    at most tol.
 
     Returns None when sigma1 has one sign across the search interval (no
     switch to report): when sigma1 < 0 at beta + tol, or when an iterate

@@ -211,6 +211,44 @@ def test_residual_stays_finite_under_a_huge_potential():
     assert res.residual == pytest.approx(1e300 * np.linalg.norm(scaled), rel=1e-12)
 
 
+def test_a_failed_factorization_keeps_sigma1_within_stop_of_the_largest_eigenvalue():
+    # the potential above: hi*I - H does not factor on the first Noda step,
+    # which proves sigma1 >= hi - stop, stop = eps * gershgorin(H), while the
+    # start's Rayleigh quotient, 1.50e300, is far below the largest
+    # eigenvalue, 2.4986e300
+    _, grid, env, _ = load_example("example1", n_cells=30)
+    op = env.dispersal
+    potential = 1e300 * (1.5 + np.cos(np.pi * grid.centers / grid.length))
+    res = principal_eigen(op, potential, env.P)
+    assert res.iterations == 0
+    H = symmetrized_dense(op, potential)
+    stop = np.finfo(float).eps * float(np.abs(H).sum(axis=1).max())
+    dense = dense_sigma1(op, potential)
+    # up to the rounding of hi - stop
+    assert abs(res.sigma1 - dense) <= stop + 0.5 * math.ulp(dense)
+
+
+def test_the_residual_is_computed_when_first_read():
+    # the residual is no field: it is computed on its first read and kept;
+    # sigma1 and the residual are pinned bit for bit
+    _, grid, env, sim = load_example("example2", n_cells=200)
+    v_beta = solve_semitrivial("v", env, 0.4, sim)
+    potential = invasion_potential("u", v_beta, env, HarvestRates(0.6, 0.4))
+    res = principal_eigen(env.dispersal, potential, env.P)
+    assert {name for name in dir(res) if not name.startswith("_")} == {
+        "sigma1", "psi", "iterations", "residual", "lo", "hi"}
+    assert "residual" not in vars(res)
+    assert res.sigma1.hex() == "-0x1.5cd3ecdc7fca8p-5"
+    assert res.residual.hex() == "0x1.6bdb3eb709e56p-41"
+    assert vars(res)["residual"] is res.residual
+    # the dense residual of the unit phi agrees to the rounding of H
+    phi = res.psi / np.sqrt(env.P)
+    phi /= np.linalg.norm(phi)
+    H = symmetrized_dense(env.dispersal, potential)
+    dense = float(np.linalg.norm(H @ phi - res.sigma1 * phi))
+    assert abs(res.residual - dense) <= np.finfo(float).eps * float(np.abs(H).sum(axis=1).max())
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_potential_is_a_configuration_error(bad):
     g = random_grid(np.random.default_rng(8), 10, 20)

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -169,10 +170,10 @@ def test_find_switch_matches_brentq_on_random_environments(env, beta):
         assert abs(sp.alpha_double_star - ref) <= 1e-11
 
 
-def test_find_switch_takes_two_eigenpairs_on_example1(monkeypatch):
-    # r is constant on example1, so sigma1 is affine in alpha: one Newton
-    # step from beta + tol lands on the root, and the second eigenpair
-    # confirms it
+def test_find_switch_takes_one_eigenpair_on_example1(monkeypatch):
+    # r is constant on example1, so sigma1 is affine in alpha: the tangent
+    # at beta + tol and the slope bound -min r meet at the root, which the
+    # climb returns without a second eigenpair to confirm it
     _, grid, env, sim = load_example("example1")
     calls = []
 
@@ -182,7 +183,7 @@ def test_find_switch_takes_two_eigenpairs_on_example1(monkeypatch):
 
     monkeypatch.setattr(spectral, "principal_eigen", counting)
     assert find_switch(0.4, env, sim) is not None
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_find_switch_reports_no_switch_when_root_lies_above_the_interval():
@@ -431,8 +432,9 @@ def test_find_switch_rejects_tolerance_not_positive(example1_small, tol):
 def test_a_climb_past_its_cap_fails_find_switch_and_leaves_the_sweep_per_cell(monkeypatch):
     # with no Newton step allowed, a climb that does not stop at its first
     # point raises: find_switch names the rate, and sweep_grid computes each
-    # cell of that line alone
-    _, grid, env, sim = load_example("example1", n_cells=200)
+    # cell of that line alone. r varies, so the first point's bounds leave
+    # its iterate open and the climb goes on
+    _, grid, env, sim = load_example("example1", n_cells=200, r="1.1+0.5*cos(pi*x)")
     monkeypatch.setattr(sweep, "_NEWTON_CAP", 0)
     message = "switch point not resolved after 0 Newton steps: rate near 0.401, sigma1 = "
     with pytest.raises(ConvergenceError, match=re.escape(message)):
@@ -523,10 +525,13 @@ def _row_climb_rates(monkeypatch, env, sim) -> list:
 
 
 def test_a_solve_failing_mid_climb_fails_only_its_own_cell(monkeypatch):
-    _, grid, env, sim = load_example("example1", n_cells=200)
+    # r varies, so the row's climb evaluates 4 points: its first node, then
+    # its Newton iterates
+    _, grid, env, sim = load_example("example1", n_cells=200, r="1.1+0.5*cos(pi*x)")
     real = sweep.invasion_eigen
-    # the row's climb evaluates its first node, then its first Newton iterate
-    start, iterate = _row_climb_rates(monkeypatch, env, sim)[:2]
+    climb = _row_climb_rates(monkeypatch, env, sim)
+    assert len(climb) == 4
+    start, iterate = climb[:2]
     assert start == 0.0 and 0.0 < iterate < 0.9
 
     def failing(invader, rates, resident):
@@ -562,11 +567,69 @@ def test_the_climb_iterate_is_left_open_by_the_min_r_slope_bound(monkeypatch, r)
     assert sg.records == per_cell_sweep(alphas, betas, env, sim)
 
 
-@pytest.mark.parametrize("points, most", [(1, 2), (11, 80), (41, 320)])
-def test_sweep_eigenpair_counts_on_example1(monkeypatch, points, most):
+@functools.cache
+def _bundled(name: str, diffusion: float):
+    return load_example(name, n_cells=200, a=diffusion, b=diffusion)[2]
+
+
+def _climb_of_row(env, beta: float, start: float):
+    """The climb of sigma_u(alpha) at beta from start toward 1, as a
+    sweep_grid row runs it: its points, its last iterate and its level, and
+    sigma_u at that iterate when the climb stopped by its bounds without
+    evaluating it (None when another rule stopped it)."""
+    v_beta = solve_semitrivial("v", env, beta, SimulationConfig())
+    level = spectral.neutral_level(env)
+
+    def eigen(alpha):
+        return sweep.invasion_eigen(env, HarvestRates(alpha=alpha, beta=beta), v_beta)
+
+    points, iterate = sweep._newton_climb(eigen, env, start, 1.0, level)
+    sigma = points[-1][1]
+    if sigma < 0 or iterate >= 1.0 or abs(sigma) <= level:
+        return points, iterate, level, None
+    return points, iterate, level, eigen(iterate).sigma1
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    name=strategies.sampled_from(["example1", "example2", "example3", "example4", "example4b"]),
+    diffusion=strategies.sampled_from([1.0, 0.01]),
+    beta=strategies.floats(0.0, 0.9),
+    start=strategies.floats(0.0, 0.9),
+)
+def test_a_climb_stopped_by_its_bounds_skips_a_neutral_iterate_on_bundled_configs(
+    name, diffusion, beta, start
+):
+    # r is constant, so sigma_u is affine in alpha and the first point's
+    # bounds meet at its iterate: a climb that goes on from its first point
+    # stops there, and the iterate it skips is neutral
+    env = _bundled(name, diffusion)
+    points, iterate, level, skipped = _climb_of_row(env, beta, start)
+    sigma = points[0][1]
+    if sigma > level and iterate < 1.0:
+        assert len(points) == 1 and skipped is not None
+    if skipped is not None:
+        assert abs(skipped) <= level, (skipped, level)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(env=environments(), beta=strategies.floats(0.0, 0.9))
+def test_a_climb_stopped_by_its_bounds_skips_a_neutral_iterate_on_random_environments(
+    env, beta
+):
+    # r varies, so the bounds meet only near the root, after Newton steps;
+    # 5 of these 100 climbs from alpha = 0 stop so
+    _, _, level, skipped = _climb_of_row(env, beta, 0.0)
+    if skipped is not None:
+        assert abs(skipped) <= level, (skipped, level)
+
+
+@pytest.mark.parametrize("points, count", [(1, 2), (11, 38), (41, 158)])
+def test_sweep_eigenpair_counts_on_example1(monkeypatch, points, count):
     # computing both sigmas in every cell with both rates below 1 takes
-    # 2, 200 and 3,200 eigenpairs; one climb per row and per column takes
-    # about 2 eigenpairs each, and a 1x1 sweep one per climb
+    # 2, 200 and 3,200 eigenpairs. r is constant, so each climb takes one
+    # eigenpair, whose bounds decide its iterate; the cells next to the
+    # switch, which no bound decides, take the rest
     _, grid, env, sim = load_example("example1", n_cells=200)
     calls = []
 
@@ -578,7 +641,4 @@ def test_sweep_eigenpair_counts_on_example1(monkeypatch, points, most):
     rates = [0.3] if points == 1 else np.linspace(0.0, 1.0, points)
     sg = sweep_grid(rates, rates, env, sim)
     assert not sg.failures()
-    if points == 1:
-        assert len(calls) == 2
-    else:
-        assert len(calls) <= most
+    assert len(calls) == count

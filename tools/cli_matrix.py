@@ -54,6 +54,7 @@ CASES = (
     ("tiny_domain", ["check", "--set", "L=1e-200"]),
     ("fast_growth", ["steady", "--branch", "v", "--set", "r=1e10"]),
     ("huge_r_eigen", ["eigen", "--around", "v", "--set", "r=1e300", "--set", "beta=0.1"]),
+    ("overflow_eigen", ["eigen", "--around", "v", "--set", "r=1e308", "--set", "beta=0.1"]),
     ("overflow_K", ["steady", "--branch", "u", "--set", "K=1e308"]),
 )
 
