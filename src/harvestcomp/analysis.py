@@ -16,8 +16,9 @@ sharper estimate
 
 applies instead. alpha_star() reports both from one v_beta solve.
 
-classify is the package's only outcome rule; sweep reads its sign table,
-OUTCOME_OF_SIGNS, for the cells whose signs it certifies without eigenpairs.
+outcome_of_signs is the package's only outcome rule: classify applies it to
+the signs of computed eigenvalues, and sweep to the signs it certifies
+without eigenpairs.
 """
 
 from __future__ import annotations
@@ -196,6 +197,40 @@ def alpha_star(beta: float, env: EnvironmentProfile, cfg: SimulationConfig) -> B
     )
 
 
+def outcome_of_signs(
+    sign_u: int | None,
+    sign_v: int | None,
+    env: EnvironmentProfile,
+    u_alpha: Field,
+    v_beta: Field,
+) -> Outcome | None:
+    """Outcome of one cell from the signs of its invasion eigenvalues, by the
+    invasion criterion (Cantrell & Cosner, Spatial Ecology via
+    Reaction-Diffusion Equations, 2003, ch. 3), or None when they decide
+    nothing.
+
+    sign_u is the sign of sigma_u, the principal eigenvalue of u invading
+    (0, v_beta), and sign_v that of sigma_v, v invading (u_alpha, 0): 1, -1,
+    0 for neutral, or None when it is not known. Both positive is
+    coexistence, and one positive and one negative is exclusion by the
+    species whose sigma is positive (OUTCOME_OF_SIGNS). When sigma_v is
+    neutral, sigma_u > 0 and u_alpha is proportional to P (u's dispersal
+    operator, env.dispersal, annihilates it), u is an ideal free disperser
+    and excludes v (Averill, Lou & Munther, J. Biol. Dyn. 6, 2012); the same
+    holds with the species exchanged (v's operator is
+    env.swapped().dispersal). Any other pair, a bistable one (both
+    negative, the outcome set by the initial data) included, gives None.
+    """
+    outcome = OUTCOME_OF_SIGNS.get((sign_u, sign_v))
+    if outcome is not None:
+        return outcome
+    if (sign_u, sign_v) == (1, 0) and annihilates(env.dispersal, u_alpha):
+        return Outcome.ONLY_U
+    if (sign_u, sign_v) == (0, 1) and annihilates(env.swapped().dispersal, v_beta):
+        return Outcome.ONLY_V
+    return None
+
+
 def classify(
     sigma_u: float,
     sigma_v: float,
@@ -205,30 +240,15 @@ def classify(
     u_alpha: Field,
     v_beta: Field,
 ) -> Outcome:
-    """Outcome of one cell by the invasion criterion (Cantrell & Cosner,
-    Spatial Ecology via Reaction-Diffusion Equations, 2003, ch. 3).
-
-    sigma_u is the principal eigenvalue of u invading (0, v_beta) and
-    sigma_v that of v invading (u_alpha, 0); spectral.sign reads each
-    against its level (spectral.neutral_level). Both positive is
-    coexistence, and one positive and one negative is exclusion by the
-    species whose sigma is positive (OUTCOME_OF_SIGNS). When sigma_v is
-    neutral, sigma_u > 0 and u_alpha is proportional to P (u's dispersal
-    operator, env.dispersal, annihilates it), u is an ideal free disperser
-    and excludes v (Averill, Lou & Munther, J. Biol. Dyn. 6, 2012); the same
-    holds with the species exchanged (v's operator is
-    env.swapped().dispersal). Any other neutral cell, and a bistable one
-    (both sigmas negative, the outcome set by the initial data), raises
-    HarvestCompError naming both sigmas.
+    """Outcome of one cell by the invasion criterion: outcome_of_signs of
+    the signs spectral.sign reads from sigma_u and sigma_v, each against its
+    level (spectral.neutral_level). A cell those signs do not decide, a
+    neutral or a bistable one, raises HarvestCompError naming both sigmas.
     """
     sign_u, sign_v = sign(sigma_u, level_u), sign(sigma_v, level_v)
-    outcome = OUTCOME_OF_SIGNS.get((sign_u, sign_v))
+    outcome = outcome_of_signs(sign_u, sign_v, env, u_alpha, v_beta)
     if outcome is not None:
         return outcome
-    if sign_u > 0 and sign_v == 0 and annihilates(env.dispersal, u_alpha):
-        return Outcome.ONLY_U
-    if sign_v > 0 and sign_u == 0 and annihilates(env.swapped().dispersal, v_beta):
-        return Outcome.ONLY_V
     kind = "bistable" if sign_u < 0 and sign_v < 0 else "neutral"
     raise HarvestCompError(
         f"{kind} cell, not decided by the invasion criterion: sigma_u = {sigma_u:.3e}, "

@@ -22,7 +22,8 @@ kernel vector when q = 0; the iteration stops when it is narrower than the
 rounding level eps * gershgorin(H) of a ratio. The Rayleigh quotient and
 the residual are taken on the last phi as it stands, dividing once by
 phi . phi, with H phi in units of a power of two near that level so that
-neither product overflows; the residual is computed when first read.
+neither product overflows; psi and the residual are computed when first
+read.
 
 Of H, the off-diagonal, the start sqrt(R) and the start's ratios for
 q = 0, (D R)/R, depend on the operator alone. They are computed once per
@@ -58,12 +59,11 @@ class EigenResult:
     Collatz-Wielandt bracket. [lo, hi] is the last bracket: lo <= sigma1 <=
     hi up to the rounding eps * gershgorin(H) of a ratio, and hi - lo is
     below that width unless the iteration ended because hi*I - H no longer
-    factored, which puts sigma1 within that width of hi. residual, the
-    Euclidean norm of H phi - sigma1 phi for the unit vector phi = psi /
-    sqrt(R) up to scale, is computed when first read."""
+    factored, which puts sigma1 within that width of hi. psi and residual,
+    the Euclidean norm of H phi - sigma1 phi for the unit vector phi = psi /
+    sqrt(R) up to scale, are computed when first read."""
 
     sigma1: float
-    psi: Field
     iterations: int
     lo: float
     hi: float
@@ -72,6 +72,13 @@ class EigenResult:
     _norm2: float = field(repr=False, compare=False)
     _h_phi: np.ndarray = field(repr=False, compare=False)
     _unit: float = field(repr=False, compare=False)
+    # sqrt(R) and the cell width, which scale phi to psi
+    _sqrt_R: np.ndarray = field(repr=False, compare=False)
+    _h: float = field(repr=False, compare=False)
+
+    @cached_property
+    def psi(self) -> Field:
+        return self._phi * self._sqrt_R / math.sqrt(self._norm2 * self._h)
 
     @cached_property
     def residual(self) -> float:
@@ -148,9 +155,8 @@ def principal_eigen(op: DiffusionOperator, potential: Field, R: Field) -> EigenR
     h_phi /= unit  # exactly, and so that phi . h_phi stays finite
     norm2 = float(phi @ phi)
     sigma1 = max(unit * (float(phi @ h_phi) / norm2), floor)
-    psi = phi * sqrt_R / math.sqrt(norm2 * op.grid.h)
-    return EigenResult(sigma1=sigma1, psi=psi, iterations=steps, lo=lo, hi=hi,
-                       _phi=phi, _norm2=norm2, _h_phi=h_phi, _unit=unit)
+    return EigenResult(sigma1=sigma1, iterations=steps, lo=lo, hi=hi, _phi=phi,
+                       _norm2=norm2, _h_phi=h_phi, _unit=unit, _sqrt_R=sqrt_R, _h=op.grid.h)
 
 
 def neutral_level(env: EnvironmentProfile) -> float:

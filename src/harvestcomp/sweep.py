@@ -9,7 +9,7 @@ coexistence, and one positive and one negative means exclusion by the
 species whose sigma is positive. A harvesting rate >= 1 leaves that species
 no positive state, so its cells need no eigenvalue. A cell's outcome is
 decided first: over-exploitation, then signs its line's climbs certify
-(analysis.OUTCOME_OF_SIGNS), then analysis.classify. One semi-trivial state
+(analysis.outcome_of_signs), then analysis.classify. One semi-trivial state
 is solved per alpha column and per beta row; a one-species cell takes the
 kept species' (average, yield) from it and 0 for the other, and a
 coexistence cell both from the stationary state solve_coexistence reaches
@@ -21,11 +21,15 @@ eigenpair, so it changes sign across a beta row once, at the switch point
 alpha**(beta); likewise sigma_v across an alpha column. One Newton climb
 per row and per column finds where, and the points it evaluates bound
 sigma at every other rate: from below by their tangents, and from above by
-the slope bound -min r. A cell whose two signs these bounds prove is decided
-without its own eigenpairs (sweep_grid states the bounds); any other cell
-computes both sigmas. An 11x11 sweep of example1 at n = 200 takes 38
-eigenpairs this way instead of 200, and a 41x41 sweep 158 instead of 3,200.
-find_switch is the same climb on one row, from beta + tol.
+the slope bound -min r. The bounds prove a sign of +1 or -1 where they
+clear 0, and a neutral sign where both lie within half the neutral level of
+0 (sweep_grid states the bounds). A neutral sign is what an ideal free
+disperser leaves its competitor on the line alpha = beta (examples 1, 2 and
+4b). A cell whose two signs decide its outcome is decided without its own
+eigenpairs; any other cell computes both sigmas. On the bundled configs,
+where r is constant, a sweep so takes one eigenpair per climb: 20 for an
+11x11 sweep at n = 200 instead of 200, and 80 for a 41x41 sweep instead of
+3,200. find_switch is the same climb on one row, from beta + tol.
 """
 
 from __future__ import annotations
@@ -38,11 +42,11 @@ import numpy as np
 
 from . import spectral
 from .analysis import (
-    OUTCOME_OF_SIGNS,
     Outcome,
     OutcomeRecord,
     classify,
     invasion_potential,
+    outcome_of_signs,
     outcome_record,
 )
 from .dynamics import (
@@ -161,18 +165,24 @@ def _newton_climb(eigen, env: EnvironmentProfile, start: float, stop: float, lev
     )
 
 
-def _certified_sign(points, x: float, r_min: float, level: float) -> int:
-    """Sign of sigma at x that the climb's points prove, 0 when they do not.
-    sigma is convex, so it lies above each tangent; its slope is at most
-    -r_min, so it falls at least that fast right of each point. Each bound
-    must clear 2 * level, which covers the rounding of the sigmas that enter
-    it."""
+def _certified_sign(points, x: float, r_min: float, level: float) -> int | None:
+    """Sign of sigma at x that the climb's points prove: 1, -1, 0 for
+    neutral, or None when they prove none. sigma is convex, so it lies above
+    each tangent; its slope is at most -r_min, so it falls at least that
+    fast right of each point. The bounds come from computed sigmas, each
+    within principal_eigen's bracket stop, about level / 4, of its exact
+    value. A bound that clears 2 * level proves a sign of +1 or -1. Bounds
+    within level / 2 of 0 on both sides prove neutral: the exact sigma then
+    lies within 3/4 level of 0, so the sigma principal_eigen would return at
+    x lies within level, which analysis.classify reads as neutral."""
     lower = max(sigma + slope * (x - xk) for xk, sigma, slope in points)
     if lower > 2.0 * level:
         return 1
     upper = min((sigma - r_min * (x - xk) for xk, sigma, _ in points if xk <= x),
                 default=math.inf)
-    return -1 if upper < -2.0 * level else 0
+    if upper < -2.0 * level:
+        return -1
+    return 0 if -level / 2 <= lower and upper <= level / 2 else None
 
 
 def sweep_grid(
@@ -203,17 +213,17 @@ def sweep_grid(
     h * sum(psi^2 / P) = 1. sigma is convex, so lower(x) = max_k sigma_k +
     s_k * (x - x_k) bounds it from below everywhere, and upper(x) = min
     over x_k <= x of sigma_k - min r * (x - x_k) bounds it from above. A
-    node's sign is +1 where lower > 2 * level and -1 where upper <
-    -2 * level; the factor 2 covers the eigensolver's rounding, whose
-    bracket stop is about level / 4. Where both signs are certified and not
-    both negative, the outcome is their entry in analysis.OUTCOME_OF_SIGNS,
-    the table classify reads. Every other cell computes both sigmas
-    (eigenpairs are kept by rate, so a climb point on a node is not
-    recomputed) and calls classify, so its outcome and message are those of
-    computing every cell. A climb whose solve raises certifies nothing on
-    its line, and each cell there is computed alone. Each semi-trivial
-    state is solved at most once per sweep; a solve that fails fails every
-    cell needing it with its message.
+    node's sign is +1 where lower > 2 * level, -1 where upper <
+    -2 * level, and 0 (neutral) where lower >= -level / 2 and upper <=
+    level / 2; the margins cover the eigensolver's rounding, whose bracket
+    stop is about level / 4 (_certified_sign). A cell's certified signs go
+    to analysis.outcome_of_signs, the rule classify applies. Where it
+    decides nothing, the cell computes both sigmas (eigenpairs are kept by
+    rate, so a climb point on a node is not recomputed) and calls classify,
+    so its outcome and message are those of computing every cell. A climb
+    whose solve raises certifies nothing on its line, and each cell there
+    is computed alone. Each semi-trivial state is solved at most once per
+    sweep; a solve that fails fails every cell needing it with its message.
 
     (u0, v0), each DEFAULT_INITIAL_DENSITY when not given, are where
     coexistence states are sought from. Initial data that check_initial_data
@@ -262,8 +272,8 @@ def sweep_grid(
 
     @functools.cache
     def signs(invader: str, other: float) -> dict:
-        # certified sign at each of the invader's rates in [0, 1), none where
-        # the climb fails
+        # certified sign (or None) at each of the invader's rates in [0, 1),
+        # none where the climb fails
         invader_env, _, level, line = sides[invader]
         nodes = sorted({float(x) for x in line if 0 <= x < 1})
         try:
@@ -279,12 +289,13 @@ def sweep_grid(
             outcome = (Outcome.ONLY_U if alpha < 1 else Outcome.ONLY_V if beta < 1
                        else Outcome.EXTINCTION)
         else:
-            outcome = OUTCOME_OF_SIGNS.get((signs("u", beta).get(alpha, 0),
-                                            signs("v", alpha).get(beta, 0)))
-        if outcome is None:
+            sign_u, sign_v = signs("u", beta).get(alpha), signs("v", alpha).get(beta)
             u_alpha, v_beta = semitrivial("u", alpha), semitrivial("v", beta)
-            outcome = classify(eigen("u", beta, alpha).sigma1, eigen("v", alpha, beta).sigma1,
-                               sides["u"][2], sides["v"][2], env, u_alpha, v_beta)
+            outcome = outcome_of_signs(sign_u, sign_v, env, u_alpha, v_beta)
+            if outcome is None:
+                outcome = classify(eigen("u", beta, alpha).sigma1,
+                                   eigen("v", alpha, beta).sigma1,
+                                   sides["u"][2], sides["v"][2], env, u_alpha, v_beta)
         if outcome is Outcome.COEXISTENCE:
             return outcome_record(outcome, *solve_coexistence(u0, v0, env, rates, cfg), env, rates)
         avg_u, yield_u = alone("u", alpha) if outcome is Outcome.ONLY_U else (0.0, 0.0)

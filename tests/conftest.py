@@ -90,6 +90,18 @@ def environments(draw):
     return EnvironmentProfile(grid=grid, **fields)
 
 
+@strategies.composite
+def ideal_free_environments(draw):
+    """An environments() draw in which one species disperses ideally: P or Q
+    is a multiple of K. r is constant or varies."""
+    env = draw(environments())
+    ideal = draw(strategies.sampled_from(["P", "Q"]))
+    fields = {ideal: draw(strategies.floats(0.5, 2.0)) * env.K}
+    if draw(strategies.booleans()):
+        fields["r"] = np.full(env.grid.n_cells, draw(strategies.floats(0.5, 2.0)))
+    return dataclasses.replace(env, **fields)
+
+
 #: Fraction of average(K) below which threshold_classify counts a species
 #: extinct. An excluded species with a regular-diffusion strategy dies off
 #: only algebraically, leaving a residue of up to ~1% of the capacity

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import re
@@ -247,6 +248,20 @@ def test_the_residual_is_computed_when_first_read():
     H = symmetrized_dense(env.dispersal, potential)
     dense = float(np.linalg.norm(H @ phi - res.sigma1 * phi))
     assert abs(res.residual - dense) <= np.finfo(float).eps * float(np.abs(H).sum(axis=1).max())
+
+
+def test_psi_is_computed_when_first_read():
+    # psi is no field either: computed on its first read and kept, with
+    # the bits it had when principal_eigen computed it
+    _, grid, env, sim = load_example("example2", n_cells=200)
+    v_beta = solve_semitrivial("v", env, 0.4, sim)
+    potential = invasion_potential("u", v_beta, env, HarvestRates(0.6, 0.4))
+    res = principal_eigen(env.dispersal, potential, env.P)
+    assert "psi" not in vars(res)
+    assert hashlib.sha256(res.psi.tobytes()).hexdigest() == (
+        "906a9eccb80d9accb8cca73d6550f1144e0e0416e191938a337c616a9d1bc99c")
+    assert vars(res)["psi"] is res.psi
+    assert integrate(res.psi**2 / env.P, grid) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

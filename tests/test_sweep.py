@@ -36,6 +36,7 @@ from conftest import (
     assert_sweep_matches_march,
     bundled_config,
     environments,
+    ideal_free_environments,
     load_example,
     per_cell_sweep,
     record_of_march,
@@ -472,13 +473,30 @@ def test_sweep_is_the_per_cell_sweep_on_bundled_configs(name, diffusion):
 
 
 
-@pytest.mark.parametrize("r_min, expected", [(0.5, 0), (2.0, -1)])
+@pytest.mark.parametrize("r_min, expected", [(0.5, None), (2.0, -1)])
 def test_certified_sign_falls_at_least_at_the_smallest_growth_rate(r_min, expected):
     # from the single point (0, 1) with slope -2, sigma(1.5) is at most
     # 1 - 1.5 * r_min: 0.25 proves no sign, -2 proves -1. The tangent's
     # -2 is no upper bound, so a bound using the point's own slope would
     # certify -1 for both
     assert sweep._certified_sign([(0.0, 1.0, -2.0)], 1.5, r_min, 1e-6) == expected
+
+
+@pytest.mark.parametrize("offset, expected", [
+    (0.0, 0), (0.5, 0), (-0.5, 0), (0.75, None), (-0.75, None), (2.0, None), (-2.0, None),
+    (2.5, 1), (-2.5, -1),
+])
+def test_certified_sign_is_neutral_where_both_bounds_lie_within_half_the_level(offset, expected):
+    # one affine point (0, 0.5 + offset) with slope -1 = -r_min: both bounds
+    # at x = 0.5 are offset, for a level of 1. Within level / 2 of 0 they
+    # prove neutral; beyond it, and short of the 2 * level a sign of +1 or
+    # -1 needs, they prove nothing
+    assert sweep._certified_sign([(0.0, 0.5 + offset, -1.0)], 0.5, 1.0, 1.0) == expected
+
+
+def test_certified_sign_needs_a_point_left_of_the_node_to_prove_neutral():
+    # right of x, only the tangent bounds sigma: from below, by 0 here
+    assert sweep._certified_sign([(1.0, -0.5, -1.0)], 0.5, 1.0, 1.0) is None
 
 
 def test_sweep_bounds_the_slope_by_min_r(monkeypatch):
@@ -624,21 +642,88 @@ def test_a_climb_stopped_by_its_bounds_skips_a_neutral_iterate_on_random_environ
         assert abs(skipped) <= level, (skipped, level)
 
 
-@pytest.mark.parametrize("points, count", [(1, 2), (11, 38), (41, 158)])
-def test_sweep_eigenpair_counts_on_example1(monkeypatch, points, count):
-    # computing both sigmas in every cell with both rates below 1 takes
-    # 2, 200 and 3,200 eigenpairs. r is constant, so each climb takes one
-    # eigenpair, whose bounds decide its iterate; the cells next to the
-    # switch, which no bound decides, take the rest
-    _, grid, env, sim = load_example("example1", n_cells=200)
+def _eigenpairs_of_sweep(monkeypatch, rates, env, sim) -> int:
+    """The number of eigenpairs sweep_grid(rates, rates, env, sim) computes,
+    checking that no cell fails."""
     calls = []
 
     def counting(*args):
         calls.append(args)
         return principal_eigen(*args)
 
-    monkeypatch.setattr(spectral, "principal_eigen", counting)
-    rates = [0.3] if points == 1 else np.linspace(0.0, 1.0, points)
-    sg = sweep_grid(rates, rates, env, sim)
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "principal_eigen", counting)
+        sg = sweep_grid(rates, rates, env, sim)
     assert not sg.failures()
-    assert len(calls) == count
+    return len(calls)
+
+
+@pytest.mark.parametrize("points, count", [(1, 2), (11, 20), (41, 80)])
+def test_sweep_eigenpair_counts_on_example1(monkeypatch, points, count):
+    # computing both sigmas in every cell with both rates below 1 takes
+    # 2, 200 and 3,200 eigenpairs. r is constant, so each climb takes one
+    # eigenpair, whose bounds decide every node of its line: the diagonal
+    # alpha = beta too, where u disperses ideally and sigma_v is neutral
+    _, grid, env, sim = load_example("example1", n_cells=200)
+    rates = [0.3] if points == 1 else np.linspace(0.0, 1.0, points)
+    assert _eigenpairs_of_sweep(monkeypatch, rates, env, sim) == count
+
+
+@pytest.mark.parametrize("points", [11, 41])
+@pytest.mark.parametrize("diffusion", [1.0, 0.01])
+@pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4", "example4b"])
+def test_sweep_takes_one_eigenpair_per_climb_on_bundled_configs(monkeypatch, name, diffusion,
+                                                                 points):
+    # one climb per row and per column with its rate below 1
+    rates = np.linspace(0.0, 1.0, points)
+    count = _eigenpairs_of_sweep(monkeypatch, rates, _bundled(name, diffusion), SimulationConfig())
+    assert count == 2 * (points - 1)
+
+
+def _certified_neutral_sigmas(env, rates) -> list:
+    """(sigma, level) at each node of each line that sweep_grid(rates, rates,
+    env, ...) certifies neutral, sigma computed there: sigma_u on the rows,
+    sigma_v on the columns."""
+    sim = SimulationConfig()
+    r_min = float(np.min(env.r))
+    nodes = sorted({float(x) for x in rates if 0 <= x < 1})
+    found = []
+    for invader_env, resident in ((env, "v"), (env.swapped(), "u")):
+        level = spectral.neutral_level(invader_env)
+        for other in nodes:
+            w = solve_semitrivial(resident, env, other, sim)
+
+            def eigen(own):
+                return sweep.invasion_eigen(invader_env, HarvestRates(alpha=own, beta=other), w)
+
+            points, _ = sweep._newton_climb(eigen, invader_env, nodes[0], nodes[-1], level)
+            found += [(eigen(x).sigma1, level) for x in nodes
+                      if sweep._certified_sign(points, x, r_min, level) == 0]
+    return found
+
+
+@pytest.mark.parametrize("diffusion", [1.0, 0.01])
+@pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4", "example4b"])
+def test_a_node_certified_neutral_has_a_neutral_sigma_on_bundled_configs(name, diffusion):
+    # u disperses ideally on examples 1, 2 and 4b, so sigma_v vanishes on
+    # the diagonal: the 40 nodes alpha = beta below 1 are certified there
+    found = _certified_neutral_sigmas(_bundled(name, diffusion), np.linspace(0.0, 1.0, 41))
+    assert len(found) == (40 if name in ("example1", "example2", "example4b") else 0)
+    for sigma, level in found:
+        assert abs(sigma) <= level, (sigma, level)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(env=ideal_free_environments())
+def test_sweep_is_the_per_cell_sweep_on_ideal_free_environments(env):
+    # one species disperses ideally, so the other's sigma is neutral on the
+    # diagonal; with r varying, the climbs reach it by Newton steps. The
+    # climb on the line through (0, 0) starts there, so that node is
+    # certified neutral at least
+    rates = np.linspace(0.0, 1.0, 15)
+    sim = SimulationConfig()
+    assert sweep_grid(rates, rates, env, sim).records == per_cell_sweep(rates, rates, env, sim)
+    found = _certified_neutral_sigmas(env, rates)
+    assert found
+    for sigma, level in found:
+        assert abs(sigma) <= level, (sigma, level)

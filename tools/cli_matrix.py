@@ -40,6 +40,8 @@ CASES = (
     ("sweep", ["sweep", "--grid", "21", "--output", "sweep.csv", "--plot-script"]),
     ("sweep_weak", ["sweep", "--grid", "21", *WEAK, "--strict"]),
     ("sweep_row", ["sweep", "--beta", "0.4", "--grid", "11", "--output", "row.csv"]),
+    ("sweep_varying_r", ["sweep", "--grid", "11", "--set", "r=1.1+0.5*cos(pi*x)",
+                         "--output", "sweep.csv"]),
     ("switch", ["switch", "--beta", "0.4", "--output", "switch.csv"]),
     ("switch_config_beta", ["switch", "--set", "beta=0.2", "--tol", "1e-6"]),
     ("switch_none", ["switch", "--beta", "0.9985"]),
