@@ -17,9 +17,10 @@ form of the tridiagonal solve shifted by -f'(w) per cell. dt
 and t_final do not enter it; its residual is below steady_tol or below
 spectral.neutral_level times the state, whichever is larger. Coexistence states
 (solve_coexistence) are solved the same way by pseudo-transient
-continuation from given initial data, each step one solve on u and v
-together: one LAPACK gbsv call on a (2, 2)-banded matrix kept for the
-solve.
+continuation from given initial data, on one interleaved state
+(u_0, v_0, u_1, v_1, ...): each residual is one banded product, and each
+step one LAPACK gbsv call on a (2, 2)-banded matrix kept for the solve,
+whose rows it writes in place.
 """
 
 from __future__ import annotations
@@ -285,13 +286,21 @@ def solve_coexistence(
 
     Each step is one implicit Euler step of pseudo-time tau made by one
     Newton solve, (I/tau - J) dw = F(w) with F the right-hand side of the
-    system; u and v are interleaved, so the matrix is banded (2, 2). Short
-    steps follow the march from (u0, v0) to the state it settles at, where
-    a Newton iteration started cold can reach the unstable (0, v_beta).
-    tau starts at the logistic time scale 1/max r and is multiplied by the
-    ratio of the previous residual to the new one, so the steps become
-    Newton steps as the residual falls. A step that would make a density
-    negative is retried with tau quartered.
+    system. Short steps follow the march from (u0, v0) to the state it
+    settles at, where a Newton iteration started cold can reach the
+    unstable (0, v_beta). tau starts at the logistic time scale 1/max r and
+    is multiplied by the ratio of the previous residual to the new one, so
+    the steps become Newton steps as the residual falls. A step that would
+    make a density negative (either species' minimum below 0) is retried
+    with tau quartered.
+
+    The solve holds one interleaved state w, u = w[0::2] and v = w[1::2],
+    so the matrix is banded (2, 2): the dispersal bands at +-2, built once
+    per solve, and the u-v coupling at +-1. F(w) = D w + w * g, with g the
+    growth rate less the crowding of both species, and each step writes the
+    diagonal (from that g) and the coupling rows into the band in place.
+    Per entry these are the operations of u and v taken apart, in the same
+    order.
 
     Stops like solve_semitrivial: max|F| below cfg.steady_tol or below
     the larger neutral_level of the two species times max(u, v). cfg.dt
@@ -302,37 +311,47 @@ def solve_coexistence(
     eps * max K, a collapsed state the absolute stop test cannot tell from
     a stationary one.
     """
-    u = as_field(u0, env.grid)
-    v = as_field(v0, env.grid)
+    def interleaved(x_u, x_v):
+        # the order u_0, v_0, u_1, v_1, ... of the state
+        x = np.empty(2 * env.grid.n_cells)
+        x[0::2], x[1::2] = x_u, x_v
+        return x
+
+    w = interleaved(as_field(u0, env.grid), as_field(v0, env.grid))
     op_u, op_v = env.dispersal, env.swapped().dispersal
-    grow_u = env.r * (1.0 - rates.alpha)
-    grow_v = env.r * (1.0 - rates.beta)
+    # D of the interleaved state: each species' three bands, two apart
+    sub, diag, sup = (interleaved(getattr(op_u, k), getattr(op_v, k))
+                      for k in ("sub", "diag", "sup"))
+    # the growth rates of u and v, one row per cell
+    grow = interleaved(env.r * (1.0 - rates.alpha), env.r * (1.0 - rates.beta)).reshape(-1, 2)
     susc = env.r / env.K
+    susc_w = np.repeat(susc, 2)
     rounding = max(neutral_level(env), neutral_level(env.swapped()))
 
-    # (I/tau - J) in banded storage: row 2 - k holds diagonal k of the
-    # interleaved order u_0, v_0, u_1, v_1, ...; the dispersal bands sit at
-    # +-2 and the u-v coupling at +-1 (within a cell)
-    m = 2 * len(u)
-    bands = np.zeros((5, m))
-    bands[0, 2::2], bands[0, 3::2] = -op_u.sup[:-1], -op_v.sup[:-1]
-    bands[4, 0:-2:2], bands[4, 1:-2:2] = -op_u.sub[1:], -op_v.sub[1:]
-    # gbsv's band, kept for the solve: rows 0-1 are its fill-in workspace
-    # (LAPACK sets them), rows 2-6 take bands before each step, since the
-    # LU overwrites them. Fortran order, so f2py passes it without a copy.
-    band = np.empty((7, m), order="F")
+    # gbsv's band of (I/tau - J), kept for the solve: row 4 - k holds
+    # diagonal k, so rows 2 and 6 the dispersal bands at +-2, rows 3 and 5
+    # the u-v coupling at +-1 (one entry per cell) and row 4 the diagonal.
+    # Rows 0-1 are the LU's fill-in workspace (LAPACK sets them). The LU
+    # overwrites rows 2-6, so each step copies rows 2 and 6 from `outer` and
+    # writes rows 3-5 in place. Fortran order, so f2py passes it without a
+    # copy.
+    outer = np.zeros((2, len(w)))
+    outer[0, 2:], outer[1, :-2] = -sup[:-2], -sub[2:]
+    band = np.empty((7, len(w)), order="F")
 
-    def residual(u, v):
-        crowd = susc * (u + v)
-        F = np.empty(m)
-        F[0::2] = apply_operator(op_u, u) + u * (grow_u - crowd)
-        F[1::2] = apply_operator(op_v, v) + v * (grow_v - crowd)
-        return F, float(np.max(np.abs(F))), crowd
+    def residual(w):
+        # F = D w + w * g, with g the growth rate less crowd = susc * (u + v)
+        g = (grow - (susc * (w[0::2] + w[1::2]))[:, None]).ravel()
+        F = diag * w
+        F[:-2] += sup[:-2] * w[2:]
+        F[2:] += sub[2:] * w[:-2]
+        F += w * g
+        return F, float(np.abs(F).max()), g
 
-    F, res, crowd = residual(u, v)
-    tau = 1.0 / float(np.max(env.r))
+    F, res, g = residual(w)
+    tau = 1.0 / float(env.r.max())
     for steps in range(_PTC_CAP + 1):
-        tol = max(cfg.steady_tol, rounding * max(float(u.max()), float(v.max())))
+        tol = max(cfg.steady_tol, rounding * float(w.max()))
         if res < tol:
             break
         if not math.isfinite(res):
@@ -345,36 +364,37 @@ def solve_coexistence(
         # gbsv gets no finiteness check (solve_banded's check_finite): a
         # non-finite residual raised above, and the band and F are built
         # from that same finite state
-        susc_u, susc_v = susc * u, susc * v
-        bands[2, 0::2] = 1.0 / tau - op_u.diag - (grow_u - crowd - susc_u)
-        bands[2, 1::2] = 1.0 / tau - op_v.diag - (grow_v - crowd - susc_v)
-        bands[1, 1::2] = susc_u
-        bands[3, 0::2] = susc_v
-        band[2:] = bands
+        coupling = susc_w * w
+        band[2], band[6] = outer
+        np.subtract(1.0 / tau - diag, g - coupling, out=band[4])
+        band[3, 0::2], band[3, 1::2] = 0.0, coupling[0::2]
+        band[5, 0::2], band[5, 1::2] = coupling[1::2], 0.0
         # F is not overwritten: a rejected step solves again with it
         _, _, dw, info = _gbsv(2, 2, band, F, overwrite_ab=1)
         if info > 0:
             raise SingularSystemError(f"pseudo-transient step with tau = {tau:g}: singular matrix")
         if info < 0:
             raise ValueError(f"illegal value in {-info}-th argument of internal gbsv")
-        u1, v1 = u + dw[0::2], v + dw[1::2]
-        if u1.min() < 0 or v1.min() < 0:
+        w1 = w + dw
+        # per species: a NaN in one does not hide a negative density in the other
+        if w1[0::2].min() < 0 or w1[1::2].min() < 0:
             tau *= 0.25
             continue
-        F1, res1, crowd1 = residual(u1, v1)
+        F1, res1, g = residual(w1)
         tau *= res / max(res1, np.finfo(float).tiny)
-        u, v, F, res, crowd = u1, v1, F1, res1, crowd1
+        w, F, res = w1, F1, res1
+    u, v = w[0::2].copy(), w[1::2].copy()
     # the stop test is absolute, so it also passes a state collapsing toward 0
     collapse = ROUNDING_FLOOR * np.finfo(float).eps * float(env.K.max())
-    for name, w in (("u", u), ("v", v)):
-        if not w.min() > 0:
+    for name, x in (("u", u), ("v", v)):
+        if not x.min() > 0:
             raise NumericalError(
                 f"stationary state reached from (u0, v0) is not a coexistence state: "
-                f"min {name} = {w.min():g}"
+                f"min {name} = {x.min():g}"
             )
-        if not w.max() >= collapse:
+        if not x.max() >= collapse:
             raise NumericalError(
-                f"coexistence state collapsed: max {name} = {w.max():g} is below "
+                f"coexistence state collapsed: max {name} = {x.max():g} is below "
                 f"{collapse:.3e}, the rounding level of max K"
             )
     return u, v

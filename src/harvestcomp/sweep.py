@@ -129,7 +129,8 @@ def invasion_eigen(
     return spectral.principal_eigen(env.dispersal, potential, env.P)
 
 
-def _newton_climb(eigen, env: EnvironmentProfile, start: float, stop: float, level: float):
+def _newton_climb(eigen, env: EnvironmentProfile, start: float, stop: float, level: float,
+                  r_min: float):
     """Newton's method on sigma(x) = eigen(x).sigma1, the invasion eigenvalue
     of the species dispersing by env.dispersal at its own harvesting rate x,
     from x = start toward its root.
@@ -140,18 +141,18 @@ def _newton_climb(eigen, env: EnvironmentProfile, start: float, stop: float, lev
     whose Newton iterate reaches stop. It also stops at a point (x_k,
     sigma_k, s_k) with sigma_k > level whose bounds already put the
     iterate's sigma within level of 0: its tangent is 0 there and sigma lies
-    above it, and sigma falls at least at the rate min r, so sigma(iterate)
-    is in [0, sigma_k - min r * (iterate - x_k)]. Returns the evaluated
-    points (x, sigma, slope), with the Hellmann-Feynman slope
+    above it, and sigma falls at least at the rate r_min, the minimum of
+    env.r (passed in, since a sweep's climbs all share it), so
+    sigma(iterate) is in [0, sigma_k - r_min * (iterate - x_k)]. Returns the
+    evaluated points (x, sigma, slope), with the Hellmann-Feynman slope
     -h * sum(r * psi^2 / P), and that last Newton iterate. Raises
     ConvergenceError when a fixed cap of steps does not stop it.
     """
-    r_min = float(np.min(env.r))
     points = []
     x = start
     for _ in range(_NEWTON_CAP + 1):
         res = eigen(x)
-        slope = -env.grid.h * float(np.sum(env.r * res.psi**2 / env.P))
+        slope = -env.grid.h * float((env.r * res.psi**2 / env.P).sum())
         points.append((x, res.sigma1, slope))
         iterate = x - res.sigma1 / slope
         if (res.sigma1 < 0 or iterate >= stop or abs(res.sigma1) <= level
@@ -169,17 +170,22 @@ def _certified_sign(points, x: float, r_min: float, level: float) -> int | None:
     """Sign of sigma at x that the climb's points prove: 1, -1, 0 for
     neutral, or None when they prove none. sigma is convex, so it lies above
     each tangent; its slope is at most -r_min, so it falls at least that
-    fast right of each point. The bounds come from computed sigmas, each
-    within principal_eigen's bracket stop, about level / 4, of its exact
-    value. A bound that clears 2 * level proves a sign of +1 or -1. Bounds
-    within level / 2 of 0 on both sides prove neutral: the exact sigma then
-    lies within 3/4 level of 0, so the sigma principal_eigen would return at
-    x lies within level, which analysis.classify reads as neutral."""
-    lower = max(sigma + slope * (x - xk) for xk, sigma, slope in points)
+    fast right of each point. One pass over the points takes the largest
+    tangent at x as the lower bound, and the least such fall from a point
+    at or left of x as the upper bound (inf when there is none). The bounds
+    come from computed sigmas, each within principal_eigen's bracket stop,
+    about level / 4, of its exact value. A bound that clears 2 * level
+    proves a sign of +1 or -1. Bounds within level / 2 of 0 on both sides
+    prove neutral: the exact sigma then lies within 3/4 level of 0, so the
+    sigma principal_eigen would return at x lies within level, which
+    analysis.classify reads as neutral."""
+    lower, upper = -math.inf, math.inf
+    for xk, sigma, slope in points:
+        lower = max(lower, sigma + slope * (x - xk))
+        if xk <= x:
+            upper = min(upper, sigma - r_min * (x - xk))
     if lower > 2.0 * level:
         return 1
-    upper = min((sigma - r_min * (x - xk) for xk, sigma, _ in points if xk <= x),
-                default=math.inf)
     if upper < -2.0 * level:
         return -1
     return 0 if -level / 2 <= lower and upper <= level / 2 else None
@@ -224,6 +230,12 @@ def sweep_grid(
     whose solve raises certifies nothing on its line, and each cell there
     is computed alone. Each semi-trivial state is solved at most once per
     sweep; a solve that fails fails every cell needing it with its message.
+    What a sweep shares is computed once: each line's nodes (its rates in
+    [0, 1), in increasing order), min r, which every climb and certificate
+    reads, and HarvestRates' check of each column's and each row's rate. A
+    rate that check rejects (negative or not finite) fails every cell of its
+    column or row with HarvestRates' message, alpha's when both are bad; a
+    cell builds its own HarvestRates only for a coexistence solve.
 
     (u0, v0), each DEFAULT_INITIAL_DENSITY when not given, are where
     coexistence states are sought from. Initial data that check_initial_data
@@ -237,11 +249,16 @@ def sweep_grid(
     default = np.full(env.grid.n_cells, DEFAULT_INITIAL_DENSITY)
     u0, v0 = check_initial_data(default if u0 is None else u0, default if v0 is None else v0,
                                 env, cfg.dt)
+
+    def nodes(line) -> list:
+        # the line's rates in [0, 1), in increasing order
+        return sorted({x for x in line.tolist() if 0 <= x < 1})
+
     # per invader: its environment, the resident's branch, its neutral level
-    # and its own line of rates; v invading is u invading env.swapped()
-    sides = {"u": (env, "v", spectral.neutral_level(env), alphas),
-             "v": (env.swapped(), "u", spectral.neutral_level(env.swapped()), betas)}
-    r_min = float(np.min(env.r))
+    # and the nodes of its own line; v invading is u invading env.swapped()
+    sides = {"u": (env, "v", spectral.neutral_level(env), nodes(alphas)),
+             "v": (env.swapped(), "u", spectral.neutral_level(env.swapped()), nodes(betas))}
+    r_min = float(env.r.min())
 
     @functools.cache
     def solved(which: str, rate: float):
@@ -275,16 +292,14 @@ def sweep_grid(
         # certified sign (or None) at each of the invader's rates in [0, 1),
         # none where the climb fails
         invader_env, _, level, line = sides[invader]
-        nodes = sorted({float(x) for x in line if 0 <= x < 1})
         try:
             points, _ = _newton_climb(functools.partial(eigen, invader, other), invader_env,
-                                      nodes[0], nodes[-1], level)
+                                      line[0], line[-1], level, r_min)
         except HarvestCompError:
             return {}
-        return {x: _certified_sign(points, x, r_min, level) for x in nodes}
+        return {x: _certified_sign(points, x, r_min, level) for x in line}
 
     def cell(alpha: float, beta: float) -> OutcomeRecord:
-        rates = HarvestRates(alpha=alpha, beta=beta)
         if alpha >= 1 or beta >= 1:
             outcome = (Outcome.ONLY_U if alpha < 1 else Outcome.ONLY_V if beta < 1
                        else Outcome.EXTINCTION)
@@ -297,19 +312,34 @@ def sweep_grid(
                                    eigen("v", alpha, beta).sigma1,
                                    sides["u"][2], sides["v"][2], env, u_alpha, v_beta)
         if outcome is Outcome.COEXISTENCE:
+            rates = HarvestRates(alpha=alpha, beta=beta)
             return outcome_record(outcome, *solve_coexistence(u0, v0, env, rates, cfg), env, rates)
         avg_u, yield_u = alone("u", alpha) if outcome is Outcome.ONLY_U else (0.0, 0.0)
         avg_v, yield_v = alone("v", beta) if outcome is Outcome.ONLY_V else (0.0, 0.0)
         return OutcomeRecord(outcome, avg_u, avg_v, yield_u, yield_v, alpha, beta)
 
+    def rejected(name: str, rate: float) -> ConfigurationError | None:
+        # the error HarvestRates raises for this rate, which fails every cell
+        # of its column or row; checked once per column and per row
+        try:
+            HarvestRates(**{"alpha": 0.0, "beta": 0.0, name: rate})
+        except ConfigurationError as exc:
+            return exc
+        return None
+
+    columns = [(alpha, rejected("alpha", alpha)) for alpha in alphas.tolist()]
     records = []
-    for beta in betas:
+    for beta in betas.tolist():
+        row_error = rejected("beta", beta)
         row = []
-        for alpha in alphas:
+        for alpha, column_error in columns:
+            error = column_error or row_error
             try:
-                row.append(cell(float(alpha), float(beta)))
+                if error is not None:
+                    raise error
+                row.append(cell(alpha, beta))
             except HarvestCompError as exc:
-                row.append(CellFailure(float(alpha), float(beta), str(exc), type(exc)))
+                row.append(CellFailure(alpha, beta, str(exc), type(exc)))
         records.append(row)
     return SweepGrid(alphas=alphas, betas=betas, records=records)
 
@@ -362,7 +392,7 @@ def find_switch(
     def eigen(alpha: float) -> spectral.EigenResult:
         return invasion_eigen(env, HarvestRates(alpha=alpha, beta=beta), v_beta)
 
-    points, root = _newton_climb(eigen, env, lo, hi, level)
+    points, root = _newton_climb(eigen, env, lo, hi, level, float(env.r.min()))
     sigma_lo = points[0][1]
     if sigma_lo < 0 or root >= hi:
         return None

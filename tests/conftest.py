@@ -8,17 +8,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import strategies
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, solve_banded
 
 from harvestcomp import (
     ConfigurationError,
+    ConvergenceError,
     HarvestCompError,
     HarvestRates,
+    NumericalError,
     Outcome,
     OutcomeRecord,
     PopulationState,
     SimulationConfig,
+    SingularSystemError,
     SpatialGrid,
+    UnstableStepError,
     average,
 )
 from harvestcomp import dynamics, operators, spectral, sweep
@@ -228,6 +232,81 @@ def semitrivial_by_newton(which, env, rate, cfg: SimulationConfig):
         bands[1] = -rr * (1.0 - 2.0 * w / K_scale) - op.diag
         w = w + solve_banded((1, 1), bands, residual)
     raise AssertionError(f"oracle Newton on the {which}-branch did not converge")
+
+
+def coexistence_by_species(u0, v0, env, rates: HarvestRates, cfg: SimulationConfig):
+    """(u, v, rejected): solve_coexistence's pseudo-transient continuation
+    with u and v held apart, each residual two operators.apply calls and
+    each step's Jacobian rows written species by species, solved by
+    scipy.linalg.solve_banded; rejected counts the steps retried with tau
+    quartered. An oracle for the interleaved state: same start, stop test,
+    cap (read at call time), checks and messages."""
+    u = as_field(u0, env.grid)
+    v = as_field(v0, env.grid)
+    op_u, op_v = env.dispersal, env.swapped().dispersal
+    grow_u = env.r * (1.0 - rates.alpha)
+    grow_v = env.r * (1.0 - rates.beta)
+    susc = env.r / env.K
+    rounding = max(spectral.neutral_level(env), spectral.neutral_level(env.swapped()))
+    m = 2 * len(u)
+    bands = np.zeros((5, m))
+    bands[0, 2::2], bands[0, 3::2] = -op_u.sup[:-1], -op_v.sup[:-1]
+    bands[4, 0:-2:2], bands[4, 1:-2:2] = -op_u.sub[1:], -op_v.sub[1:]
+
+    def residual(u, v):
+        crowd = susc * (u + v)
+        F = np.empty(m)
+        F[0::2] = operators.apply(op_u, u) + u * (grow_u - crowd)
+        F[1::2] = operators.apply(op_v, v) + v * (grow_v - crowd)
+        return F, float(np.max(np.abs(F))), crowd
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        F, res, crowd = residual(u, v)
+        tau = 1.0 / float(np.max(env.r))
+        rejected = 0
+        for steps in range(dynamics._PTC_CAP + 1):
+            tol = max(cfg.steady_tol, rounding * max(float(u.max()), float(v.max())))
+            if res < tol:
+                break
+            if not np.isfinite(res):
+                raise UnstableStepError("non-finite coexistence iterate")
+            if steps == dynamics._PTC_CAP:
+                raise ConvergenceError(
+                    f"coexistence state did not converge in {dynamics._PTC_CAP} "
+                    f"pseudo-transient steps (residual {res:.3e}, tolerance {tol:.3e})"
+                )
+            susc_u, susc_v = susc * u, susc * v
+            bands[2, 0::2] = 1.0 / tau - op_u.diag - (grow_u - crowd - susc_u)
+            bands[2, 1::2] = 1.0 / tau - op_v.diag - (grow_v - crowd - susc_v)
+            bands[1, 1::2] = susc_u
+            bands[3, 0::2] = susc_v
+            try:
+                dw = solve_banded((2, 2), bands, F)
+            except LinAlgError:
+                raise SingularSystemError(
+                    f"pseudo-transient step with tau = {tau:g}: singular matrix"
+                ) from None
+            u1, v1 = u + dw[0::2], v + dw[1::2]
+            if u1.min() < 0 or v1.min() < 0:
+                tau *= 0.25
+                rejected += 1
+                continue
+            F1, res1, crowd1 = residual(u1, v1)
+            tau *= res / max(res1, np.finfo(float).tiny)
+            u, v, F, res, crowd = u1, v1, F1, res1, crowd1
+    collapse = operators.ROUNDING_FLOOR * np.finfo(float).eps * float(env.K.max())
+    for name, w in (("u", u), ("v", v)):
+        if not w.min() > 0:
+            raise NumericalError(
+                f"stationary state reached from (u0, v0) is not a coexistence state: "
+                f"min {name} = {w.min():g}"
+            )
+        if not w.max() >= collapse:
+            raise NumericalError(
+                f"coexistence state collapsed: max {name} = {w.max():g} is below "
+                f"{collapse:.3e}, the rounding level of max K"
+            )
+    return u, v, rejected
 
 
 def per_cell_sweep(alphas, betas, env, cfg: SimulationConfig, u0=None, v0=None) -> list:

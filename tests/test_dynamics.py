@@ -9,6 +9,7 @@ from scipy.linalg import solve_banded
 from harvestcomp import (
     ConfigurationError,
     ConvergenceError,
+    HarvestCompError,
     HarvestRates,
     NumericalError,
     Outcome,
@@ -27,6 +28,7 @@ from harvestcomp.operators import apply as op_apply
 from harvestcomp.operators import build_operator, shifted_solver
 
 from conftest import (
+    coexistence_by_species,
     environments,
     load_example,
     one_step,
@@ -525,6 +527,72 @@ def test_coexistence_steps_solve_what_solve_banded_solves_bit_for_bit(monkeypatc
         solve_coexistence(start, start, env, HarvestRates(alpha, beta), sim)
     assert len(solved) >= 6 * len(COEXISTENCE_CELLS)
     assert sum(a is b for a, b in zip(solved, solved[1:])) >= 2
+
+
+def _solve_as_the_oracle(u0, v0, env, rates, sim):
+    """solve_coexistence from (u0, v0), checked against
+    coexistence_by_species: (u, v) bitwise equal and contiguous, or the same
+    exception class and message. Returns the oracle's (u, v, rejected), or
+    the exception."""
+    try:
+        u, v = solve_coexistence(u0, v0, env, rates, sim)
+    except HarvestCompError as exc:
+        with pytest.raises(type(exc)) as oracle:
+            coexistence_by_species(u0, v0, env, rates, sim)
+        assert type(oracle.value) is type(exc) and str(oracle.value) == str(exc)
+        return exc
+    expected = coexistence_by_species(u0, v0, env, rates, sim)
+    assert np.array_equal(u, expected[0]) and np.array_equal(v, expected[1])
+    assert u.flags.c_contiguous and v.flags.c_contiguous
+    return expected
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    env=environments(),
+    alpha=strategies.floats(0.0, 0.95),
+    beta=strategies.floats(0.0, 0.95),
+    seed=strategies.integers(0, 2**32 - 1),
+)
+def test_coexistence_state_is_bitwise_the_species_by_species_oracle(env, alpha, beta, seed):
+    # the interleaved state makes, per entry, the operations the oracle
+    # makes on u and v apart, in the same order
+    rng = np.random.default_rng(seed)
+    u0, v0 = rng.uniform(0.05, 3.0, (2, env.grid.n_cells))
+    _solve_as_the_oracle(u0, v0, env, HarvestRates(alpha, beta), SimulationConfig())
+
+
+def test_a_rejected_coexistence_step_is_bitwise_the_oracle():
+    # weak diffusion: example2 retries steps with tau quartered at (0.3, 0)
+    name, overrides, alpha, beta = COEXISTENCE_CELLS[3]
+    _, grid, env, sim = load_example(name, n_cells=200, **overrides)
+    start = np.full(grid.n_cells, 2.1)
+    _, _, rejected = _solve_as_the_oracle(start, start, env, HarvestRates(alpha, beta), sim)
+    assert rejected >= 1
+
+
+@pytest.mark.parametrize("case, error", [
+    ("overflow", UnstableStepError),
+    ("nonconvergence", ConvergenceError),
+    ("collapse", NumericalError),
+    ("v_absent", NumericalError),
+])
+def test_a_failing_coexistence_solve_fails_as_the_oracle(monkeypatch, case, error):
+    # the cases of the tests above: the same class and message on both paths
+    start, v0, K = 2.1, None, {}
+    if case == "overflow":
+        start, n_cells = 1e300, 30
+    elif case == "nonconvergence":
+        n_cells, K = 32, {"K": "exp(60*cos(pi*x))"}
+    elif case == "collapse":
+        n_cells, K = 200, {"K": "exp(20*cos(pi*x))"}
+        monkeypatch.setattr(dynamics, "_PTC_CAP", 400)
+    else:
+        n_cells, v0 = 48, 0.0
+    _, grid, env, sim = load_example("example1", n_cells=n_cells, **K)
+    u0 = np.full(grid.n_cells, start)
+    v0 = u0 if v0 is None else np.full(grid.n_cells, v0)
+    assert type(_solve_as_the_oracle(u0, v0, env, HarvestRates(0.1, 0.0), sim)) is error
 
 
 def test_a_singular_coexistence_step_is_named(monkeypatch):

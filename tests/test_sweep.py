@@ -308,6 +308,33 @@ def test_a_failed_cell_keeps_the_class_of_its_error(example1_small, monkeypatch,
     assert capsys.readouterr().err == f"numerical failure: {failure.message}\n"
 
 
+def test_a_rejected_rate_fails_every_cell_it_is_in_with_the_harvest_rate_message(example1_small):
+    # HarvestRates rejects a negative or non-finite rate: each cell in its
+    # column or row fails with HarvestRates' message (alpha's when both are
+    # bad), whatever the other rate would make of the cell; the one cell of
+    # two valid rates keeps its record
+    grid, env, sim = example1_small
+    alphas, betas = [-0.1, 0.2, math.nan, math.inf], [0.1, math.inf]
+    sg = sweep_grid(alphas, betas, env, sim)
+    bad_alpha = {-0.1: "-0.1", math.inf: "inf"}
+
+    def message(name, rate):
+        return f"harvest rate {name} must be finite and >= 0, got {rate}"
+
+    for beta, row in zip(betas, sg.records):
+        for alpha, cell in zip(alphas, row):
+            if (alpha, beta) == (0.2, 0.1):
+                assert cell == sweep_grid([0.2], [0.1], env, sim).records[0][0]
+                continue
+            assert isinstance(cell, CellFailure)
+            assert cell.error is ConfigurationError
+            assert (cell.alpha, cell.beta) == (alpha, beta) or math.isnan(cell.alpha)
+            if alpha != 0.2:
+                assert cell.message == message("alpha", bad_alpha.get(alpha, "nan"))
+            else:
+                assert cell.message == message("beta", "inf")
+
+
 def test_a_failing_semitrivial_solve_runs_once_per_sweep(example1_small, monkeypatch):
     # the column climb at alpha = 0.5 and each of that column's 11 cells
     # need u_alpha; the failed solve is kept, and every cell there fails
@@ -601,7 +628,7 @@ def _climb_of_row(env, beta: float, start: float):
     def eigen(alpha):
         return sweep.invasion_eigen(env, HarvestRates(alpha=alpha, beta=beta), v_beta)
 
-    points, iterate = sweep._newton_climb(eigen, env, start, 1.0, level)
+    points, iterate = sweep._newton_climb(eigen, env, start, 1.0, level, float(np.min(env.r)))
     sigma = points[-1][1]
     if sigma < 0 or iterate >= 1.0 or abs(sigma) <= level:
         return points, iterate, level, None
@@ -696,7 +723,8 @@ def _certified_neutral_sigmas(env, rates) -> list:
             def eigen(own):
                 return sweep.invasion_eigen(invader_env, HarvestRates(alpha=own, beta=other), w)
 
-            points, _ = sweep._newton_climb(eigen, invader_env, nodes[0], nodes[-1], level)
+            points, _ = sweep._newton_climb(eigen, invader_env, nodes[0], nodes[-1], level,
+                                            r_min)
             found += [(eigen(x).sigma1, level) for x in nodes
                       if sweep._certified_sign(points, x, r_min, level) == 0]
     return found
