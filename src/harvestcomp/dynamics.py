@@ -38,7 +38,7 @@ from .errors import (
     UnstableStepError,
 )
 from .grid import Field, as_field
-from .operators import ROUNDING_FLOOR, _gbsv, _ptsv, shifted_solver
+from .operators import ROUNDING_FLOOR, _gbsv, _ptsv, amax, amin, shifted_solver
 from .operators import apply as apply_operator
 # not called here; bench/tracer.py wraps it under this module's name
 from .operators import build_operator  # noqa: F401
@@ -164,7 +164,7 @@ def run_to_time(
         np.maximum(u2, 0.0, out=u2)
         np.maximum(v2, 0.0, out=v2)
         # np.maximum, not max: a NaN in either state makes delta NaN
-        delta = float(np.maximum(np.abs(u2 - u).max(), np.abs(v2 - v).max()) * inv_dt)
+        delta = float(np.maximum(amax(np.abs(u2 - u)), amax(np.abs(v2 - v))) * inv_dt)
         u, v = u2, v2
         if not math.isfinite(delta):
             raise UnstableStepError(f"non-finite state at t = {steps * dt:g} with dt = {dt}")
@@ -239,8 +239,8 @@ def solve_semitrivial(
     w = K_scale
     for steps in range(_NEWTON_CAP + 1):
         residual = apply_operator(op, w) + w * (rr - crowd * w)
-        res_norm = float(np.abs(residual).max())
-        tol = max(cfg.steady_tol, rounding * float(np.abs(w).max()))
+        res_norm = amax(np.abs(residual))
+        tol = max(cfg.steady_tol, rounding * amax(np.abs(w)))
         if res_norm < tol:
             return w
         if not math.isfinite(res_norm):
@@ -346,12 +346,12 @@ def solve_coexistence(
         F[:-2] += sup[:-2] * w[2:]
         F[2:] += sub[2:] * w[:-2]
         F += w * g
-        return F, float(np.abs(F).max()), g
+        return F, amax(np.abs(F)), g
 
     F, res, g = residual(w)
-    tau = 1.0 / float(env.r.max())
+    tau = 1.0 / amax(env.r)
     for steps in range(_PTC_CAP + 1):
-        tol = max(cfg.steady_tol, rounding * float(w.max()))
+        tol = max(cfg.steady_tol, rounding * amax(w))
         if res < tol:
             break
         if not math.isfinite(res):
@@ -377,7 +377,7 @@ def solve_coexistence(
             raise ValueError(f"illegal value in {-info}-th argument of internal gbsv")
         w1 = w + dw
         # per species: a NaN in one does not hide a negative density in the other
-        if w1[0::2].min() < 0 or w1[1::2].min() < 0:
+        if amin(w1[0::2]) < 0 or amin(w1[1::2]) < 0:
             tau *= 0.25
             continue
         F1, res1, g = residual(w1)
@@ -385,16 +385,17 @@ def solve_coexistence(
         w, F, res = w1, F1, res1
     u, v = w[0::2].copy(), w[1::2].copy()
     # the stop test is absolute, so it also passes a state collapsing toward 0
-    collapse = ROUNDING_FLOOR * np.finfo(float).eps * float(env.K.max())
+    collapse = ROUNDING_FLOOR * np.finfo(float).eps * amax(env.K)
     for name, x in (("u", u), ("v", v)):
-        if not x.min() > 0:
+        x_min, x_max = amin(x), amax(x)
+        if not x_min > 0:
             raise NumericalError(
                 f"stationary state reached from (u0, v0) is not a coexistence state: "
-                f"min {name} = {x.min():g}"
+                f"min {name} = {x_min:g}"
             )
-        if not x.max() >= collapse:
+        if not x_max >= collapse:
             raise NumericalError(
-                f"coexistence state collapsed: max {name} = {x.max():g} is below "
+                f"coexistence state collapsed: max {name} = {x_max:g} is below "
                 f"{collapse:.3e}, the rounding level of max K"
             )
     return u, v

@@ -61,6 +61,26 @@ _flapack = _load_flapack(os.path.join(find_spec("scipy").submodule_search_locati
 _gttrf, _gttrs, _ptsv, _gbsv = _flapack.dgttrf, _flapack.dgttrs, _flapack.dptsv, _flapack.dgbsv
 
 
+def amax(x: np.ndarray) -> float:
+    """x.max() of a nonempty float array, as a float; amin is x.min().
+
+    The solver loops take several extrema per step, of a few hundred to a
+    few thousand cells. numpy's ufunc.reduce behind x.max() spends more
+    setting up than scanning there, and the element at x.argmax() takes
+    about a third of its time (0.33 against 0.95 us at n = 200, 0.40
+    against 1.11 us at n = 800, on a 2-vCPU Xeon). The value equals
+    x.max(): a NaN propagates, since argmax returns the first NaN, and only
+    the sign of a zero extremum tied between +0.0 and -0.0 can differ,
+    since argmax returns the first of the tie and max may return another.
+    """
+    return x.item(x.argmax())
+
+
+def amin(x: np.ndarray) -> float:
+    """x.min() of a nonempty float array, as a float (see amax)."""
+    return x.item(x.argmin())
+
+
 class EigenInvariants(NamedTuple):
     """The parts of the symmetric form of D that depend on the operator
     alone: with S = diag(sqrt(P)), the off-diagonal of S^-1 D S and its
@@ -193,4 +213,4 @@ def annihilates(op: DiffusionOperator, w: Field) -> bool:
     """
     w = as_field(w, op.grid)
     bound = ROUNDING_FLOOR * sys.float_info.epsilon * op.gershgorin
-    return float(np.max(np.abs(apply(op, w)))) <= bound * float(np.max(np.abs(w)))
+    return amax(np.abs(apply(op, w))) <= bound * amax(np.abs(w))

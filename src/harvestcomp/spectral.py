@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError
 from .grid import Field, as_field
-from .operators import ROUNDING_FLOOR, DiffusionOperator, _ptsv
+from .operators import ROUNDING_FLOOR, DiffusionOperator, _ptsv, amax, amin
 from .profiles import EnvironmentProfile
 
 # Noda takes 0-6 steps on the bundled configs and 0-7 with a = b down to
@@ -115,7 +115,7 @@ def principal_eigen(op: DiffusionOperator, potential: Field, R: Field) -> EigenR
     # the Collatz-Wielandt ratios (H phi)_i / phi_i of phi = sqrt(R) are
     # q_i + (D R)_i / R_i, and D R = 0 up to rounding
     ratio = potential + kernel_ratio
-    lo, hi = float(ratio.min()), float(ratio.max())
+    lo, hi = amin(ratio), amax(ratio)
     # a potential that is not finite makes the bracket so
     if not (math.isfinite(lo) and math.isfinite(hi)) and not np.isfinite(potential).all():
         raise ConfigurationError("potential must be finite in every cell")
@@ -125,7 +125,7 @@ def principal_eigen(op: DiffusionOperator, potential: Field, R: Field) -> EigenR
     row = np.abs(diag)
     row[:-1] += off
     row[1:] += off
-    stop = sys.float_info.epsilon * float(row.max())
+    stop = sys.float_info.epsilon * amax(row)
     floor = -math.inf  # sigma1 is at least this
     shifted, shrink = row, ratio  # spent: the Noda steps' work arrays
     steps = 0
@@ -142,8 +142,8 @@ def principal_eigen(op: DiffusionOperator, potential: Field, R: Field) -> EigenR
             break
         # (H y)_i = hi * y_i - phi_i, so the ratios of y are hi - phi_i / y_i
         np.divide(phi, y, out=shrink)
-        smin = float(shrink.min())
-        lo, hi = hi - float(shrink.max()), hi - smin
+        smin = amin(shrink)
+        lo, hi = hi - amax(shrink), hi - smin
         # smin * y_i <= phi_i in every cell, so the iterates never grow
         phi = np.multiply(y, smin, out=y)
         steps += 1
@@ -168,8 +168,7 @@ def neutral_level(env: EnvironmentProfile) -> float:
     within 0.011 times eps * (D.gershgorin + max r) and every other |sigma|
     beyond 1.75e6 times it. principal_eigen's bracket stop, eps *
     gershgorin(H), is about a quarter of the level."""
-    return ROUNDING_FLOOR * sys.float_info.epsilon * (env.dispersal.gershgorin
-                                                      + float(env.r.max()))
+    return ROUNDING_FLOOR * sys.float_info.epsilon * (env.dispersal.gershgorin + amax(env.r))
 
 
 def sign(sigma: float, level: float) -> int:

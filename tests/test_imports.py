@@ -135,6 +135,33 @@ def test_only_the_environment_builds_dispersal_operators():
     assert callers == {"profiles"}
 
 
+# the solver functions whose every extremum is operators.amax/amin: their
+# loops take several per step, and a ufunc.reduce (x.max(), np.max, ...)
+# costs more to set up than to scan a grid's few hundred cells
+EXTREMA_BY_ARGMAX = {
+    "operators": {"annihilates"},
+    "spectral": {"principal_eigen", "neutral_level"},
+    "dynamics": {"run_to_time", "solve_semitrivial", "solve_coexistence"},
+}
+
+
+def test_solver_loops_take_no_extremum_by_ufunc_reduce():
+    found = set()
+    for module, names in EXTREMA_BY_ARGMAX.items():
+        tree = ast.parse((SRC / "harvestcomp" / f"{module}.py").read_text(encoding="utf-8"))
+        for func in tree.body:
+            if not (isinstance(func, ast.FunctionDef) and func.name in names):
+                continue
+            found.add((module, func.name))
+            # nested functions (solve_coexistence's residual) included; the
+            # builtin max(a, b) is a Name call and stays allowed
+            reductions = [node.lineno for node in ast.walk(func)
+                          if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                          and node.func.attr in ("max", "min", "amax", "amin")]
+            assert not reductions, f"{module}.{func.name} reduces on lines {reductions}"
+    assert found == {(m, f) for m, names in EXTREMA_BY_ARGMAX.items() for f in names}
+
+
 def test_package_does_not_load_scipy_optimize():
     # scipy.optimize takes about 0.3 s to import; the package needs none of it
     assert _run(PROBE).strip() == "[]"

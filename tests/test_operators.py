@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from harvestcomp import (
     ConfigurationError,
@@ -9,6 +12,8 @@ from harvestcomp import (
     solve_semitrivial,
 )
 from harvestcomp.operators import (
+    amax,
+    amin,
     annihilates,
     apply,
     build_operator,
@@ -202,3 +207,31 @@ def test_annihilates_tells_proportionality_on_a_refined_grid():
     op_v = env.swapped().dispersal
     assert not annihilates(op_v, solve_semitrivial("v", env, 0.95, sim))
     assert annihilates(op_v, 0.3 * env.Q)
+
+
+# the values where max and argmax could part: NaN, the infinities, signed
+# zeros and subnormals, mixed with any other float
+_EDGES = strategies.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                                  2.2250738585072e-308, -1.0, 1.0])
+_VALUES = strategies.lists(strategies.one_of(_EDGES, strategies.floats()), min_size=1,
+                           max_size=80)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(values=_VALUES, strided=strategies.booleans())
+def test_amax_amin_equal_max_min_up_to_the_sign_of_a_tied_zero(values, strided):
+    x = np.array(values)
+    if strided:
+        # a view of every other cell, as the coexistence solve takes u and v;
+        # the NaNs between would show in any value read off the view
+        w = np.full(2 * len(x), math.nan)
+        w[0::2] = x
+        x = w[0::2]
+    zeros = np.signbit(x[x == 0])
+    for got, expected in ((amax(x), x.max()), (amin(x), x.min())):
+        assert type(got) is float
+        if np.isnan(x).any():
+            assert math.isnan(got) and math.isnan(expected)
+        elif np.float64(got).tobytes() != expected.tobytes():
+            # only a zero extremum tied between +0.0 and -0.0 can change sign
+            assert got == expected == 0 and zeros.any() and not zeros.all()
