@@ -1,20 +1,22 @@
 """Coexistence/exclusion bounds, outcome classification by the invasion
 criterion, and yield.
 
-The harvested system folds into an unharvested one with rescaled growth
-rate and carrying capacity; the guaranteed-coexistence threshold for the
-harvesting effort on the better disperser is
+alpha** is the largest harvesting effort on u at which u still invades
+(0, v_beta), v_beta the competitor's single-species state harvested at rate
+beta: sigma_u(alpha), the principal eigenvalue of u invading, changes sign
+there. u's dispersal annihilates P (D P = 0), so the Rayleigh quotient of
+the trial function P gives
 
-    alpha_star = 1 - integral(r * v_beta) / integral(r * K)
+    sigma_u(alpha) >= integral(r * P * (1 - alpha - v_beta / K)) / integral(P)
 
-with v_beta the single-species steady state of the competitor harvested at
-rate beta. When the dispersal profiles form an ideal free pair
-(K = gamma*P + delta*Q with both species' dispersal not aligned to K), the
-sharper estimate
+and sigma_u(alpha_P) >= 0 at
 
-    alpha_star_ifp = 1 - integral(P * r * v_beta / K) / integral(r * P)
+    alpha_P = 1 - integral(P * r * v_beta / K) / integral(r * P)
 
-applies instead. alpha_star() reports both from one v_beta solve.
+As sigma_u decreases in alpha, alpha_P <= alpha** in every habitat. Where
+P is proportional to K, alpha_P is the paper's
+1 - integral(r * v_beta) / integral(r * K). alpha_star() reports both from
+one v_beta solve.
 
 outcome_of_signs is the package's only outcome rule: classify applies it to
 the signs of computed eigenvalues, and sweep to the signs it certifies
@@ -103,6 +105,12 @@ class HullFit:
 
 @dataclass(frozen=True)
 class BoundsReport:
+    """Bounds of alpha** at one competitor rate beta, from v_beta_star.
+
+    alpha_star is the paper's 1 - integral(r * v_beta) / integral(r * K), a
+    bound only where P is proportional to K. alpha_star_ifp is alpha_P; None
+    where P is proportional to K, where it equals alpha_star."""
+
     beta: float
     alpha_star: float
     alpha_star_ifp: float | None
@@ -110,12 +118,12 @@ class BoundsReport:
 
     @property
     def effective_alpha_star(self) -> float:
-        """The applicable estimate: the ideal-free-pair one when valid."""
+        """alpha_P <= alpha**, in every habitat."""
         return self.alpha_star if self.alpha_star_ifp is None else self.alpha_star_ifp
 
     @property
     def c_star(self) -> float:
-        """c* = (1 - alpha*) / (1 - beta) of the applicable estimate."""
+        """c* = (1 - alpha_P) / (1 - beta)."""
         return (1.0 - self.effective_alpha_star) / (1.0 - self.beta)
 
 
@@ -140,29 +148,19 @@ def fit_convex_hull(env: EnvironmentProfile) -> HullFit:
     """Fit K = gamma*P + delta*Q by least squares. residual is the largest
     misfit relative to max |K|. The coefficients are left unconstrained: when
     they leave the open positive quadrant, the nonnegative fit of this convex
-    quadratic has a zero coefficient, and is_ideal_free_pair() rejects both.
-
-    The fit is computed once per environment: the profile is immutable, so
-    the first call keeps the fit in the instance's __dict__ (as
-    functools.cached_property would) and later calls return that same
-    HullFit. env.swapped() is another instance, with a fit of its own."""
-    fit = env.__dict__.get("_hull_fit")
-    if fit is not None:
-        return fit
+    quadratic has a zero coefficient, and is_ideal_free_pair() rejects both."""
     pair = np.column_stack([env.P, env.Q])
     gamma, delta = np.linalg.lstsq(pair, env.K, rcond=None)[0].tolist()
     resid = float(
         np.max(np.abs(env.K - gamma * env.P - delta * env.Q)) / np.max(np.abs(env.K))
     )
-    fit = HullFit(
+    return HullFit(
         gamma=gamma,
         delta=delta,
         residual=resid,
         nonprop_u=not annihilates(env.dispersal, env.K),
         nonprop_v=not annihilates(env.swapped().dispersal, env.K),
     )
-    env.__dict__["_hull_fit"] = fit
-    return fit
 
 
 def detect_ideal_free_pair(env: EnvironmentProfile) -> HullFit | None:
@@ -174,25 +172,25 @@ def detect_ideal_free_pair(env: EnvironmentProfile) -> HullFit | None:
 
 
 def alpha_star(beta: float, env: EnvironmentProfile, cfg: SimulationConfig) -> BoundsReport:
-    """Guaranteed-coexistence harvesting bound for a fixed competitor rate.
+    """Lower bound alpha_P of alpha** for a fixed competitor rate.
 
     Solves the competitor's single-species steady state v_beta harvested at
-    rate beta (0 <= beta < 1) and evaluates the bound. When the environment
-    carries an ideal free pair, alpha_star_ifp holds the sharper bound from
-    the same v_beta, and None otherwise; effective_alpha_star and c_star
-    belong to the bound that applies.
+    rate beta (0 <= beta < 1) and evaluates the paper's formula and, unless
+    u's dispersal annihilates K (P proportional to K, where the two are one
+    number), alpha_P from the same v_beta; effective_alpha_star and c_star
+    are alpha_P's. A negative alpha_P guarantees no rate.
     """
     v_beta = solve_semitrivial("v", env, beta, cfg)
     num = integrate(env.r * v_beta, env.grid)
     den = integrate(env.r * env.K, env.grid)
-    ifp_value = None
-    if detect_ideal_free_pair(env) is not None:
-        ifp_num = integrate(env.P * env.r * v_beta / env.K, env.grid)
-        ifp_value = 1.0 - ifp_num / integrate(env.r * env.P, env.grid)
+    alpha_p = None
+    if not annihilates(env.dispersal, env.K):
+        p_num = integrate(env.P * env.r * v_beta / env.K, env.grid)
+        alpha_p = 1.0 - p_num / integrate(env.r * env.P, env.grid)
     return BoundsReport(
         beta=beta,
         alpha_star=1.0 - num / den,
-        alpha_star_ifp=ifp_value,
+        alpha_star_ifp=alpha_p,
         v_beta_star=v_beta,
     )
 

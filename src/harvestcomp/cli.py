@@ -222,11 +222,9 @@ def _cmd_bounds(args) -> int:
             a_switch = sp.alpha_double_star if sp is not None else float("nan")
         else:
             a_switch = float("nan")
-        kind = "ideal-free-pair" if report.alpha_star_ifp is not None else "proportional"
         print(
             f"beta={beta:g} alpha_star={report.effective_alpha_star:.6g} "
-            f"c_star={report.c_star:.6g} "
-            f"alpha_double_star={a_switch:.6g} ({kind} estimate)"
+            f"c_star={report.c_star:.6g} alpha_double_star={a_switch:.6g}"
         )
         rows.append([beta, report.c_star, report.effective_alpha_star, a_switch])
     if args.output:

@@ -10,9 +10,11 @@ from harvestcomp import (
     HarvestCompError,
     HarvestRates,
     Outcome,
+    SimulationConfig,
     alpha_star,
     classify,
     detect_ideal_free_pair,
+    find_switch,
     fit_convex_hull,
     inequality_suite,
 )
@@ -23,8 +25,9 @@ from harvestcomp.config import build_environment, parse_config_text, simulation_
 from harvestcomp.grid import SpatialGrid
 from harvestcomp.operators import annihilates
 from harvestcomp.profiles import EnvironmentProfile
+from harvestcomp.spectral import neutral_level, principal_eigen
 
-from conftest import bundled_config, load_example
+from conftest import bundled_config, environments, ideal_free_environments, load_example
 
 CONSTANT_ENV = "L = 4\nn_cells = 64\nK = 1\nr = 1.1\nP = 1\nQ = 1\na = 1\nb = 1\n"
 
@@ -74,7 +77,9 @@ def test_an_exact_fit_outside_the_cone_is_no_ideal_free_pair(capsys):
     assert fit.residual < IFP_RESIDUAL_TOL
     assert fit.nonprop_u and fit.nonprop_v
     assert not fit.is_ideal_free_pair()
-    assert alpha_star(0.4, env, sim).alpha_star_ifp is None
+    # no pair, so the paper's formula is no bound here; alpha_P still is
+    rep = alpha_star(0.4, env, sim)
+    assert rep.alpha_star_ifp <= find_switch(0.4, env, sim).alpha_double_star < rep.alpha_star
     assert main(["check", "--config", str(bundled_config("example1")), "--set", "n_cells=200",
                  "--set", "K=3+2*cos(pi*x)"]) == 0
     assert "invader_growth_at_u_branch: skipped (not applicable)\n" in capsys.readouterr().out
@@ -121,7 +126,7 @@ def test_ideal_free_pair_verdict_matches_nnls_on_bundled_configs(diffusion):
         assert fit.is_ideal_free_pair() == (name in ("example3", "example4")), name
 
 
-def test_hull_fit_is_computed_once_per_environment(monkeypatch):
+def test_alpha_star_fits_no_hull_and_the_suite_fits_once(monkeypatch):
     # K = P + 2Q: an ideal free pair with gamma != delta
     _, _, env, sim = load_example("example3", n_cells=100, Q="0.45+0.25*cos(pi*x)")
     calls = []
@@ -132,15 +137,15 @@ def test_hull_fit_is_computed_once_per_environment(monkeypatch):
         return lstsq(a, b, rcond=rcond)
 
     monkeypatch.setattr(np.linalg, "lstsq", counting)
-    fit = fit_convex_hull(env)
-    assert fit_convex_hull(env) is fit
     for beta in (0.0, 0.2, 0.4, 0.6):
         assert alpha_star(beta, env, sim).alpha_star_ifp is not None
+    assert len(calls) == 0
     inequality_suite(env, sim)
     assert len(calls) == 1
-    swapped = fit_convex_hull(env.swapped())
+    inequality_suite(env, sim)
     assert len(calls) == 2
-    assert fit_convex_hull(env.swapped()) is swapped  # swapped() is one kept instance
+    fit = fit_convex_hull(env)
+    swapped = fit_convex_hull(env.swapped())
     assert fit.gamma == pytest.approx(1.0, abs=1e-10)
     assert fit.delta == pytest.approx(2.0, abs=1e-10)
     assert swapped.gamma == pytest.approx(fit.delta, abs=1e-12)
@@ -156,7 +161,7 @@ def test_alpha_star_collapses_for_spatially_flat_environment():
         report = alpha_star(beta, env, sim)
         assert report.alpha_star == pytest.approx(beta, abs=1e-9)
         assert 0 < report.c_star <= 1 + 1e-12
-        assert report.alpha_star_ifp is None  # constant profiles are no ideal free pair
+        assert report.alpha_star_ifp is None  # P is proportional to K
 
 
 def test_alpha_star_rejects_bad_beta():
@@ -178,6 +183,22 @@ def test_alpha_star_is_increasing_and_above_beta(name):
     for b, r in zip(betas, reports):
         assert r.effective_alpha_star == pytest.approx(1 - r.c_star * (1 - b), abs=1e-12)
         assert 0 < r.c_star < 1
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(env=strategies.one_of(environments(), ideal_free_environments()),
+       beta=strategies.floats(0.0, 0.9))
+def test_effective_alpha_star_leaves_the_invasion_eigenvalue_nonnegative(env, beta):
+    # D P = 0, so the Rayleigh quotient of the trial function P puts sigma_u
+    # at alpha_P at or above 0 in every habitat: u still invades there. The
+    # swapped environment gives v's bound beta_Q. A negative bound is covered
+    # too, which no HarvestRates would accept
+    sim = SimulationConfig()
+    for e in (env, env.swapped()):
+        rep = alpha_star(beta, e, sim)
+        potential = e.r * (1.0 - rep.effective_alpha_star - rep.v_beta_star / e.K)
+        sigma = principal_eigen(e.dispersal, potential, e.P).sigma1
+        assert sigma >= -neutral_level(e), (sigma, rep)
 
 
 # ---------------------------------------------------------------- classify

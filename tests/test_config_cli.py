@@ -278,8 +278,8 @@ def test_bounds_with_switch_writes_the_switch_point(fast_config, tmp_path, capsy
 
 @pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4", "example4b"])
 def test_bounds_c_star_is_the_library_c_star_of_the_applied_estimate(name, tmp_path, capsys):
-    # example3 and example4 carry ideal free pairs: c* belongs to the
-    # ideal-free-pair estimate the row applies, in the CSV and the library
+    # c* belongs to alpha_P, the estimate the row applies, in the CSV and the
+    # library; P is not proportional to K on example3 and example4
     out = tmp_path / "bounds.csv"
     assert run_cli("bounds", "--config", bundled_config(name), "--set", "n_cells=200",
                    "--betas", "0,0.4", "--output", out) == 0

@@ -213,10 +213,10 @@ def test_bench_tracer_counts_the_steps_and_solves_of_one_march():
 
 def test_bench_tracer_sees_every_eigenpair_and_detection_of_a_bounds_curve():
     # one curve of the bounds workload: alpha_star at beta = 0.4, then
-    # sigma1 at 21 alphas on one operator. The eigen invariants and the hull
-    # fit are kept on the operator and the environment; every boundary call
-    # must still reach the tracer, with the counts of a computation that
-    # keeps nothing
+    # sigma1 at 21 alphas on one operator. The eigen invariants are kept on
+    # the operator; every boundary call must still reach the tracer, with
+    # the counts of a computation that keeps nothing. alpha_star detects no
+    # ideal free pair
     tracer_module = runpy.run_path(str(TRACER))
     _, grid, env, sim = load_example("example1")
     tracer = tracer_module["Tracer"]()
@@ -234,4 +234,4 @@ def test_bench_tracer_sees_every_eigenpair_and_detection_of_a_bounds_curve():
     metrics = tracer_module["layer_metrics"](tracer)
     assert metrics["spectral.eigen_calls"][0] == 21
     assert metrics["spectral.eigen_iterations"][0] == 63
-    assert metrics["analysis.ifp_detect_calls"][0] == 1
+    assert metrics["analysis.ifp_detect_calls"][0] == 0

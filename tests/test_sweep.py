@@ -217,6 +217,37 @@ def test_effective_alpha_star_below_switch_on_bundled_configs():
             assert a_star <= sp.alpha_double_star, (name, beta)
 
 
+def test_example5_paper_formula_bounds_the_switch_with_varying_growth(monkeypatch):
+    # example2's habitat with r = 0.6+0.5cos(pi x): P is proportional to K,
+    # so the paper's formula is alpha_P and a bound; r varies, so sigma1 is
+    # no longer affine in alpha and the climb takes Newton steps
+    _, _, env, sim = load_example("example5", n_cells=200)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return principal_eigen(*args)
+
+    monkeypatch.setattr(spectral, "principal_eigen", counting)
+    for beta in (0.0, 0.4, 0.8):
+        report = alpha_star(beta, env, sim)
+        assert report.alpha_star_ifp is None
+        calls.clear()
+        sp = find_switch(beta, env, sim)
+        assert len(calls) > 1, beta
+        assert abs(sp.alpha_double_star - brentq_switch(beta, env, sim)) <= 1e-11, beta
+        assert report.alpha_star <= sp.alpha_double_star, beta
+
+
+def test_example5_sweep_cells_match_the_march():
+    # coexist, only_u and only_v cells, all settled by the march oracle
+    _, _, env, sim = load_example("example5", n_cells=200)
+    sg = sweep_grid([0.1, 0.35, 0.7], [0.0, 0.4], env, sim)
+    outcomes = {rec.outcome for row in sg.records for rec in row}
+    assert outcomes == {Outcome.COEXISTENCE, Outcome.ONLY_U, Outcome.ONLY_V}
+    assert assert_sweep_matches_march(sg, env) == 6
+
+
 def test_find_switch_ideal_free_pair_dominates_estimate():
     # the exclusion switch sits above the analytic coexistence bound 0.2024
     _, grid, env, _ = load_example("example3", n_cells=100)

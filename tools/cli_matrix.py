@@ -4,11 +4,12 @@
 
 SRC_TREE is a checkout holding src/harvestcomp; OUT_DIR must not exist yet.
 The matrix is `--help` of the program and of each command, then each case
-of CASES on every bundled config at n_cells = 200. Each call runs in a fresh
-interpreter, in its own directory under OUT_DIR, against a copy of the
-config made there, so no path of SRC_TREE enters an output. Each directory
-receives the call's stdout, stderr and exit code, plus every file it wrote
-(CSVs and plot scripts). Two trees give the same outputs when
+of CASES on every config of CONFIGS that SRC_TREE bundles, at n_cells =
+200; a config the tree lacks is skipped and named on stderr. Each call runs
+in a fresh interpreter, in its own directory under OUT_DIR, against a copy
+of the config made there, so no path of SRC_TREE enters an output. Each
+directory receives the call's stdout, stderr and exit code, plus every file
+it wrote (CSVs and plot scripts). Two trees give the same outputs when
 
     diff -r OUT_A OUT_B
 
@@ -24,7 +25,7 @@ import sys
 from pathlib import Path
 
 COMMANDS = ("simulate", "steady", "eigen", "bounds", "sweep", "switch", "msy", "check")
-CONFIGS = ("example1", "example2", "example3", "example4", "example4b")
+CONFIGS = ("example1", "example2", "example3", "example4", "example4b", "example5")
 WEAK = ["--set", "a=0.01", "--set", "b=0.01"]
 NON_FINITE = "1/(x-x)"
 # (case name, arguments after --config and the n_cells override)
@@ -37,6 +38,8 @@ CASES = (
     ("eigen_v", ["eigen", "--around", "v", "--set", "beta=0.4", "--output", "psi.csv"]),
     ("bounds", ["bounds", "--betas", "0,0.4,0.9985", "--with-switch", "--output", "b.csv"]),
     ("bounds_beta", ["bounds", "--set", "beta=0.3"]),
+    ("bounds_off_hypothesis", ["bounds", "--betas", "0,0.4,0.8", "--with-switch",
+                               "--set", "P=1+0.5*sin(pi*x/4)", "--output", "b.csv"]),
     ("sweep", ["sweep", "--grid", "21", "--output", "sweep.csv", "--plot-script"]),
     ("sweep_weak", ["sweep", "--grid", "21", *WEAK, "--strict"]),
     ("sweep_row", ["sweep", "--beta", "0.4", "--grid", "11", "--output", "row.csv"]),
@@ -86,10 +89,14 @@ def main(argv: list[str]) -> int:
     for command in COMMANDS:
         run(src, out / f"help_{command}", [command, "--help"])
     for config in CONFIGS:
+        path = src / "src" / "harvestcomp" / "configs" / f"{config}.cfg"
+        if not path.is_file():
+            print(f"skipped {config}: no {path.name} under {src}", file=sys.stderr)
+            continue
         for case, args in CASES:
             where = out / config / case
             where.mkdir(parents=True)
-            shutil.copy(src / "src" / "harvestcomp" / "configs" / f"{config}.cfg", where)
+            shutil.copy(path, where)
             run(src, where, [args[0], "--config", f"{config}.cfg", "--set", "n_cells=200",
                              *args[1:]])
     print(f"wrote {out}")
