@@ -13,11 +13,16 @@ stable; the clamp removes splitting-induced negative undershoot.
 Single-species stationary states (solve_semitrivial) are not marched:
 Newton's method solves the discrete stationary system D w + f(w) = 0
 directly, each step one LAPACK ptsv call on the symmetric positive definite
-form of the tridiagonal solve shifted by -f'(w) per cell. dt
-and t_final do not enter it; its residual is below steady_tol or below
-spectral.neutral_level times the state, whichever is larger. Coexistence states
-(solve_coexistence) are solved the same way by pseudo-transient
-continuation from given initial data, on one interleaved state
+form of the tridiagonal solve shifted by -f'(w) per cell. The logistic
+reaction is quadratic, so each step fixes the residual at its iterate,
+-(r/K) dw^2 up to the solve's rounding: the steps run on that prediction,
+and D w + f(w) is evaluated in full at the start, for the step expected to
+be the last, and once to confirm the iterate returned. dt and t_final do
+not enter it; its evaluated residual is below steady_tol or below
+spectral.neutral_level times the state, whichever is larger. Coexistence
+states (solve_coexistence) are solved by Newton steps too, by
+pseudo-transient continuation from given initial data, each residual
+evaluated in full, on one interleaved state
 (u_0, v_0, u_1, v_1, ...): each residual is one banded product, and each
 step one LAPACK gbsv call on a (2, 2)-banded matrix kept for the solve,
 whose rows it writes in place.
@@ -204,9 +209,20 @@ def solve_semitrivial(
     each step is one ptsv call on its symmetric form
     (operators.EigenInvariants).
 
-    Returns the first iterate whose stationary residual, in max norm, is
-    below cfg.steady_tol or below neutral_level(env) * max|w| (env the
-    branch's environment), whichever is larger. That limit grows as (n/L)^2
+    Each step solves J dw = -F(w), so the residual at w + dw is
+    F(w) + J dw - (r/K) dw^2 = -(r/K) dw^2 (r and K folded as above) up to
+    the solve's rounding, and the step predicts it. D w + f(w) is evaluated
+    in full at the start, before the step expected to be the last, after a
+    step outside Newton's quadratic regime, and to confirm an iterate the
+    prediction accepts. On the bundled configs the steps are those of
+    evaluating every iterate; the switch point's solve (example1,
+    n = 800) evaluates 3 of its 6 iterates.
+
+    Returns the first iterate whose stationary residual, evaluated in max
+    norm, is below cfg.steady_tol or below neutral_level(env) * max|w|
+    (env the branch's environment), whichever is larger; where the
+    evaluation rejects an iterate the prediction accepted, Newton goes on
+    from the evaluated residual. That limit grows as (n/L)^2
     and with max r; on the bundled configs (n = 800, L = 4) it is at most
     3e-9, and at n = 12800 up to 8e-7. cfg.dt and cfg.t_final do not
     enter. Raises ConvergenceError when a fixed cap of Newton steps does
@@ -233,20 +249,40 @@ def solve_semitrivial(
     K_scale = (1.0 - rate) * env.K
     crowd = rr / K_scale
     crowd2 = 2.0 * crowd
+    neg_crowd = -crowd
     shift = rr + op.diag
     rounding = neutral_level(env)
 
-    w = K_scale
-    for steps in range(_NEWTON_CAP + 1):
+    def evaluated(w):
         residual = apply_operator(op, w) + w * (rr - crowd * w)
-        res_norm = amax(np.abs(residual))
-        tol = max(cfg.steady_tol, rounding * amax(np.abs(w)))
+        return residual, amax(np.abs(residual))
+
+    w = K_scale
+    residual, res_norm = evaluated(w)
+    predicted = False
+    before = last = 0.0  # the residual norms of the two iterates before w
+    for steps in range(_NEWTON_CAP + 1):
+        # the iterates are positive, so max w is max|w|
+        tol = max(cfg.steady_tol, rounding * amax(w))
+        # A predicted residual is evaluated in full: below tol, to confirm
+        # it; where the next one, extrapolated quadratically as
+        # res_norm^3 / last^2, is below tol, so that the step expected to
+        # end the solve starts from an evaluated residual and corrects the
+        # solves' rounding that the predictions leave out; and where it
+        # shrank no faster than at the step before, outside Newton's
+        # quadratic regime, where that rounding would build up over many
+        # steps. (Products, not float powers, which raise on overflow.)
+        if predicted and (res_norm < tol or res_norm * res_norm * res_norm < tol * last * last
+                          or res_norm * before >= last * last):
+            residual, res_norm = evaluated(w)
+            predicted = False
         if res_norm < tol:
             return w
         if not math.isfinite(res_norm):
             raise UnstableStepError(f"non-finite semi-trivial {which}-branch Newton iterate")
         if steps == _NEWTON_CAP:
             break
+        before, last = last, res_norm
         # J dw = -F with J = D + diag(rr - 2 (rr/K) w), i.e. (diag(s) - D) dw = F
         # for s = 2 (rr/K) w - rr, solved in the symmetric form: ptsv's
         # diagonal is s - diag(D)
@@ -257,7 +293,15 @@ def solve_semitrivial(
                 f"semi-trivial {which}-branch Newton step at rate {rate} is singular "
                 f"(row {info})"
             )
-        w = w + sqrt_R * z
+        dw = np.multiply(sqrt_R, z, out=z)
+        w = w + dw
+        # F(w + dw) = F(w) + J dw - (rr/K) dw^2 and J dw = -F(w), so the
+        # residual at w + dw is -(rr/K) dw^2 up to the solve's rounding: it
+        # is <= 0, and its largest magnitude is minus its minimum
+        residual = neg_crowd * dw
+        residual *= dw
+        res_norm = -amin(residual)
+        predicted = True
     raise ConvergenceError(
         f"semi-trivial {which}-branch did not converge in {_NEWTON_CAP} Newton steps "
         f"(residual {res_norm:.3e}, tolerance {tol:.3e})"

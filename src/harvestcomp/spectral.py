@@ -159,6 +159,16 @@ def principal_eigen(op: DiffusionOperator, potential: Field, R: Field) -> EigenR
                        _norm2=norm2, _h_phi=h_phi, _unit=unit, _sqrt_R=sqrt_R, _h=op.grid.h)
 
 
+def rate_slope(res: EigenResult, r: Field) -> float:
+    """d sigma1 / dx of D + diag(q - x * r) at res, the eigenpair of
+    D + diag(q): -h * sum(r * psi^2 / R), psi normalized as in EigenResult
+    (Hellmann-Feynman). On the symmetric form that is
+    -(phi . r phi) / (phi . phi) for the last phi as it stands, so psi is
+    not formed; a phi^2-weighted mean of -r, it lies in [-max r, -min r]."""
+    phi = res._phi
+    return -float(r @ (phi * phi)) / res._norm2
+
+
 def neutral_level(env: EnvironmentProfile) -> float:
     """ROUNDING_FLOOR * eps * (D.gershgorin + max r), D = env.dispersal: the
     rounding level of u's stationary problem per unit of state (pass

@@ -145,14 +145,15 @@ def _newton_climb(eigen, env: EnvironmentProfile, start: float, stop: float, lev
     env.r (passed in, since a sweep's climbs all share it), so
     sigma(iterate) is in [0, sigma_k - r_min * (iterate - x_k)]. Returns the
     evaluated points (x, sigma, slope), with the Hellmann-Feynman slope
-    -h * sum(r * psi^2 / P), and that last Newton iterate. Raises
-    ConvergenceError when a fixed cap of steps does not stop it.
+    -h * sum(r * psi^2 / P) (spectral.rate_slope), and that last Newton
+    iterate. Raises ConvergenceError when a fixed cap of steps does not
+    stop it.
     """
     points = []
     x = start
     for _ in range(_NEWTON_CAP + 1):
         res = eigen(x)
-        slope = -env.grid.h * float((env.r * res.psi**2 / env.P).sum())
+        slope = spectral.rate_slope(res, env.r)
         points.append((x, res.sigma1, slope))
         iterate = x - res.sigma1 / slope
         if (res.sigma1 < 0 or iterate >= stop or abs(res.sigma1) <= level

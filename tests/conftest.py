@@ -234,6 +234,34 @@ def semitrivial_by_newton(which, env, rate, cfg: SimulationConfig):
     raise AssertionError(f"oracle Newton on the {which}-branch did not converge")
 
 
+def semitrivial_by_evaluated_newton(which, env, rate, cfg: SimulationConfig):
+    """(w, steps): solve_semitrivial's Newton iteration as it was before its
+    steps predicted their next residual, evaluating D w + f(w) in full at
+    every iterate, each step the same ptsv call on the symmetric form. An
+    oracle for the predicted residual: same start, stop test and cap."""
+    if which == "v":
+        env = env.swapped()
+    op = env.dispersal
+    _, neg_off, sqrt_R, _ = op.eigen_invariants
+    rr = (1.0 - rate) * env.r
+    K_scale = (1.0 - rate) * env.K
+    crowd = rr / K_scale
+    crowd2 = 2.0 * crowd
+    shift = rr + op.diag
+    rounding = spectral.neutral_level(env)
+    w = K_scale
+    for steps in range(dynamics._NEWTON_CAP + 1):
+        residual = operators.apply(op, w) + w * (rr - crowd * w)
+        res_norm = float(np.abs(residual).max())
+        if res_norm < max(cfg.steady_tol, rounding * float(np.abs(w).max())):
+            return w, steps
+        _, _, z, info = operators._ptsv(crowd2 * w - shift, neg_off, residual / sqrt_R,
+                                        overwrite_d=1, overwrite_b=1)
+        assert info == 0, f"oracle Newton step on the {which}-branch is singular"
+        w = w + sqrt_R * z
+    raise AssertionError(f"oracle Newton on the {which}-branch did not converge")
+
+
 def coexistence_by_species(u0, v0, env, rates: HarvestRates, cfg: SimulationConfig):
     """(u, v, rejected): solve_coexistence's pseudo-transient continuation
     with u and v held apart, each residual two operators.apply calls and

@@ -27,11 +27,14 @@ from harvestcomp import dynamics
 from harvestcomp.operators import apply as op_apply
 from harvestcomp.operators import build_operator, shifted_solver
 
+from harvestcomp.spectral import neutral_level
+
 from conftest import (
     coexistence_by_species,
     environments,
     load_example,
     one_step,
+    semitrivial_by_evaluated_newton,
     semitrivial_by_newton,
     threshold_classify,
 )
@@ -433,6 +436,119 @@ def test_a_singular_semitrivial_step_is_named(monkeypatch):
     message = "semi-trivial v-branch Newton step at rate 0.4 is singular (row 1)"
     with pytest.raises(SingularSystemError, match=f"^{re.escape(message)}$"):
         solve_semitrivial("v", env, 0.4, sim)
+
+
+def count_evaluations(monkeypatch):
+    """Wrap dynamics.apply_operator; each full evaluation of D w + f(w) in
+    solve_semitrivial appends one entry."""
+    real = dynamics.apply_operator
+    evaluations = []
+
+    def counted(op, w):
+        evaluations.append(None)
+        return real(op, w)
+
+    monkeypatch.setattr(dynamics, "apply_operator", counted)
+    return evaluations
+
+
+@pytest.mark.parametrize("diffusivity", ["1", "0.01", "1e-4"])
+@pytest.mark.parametrize(
+    "name", ["example1", "example2", "example3", "example4", "example4b", "example5"]
+)
+def test_predicted_residuals_keep_the_evaluated_newton_steps_on_bundled_configs(
+    monkeypatch, name, diffusivity
+):
+    # each step predicts its next residual and D w + f(w) is evaluated in
+    # full only where the loop needs it; the solve keeps the Newton steps of
+    # the loop that evaluates every iterate, and its states to that loop's
+    # agreement with the banded oracle, up to rates within 1e-4 of 1
+    _, _, env, sim = load_example(name, a=diffusivity, b=diffusivity)
+    steps = record_ptsv_steps(monkeypatch)
+    evaluations = count_evaluations(monkeypatch)
+    for which in ("u", "v"):
+        for rate in (0.0, 0.4, 0.8, 0.975, 1.0 - 1e-4):
+            steps.clear()
+            evaluations.clear()
+            w = solve_semitrivial(which, env, rate, sim)
+            ref, ref_steps = semitrivial_by_evaluated_newton(which, env, rate, sim)
+            assert len(steps) == ref_steps, (which, rate)
+            # at most once per iterate, as that loop does
+            assert len(evaluations) <= ref_steps + 1, (which, rate)
+            gap = np.max(np.abs(w - ref))
+            assert gap <= agreement_bound(env, which, rate) * np.max(np.abs(ref)), (which, rate)
+
+
+def test_the_switch_points_semitrivial_solve_evaluates_three_of_six_residuals(monkeypatch):
+    # v_beta of find_switch(0.4) on example1 at n = 800: residuals 0.35,
+    # 0.018, 2.3e-4 and 4.6e-8 after the first four steps. The first three
+    # are predicted; the fourth is evaluated, as the quadratic extrapolation
+    # of the next one is below tol, and the fifth step's prediction is
+    # confirmed by the last evaluation
+    _, _, env, sim = load_example("example1")
+    steps = record_ptsv_steps(monkeypatch)
+    evaluations = count_evaluations(monkeypatch)
+    solve_semitrivial("v", env, 0.4, sim)
+    assert (len(steps), len(evaluations)) == (5, 3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(env=environments(), rate=strategies.floats(0.0, 0.99),
+       which=strategies.sampled_from("uv"))
+def test_each_predicted_residual_agrees_with_the_evaluated_one_on_random_environments(
+    env, rate, which
+):
+    # F(w + dw) = F(w) + J dw - (rr/K) dw^2 and the step solves J dw = -F(w):
+    # at every iterate the prediction -(rr/K) dw^2 is the evaluated residual
+    # up to the rounding level of the stationary problem, and the state
+    # returned has an evaluated residual below its tolerance
+    sim = SimulationConfig()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        steps = record_ptsv_steps(monkeypatch)
+        w = solve_semitrivial(which, env, rate, sim)
+    branch = env if which == "u" else env.swapped()
+    op = branch.dispersal
+    sqrt_R = op.eigen_invariants.sqrt_P
+    rr = (1.0 - rate) * branch.r
+    K_scale = (1.0 - rate) * branch.K
+    crowd = rr / K_scale
+    level = neutral_level(branch)
+
+    def evaluated(x):
+        return op_apply(op, x) + x * (rr - crowd * x)
+
+    x = K_scale
+    for *_, z in steps:
+        dw = sqrt_R * z
+        x = x + dw
+        assert np.max(np.abs(evaluated(x) + crowd * dw * dw)) <= level * np.max(x)
+    assert np.array_equal(x, w)
+    assert np.max(np.abs(evaluated(w))) < max(sim.steady_tol, level * np.max(np.abs(w)))
+
+
+def test_a_predicted_stop_that_the_evaluation_rejects_continues_from_the_evaluated_residual(
+    monkeypatch,
+):
+    # a prediction scaled down 1e30-fold accepts every iterate: each is then
+    # evaluated in full, the evaluation rejects all but the last, and Newton
+    # goes on from the evaluated residual, so the solve is the loop that
+    # evaluates every iterate, bit for bit
+    _, _, env, sim = load_example("example1", n_cells=200)
+    real_amin = dynamics.amin
+    monkeypatch.setattr(dynamics, "amin", lambda x: 1e-30 * real_amin(x))
+    steps = record_ptsv_steps(monkeypatch)
+    evaluations = count_evaluations(monkeypatch)
+    rejected = 0
+    for which in ("u", "v"):
+        for rate in (0.0, 0.4, 0.8):
+            steps.clear()
+            evaluations.clear()
+            w = solve_semitrivial(which, env, rate, sim)
+            ref, ref_steps = semitrivial_by_evaluated_newton(which, env, rate, sim)
+            assert len(steps) == ref_steps and len(evaluations) == ref_steps + 1, (which, rate)
+            assert np.array_equal(w, ref), (which, rate)
+            rejected += max(ref_steps - 1, 0)
+    assert rejected > 0
 
 
 # ------------------------------------------------------- coexistence states

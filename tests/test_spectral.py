@@ -332,6 +332,24 @@ def test_sigma1_lies_in_collatz_wielandt_brackets(env, seed):
         assert np.min(ratios) - slack <= res.sigma1 <= np.max(ratios) + slack
 
 
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(env=environments(), alpha=strategies.floats(0.0, 1.0))
+def test_rate_slope_is_the_hellmann_feynman_slope_of_psi(env, alpha):
+    # on the symmetric form, without psi: -h * sum(r * psi^2 / P) to
+    # rounding, a weighted mean of -r, and the derivative of sigma1 in the
+    # rate (central differences, sigma1 being smooth in it)
+    potential = env.r * (1.0 - alpha - env.Q / env.K)
+    res = principal_eigen(env.dispersal, potential, env.P)
+    slope = spectral.rate_slope(res, env.r)
+    h = env.grid.h
+    assert slope == pytest.approx(-h * float(np.sum(env.r * res.psi**2 / env.P)), rel=1e-13)
+    assert -np.max(env.r) * (1 + 1e-15) <= slope <= -np.min(env.r) * (1 - 1e-15)
+    dx = 1e-5
+    up, down = (principal_eigen(env.dispersal, potential - x * env.r, env.P).sigma1
+                for x in (dx, -dx))
+    assert slope == pytest.approx((up - down) / (2 * dx), rel=1e-6)
+
 _pttrf = get_lapack_funcs("pttrf", (np.zeros(3),))
 
 
