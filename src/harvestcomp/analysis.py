@@ -232,17 +232,17 @@ def outcome_of_signs(
 def classify(
     sigma_u: float,
     sigma_v: float,
-    level_u: float,
-    level_v: float,
     env: EnvironmentProfile,
     u_alpha: Field,
     v_beta: Field,
 ) -> Outcome:
     """Outcome of one cell by the invasion criterion: outcome_of_signs of
     the signs spectral.sign reads from sigma_u and sigma_v, each against its
-    level (spectral.neutral_level). A cell those signs do not decide, a
+    species' rounding level, env.neutral_level for u and
+    env.swapped().neutral_level for v. A cell those signs do not decide, a
     neutral or a bistable one, raises HarvestCompError naming both sigmas.
     """
+    level_u, level_v = env.neutral_level, env.swapped().neutral_level
     sign_u, sign_v = sign(sigma_u, level_u), sign(sigma_v, level_v)
     outcome = outcome_of_signs(sign_u, sign_v, env, u_alpha, v_beta)
     if outcome is not None:

@@ -28,7 +28,7 @@ from .config import (
 from .dynamics import HarvestRates, run_to_time, solve_semitrivial
 from .errors import ConfigurationError, HarvestCompError, NumericalError
 from .grid import average, integrate
-from .spectral import neutral_level, sign
+from .spectral import sign
 from .sweep import CellFailure, find_switch, invasion_eigen, simulate_cell, sweep_grid
 
 EXIT_OK = 0
@@ -200,7 +200,7 @@ def _cmd_eigen(args) -> int:
         env, rates = env.swapped(), HarvestRates(rates.beta, rates.alpha)
     result = invasion_eigen(env, rates, resident)
     verdict = {1: "unstable (invasible)", -1: "stable", 0: "neutral"}[
-        sign(result.sigma1, neutral_level(env))
+        sign(result.sigma1, env.neutral_level)
     ]
     print(
         f"around={args.around}-branch invader={invader} sigma1={result.sigma1:.10g} "

@@ -18,8 +18,8 @@ reaction is quadratic, so each step fixes the residual at its iterate,
 -(r/K) dw^2 up to the solve's rounding: the steps run on that prediction,
 and D w + f(w) is evaluated in full at the start, for the step expected to
 be the last, and once to confirm the iterate returned. dt and t_final do
-not enter it; its evaluated residual is below steady_tol or below
-spectral.neutral_level times the state, whichever is larger. Coexistence
+not enter it; its evaluated residual is below steady_tol or below the
+environment's neutral_level times the state, whichever is larger. Coexistence
 states (solve_coexistence) are solved by Newton steps too, by
 pseudo-transient continuation from given initial data, each residual
 evaluated in full, on one interleaved state
@@ -48,7 +48,6 @@ from .operators import apply as apply_operator
 # not called here; bench/tracer.py wraps it under this module's name
 from .operators import build_operator  # noqa: F401
 from .profiles import EnvironmentProfile
-from .spectral import neutral_level
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,8 @@ class SimulationConfig:
     does. steady_tol is the march's settling threshold on the max-norm time
     derivative, and the max-norm stationary residual that solve_semitrivial
     and solve_coexistence must get below, unless the stationary problem's
-    rounding level (spectral.neutral_level) times the state exceeds it.
+    rounding level (EnvironmentProfile.neutral_level) times the state
+    exceeds it.
     """
 
     dt: float = 0.05
@@ -219,7 +219,7 @@ def solve_semitrivial(
     n = 800) evaluates 3 of its 6 iterates.
 
     Returns the first iterate whose stationary residual, evaluated in max
-    norm, is below cfg.steady_tol or below neutral_level(env) * max|w|
+    norm, is below cfg.steady_tol or below env.neutral_level * max|w|
     (env the branch's environment), whichever is larger; where the
     evaluation rejects an iterate the prediction accepted, Newton goes on
     from the evaluated residual. That limit grows as (n/L)^2
@@ -251,7 +251,7 @@ def solve_semitrivial(
     crowd2 = 2.0 * crowd
     neg_crowd = -crowd
     shift = rr + op.diag
-    rounding = neutral_level(env)
+    rounding = env.neutral_level
 
     def evaluated(w):
         residual = apply_operator(op, w) + w * (rr - crowd * w)
@@ -347,13 +347,14 @@ def solve_coexistence(
     order.
 
     Stops like solve_semitrivial: max|F| below cfg.steady_tol or below
-    the larger neutral_level of the two species times max(u, v). cfg.dt
-    and cfg.t_final do not enter. Raises ConvergenceError when a fixed cap
-    of steps does not get there, UnstableStepError at a non-finite
-    residual, and NumericalError when the state reached is not positive in
-    both species, or when either species' maximum is below ROUNDING_FLOOR *
-    eps * max K, a collapsed state the absolute stop test cannot tell from
-    a stationary one.
+    the larger of env.neutral_level and env.swapped().neutral_level, the
+    two species' rounding levels, times max(u, v). cfg.dt and cfg.t_final
+    do not enter. Raises ConvergenceError when a fixed cap of steps does
+    not get there, UnstableStepError at a non-finite residual, and
+    NumericalError when the state reached is not positive in both species,
+    or when either species' maximum is below ROUNDING_FLOOR * eps * max K,
+    a collapsed state the absolute stop test cannot tell from a stationary
+    one.
     """
     def interleaved(x_u, x_v):
         # the order u_0, v_0, u_1, v_1, ... of the state
@@ -370,7 +371,7 @@ def solve_coexistence(
     grow = interleaved(env.r * (1.0 - rates.alpha), env.r * (1.0 - rates.beta)).reshape(-1, 2)
     susc = env.r / env.K
     susc_w = np.repeat(susc, 2)
-    rounding = max(neutral_level(env), neutral_level(env.swapped()))
+    rounding = max(env.neutral_level, env.swapped().neutral_level)
 
     # gbsv's band of (I/tau - J), kept for the solve: row 4 - k holds
     # diagonal k, so rows 2 and 6 the dispersal bands at +-2, rows 3 and 5

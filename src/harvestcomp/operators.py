@@ -196,8 +196,9 @@ def shifted_solver(op: DiffusionOperator, s: float) -> Callable[[Field], Field]:
 #: Evaluating D w + f(w) in floating point leaves a residual of about
 #: eps * (D.gershgorin + max r) * max|w| that no iterate gets below (Newton
 #: stalls at up to 1.04 times its D part on the bundled configs, n up to
-#: 25600, L down to 0.25). spectral.neutral_level, the stationary problem's
-#: one rounding level, and annihilates allow this many times that bound.
+#: 25600, L down to 0.25). EnvironmentProfile.neutral_level, the stationary
+#: problem's one rounding level, and annihilates allow this many times that
+#: bound.
 ROUNDING_FLOOR = 4.0
 
 

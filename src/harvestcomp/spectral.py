@@ -43,8 +43,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError
 from .grid import Field, as_field
-from .operators import ROUNDING_FLOOR, DiffusionOperator, _ptsv, amax, amin
-from .profiles import EnvironmentProfile
+from .operators import DiffusionOperator, _ptsv, amax, amin
 
 # Noda takes 0-6 steps on the bundled configs and 0-7 with a = b down to
 # 1e-4, at n = 200 to 3200.
@@ -167,18 +166,6 @@ def rate_slope(res: EigenResult, r: Field) -> float:
     not formed; a phi^2-weighted mean of -r, it lies in [-max r, -min r]."""
     phi = res._phi
     return -float(r @ (phi * phi)) / res._norm2
-
-
-def neutral_level(env: EnvironmentProfile) -> float:
-    """ROUNDING_FLOOR * eps * (D.gershgorin + max r), D = env.dispersal: the
-    rounding level of u's stationary problem per unit of state (pass
-    env.swapped() for v's). A sigma within it of 0 is neutral; the
-    stationary solves stop at it times max|w| (dynamics). On the bundled
-    configs at n = 200, 240 and 800 and rates in [0, 0.95], zero sigmas sit
-    within 0.011 times eps * (D.gershgorin + max r) and every other |sigma|
-    beyond 1.75e6 times it. principal_eigen's bracket stop, eps *
-    gershgorin(H), is about a quarter of the level."""
-    return ROUNDING_FLOOR * sys.float_info.epsilon * (env.dispersal.gershgorin + amax(env.r))
 
 
 def sign(sigma: float, level: float) -> int:

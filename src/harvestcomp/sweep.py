@@ -106,10 +106,11 @@ def simulate_cell(
     u0: Field | None = None,
     v0: Field | None = None,
 ) -> OutcomeRecord:
-    """The record sweep_grid gives the single cell (alpha, beta). Initial
-    data that check_initial_data rejects raise its ConfigurationError, as in
-    sweep_grid; a cell sweep_grid does not decide, or whose solve fails,
-    raises the CellFailure's error with its message."""
+    """The record sweep_grid gives the single cell (alpha, beta). A rate
+    HarvestRates rejects, or initial data that check_initial_data rejects,
+    raise their ConfigurationError, as in sweep_grid; a cell sweep_grid does
+    not decide, or whose solve fails, raises the CellFailure's error with
+    its message."""
     (record,) = sweep_grid([alpha], [beta], env, cfg, u0=u0, v0=v0).records[0]
     if isinstance(record, CellFailure):
         raise record.error(record.message)
@@ -204,10 +205,11 @@ def sweep_grid(
     """Full (alpha, beta) outcome matrix; rows indexed by beta.
 
     Each cell's outcome is what analysis.classify gives the signs of sigma_u
-    and sigma_v (see the module docstring), with a sigma within
-    spectral.neutral_level of 0 neutral. A cell it does not decide (neutral
-    or bistable) is a CellFailure whose message names both sigmas. So is a
-    cell whose solve fails.
+    and sigma_v (see the module docstring), with a sigma within its
+    species' rounding level of 0 neutral: env.neutral_level for u and
+    env.swapped().neutral_level for v, each climb's level. A cell it does
+    not decide (neutral or bistable) is a CellFailure whose message names
+    both sigmas. So is a cell whose solve fails.
 
     The signs come from one Newton climb per beta row on sigma_u(alpha) and
     one per alpha column on sigma_v(beta), the latter on env.swapped() with
@@ -232,33 +234,39 @@ def sweep_grid(
     is computed alone. Each semi-trivial state is solved at most once per
     sweep; a solve that fails fails every cell needing it with its message.
     What a sweep shares is computed once: each line's nodes (its rates in
-    [0, 1), in increasing order), min r, which every climb and certificate
-    reads, and HarvestRates' check of each column's and each row's rate. A
-    rate that check rejects (negative or not finite) fails every cell of its
-    column or row with HarvestRates' message, alpha's when both are bad; a
-    cell builds its own HarvestRates only for a coexistence solve.
+    [0, 1), in increasing order) and min r, which every climb and
+    certificate reads; a cell builds its own HarvestRates only for a
+    coexistence solve.
 
     (u0, v0), each DEFAULT_INITIAL_DENSITY when not given, are where
-    coexistence states are sought from. Initial data that check_initial_data
-    rejects (negative, or over dt not finite) raise its ConfigurationError
-    before any cell is solved, even where no cell needs them. cfg.dt enters
-    only that check, and cfg.t_final not at all. jobs is accepted for call
-    compatibility and unused: the sweep runs in this process.
+    coexistence states are sought from. Before any cell is solved, initial
+    data that check_initial_data rejects (negative, or over dt not finite)
+    raise its ConfigurationError, even where no cell needs them; then each
+    alpha and each beta goes through HarvestRates' check, once, and the
+    first rate it rejects (negative or not finite), alphas before betas,
+    raises its ConfigurationError. A rate >= 1 is valid: its species is
+    over-exploited. cfg.dt enters only the check of the initial data, and
+    cfg.t_final not at all. jobs is accepted for call compatibility and
+    unused: the sweep runs in this process.
     """
     alphas = np.asarray(alpha_grid, dtype=float)
     betas = np.asarray(beta_grid, dtype=float)
     default = np.full(env.grid.n_cells, DEFAULT_INITIAL_DENSITY)
     u0, v0 = check_initial_data(default if u0 is None else u0, default if v0 is None else v0,
                                 env, cfg.dt)
+    columns = alphas.tolist()
+    for alpha in columns:
+        HarvestRates(alpha=alpha, beta=0.0)
+    for beta in betas.tolist():
+        HarvestRates(alpha=0.0, beta=beta)
 
     def nodes(line) -> list:
         # the line's rates in [0, 1), in increasing order
         return sorted({x for x in line.tolist() if 0 <= x < 1})
 
-    # per invader: its environment, the resident's branch, its neutral level
-    # and the nodes of its own line; v invading is u invading env.swapped()
-    sides = {"u": (env, "v", spectral.neutral_level(env), nodes(alphas)),
-             "v": (env.swapped(), "u", spectral.neutral_level(env.swapped()), nodes(betas))}
+    # per invader: its environment, the resident's branch and the nodes of
+    # its own line; v invading is u invading env.swapped()
+    sides = {"u": (env, "v", nodes(alphas)), "v": (env.swapped(), "u", nodes(betas))}
     r_min = float(env.r.min())
 
     @functools.cache
@@ -284,7 +292,7 @@ def sweep_grid(
     @functools.cache
     def eigen(invader: str, other: float, own: float) -> spectral.EigenResult:
         # the invader at its own rate, the resident alone at the other rate
-        invader_env, resident, _, _ = sides[invader]
+        invader_env, resident, _ = sides[invader]
         return invasion_eigen(invader_env, HarvestRates(alpha=own, beta=other),
                               semitrivial(resident, other))
 
@@ -292,7 +300,8 @@ def sweep_grid(
     def signs(invader: str, other: float) -> dict:
         # certified sign (or None) at each of the invader's rates in [0, 1),
         # none where the climb fails
-        invader_env, _, level, line = sides[invader]
+        invader_env, _, line = sides[invader]
+        level = invader_env.neutral_level
         try:
             points, _ = _newton_climb(functools.partial(eigen, invader, other), invader_env,
                                       line[0], line[-1], level, r_min)
@@ -310,8 +319,7 @@ def sweep_grid(
             outcome = outcome_of_signs(sign_u, sign_v, env, u_alpha, v_beta)
             if outcome is None:
                 outcome = classify(eigen("u", beta, alpha).sigma1,
-                                   eigen("v", alpha, beta).sigma1,
-                                   sides["u"][2], sides["v"][2], env, u_alpha, v_beta)
+                                   eigen("v", alpha, beta).sigma1, env, u_alpha, v_beta)
         if outcome is Outcome.COEXISTENCE:
             rates = HarvestRates(alpha=alpha, beta=beta)
             return outcome_record(outcome, *solve_coexistence(u0, v0, env, rates, cfg), env, rates)
@@ -319,25 +327,11 @@ def sweep_grid(
         avg_v, yield_v = alone("v", beta) if outcome is Outcome.ONLY_V else (0.0, 0.0)
         return OutcomeRecord(outcome, avg_u, avg_v, yield_u, yield_v, alpha, beta)
 
-    def rejected(name: str, rate: float) -> ConfigurationError | None:
-        # the error HarvestRates raises for this rate, which fails every cell
-        # of its column or row; checked once per column and per row
-        try:
-            HarvestRates(**{"alpha": 0.0, "beta": 0.0, name: rate})
-        except ConfigurationError as exc:
-            return exc
-        return None
-
-    columns = [(alpha, rejected("alpha", alpha)) for alpha in alphas.tolist()]
     records = []
     for beta in betas.tolist():
-        row_error = rejected("beta", beta)
         row = []
-        for alpha, column_error in columns:
-            error = column_error or row_error
+        for alpha in columns:
             try:
-                if error is not None:
-                    raise error
                 row.append(cell(alpha, beta))
             except HarvestCompError as exc:
                 row.append(CellFailure(alpha, beta, str(exc), type(exc)))
@@ -368,7 +362,7 @@ def find_switch(
     its tangents, so Newton's method started at beta + tol, where
     sigma1 >= 0, climbs to the root without overshooting it: no bracket or
     line search is needed. It is sweep_grid's climb on one row: it stops
-    once sigma1 is within spectral.neutral_level of 0 (or below 0), or once
+    once sigma1 is within env.neutral_level of 0 (or below 0), or once
     the last point's tangent and the slope bound -min r put sigma1 at its
     Newton iterate within that level of 0, and returns the last point's
     Newton iterate. On the bundled configs, where r is constant and sigma1
@@ -388,12 +382,11 @@ def find_switch(
     if lo >= hi:
         return None
     v_beta = solve_semitrivial("v", env, beta, cfg)
-    level = spectral.neutral_level(env)
 
     def eigen(alpha: float) -> spectral.EigenResult:
         return invasion_eigen(env, HarvestRates(alpha=alpha, beta=beta), v_beta)
 
-    points, root = _newton_climb(eigen, env, lo, hi, level, float(env.r.min()))
+    points, root = _newton_climb(eigen, env, lo, hi, env.neutral_level, float(env.r.min()))
     sigma_lo = points[0][1]
     if sigma_lo < 0 or root >= hi:
         return None

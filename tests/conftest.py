@@ -25,7 +25,7 @@ from harvestcomp import (
     UnstableStepError,
     average,
 )
-from harvestcomp import dynamics, operators, spectral, sweep
+from harvestcomp import dynamics, operators, sweep
 from harvestcomp.analysis import classify, outcome_record
 from harvestcomp.config import (
     apply_overrides,
@@ -219,7 +219,7 @@ def semitrivial_by_newton(which, env, rate, cfg: SimulationConfig):
     op = env.dispersal
     rr = (1.0 - rate) * env.r
     K_scale = (1.0 - rate) * env.K
-    rounding = spectral.neutral_level(env)
+    rounding = env.neutral_level
     bands = np.zeros((3, env.grid.n_cells))
     bands[0, 1:] = -op.sup[:-1]
     bands[2, :-1] = -op.sub[1:]
@@ -248,7 +248,7 @@ def semitrivial_by_evaluated_newton(which, env, rate, cfg: SimulationConfig):
     crowd = rr / K_scale
     crowd2 = 2.0 * crowd
     shift = rr + op.diag
-    rounding = spectral.neutral_level(env)
+    rounding = env.neutral_level
     w = K_scale
     for steps in range(dynamics._NEWTON_CAP + 1):
         residual = operators.apply(op, w) + w * (rr - crowd * w)
@@ -275,7 +275,7 @@ def coexistence_by_species(u0, v0, env, rates: HarvestRates, cfg: SimulationConf
     grow_u = env.r * (1.0 - rates.alpha)
     grow_v = env.r * (1.0 - rates.beta)
     susc = env.r / env.K
-    rounding = max(spectral.neutral_level(env), spectral.neutral_level(env.swapped()))
+    rounding = max(env.neutral_level, env.swapped().neutral_level)
     m = 2 * len(u)
     bands = np.zeros((5, m))
     bands[0, 2::2], bands[0, 3::2] = -op_u.sup[:-1], -op_v.sup[:-1]
@@ -347,7 +347,6 @@ def per_cell_sweep(alphas, betas, env, cfg: SimulationConfig, u0=None, v0=None) 
     u0, v0 = check_initial_data(default if u0 is None else u0, default if v0 is None else v0,
                                 env, cfg.dt)
     swapped = env.swapped()
-    level_u, level_v = spectral.neutral_level(env), spectral.neutral_level(swapped)
     absent = np.zeros(env.grid.n_cells)
 
     semitrivial = functools.cache(lambda which, rate: solve_semitrivial(which, env, rate, cfg))
@@ -365,7 +364,7 @@ def per_cell_sweep(alphas, betas, env, cfg: SimulationConfig, u0=None, v0=None) 
         sigma_u = sweep.invasion_eigen(env, rates, v_beta).sigma1
         sigma_v = sweep.invasion_eigen(swapped, HarvestRates(alpha=beta, beta=alpha),
                                        u_alpha).sigma1
-        outcome = classify(sigma_u, sigma_v, level_u, level_v, env, u_alpha, v_beta)
+        outcome = classify(sigma_u, sigma_v, env, u_alpha, v_beta)
         if outcome is Outcome.COEXISTENCE:
             return outcome_record(outcome, *solve_coexistence(u0, v0, env, rates, cfg), env,
                                   rates)

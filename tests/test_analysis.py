@@ -25,7 +25,7 @@ from harvestcomp.config import build_environment, parse_config_text, simulation_
 from harvestcomp.grid import SpatialGrid
 from harvestcomp.operators import annihilates
 from harvestcomp.profiles import EnvironmentProfile
-from harvestcomp.spectral import neutral_level, principal_eigen
+from harvestcomp.spectral import principal_eigen
 
 from conftest import bundled_config, environments, ideal_free_environments, load_example
 
@@ -198,7 +198,7 @@ def test_effective_alpha_star_leaves_the_invasion_eigenvalue_nonnegative(env, be
         rep = alpha_star(beta, e, sim)
         potential = e.r * (1.0 - rep.effective_alpha_star - rep.v_beta_star / e.K)
         sigma = principal_eigen(e.dispersal, potential, e.P).sigma1
-        assert sigma >= -neutral_level(e), (sigma, rep)
+        assert sigma >= -e.neutral_level, (sigma, rep)
 
 
 # ---------------------------------------------------------------- classify
@@ -210,7 +210,8 @@ def test_classify_truth_table(monkeypatch):
     _, grid, env, _ = load_example("example3", n_cells=32)
     op_u, op_v = env.dispersal, env.swapped().dispersal
     free_u, free_v = 2.0 * env.P, 3.0 * env.Q
-    level = 1e-12
+    # each sigma is read against its species' own rounding level
+    level_u, level_v = env.neutral_level, env.swapped().neutral_level
     calls = []
 
     def counting(op, w):
@@ -223,8 +224,8 @@ def test_classify_truth_table(monkeypatch):
         (0.3, 0.2, env.K, env.K, Outcome.COEXISTENCE, 0),
         (0.3, -0.2, env.K, env.K, Outcome.ONLY_U, 0),
         (-0.3, 0.2, env.K, env.K, Outcome.ONLY_V, 0),
-        (0.3, 5e-13, free_u, env.K, Outcome.ONLY_U, 1),
-        (-5e-13, 0.2, env.K, free_v, Outcome.ONLY_V, 1),
+        (0.3, 0.5 * level_v, free_u, env.K, Outcome.ONLY_U, 1),
+        (-0.5 * level_u, 0.2, env.K, free_v, Outcome.ONLY_V, 1),
         (0.3, 0.0, env.K, free_v, "neutral", 1),
         (0.0, 0.2, free_u, env.K, "neutral", 1),
         (0.0, -0.0, free_u, free_v, "neutral", 0),
@@ -232,7 +233,7 @@ def test_classify_truth_table(monkeypatch):
     ]
     for sigma_u, sigma_v, u_alpha, v_beta, expected, tests in cases:
         calls.clear()
-        args = (sigma_u, sigma_v, level, level, env, u_alpha, v_beta)
+        args = (sigma_u, sigma_v, env, u_alpha, v_beta)
         if isinstance(expected, Outcome):
             assert classify(*args) is expected, (sigma_u, sigma_v)
         else:
@@ -241,6 +242,7 @@ def test_classify_truth_table(monkeypatch):
             message = str(failure.value)
             assert message.startswith(f"{expected} cell, not decided by the invasion criterion")
             assert f"sigma_u = {sigma_u:.3e}" in message and f"sigma_v = {sigma_v:.3e}" in message
+            assert message.endswith(f"(neutral within {level_u:.1e} and {level_v:.1e})")
         assert len(calls) == tests, (sigma_u, sigma_v)
         assert all(op is (op_u if sigma_u > 0 else op_v) for op in calls)
 

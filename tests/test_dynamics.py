@@ -27,7 +27,6 @@ from harvestcomp import dynamics
 from harvestcomp.operators import apply as op_apply
 from harvestcomp.operators import build_operator, shifted_solver
 
-from harvestcomp.spectral import neutral_level
 
 from conftest import (
     coexistence_by_species,
@@ -512,7 +511,7 @@ def test_each_predicted_residual_agrees_with_the_evaluated_one_on_random_environ
     rr = (1.0 - rate) * branch.r
     K_scale = (1.0 - rate) * branch.K
     crowd = rr / K_scale
-    level = neutral_level(branch)
+    level = branch.neutral_level
 
     def evaluated(x):
         return op_apply(op, x) + x * (rr - crowd * x)

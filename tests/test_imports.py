@@ -120,6 +120,16 @@ def test_modules_import_down_the_layers_and_use_every_import():
     assert unused == set(UNUSED_IMPORTS), sorted(unused ^ set(UNUSED_IMPORTS))
 
 
+def test_the_rounding_level_is_read_from_the_environment():
+    # EnvironmentProfile.neutral_level is the stationary problem's rounding
+    # level: the eigensolver needs no environment, and the steady solves
+    # read the level from the one they hold, not from spectral
+    for module, forbidden in (("spectral", "profiles"), ("dynamics", "spectral")):
+        tree = ast.parse((SRC / "harvestcomp" / f"{module}.py").read_text(encoding="utf-8"))
+        lines = [line for _, imported, line in _imports(tree) if imported == forbidden]
+        assert not lines, f"{module}.py imports {forbidden} on lines {lines}"
+
+
 def test_only_the_environment_builds_dispersal_operators():
     # each species' operator is EnvironmentProfile.dispersal (v's on the
     # swapped environment), built once per environment; no other module
@@ -135,12 +145,13 @@ def test_only_the_environment_builds_dispersal_operators():
     assert callers == {"profiles"}
 
 
-# the solver functions whose every extremum is operators.amax/amin: their
-# loops take several per step, and a ufunc.reduce (x.max(), np.max, ...)
-# costs more to set up than to scan a grid's few hundred cells
+# the solver functions and methods whose every extremum is operators.amax or
+# amin: their loops take several per step, and a ufunc.reduce (x.max(),
+# np.max, ...) costs more to set up than to scan a grid's few hundred cells
 EXTREMA_BY_ARGMAX = {
     "operators": {"annihilates"},
-    "spectral": {"principal_eigen", "neutral_level"},
+    "profiles": {"neutral_level"},
+    "spectral": {"principal_eigen"},
     "dynamics": {"run_to_time", "solve_semitrivial", "solve_coexistence"},
 }
 
@@ -149,7 +160,10 @@ def test_solver_loops_take_no_extremum_by_ufunc_reduce():
     found = set()
     for module, names in EXTREMA_BY_ARGMAX.items():
         tree = ast.parse((SRC / "harvestcomp" / f"{module}.py").read_text(encoding="utf-8"))
-        for func in tree.body:
+        # module functions, and methods of the module's classes
+        body = tree.body + [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+                            for node in cls.body]
+        for func in body:
             if not (isinstance(func, ast.FunctionDef) and func.name in names):
                 continue
             found.add((module, func.name))

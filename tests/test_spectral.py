@@ -19,7 +19,7 @@ from harvestcomp import (
 from harvestcomp import spectral
 from harvestcomp.analysis import invasion_potential
 from harvestcomp.operators import build_operator
-from harvestcomp.spectral import _NODA_CAP, neutral_level
+from harvestcomp.spectral import _NODA_CAP
 
 from conftest import (
     environments,
@@ -297,7 +297,7 @@ def test_matches_lapack_bisection_on_bundled_configs(diffusion):
         for invader, resident in (("u", "v"), ("v", "u")):
             inv_env = env if invader == "u" else env.swapped()
             op = build_operator(inv_env.a, inv_env.P, grid)
-            level = neutral_level(inv_env)
+            level = inv_env.neutral_level
             for resident_rate in rates:
                 w = solve_semitrivial(resident, env, resident_rate, sim)
                 for invader_rate in rates:

@@ -339,31 +339,47 @@ def test_a_failed_cell_keeps_the_class_of_its_error(example1_small, monkeypatch,
     assert capsys.readouterr().err == f"numerical failure: {failure.message}\n"
 
 
-def test_a_rejected_rate_fails_every_cell_it_is_in_with_the_harvest_rate_message(example1_small):
-    # HarvestRates rejects a negative or non-finite rate: each cell in its
-    # column or row fails with HarvestRates' message (alpha's when both are
-    # bad), whatever the other rate would make of the cell; the one cell of
-    # two valid rates keeps its record
+@pytest.mark.parametrize(
+    "alphas, betas, name, rate",
+    [
+        ([-0.1, 0.2, math.nan, math.inf], [0.1, math.inf], "alpha", -0.1),
+        ([0.2, math.nan, -0.1], [-1.0], "alpha", math.nan),
+        ([0.2, 1.5], [0.1, math.inf, -1.0], "beta", math.inf),
+        ([0.2], [-0.3, math.nan], "beta", -0.3),
+    ],
+    ids=["negative_alpha", "nan_alpha", "infinite_beta", "negative_beta"],
+)
+def test_sweep_grid_raises_the_first_rejected_rate_before_any_solve(
+    example1_small, monkeypatch, alphas, betas, name, rate
+):
+    # HarvestRates rejects a negative or non-finite rate: sweep_grid checks
+    # every alpha, then every beta, and raises HarvestRates' message for the
+    # first it rejects before solving anything; a rate >= 1 is valid
     grid, env, sim = example1_small
-    alphas, betas = [-0.1, 0.2, math.nan, math.inf], [0.1, math.inf]
-    sg = sweep_grid(alphas, betas, env, sim)
-    bad_alpha = {-0.1: "-0.1", math.inf: "inf"}
+    real = sweep.solve_semitrivial
+    calls = []
 
-    def message(name, rate):
-        return f"harvest rate {name} must be finite and >= 0, got {rate}"
+    def counting(which, env, rate, cfg):
+        calls.append((which, rate))
+        return real(which, env, rate, cfg)
 
-    for beta, row in zip(betas, sg.records):
-        for alpha, cell in zip(alphas, row):
-            if (alpha, beta) == (0.2, 0.1):
-                assert cell == sweep_grid([0.2], [0.1], env, sim).records[0][0]
-                continue
-            assert isinstance(cell, CellFailure)
-            assert cell.error is ConfigurationError
-            assert (cell.alpha, cell.beta) == (alpha, beta) or math.isnan(cell.alpha)
-            if alpha != 0.2:
-                assert cell.message == message("alpha", bad_alpha.get(alpha, "nan"))
-            else:
-                assert cell.message == message("beta", "inf")
+    monkeypatch.setattr(sweep, "solve_semitrivial", counting)
+    with pytest.raises(ConfigurationError) as rejected:
+        sweep_grid(alphas, betas, env, sim)
+    assert str(rejected.value) == f"harvest rate {name} must be finite and >= 0, got {rate}"
+    assert calls == []
+
+
+def test_simulate_cell_raises_the_harvest_rate_message_of_a_rejected_rate(example1_small):
+    # alpha's message when both rates are bad; initial data are checked first
+    grid, env, sim = example1_small
+    for alpha, beta, name, rate in [(-0.1, 0.1, "alpha", -0.1), (0.2, math.inf, "beta", math.inf),
+                                    (math.nan, -1.0, "alpha", math.nan)]:
+        with pytest.raises(ConfigurationError) as rejected:
+            simulate_cell(alpha, beta, env, sim)
+        assert str(rejected.value) == f"harvest rate {name} must be finite and >= 0, got {rate}"
+    with pytest.raises(ConfigurationError, match="initial condition u0 must be nonnegative"):
+        simulate_cell(-0.1, 0.1, env, sim, u0=np.full(grid.n_cells, -1.0))
 
 
 def test_a_failing_semitrivial_solve_runs_once_per_sweep(example1_small, monkeypatch):
@@ -654,7 +670,7 @@ def _climb_of_row(env, beta: float, start: float):
     sigma_u at that iterate when the climb stopped by its bounds without
     evaluating it (None when another rule stopped it)."""
     v_beta = solve_semitrivial("v", env, beta, SimulationConfig())
-    level = spectral.neutral_level(env)
+    level = env.neutral_level
 
     def eigen(alpha):
         return sweep.invasion_eigen(env, HarvestRates(alpha=alpha, beta=beta), v_beta)
@@ -747,7 +763,7 @@ def _certified_neutral_sigmas(env, rates) -> list:
     nodes = sorted({float(x) for x in rates if 0 <= x < 1})
     found = []
     for invader_env, resident in ((env, "v"), (env.swapped(), "u")):
-        level = spectral.neutral_level(invader_env)
+        level = invader_env.neutral_level
         for other in nodes:
             w = solve_semitrivial(resident, env, other, sim)
 
@@ -768,6 +784,19 @@ def test_a_node_certified_neutral_has_a_neutral_sigma_on_bundled_configs(name, d
     # the diagonal: the 40 nodes alpha = beta below 1 are certified there
     found = _certified_neutral_sigmas(_bundled(name, diffusion), np.linspace(0.0, 1.0, 41))
     assert len(found) == (40 if name in ("example1", "example2", "example4b") else 0)
+    for sigma, level in found:
+        assert abs(sigma) <= level, (sigma, level)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(env=ideal_free_environments())
+def test_a_node_certified_neutral_has_a_neutral_sigma_on_ideal_free_environments(env):
+    # one species disperses ideally, so the other's sigma vanishes on the
+    # diagonal alpha = beta; where r varies, the climbs reach those nodes by
+    # Newton steps, and the certificate rests on their tangents. The climb
+    # on the line through (0, 0) starts there, so that node is certified
+    found = _certified_neutral_sigmas(env, np.linspace(0.0, 1.0, 21))
+    assert found
     for sigma, level in found:
         assert abs(sigma) <= level, (sigma, level)
 

@@ -1,0 +1,45 @@
+import runpy
+from pathlib import Path
+
+import numpy as np
+
+from harvestcomp import dynamics, operators, spectral, sweep
+from harvestcomp.config import initial_fields
+from harvestcomp.sweep import sweep_grid
+
+from conftest import bundled_config, load_example
+
+MAP_BENCH = Path(__file__).resolve().parent.parent / "tools" / "map_bench.py"
+
+
+def test_map_bench_measures_the_map_sweep_grid_gives():
+    # run without writing bytecode next to the tool
+    tool = runpy.run_path(str(MAP_BENCH))
+    summary, records = tool["measure"](bundled_config("example4"), n_cells=50, points=5,
+                                       repeats=3)
+    assert set(summary) == {"n_cells", "points", "repeats", "wall_s", "calls", "digest"}
+    assert (summary["n_cells"], summary["points"], summary["repeats"]) == (50, 5, 3)
+    wall = summary["wall_s"]
+    assert set(wall) == {"median", "q1", "q3"}
+    assert 0 < wall["q1"] <= wall["median"] <= wall["q3"]
+    calls = summary["calls"]
+    assert set(calls) == {"solve_coexistence", "solve_semitrivial", "principal_eigen", "gbsv",
+                          "ptsv"}
+    # r is constant: one semi-trivial state and one eigenpair per line with
+    # its rate below 1, and each step of a solve is one LAPACK call
+    assert calls["solve_semitrivial"]["count"] == calls["principal_eigen"]["count"] == 8
+    assert calls["gbsv"]["count"] >= calls["solve_coexistence"]["count"] > 0
+    assert calls["ptsv"]["count"] > 0
+    assert all(entry["seconds"] > 0 for name, entry in calls.items()
+               if name not in ("gbsv", "ptsv"))
+    # the wrappers are gone
+    assert sweep.solve_semitrivial is dynamics.solve_semitrivial
+    assert dynamics._ptsv is spectral._ptsv is operators._ptsv
+    assert dynamics._gbsv is operators._gbsv
+
+    cfg, grid, env, sim = load_example("example4", n_cells=50)
+    rates = np.linspace(0.0, 1.0, 5)
+    u0, v0 = initial_fields(cfg, grid)
+    expected = sweep_grid(rates, rates, env, sim, u0=u0, v0=v0).records
+    assert records == expected
+    assert summary["digest"] == tool["digest"](expected)
