@@ -109,12 +109,13 @@ class BoundsReport:
 
     alpha_star is the paper's 1 - integral(r * v_beta) / integral(r * K), a
     bound only where P is proportional to K. alpha_star_ifp is alpha_P; None
-    where P is proportional to K, where it equals alpha_star."""
+    where P is proportional to K, where it equals alpha_star. Reports compare
+    and hash by (beta, alpha_star, alpha_star_ifp), not by v_beta_star."""
 
     beta: float
     alpha_star: float
     alpha_star_ifp: float | None
-    v_beta_star: Field = field(repr=False)
+    v_beta_star: Field = field(repr=False, compare=False)
 
     @property
     def effective_alpha_star(self) -> float:

@@ -65,7 +65,7 @@ class HarvestRates:
                 raise ConfigurationError(f"harvest rate {name} must be finite and >= 0, got {v}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PopulationState:
     """Density fields of both species at one time instant.
 

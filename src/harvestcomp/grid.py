@@ -21,13 +21,14 @@ Field = np.ndarray
 class SpatialGrid:
     """Uniform partition of (0, length) into n_cells cells.
 
-    centers[i] = (i + 0.5) * h with h = length / n_cells.
+    centers[i] = (i + 0.5) * h with h = length / n_cells. Grids compare and
+    hash by (length, n_cells, h); centers follows from them.
     """
 
     length: float
     n_cells: int
     h: float = field(init=False)
-    centers: np.ndarray = field(init=False, repr=False)
+    centers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.length) and self.length > 0):

@@ -97,7 +97,7 @@ class EigenInvariants(NamedTuple):
     kernel_ratio: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiffusionOperator:
     """Tridiagonal dispersal operator, stored as bands.
 

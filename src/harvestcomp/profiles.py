@@ -149,7 +149,7 @@ def sample(e: ast.expr, grid: SpatialGrid) -> Field:
     return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnvironmentProfile:
     """Sampled environment: carrying capacity K, growth rate r, dispersal
     targets P and Q, and diffusivities a and b, all on one grid.
@@ -157,7 +157,8 @@ class EnvironmentProfile:
     The profile is immutable, so what is derived from it alone is made on
     first use and kept: u's dispersal operator (dispersal), u's rounding
     level (neutral_level) and the swapped environment, whose dispersal and
-    neutral_level are v's."""
+    neutral_level are v's. A profile is identified by its arrays, so it
+    compares and hashes by identity."""
 
     grid: SpatialGrid
     K: Field

@@ -95,9 +95,10 @@ def principal_eigen(op: DiffusionOperator, potential: Field, R: Field) -> EigenR
     the symmetrized H and stops once its Collatz-Wielandt bracket
     [lo, hi] is narrower than eps * gershgorin(H), or once hi*I - H no
     longer factors as positive definite, which proves sigma1 >= hi - that
-    width. sigma1 is the Rayleigh quotient of the last phi, a weighted mean
-    of its ratios and so inside the bracket, which is returned as lo and
-    hi; on the second exit it is raised to hi - that width if it is below.
+    width. sigma1 is the Rayleigh quotient of the last phi; the bracket is
+    returned as lo and hi, and holds sigma1 only up to that width
+    eps * gershgorin(H) (EigenResult); on the second exit sigma1 is raised
+    to hi - that width if it is below.
     Raises ConvergenceError, naming the bracket, when a fixed cap of steps
     does not close it.
 

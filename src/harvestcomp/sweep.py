@@ -88,7 +88,7 @@ class SwitchPoint:
     bracket_width: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepGrid:
     alphas: np.ndarray
     betas: np.ndarray
@@ -370,9 +370,10 @@ def find_switch(
     two ends of the reported bracket, centred on the root, whose width is
     at most tol.
 
-    Returns None when sigma1 has one sign across the search interval (no
-    switch to report): when sigma1 < 0 at beta + tol, or when an iterate
-    reaches 1 - tol. Positive initial data do not enter the invasion
+    Returns None when there is no switch to report inside the search
+    interval: when the interval is empty (beta + tol >= 1 - tol, whatever
+    alpha** is), when sigma1 < 0 at beta + tol, or when an iterate reaches
+    1 - tol. Positive initial data do not enter the invasion
     criterion: u0 and v0 are accepted for call compatibility and unused.
     """
     if not (math.isfinite(tol) and tol > 0):

@@ -176,6 +176,36 @@ def test_solver_loops_take_no_extremum_by_ufunc_reduce():
     assert found == {(m, f) for m, names in EXTREMA_BY_ARGMAX.items() for f in names}
 
 
+# the dataclasses with array fields; an array has no truth value and no hash,
+# so a generated == or hash that reads one raises
+ARRAY_ANNOTATIONS = {"Field", "np.ndarray"}
+HOLD_ARRAYS = {"SpatialGrid", "DiffusionOperator", "EnvironmentProfile", "EigenResult",
+               "PopulationState", "BoundsReport", "SweepGrid"}
+
+
+def test_no_generated_eq_or_hash_reads_an_array():
+    # a class identified by its arrays compares by identity (eq=False); a
+    # value record leaves its arrays out of == and hash (compare=False)
+    holders, offending = set(), set()
+    for path in (SRC / "harvestcomp").glob("*.py"):
+        module = importlib.import_module(f"harvestcomp.{path.stem}")
+        for cls in vars(module).values():
+            if not (dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__):
+                continue
+            params = cls.__dataclass_params__
+            hashed = params.unsafe_hash or (params.eq and params.frozen)
+            for f in dataclasses.fields(cls):
+                annotation = f.type if isinstance(f.type, str) else ""
+                if not ARRAY_ANNOTATIONS & set(annotation.replace("|", " ").split()):
+                    continue
+                holders.add(cls.__name__)
+                in_hash = f.compare if f.hash is None else f.hash
+                if (params.eq and f.compare) or (hashed and in_hash):
+                    offending.add(f"{cls.__name__}.{f.name}")
+    assert holders >= HOLD_ARRAYS, sorted(HOLD_ARRAYS - holders)
+    assert not offending, sorted(offending)
+
+
 def test_package_does_not_load_scipy_optimize():
     # scipy.optimize takes about 0.3 s to import; the package needs none of it
     assert _run(PROBE).strip() == "[]"

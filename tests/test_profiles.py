@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
-from harvestcomp import ConfigurationError, ExpressionError, SpatialGrid
+from harvestcomp import (
+    ConfigurationError,
+    ExpressionError,
+    PopulationState,
+    SpatialGrid,
+    alpha_star,
+    sweep_grid,
+)
 from harvestcomp.profiles import (
     EnvironmentProfile,
     environment_from_expressions,
@@ -249,3 +256,28 @@ def test_bundled_profiles_parse_and_validate(name):
     _, grid, env, _ = load_example(name, n_cells=64)
     assert validate_environment(env) is env
     assert grid.length == 4.0
+
+
+def test_habitats_compare_by_identity_and_records_by_value():
+    # an environment, its operators, a state and a sweep are identified by
+    # their arrays, so they compare and hash as objects; a grid and a bounds
+    # report compare by their scalars and ignore the arrays derived from them
+    _, grid1, env1, sim = load_example("example1", n_cells=20)
+    _, grid2, env2, _ = load_example("example1", n_cells=20)
+    assert env1 != env2 and env1 == env1
+    assert {env1: 1}[env1] == 1 and env2 not in {env1: 1}
+    assert env1.swapped().swapped() is env1 and env1.swapped() != env1
+    assert env1.dispersal != env2.dispersal and {env1.dispersal: 1}[env1.dispersal] == 1
+    state = PopulationState(u=env1.K, v=env1.K, t=0.0)
+    assert {state: 1}[state] == 1 and state != PopulationState(u=env1.K, v=env1.K, t=0.0)
+
+    assert grid1 is not grid2 and grid1 == grid2 and hash(grid1) == hash(grid2)
+    assert grid1 != SpatialGrid(length=grid1.length, n_cells=21)
+    report1, report2 = alpha_star(0.4, env1, sim), alpha_star(0.4, env2, sim)
+    assert report1.v_beta_star is not report2.v_beta_star
+    assert report1 == report2 and hash(report1) == hash(report2)
+
+    rates = np.linspace(0.0, 1.0, 3)
+    sweep1, sweep2 = sweep_grid(rates, rates, env1, sim), sweep_grid(rates, rates, env2, sim)
+    assert sweep1 != sweep2 and {sweep1: 1}[sweep1] == 1
+    assert sweep1.records == sweep2.records

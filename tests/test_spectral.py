@@ -12,6 +12,7 @@ from harvestcomp import (
     ConfigurationError,
     ConvergenceError,
     HarvestRates,
+    find_switch,
     integrate,
     principal_eigen,
     solve_semitrivial,
@@ -315,6 +316,24 @@ def test_matches_lapack_bisection_on_bundled_configs(diffusion):
                         # P = K makes u_alpha = (1 - alpha) K ideal free, so
                         # sigma_v is 0 at alpha = beta
                         assert abs(res.sigma1) <= level, where
+
+
+def test_sigma1_is_smooth_in_the_harvesting_rate_at_the_switch():
+    # r is constant on example1, so sigma1 is affine in alpha and what is
+    # left of it after the linear trend is rounding; find_switch's match to
+    # brentq within 1e-12 rests on that rounding staying small. The Rayleigh
+    # quotient phi . H phi leaves 1.6e-13. Taking the quotient from the bands,
+    # phi . (diag phi) + 2 off . (phi_i phi_i+1), leaves about 7e-12, and the
+    # phi^2-weighted mean of the last Collatz-Wielandt ratios about 7.1e-13
+    _, _, env, sim = load_example("example1", n_cells=800)
+    root = find_switch(0.0, env, sim).alpha_double_star
+    v_beta = solve_semitrivial("v", env, 0.0, sim)
+    offsets = 1e-9 * np.arange(-200, 201)
+    sigma1 = [principal_eigen(env.dispersal, invasion_potential(
+        "u", v_beta, env, HarvestRates(root + float(dx), 0.0)), env.P).sigma1
+        for dx in offsets]
+    trend = np.polyval(np.polyfit(offsets, sigma1, 1), offsets)
+    assert np.std(sigma1 - trend) <= 4e-13
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -1,4 +1,5 @@
 import runpy
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,9 @@ from harvestcomp.sweep import sweep_grid
 
 from conftest import bundled_config, load_example
 
-MAP_BENCH = Path(__file__).resolve().parent.parent / "tools" / "map_bench.py"
+ROOT = Path(__file__).resolve().parent.parent
+CLI_MATRIX = ROOT / "tools" / "cli_matrix.py"
+MAP_BENCH = ROOT / "tools" / "map_bench.py"
 
 
 def test_map_bench_measures_the_map_sweep_grid_gives():
@@ -43,3 +46,26 @@ def test_map_bench_measures_the_map_sweep_grid_gives():
     expected = sweep_grid(rates, rates, env, sim, u0=u0, v0=v0).records
     assert records == expected
     assert summary["digest"] == tool["digest"](expected)
+
+
+def test_cli_matrix_keeps_the_outputs_of_each_call(tmp_path):
+    tool = runpy.run_path(str(CLI_MATRIX))
+    tool["run"](ROOT, tmp_path / "help", ["--help"])
+    assert (tmp_path / "help" / "stdout").read_text().startswith("usage: harvestcomp")
+    assert (tmp_path / "help" / "stderr").read_bytes() == b""
+    assert (tmp_path / "help" / "exit_code").read_text() == "0\n"
+
+    # a call runs where its copy of the config is, and names it relatively
+    where = tmp_path / "example1" / "check"
+    where.mkdir(parents=True)
+    shutil.copy(bundled_config("example1"), where)
+    tool["run"](ROOT, where, ["check", "--config", "example1.cfg", "--set", "n_cells=200"])
+    out = (where / "stdout").read_text()
+    assert "v_average_below_capacity: holds" in out and str(tmp_path) not in out
+    assert (where / "stderr").read_bytes() == b""
+    assert (where / "exit_code").read_text() == "0\n"
+
+    # a tree without the program is refused before anything is written
+    out_dir = tmp_path / "out"
+    assert tool["main"]([str(tmp_path / "example1"), str(out_dir)]) == 2
+    assert not out_dir.exists()
