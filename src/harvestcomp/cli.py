@@ -256,7 +256,9 @@ def _cmd_switch(args) -> int:
     cfg, grid, env, sim = _setup(args)
     sp = find_switch(cfg.beta, env, sim, tol=args.tol)
     if sp is None:
-        print(f"beta={cfg.beta:g}: no switch inside (beta, 1)")
+        empty = f"the search interval [beta + tol, 1 - tol] is empty at tol={args.tol:g}"
+        why = empty if cfg.beta + args.tol >= 1.0 - args.tol else "no switch inside (beta, 1)"
+        print(f"beta={cfg.beta:g}: {why}")
         return EXIT_OK
     print(
         f"beta={cfg.beta:g} alpha_double_star={sp.alpha_double_star:.6g} "

@@ -10,22 +10,20 @@ tridiagonal solve with s = 1/dt), then an explicit multiplicative logistic
 update clamped at zero. The implicit half makes dispersal unconditionally
 stable; the clamp removes splitting-induced negative undershoot.
 
-Single-species stationary states (solve_semitrivial) are not marched:
-Newton's method solves the discrete stationary system D w + f(w) = 0
-directly, each step one LAPACK ptsv call on the symmetric positive definite
-form of the tridiagonal solve shifted by -f'(w) per cell. The logistic
-reaction is quadratic, so each step fixes the residual at its iterate,
--(r/K) dw^2 up to the solve's rounding: the steps run on that prediction,
-and D w + f(w) is evaluated in full at the start, for the step expected to
-be the last, and once to confirm the iterate returned. dt and t_final do
-not enter it; its evaluated residual is below steady_tol or below the
-environment's neutral_level times the state, whichever is larger. Coexistence
-states (solve_coexistence) are solved by Newton steps too, by
-pseudo-transient continuation from given initial data, each residual
-evaluated in full, on one interleaved state
-(u_0, v_0, u_1, v_1, ...): each residual is one banded product, and each
+Stationary states are not marched but solved by Newton steps, which dt and
+t_final do not enter. A single-species state (solve_semitrivial) takes one
+LAPACK ptsv call per step on the symmetric positive definite form of the
+tridiagonal solve shifted by -f'(w) per cell. The steps run on the residual
+the quadratic reaction predicts, -(r/K) dw^2, evaluating D w + f(w) in full
+at the start, before the step expected to be the last and for the iterate
+returned, whose residual is below steady_tol or neutral_level times max w,
+whichever is larger. A coexistence state (solve_coexistence) is reached by
+pseudo-transient continuation from given initial data on one interleaved
+state (u_0, v_0, u_1, v_1, ...), each residual one banded product and each
 step one LAPACK gbsv call on a (2, 2)-banded matrix kept for the solve,
-whose rows it writes in place.
+whose rows it writes in place, until each species' residual is at most the
+larger of steady_tol and that species' rounding level, times its max. A
+species dying out never gets there: the step cap raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from .errors import (
     UnstableStepError,
 )
 from .grid import Field, as_field
-from .operators import ROUNDING_FLOOR, _gbsv, _ptsv, amax, amin, shifted_solver
+from .operators import _gbsv, _ptsv, amax, amin, shifted_solver
 from .operators import apply as apply_operator
 # not called here; bench/tracer.py wraps it under this module's name
 from .operators import build_operator  # noqa: F401
@@ -89,9 +87,11 @@ class SimulationConfig:
     criterion and uses dt only to check its initial data the way the march
     does. steady_tol is the march's settling threshold on the max-norm time
     derivative, and the max-norm stationary residual that solve_semitrivial
-    and solve_coexistence must get below, unless the stationary problem's
-    rounding level (EnvironmentProfile.neutral_level) times the state
-    exceeds it.
+    must get below, unless the stationary problem's rounding level
+    (EnvironmentProfile.neutral_level) times the state exceeds it.
+    solve_coexistence holds each species to the larger of steady_tol and its
+    own rounding level, times its max; a species dying out never gets there,
+    and the step cap raises ConvergenceError naming it.
     """
 
     dt: float = 0.05
@@ -346,15 +346,15 @@ def solve_coexistence(
     Per entry these are the operations of u and v taken apart, in the same
     order.
 
-    Stops like solve_semitrivial: max|F| below cfg.steady_tol or below
-    the larger of env.neutral_level and env.swapped().neutral_level, the
-    two species' rounding levels, times max(u, v). cfg.dt and cfg.t_final
-    do not enter. Raises ConvergenceError when a fixed cap of steps does
-    not get there, UnstableStepError at a non-finite residual, and
-    NumericalError when the state reached is not positive in both species,
-    or when either species' maximum is below ROUNDING_FLOOR * eps * max K,
-    a collapsed state the absolute stop test cannot tell from a stationary
-    one.
+    Stops when max|F_s| <= max(cfg.steady_tol, level_s) * max s for both
+    species s, level_u = env.neutral_level and level_v =
+    env.swapped().neutral_level their rounding levels: each is accurate
+    relative to its own size. An absent species (F_s = 0) passes, and the
+    positivity check names it. cfg.dt and cfg.t_final do not enter. Raises
+    ConvergenceError at a fixed cap of steps, naming each failing species
+    (one dying out always fails) with its relative residual and its max,
+    UnstableStepError at a non-finite residual, and NumericalError when the
+    state reached is not positive in both species.
     """
     def interleaved(x_u, x_v):
         # the order u_0, v_0, u_1, v_1, ... of the state
@@ -371,7 +371,13 @@ def solve_coexistence(
     grow = interleaved(env.r * (1.0 - rates.alpha), env.r * (1.0 - rates.beta)).reshape(-1, 2)
     susc = env.r / env.K
     susc_w = np.repeat(susc, 2)
-    rounding = max(env.neutral_level, env.swapped().neutral_level)
+    tols = [max(cfg.steady_tol, e.neutral_level) for e in (env, env.swapped())]
+
+    def unsettled(w, F):
+        # failing species as (name, residual, max, tol): a product, so an absent one passes
+        species = ((name, amax(np.abs(F[k::2])), amax(w[k::2]), tols[k])
+                   for k, name in enumerate("uv"))
+        return [(name, res, top, tol) for name, res, top, tol in species if not res <= tol * top]
 
     # gbsv's band of (I/tau - J), kept for the solve: row 4 - k holds
     # diagonal k, so rows 2 and 6 the dispersal bands at +-2, rows 3 and 5
@@ -396,16 +402,18 @@ def solve_coexistence(
     F, res, g = residual(w)
     tau = 1.0 / amax(env.r)
     for steps in range(_PTC_CAP + 1):
-        tol = max(cfg.steady_tol, rounding * amax(w))
-        if res < tol:
+        # implied by both species' tests, and a third of their cost
+        if res <= max(tols) * amax(w) and not unsettled(w, F):
             break
         if not math.isfinite(res):
             raise UnstableStepError("non-finite coexistence iterate")
         if steps == _PTC_CAP:
-            raise ConvergenceError(
-                f"coexistence state did not converge in {_PTC_CAP} pseudo-transient steps "
-                f"(residual {res:.3e}, tolerance {tol:.3e})"
-            )
+            named = "; ".join(
+                f"{name}: relative residual {res_s / top if top > 0 else math.inf:.3e} "
+                f"above {tol_s:.3e}, max {name} = {top:.3e}"
+                for name, res_s, top, tol_s in unsettled(w, F))
+            raise ConvergenceError(f"coexistence state did not converge in {_PTC_CAP} "
+                                   f"pseudo-transient steps ({named})")
         # gbsv gets no finiteness check (solve_banded's check_finite): a
         # non-finite residual raised above, and the band and F are built
         # from that same finite state
@@ -429,18 +437,8 @@ def solve_coexistence(
         tau *= res / max(res1, np.finfo(float).tiny)
         w, F, res = w1, F1, res1
     u, v = w[0::2].copy(), w[1::2].copy()
-    # the stop test is absolute, so it also passes a state collapsing toward 0
-    collapse = ROUNDING_FLOOR * np.finfo(float).eps * amax(env.K)
     for name, x in (("u", u), ("v", v)):
-        x_min, x_max = amin(x), amax(x)
-        if not x_min > 0:
-            raise NumericalError(
-                f"stationary state reached from (u0, v0) is not a coexistence state: "
-                f"min {name} = {x_min:g}"
-            )
-        if not x_max >= collapse:
-            raise NumericalError(
-                f"coexistence state collapsed: max {name} = {x_max:g} is below "
-                f"{collapse:.3e}, the rounding level of max K"
-            )
+        if not amin(x) > 0:
+            raise NumericalError(f"stationary state reached from (u0, v0) is not a "
+                                 f"coexistence state: min {name} = {amin(x):g}")
     return u, v

@@ -275,7 +275,8 @@ def coexistence_by_species(u0, v0, env, rates: HarvestRates, cfg: SimulationConf
     grow_u = env.r * (1.0 - rates.alpha)
     grow_v = env.r * (1.0 - rates.beta)
     susc = env.r / env.K
-    rounding = max(env.neutral_level, env.swapped().neutral_level)
+    tol_u = max(cfg.steady_tol, env.neutral_level)
+    tol_v = max(cfg.steady_tol, env.swapped().neutral_level)
     m = 2 * len(u)
     bands = np.zeros((5, m))
     bands[0, 2::2], bands[0, 3::2] = -op_u.sup[:-1], -op_v.sup[:-1]
@@ -286,22 +287,29 @@ def coexistence_by_species(u0, v0, env, rates: HarvestRates, cfg: SimulationConf
         F = np.empty(m)
         F[0::2] = operators.apply(op_u, u) + u * (grow_u - crowd)
         F[1::2] = operators.apply(op_v, v) + v * (grow_v - crowd)
-        return F, float(np.max(np.abs(F))), crowd
+        return F, float(np.max(np.abs(F[0::2]))), float(np.max(np.abs(F[1::2]))), crowd
 
     with np.errstate(over="ignore", invalid="ignore"):
-        F, res, crowd = residual(u, v)
+        F, res_u, res_v, crowd = residual(u, v)
         tau = 1.0 / float(np.max(env.r))
         rejected = 0
         for steps in range(dynamics._PTC_CAP + 1):
-            tol = max(cfg.steady_tol, rounding * max(float(u.max()), float(v.max())))
-            if res < tol:
+            species = (("u", res_u, float(u.max()), tol_u), ("v", res_v, float(v.max()), tol_v))
+            unsettled = [(name, res, top, tol) for name, res, top, tol in species
+                         if not res <= tol * top]
+            if not unsettled:
                 break
-            if not np.isfinite(res):
+            if not (np.isfinite(res_u) and np.isfinite(res_v)):
                 raise UnstableStepError("non-finite coexistence iterate")
             if steps == dynamics._PTC_CAP:
+                named = "; ".join(
+                    f"{name}: relative residual {res / top if top > 0 else np.inf:.3e} "
+                    f"above {tol:.3e}, max {name} = {top:.3e}"
+                    for name, res, top, tol in unsettled
+                )
                 raise ConvergenceError(
                     f"coexistence state did not converge in {dynamics._PTC_CAP} "
-                    f"pseudo-transient steps (residual {res:.3e}, tolerance {tol:.3e})"
+                    f"pseudo-transient steps ({named})"
                 )
             susc_u, susc_v = susc * u, susc * v
             bands[2, 0::2] = 1.0 / tau - op_u.diag - (grow_u - crowd - susc_u)
@@ -319,20 +327,14 @@ def coexistence_by_species(u0, v0, env, rates: HarvestRates, cfg: SimulationConf
                 tau *= 0.25
                 rejected += 1
                 continue
-            F1, res1, crowd1 = residual(u1, v1)
-            tau *= res / max(res1, np.finfo(float).tiny)
-            u, v, F, res, crowd = u1, v1, F1, res1, crowd1
-    collapse = operators.ROUNDING_FLOOR * np.finfo(float).eps * float(env.K.max())
+            F1, res1_u, res1_v, crowd1 = residual(u1, v1)
+            tau *= max(res_u, res_v) / max(res1_u, res1_v, np.finfo(float).tiny)
+            u, v, F, res_u, res_v, crowd = u1, v1, F1, res1_u, res1_v, crowd1
     for name, w in (("u", u), ("v", v)):
         if not w.min() > 0:
             raise NumericalError(
                 f"stationary state reached from (u0, v0) is not a coexistence state: "
                 f"min {name} = {w.min():g}"
-            )
-        if not w.max() >= collapse:
-            raise NumericalError(
-                f"coexistence state collapsed: max {name} = {w.max():g} is below "
-                f"{collapse:.3e}, the rounding level of max K"
             )
     return u, v, rejected
 

@@ -398,8 +398,20 @@ def test_switch_command(fast_config, capsys):
 
 
 def test_switch_reports_no_switch_and_writes_its_row(fast_config, tmp_path, capsys):
+    # an empty search interval is named as such, whatever alpha** is: at
+    # beta = 0 the switch lies near 0.126, inside (beta, 1)
     assert run_cli("switch", "--config", fast_config, "--beta", "0.9985") == 0
-    assert capsys.readouterr().out == "beta=0.9985: no switch inside (beta, 1)\n"
+    assert capsys.readouterr().out == (
+        "beta=0.9985: the search interval [beta + tol, 1 - tol] is empty at tol=0.001\n"
+    )
+    assert run_cli("switch", "--config", fast_config, "--beta", "0", "--tol", "0.6") == 0
+    assert capsys.readouterr().out == (
+        "beta=0: the search interval [beta + tol, 1 - tol] is empty at tol=0.6\n"
+    )
+    # v, not u, is the ideal free disperser: sigma1 < 0 already at beta + tol
+    flipped = ["--set", "P=1", "--set", "Q=2+cos(pi*x)"]
+    assert run_cli("switch", "--config", fast_config, "--beta", "0.3", *flipped) == 0
+    assert capsys.readouterr().out == "beta=0.3: no switch inside (beta, 1)\n"
     out = tmp_path / "switch.csv"
     assert run_cli("switch", "--config", fast_config, "--beta", "0.2", "--output", out) == 0
     printed = capsys.readouterr().out.splitlines()

@@ -22,6 +22,7 @@ from harvestcomp import (
     run_to_time,
     solve_coexistence,
     solve_semitrivial,
+    sweep_grid,
 )
 from harvestcomp import dynamics
 from harvestcomp.operators import apply as op_apply
@@ -590,17 +591,49 @@ def test_a_coexistence_state_that_overflows_is_named():
 
 
 def test_coexistence_rejects_a_collapsed_state(monkeypatch):
-    # K spans 18 decades: the absolute stop test passes a state whose v has
-    # collapsed to max v = 7.9e-13, far below max K = 4.8e8, and only the
-    # step cap stops the solve before it gets there
+    # K spans 18 decades and v collapses toward 0: its residual never falls
+    # below its tolerance times max v, so the step cap names it, and with
+    # a cap long enough for v to reach 0 the positivity check names it
     _, grid, env, sim = load_example("example1", n_cells=200, K="exp(20*cos(pi*x))")
     start = np.full(grid.n_cells, 2.1)
     rates = HarvestRates(0.1, 0.0)
-    with pytest.raises(ConvergenceError, match="did not converge in 50 pseudo-transient steps"):
+    with pytest.raises(ConvergenceError, match=r"did not converge in 50 pseudo-transient "
+                                               r"steps \(u: .*; v: relative residual"):
         solve_coexistence(start, start, env, rates, sim)
     monkeypatch.setattr(dynamics, "_PTC_CAP", 400)
-    with pytest.raises(NumericalError, match=r"collapsed: max v = 7\.8\d*e-13 is below 4\.267e-07"):
+    with pytest.raises(NumericalError, match="not a coexistence state: min v = 0"):
         solve_coexistence(start, start, env, rates, sim)
+
+
+@pytest.mark.parametrize("n_cells", [200, 800])
+@pytest.mark.parametrize("alpha, beta", [(0.8, 0.7), (0.6, 0.5)])
+def test_coexistence_rejects_a_remnant_of_u(n_cells, alpha, beta):
+    # from the sweep's start u dies out toward (0, v_beta): a state with
+    # max u of about 1e-13 has a residual far above its tolerance times
+    # max u, so it is never taken for a coexistence state
+    _, grid, env, sim = load_example("example4", n_cells=n_cells)
+    start = np.full(grid.n_cells, 2.1)
+    with pytest.raises(NumericalError, match=r"\(u: relative residual"):
+        solve_coexistence(start, start, env, HarvestRates(alpha, beta), sim)
+
+
+@pytest.mark.parametrize("name", ["example2", "example3"])
+def test_coexistence_states_are_accurate_relative_to_each_species(name):
+    # every coexistence cell of a 21x21 weak-diffusion map: the state agrees
+    # with the one solved down to the rounding level (steady_tol 1e-300)
+    # within 2e-6 of each species' max, also where a species is small
+    _, grid, env, sim = load_example(name, n_cells=200, a=0.01, b=0.01)
+    rates = np.linspace(0.0, 1.0, 21)
+    start = np.full(grid.n_cells, 2.1)
+    cells = [(rec.alpha, rec.beta) for row in sweep_grid(rates, rates, env, sim).records
+             for rec in row if rec.outcome is Outcome.COEXISTENCE]
+    assert len(cells) >= 20
+    for alpha, beta in cells:
+        rates_ab = HarvestRates(alpha, beta)
+        state = solve_coexistence(start, start, env, rates_ab, sim)
+        floor = solve_coexistence(start, start, env, rates_ab, replace(sim, steady_tol=1e-300))
+        for x, x_floor in zip(state, floor):
+            assert np.max(np.abs(x - x_floor)) <= 2e-6 * np.max(x_floor), (alpha, beta)
 
 
 # coexistence cells of 21x21 sweeps of the bundled configs; with weak
@@ -691,9 +724,12 @@ def test_a_rejected_coexistence_step_is_bitwise_the_oracle():
     ("nonconvergence", ConvergenceError),
     ("collapse", NumericalError),
     ("v_absent", NumericalError),
+    ("u0_negative", ConvergenceError),
 ])
 def test_a_failing_coexistence_solve_fails_as_the_oracle(monkeypatch, case, error):
-    # the cases of the tests above: the same class and message on both paths
+    # the cases of the tests above: the same class and message on both paths;
+    # from u0 <= 0 with a negative entry every step is rejected, and the cap
+    # names u, whose max is 0, with an infinite relative residual
     start, v0, K = 2.1, None, {}
     if case == "overflow":
         start, n_cells = 1e300, 30
@@ -702,12 +738,20 @@ def test_a_failing_coexistence_solve_fails_as_the_oracle(monkeypatch, case, erro
     elif case == "collapse":
         n_cells, K = 200, {"K": "exp(20*cos(pi*x))"}
         monkeypatch.setattr(dynamics, "_PTC_CAP", 400)
-    else:
+    elif case == "v_absent":
         n_cells, v0 = 48, 0.0
+    else:
+        n_cells = 48
     _, grid, env, sim = load_example("example1", n_cells=n_cells, **K)
     u0 = np.full(grid.n_cells, start)
     v0 = u0 if v0 is None else np.full(grid.n_cells, v0)
-    assert type(_solve_as_the_oracle(u0, v0, env, HarvestRates(0.1, 0.0), sim)) is error
+    if case == "u0_negative":
+        u0 = np.zeros(grid.n_cells)
+        u0[5] = -1.0
+    failure = _solve_as_the_oracle(u0, v0, env, HarvestRates(0.1, 0.0), sim)
+    assert type(failure) is error
+    if case == "u0_negative":
+        assert "(u: relative residual inf above 1.000e-09, max u = 0.000e+00; v: " in str(failure)
 
 
 def test_a_singular_coexistence_step_is_named(monkeypatch):

@@ -48,6 +48,7 @@ CASES = (
     ("switch", ["switch", "--beta", "0.4", "--output", "switch.csv"]),
     ("switch_config_beta", ["switch", "--set", "beta=0.2", "--tol", "1e-6"]),
     ("switch_none", ["switch", "--beta", "0.9985"]),
+    ("switch_empty", ["switch", "--beta", "0", "--tol", "0.6"]),
     ("msy", ["msy", "--set", "alpha=0.3", "--set", "beta=0.2"]),
     ("msy_ceiling", ["msy", "--set", "alpha=0.5", "--set", "beta=0.5"]),
     ("check", ["check"]),
