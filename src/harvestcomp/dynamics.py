@@ -11,19 +11,17 @@ update clamped at zero. The implicit half makes dispersal unconditionally
 stable; the clamp removes splitting-induced negative undershoot.
 
 Stationary states are not marched but solved by Newton steps, which dt and
-t_final do not enter. A single-species state (solve_semitrivial) takes one
-LAPACK ptsv call per step on the symmetric positive definite form of the
-tridiagonal solve shifted by -f'(w) per cell. The steps run on the residual
-the quadratic reaction predicts, -(r/K) dw^2, evaluating D w + f(w) in full
-at the start, before the step expected to be the last and for the iterate
-returned, whose residual is below steady_tol or neutral_level times max w,
-whichever is larger. A coexistence state (solve_coexistence) is reached by
-pseudo-transient continuation from given initial data on one interleaved
-state (u_0, v_0, u_1, v_1, ...), each residual one banded product and each
-step one LAPACK gbsv call on a (2, 2)-banded matrix kept for the solve,
-whose rows it writes in place, until each species' residual is at most the
-larger of steady_tol and that species' rounding level, times its max. A
-species dying out never gets there: the step cap raises ConvergenceError.
+t_final do not enter, and both stop by the one rule SimulationConfig
+states: a residual relative to the state's own max. A single-species state
+(solve_semitrivial) takes one LAPACK ptsv call per step on the symmetric
+positive definite form of the tridiagonal solve shifted by -f'(w) per cell.
+The steps run on the residual the quadratic reaction predicts,
+-(r/K) dw^2, evaluating D w + f(w) in full at the start, before the step
+expected to be the last and for the iterate returned. A coexistence state
+(solve_coexistence) is reached by pseudo-transient continuation from given
+initial data on one interleaved state (u_0, v_0, u_1, v_1, ...), each
+residual one banded product and each step one LAPACK gbsv call on a
+(2, 2)-banded matrix kept for the solve, whose rows it writes in place.
 """
 
 from __future__ import annotations
@@ -86,12 +84,17 @@ class SimulationConfig:
     runs for its profiles). A sweep takes its outcomes from the invasion
     criterion and uses dt only to check its initial data the way the march
     does. steady_tol is the march's settling threshold on the max-norm time
-    derivative, and the max-norm stationary residual that solve_semitrivial
-    must get below, unless the stationary problem's rounding level
-    (EnvironmentProfile.neutral_level) times the state exceeds it.
-    solve_coexistence holds each species to the larger of steady_tol and its
-    own rounding level, times its max; a species dying out never gets there,
-    and the step cap raises ConvergenceError naming it.
+    derivative. For a stationary solve it is relative: solve_semitrivial
+    and solve_coexistence stop where each species s has
+
+        max|F_s| <= max(steady_tol, level_s) * max s,
+
+    F_s the stationary residual of s and level_s the rounding level of its
+    stationary problem per unit of state (EnvironmentProfile.neutral_level
+    of its branch's environment). A stop relative to the state makes the
+    stationary states scale with the capacity: K -> c K takes the state to
+    c times it, exactly for c a power of 2. A species dying out never meets
+    the rule, and the step cap raises ConvergenceError naming it.
     """
 
     dt: float = 0.05
@@ -113,13 +116,13 @@ class SimulationConfig:
         return int(math.ceil(self.t_final / self.dt - 1e-12))
 
 
-def check_initial_data(u0: Field, v0: Field, env: EnvironmentProfile, dt: float):
+def check_initial_data(u0: Field, v0: Field, env: EnvironmentProfile, dt: float | None = None):
     """(u0, v0) as fields on env's grid. Raises ConfigurationError naming
-    the one that is negative somewhere, or whose quotient by dt is not
-    finite: each step of the march solves for w/dt, so the bound is tested
-    here instead of overflowing there."""
+    the one that is negative somewhere, or not finite, or, given a march's
+    dt, whose quotient by dt is not finite: each step of the march solves
+    for w/dt, so the bound is tested here instead of overflowing there."""
     fields = as_field(u0, env.grid), as_field(v0, env.grid)
-    limit = np.finfo(float).max * dt
+    limit = np.finfo(float).max * (1.0 if dt is None else dt)
     for name, w in zip(("u0", "v0"), fields):
         if np.any(w < 0):
             raise ConfigurationError(
@@ -127,6 +130,8 @@ def check_initial_data(u0: Field, v0: Field, env: EnvironmentProfile, dt: float)
             )
         if not (np.all(np.isfinite(w)) and w.max() <= limit):
             raise ConfigurationError(
+                f"initial condition {name} is not finite (max {name} = {w.max():g})"
+                if dt is None else
                 f"initial condition {name} / dt is not finite "
                 f"(max {name} = {w.max():g}, dt = {dt})"
             )
@@ -218,15 +223,27 @@ def solve_semitrivial(
     evaluating every iterate; the switch point's solve (example1,
     n = 800) evaluates 3 of its 6 iterates.
 
-    Returns the first iterate whose stationary residual, evaluated in max
-    norm, is below cfg.steady_tol or below env.neutral_level * max|w|
-    (env the branch's environment), whichever is larger; where the
-    evaluation rejects an iterate the prediction accepted, Newton goes on
-    from the evaluated residual. That limit grows as (n/L)^2
-    and with max r; on the bundled configs (n = 800, L = 4) it is at most
-    3e-9, and at n = 12800 up to 8e-7. cfg.dt and cfg.t_final do not
-    enter. Raises ConvergenceError when a fixed cap of Newton steps does
-    not get there, UnstableStepError at a non-finite residual, and
+    Returns the first iterate whose stationary residual F, evaluated in max
+    norm, meets SimulationConfig's stopping rule (strictly), max|F| <
+    max(cfg.steady_tol, env.neutral_level) * max w, env the branch's
+    environment; where the evaluation rejects an iterate the prediction
+    accepted, Newton goes on from the evaluated residual. That bounds the
+    error relative to the discrete state w*. With r and K as given (r/K is
+    the same folded or not), F(w) = (A - diag(r w/K)) (w - w*) for
+    A = D + diag((1-rate)*r - r w*/K), where A w* = 0 and A's off-diagonal
+    entries are nonnegative; so at the cell where |w - w*| / w* is largest,
+    |w - w*| is at most |F| / (r w/K) there, and
+
+        max |w - w*| / w* <= max|F| / min(r w w* / K).
+
+    Near rate 1, where w is about (1-rate)*K, that is about
+    max(steady_tol, level) * max K / ((1-rate) * min(r K)). On the bundled
+    configs at n = 800 (a = b as bundled and 0.01), against solves with
+    steady_tol = 1e-300, the relative error is at most 3e-8 at rates up to
+    0.99, 7e-6 at 1 - 1e-4 and 3.3e-4 at 1 - 1e-6. cfg.dt and cfg.t_final do not
+    enter. Raises ConvergenceError, naming the branch with its relative
+    residual and its max, when a fixed cap of Newton steps does not get
+    there, UnstableStepError at a non-finite residual, and
     SingularSystemError, naming the branch and the rate, when a step's -J
     does not factor as positive definite.
     """
@@ -251,7 +268,7 @@ def solve_semitrivial(
     crowd2 = 2.0 * crowd
     neg_crowd = -crowd
     shift = rr + op.diag
-    rounding = env.neutral_level
+    level = max(cfg.steady_tol, env.neutral_level)
 
     def evaluated(w):
         residual = apply_operator(op, w) + w * (rr - crowd * w)
@@ -263,7 +280,8 @@ def solve_semitrivial(
     before = last = 0.0  # the residual norms of the two iterates before w
     for steps in range(_NEWTON_CAP + 1):
         # the iterates are positive, so max w is max|w|
-        tol = max(cfg.steady_tol, rounding * amax(w))
+        top = amax(w)
+        tol = level * top
         # A predicted residual is evaluated in full: below tol, to confirm
         # it; where the next one, extrapolated quadratically as
         # res_norm^3 / last^2, is below tol, so that the step expected to
@@ -304,7 +322,8 @@ def solve_semitrivial(
         predicted = True
     raise ConvergenceError(
         f"semi-trivial {which}-branch did not converge in {_NEWTON_CAP} Newton steps "
-        f"(residual {res_norm:.3e}, tolerance {tol:.3e})"
+        f"({which}: relative residual {res_norm / top:.3e} "
+        f"above {level:.3e}, max {which} = {top:.3e})"
     )
 
 
@@ -346,14 +365,15 @@ def solve_coexistence(
     Per entry these are the operations of u and v taken apart, in the same
     order.
 
-    Stops when max|F_s| <= max(cfg.steady_tol, level_s) * max s for both
-    species s, level_u = env.neutral_level and level_v =
-    env.swapped().neutral_level their rounding levels: each is accurate
-    relative to its own size. An absent species (F_s = 0) passes, and the
-    positivity check names it. cfg.dt and cfg.t_final do not enter. Raises
+    Stops by SimulationConfig's rule for both species, level_u =
+    env.neutral_level and level_v = env.swapped().neutral_level: each is
+    accurate relative to its own size. An absent species (F_s = 0) passes,
+    and the positivity check names it. cfg.dt and cfg.t_final do not enter.
+    Raises ConfigurationError for initial data check_initial_data rejects
+    without a dt (negative or not finite), before any step;
     ConvergenceError at a fixed cap of steps, naming each failing species
-    (one dying out always fails) with its relative residual and its max,
-    UnstableStepError at a non-finite residual, and NumericalError when the
+    (one dying out always fails) with its relative residual and its max;
+    UnstableStepError at a non-finite residual; and NumericalError when the
     state reached is not positive in both species.
     """
     def interleaved(x_u, x_v):
@@ -362,7 +382,7 @@ def solve_coexistence(
         x[0::2], x[1::2] = x_u, x_v
         return x
 
-    w = interleaved(as_field(u0, env.grid), as_field(v0, env.grid))
+    w = interleaved(*check_initial_data(u0, v0, env))
     op_u, op_v = env.dispersal, env.swapped().dispersal
     # D of the interleaved state: each species' three bands, two apart
     sub, diag, sup = (interleaved(getattr(op_u, k), getattr(op_v, k))

@@ -187,12 +187,13 @@ class EnvironmentProfile:
         """ROUNDING_FLOOR * eps * (D.gershgorin + max r), D = self.dispersal:
         the rounding level of u's stationary problem per unit of state (v's
         is self.swapped().neutral_level). A sigma within it of 0 is neutral;
-        the stationary solves stop at it times max|w| (dynamics). On the
-        bundled configs at n = 200, 240 and 800 and rates in [0, 0.95], zero
-        sigmas sit within 0.011 times eps * (D.gershgorin + max r) and every
-        other |sigma| beyond 1.75e6 times it. spectral.principal_eigen's
-        bracket stop, eps * gershgorin(H), is about a quarter of the level.
-        Computed on first use and kept."""
+        the stationary solves stop at max(steady_tol, it) times max|w|
+        (dynamics.SimulationConfig). On the bundled configs at n = 200, 240
+        and 800 and rates in [0, 0.95], zero sigmas sit within 0.011 times
+        eps * (D.gershgorin + max r) and every other |sigma| beyond 1.75e6
+        times it. spectral.principal_eigen's bracket stop,
+        eps * gershgorin(H), is about a quarter of the level. Computed on
+        first use and kept."""
         return ROUNDING_FLOOR * sys.float_info.epsilon * (self.dispersal.gershgorin + amax(self.r))
 
     def swapped(self) -> "EnvironmentProfile":

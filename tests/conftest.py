@@ -219,15 +219,14 @@ def semitrivial_by_newton(which, env, rate, cfg: SimulationConfig):
     op = env.dispersal
     rr = (1.0 - rate) * env.r
     K_scale = (1.0 - rate) * env.K
-    rounding = env.neutral_level
+    level = max(cfg.steady_tol, env.neutral_level)
     bands = np.zeros((3, env.grid.n_cells))
     bands[0, 1:] = -op.sup[:-1]
     bands[2, :-1] = -op.sub[1:]
     w = K_scale
     for steps in range(dynamics._NEWTON_CAP + 1):
         residual = operators.apply(op, w) + rr * w * (1.0 - w / K_scale)
-        tol = max(cfg.steady_tol, rounding * float(np.abs(w).max()))
-        if float(np.abs(residual).max()) < tol:
+        if float(np.abs(residual).max()) < level * float(np.abs(w).max()):
             return w, steps
         bands[1] = -rr * (1.0 - 2.0 * w / K_scale) - op.diag
         w = w + solve_banded((1, 1), bands, residual)
@@ -248,12 +247,12 @@ def semitrivial_by_evaluated_newton(which, env, rate, cfg: SimulationConfig):
     crowd = rr / K_scale
     crowd2 = 2.0 * crowd
     shift = rr + op.diag
-    rounding = env.neutral_level
+    level = max(cfg.steady_tol, env.neutral_level)
     w = K_scale
     for steps in range(dynamics._NEWTON_CAP + 1):
         residual = operators.apply(op, w) + w * (rr - crowd * w)
         res_norm = float(np.abs(residual).max())
-        if res_norm < max(cfg.steady_tol, rounding * float(np.abs(w).max())):
+        if res_norm < level * float(np.abs(w).max()):
             return w, steps
         _, _, z, info = operators._ptsv(crowd2 * w - shift, neg_off, residual / sqrt_R,
                                         overwrite_d=1, overwrite_b=1)
@@ -269,8 +268,7 @@ def coexistence_by_species(u0, v0, env, rates: HarvestRates, cfg: SimulationConf
     scipy.linalg.solve_banded; rejected counts the steps retried with tau
     quartered. An oracle for the interleaved state: same start, stop test,
     cap (read at call time), checks and messages."""
-    u = as_field(u0, env.grid)
-    v = as_field(v0, env.grid)
+    u, v = check_initial_data(u0, v0, env)
     op_u, op_v = env.dispersal, env.swapped().dispersal
     grow_u = env.r * (1.0 - rates.alpha)
     grow_v = env.r * (1.0 - rates.beta)

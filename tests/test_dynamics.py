@@ -106,8 +106,8 @@ def test_swap_symmetry_is_exact(env, alpha, beta):
     sim = SimulationConfig()
     w = solve_semitrivial("v", env, beta, sim)
     op = build_operator(env.b, env.Q, env.grid)
-    limit = 4 * np.finfo(float).eps * op.gershgorin * np.max(w)
-    assert residual("v", env, beta, w) < max(sim.steady_tol, limit)
+    limit = 4 * np.finfo(float).eps * op.gershgorin
+    assert residual("v", env, beta, w) < max(sim.steady_tol, limit) * np.max(w)
     assert np.all(w > 0)
 
 
@@ -260,7 +260,7 @@ def test_semitrivial_newton_matches_marched_fixed_point(name, diffusivity):
     for which in ("u", "v"):
         for rate in (0.0, 0.4, 0.8):
             w = solve_semitrivial(which, env, rate, sim)
-            assert residual(which, env, rate, w) <= sim.steady_tol
+            assert residual(which, env, rate, w) <= sim.steady_tol * np.max(w)
             assert np.all(w > 0)
             ref = semitrivial_by_march(which, env, rate, sim)
             assert np.allclose(w, ref, rtol=1e-6, atol=0.0), (which, rate)
@@ -285,12 +285,82 @@ def test_semitrivial_stops_at_rounding_on_fine_grids(overrides):
         assert np.allclose(w, ref, rtol=1e-6, atol=0.0), rate
 
 
+@pytest.mark.parametrize("diffusivity", [None, "0.01"])
+@pytest.mark.parametrize(
+    "name", ["example1", "example2", "example3", "example4", "example4b", "example5"]
+)
+def test_semitrivial_is_accurate_relative_to_its_size_near_rate_one(name, diffusivity):
+    # near rate 1 the state is about (1 - rate) K; against the solve down to
+    # the rounding level (steady_tol 1e-300) its error meets the bounds its
+    # residual F gives. -J at w has its eigenvalues at least m = min(r w / K),
+    # so the error is about max|F| / m, with a factor 2 for the max norm; and
+    # the cellwise relative error is at most max|F| / min(r w w_ref / K)
+    # (solve_semitrivial). Relative to the state it is small: at most 1e-4 up
+    # to rate 1 - 1e-4 and 1e-3 at 1 - 1e-6.
+    overrides = {} if diffusivity is None else {"a": diffusivity, "b": diffusivity}
+    _, _, env, sim = load_example(name, n_cells=800, **overrides)
+    floor = replace(sim, steady_tol=1e-300)
+    for which in ("u", "v"):
+        for rate, rel_tol in ((0.975, 1e-4), (0.99, 1e-4), (1 - 1e-4, 1e-4), (1 - 1e-6, 1e-3)):
+            w = solve_semitrivial(which, env, rate, sim)
+            ref = solve_semitrivial(which, env, rate, floor)
+            res = residual(which, env, rate, w)
+            err = np.abs(w - ref)
+            assert np.max(err) <= 2 * res / np.min(env.r * w / env.K), (which, rate)
+            assert np.max(err / ref) <= res / np.min(env.r * w * ref / env.K), (which, rate)
+            assert np.max(err / ref) <= rel_tol, (which, rate)
+
+
+@pytest.mark.parametrize(
+    "name", ["example1", "example2", "example3", "example4", "example4b", "example5"]
+)
+def test_semitrivial_state_scales_exactly_with_the_capacity_on_bundled_configs(name):
+    # K -> 2^k K maps the state to 2^k times it, and the stop is relative
+    # to the state, so the solve makes the same steps on values 2^k as large
+    _, _, env, sim = load_example(name, n_cells=800)
+    for k in (-3, 5):
+        scaled = replace(env, K=2.0**k * env.K)
+        for which in ("u", "v"):
+            for rate in (0.0, 0.4, 0.9, 0.99):
+                w = solve_semitrivial(which, env, rate, sim)
+                assert np.array_equal(solve_semitrivial(which, scaled, rate, sim), 2.0**k * w), (
+                    k, which, rate)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(env=environments(), k=strategies.integers(-20, 20), rate=strategies.floats(0.0, 0.99),
+       alpha=strategies.floats(0.0, 0.95), beta=strategies.floats(0.0, 0.95),
+       seed=strategies.integers(0, 2**32 - 1))
+def test_stationary_states_scale_exactly_with_the_capacity_on_random_environments(
+    env, k, rate, alpha, beta, seed
+):
+    # K -> 2^k K with the initial data 2^k times as large: both stationary
+    # solves return exactly 2^k times the state, or fail with the same error
+    scale = 2.0**k
+    scaled = replace(env, K=scale * env.K)
+    sim = SimulationConfig()
+    for which in ("u", "v"):
+        w = solve_semitrivial(which, env, rate, sim)
+        assert np.array_equal(solve_semitrivial(which, scaled, rate, sim), scale * w)
+    u0, v0 = np.random.default_rng(seed).uniform(0.05, 3.0, (2, env.grid.n_cells))
+    rates = HarvestRates(alpha, beta)
+    try:
+        state = solve_coexistence(u0, v0, env, rates, sim)
+    except HarvestCompError as exc:
+        with pytest.raises(type(exc)):
+            solve_coexistence(scale * u0, scale * v0, scaled, rates, sim)
+        return
+    for x, x_scaled in zip(state, solve_coexistence(scale * u0, scale * v0, scaled, rates, sim)):
+        assert np.array_equal(x_scaled, scale * x)
+
+
 def test_semitrivial_reports_nonconvergence():
     # K spans 52 decades: the first Newton step overshoots the branch by
     # ~1e47 where K is smallest, and from there each step only halves the
     # excess, so the step cap ends the solve
     _, grid, env, sim = load_example("example1", n_cells=32, K="exp(60*cos(pi*x))")
-    with pytest.raises(ConvergenceError, match="did not converge in 50 Newton steps"):
+    with pytest.raises(ConvergenceError, match=r"did not converge in 50 Newton steps "
+                       r"\(v: relative residual \S+ above 1\.000e-09, max v = \S+\)$"):
         solve_semitrivial("v", env, 0.0, sim)
 
 
@@ -523,7 +593,7 @@ def test_each_predicted_residual_agrees_with_the_evaluated_one_on_random_environ
         x = x + dw
         assert np.max(np.abs(evaluated(x) + crowd * dw * dw)) <= level * np.max(x)
     assert np.array_equal(x, w)
-    assert np.max(np.abs(evaluated(w))) < max(sim.steady_tol, level * np.max(np.abs(w)))
+    assert np.max(np.abs(evaluated(w))) < max(sim.steady_tol, level) * np.max(w)
 
 
 def test_a_predicted_stop_that_the_evaluation_rejects_continues_from_the_evaluated_residual(
@@ -724,12 +794,12 @@ def test_a_rejected_coexistence_step_is_bitwise_the_oracle():
     ("nonconvergence", ConvergenceError),
     ("collapse", NumericalError),
     ("v_absent", NumericalError),
-    ("u0_negative", ConvergenceError),
+    ("u0_negative", ConfigurationError),
+    ("v0_nan", ConfigurationError),
 ])
 def test_a_failing_coexistence_solve_fails_as_the_oracle(monkeypatch, case, error):
     # the cases of the tests above: the same class and message on both paths;
-    # from u0 <= 0 with a negative entry every step is rejected, and the cap
-    # names u, whose max is 0, with an infinite relative residual
+    # initial data that is negative or not finite is named before any step
     start, v0, K = 2.1, None, {}
     if case == "overflow":
         start, n_cells = 1e300, 30
@@ -740,6 +810,8 @@ def test_a_failing_coexistence_solve_fails_as_the_oracle(monkeypatch, case, erro
         monkeypatch.setattr(dynamics, "_PTC_CAP", 400)
     elif case == "v_absent":
         n_cells, v0 = 48, 0.0
+    elif case == "v0_nan":
+        n_cells, v0 = 48, np.nan
     else:
         n_cells = 48
     _, grid, env, sim = load_example("example1", n_cells=n_cells, **K)
@@ -748,10 +820,14 @@ def test_a_failing_coexistence_solve_fails_as_the_oracle(monkeypatch, case, erro
     if case == "u0_negative":
         u0 = np.zeros(grid.n_cells)
         u0[5] = -1.0
+    if error is ConfigurationError:
+        monkeypatch.setattr(dynamics, "_gbsv", None)  # no step is taken
     failure = _solve_as_the_oracle(u0, v0, env, HarvestRates(0.1, 0.0), sim)
     assert type(failure) is error
     if case == "u0_negative":
-        assert "(u: relative residual inf above 1.000e-09, max u = 0.000e+00; v: " in str(failure)
+        assert str(failure) == "initial condition u0 must be nonnegative (min u0 = -1)"
+    if case == "v0_nan":
+        assert str(failure) == "initial condition v0 is not finite (max v0 = nan)"
 
 
 def test_a_singular_coexistence_step_is_named(monkeypatch):

@@ -1,6 +1,7 @@
 import functools
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -597,6 +598,39 @@ def test_sweep_is_the_per_cell_sweep_on_random_environments(env):
     rates = np.linspace(0.0, 1.0, 15)
     sim = SimulationConfig()
     assert sweep_grid(rates, rates, env, sim).records == per_cell_sweep(rates, rates, env, sim)
+
+
+def assert_sweep_scales_with_the_capacity(env, rates, sim, k):
+    """K -> 2^k K with the initial data 2^k times as large keeps every
+    outcome, and every average and yield becomes exactly 2^k times as large:
+    the invasion potentials are unchanged, and each stationary solve stops
+    relative to its state. A failed cell fails with the same error."""
+    scale = 2.0**k
+    start = np.full(env.grid.n_cells, sweep.DEFAULT_INITIAL_DENSITY)
+    scaled = sweep_grid(rates, rates, replace(env, K=scale * env.K), sim,
+                        u0=scale * start, v0=scale * start)
+    for row, scaled_row in zip(sweep_grid(rates, rates, env, sim).records, scaled.records):
+        for rec, got in zip(row, scaled_row):
+            if isinstance(rec, CellFailure):
+                assert isinstance(got, CellFailure) and got.error is rec.error, (rec, got)
+            else:
+                assert got == replace(rec, avg_u=scale * rec.avg_u, avg_v=scale * rec.avg_v,
+                                      yield_u=scale * rec.yield_u,
+                                      yield_v=scale * rec.yield_v), (rec, got)
+
+
+@pytest.mark.parametrize(
+    "name", ["example1", "example2", "example3", "example4", "example4b", "example5"]
+)
+def test_sweep_scales_exactly_with_the_capacity_on_bundled_configs(name):
+    _, _, env, sim = load_example(name, n_cells=200)
+    assert_sweep_scales_with_the_capacity(env, np.linspace(0.0, 1.0, 21), sim, 3)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(env=environments(), k=strategies.integers(-20, 20))
+def test_sweep_scales_exactly_with_the_capacity_on_random_environments(env, k):
+    assert_sweep_scales_with_the_capacity(env, np.linspace(0.0, 1.0, 11), SimulationConfig(), k)
 
 
 def _row_climb_rates(monkeypatch, env, sim) -> list:

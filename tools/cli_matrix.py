@@ -34,6 +34,7 @@ CASES = (
                   "--output", "profile.csv", "--plot-script", "--strict"]),
     ("steady_u", ["steady", "--branch", "u", "--set", "alpha=0.3"]),
     ("steady_v", ["steady", "--branch", "v", "--set", "beta=0.4", "--output", "v.csv"]),
+    ("steady_near_one", ["steady", "--branch", "v", "--set", "beta=0.999999"]),
     ("eigen_u", ["eigen", "--around", "u", "--set", "alpha=0.2", "--output", "psi.csv"]),
     ("eigen_v", ["eigen", "--around", "v", "--set", "beta=0.4", "--output", "psi.csv"]),
     ("bounds", ["bounds", "--betas", "0,0.4,0.9985", "--with-switch", "--output", "b.csv"]),
