@@ -61,7 +61,7 @@ def as_field(values, grid: SpatialGrid) -> Field:
 def integrate(f: Field, grid: SpatialGrid) -> float:
     """Midpoint-rule integral h * sum(f) over the domain."""
     f = as_field(f, grid)
-    return grid.h * float(np.sum(f))
+    return grid.h * float(f.sum())
 
 
 def average(f: Field, grid: SpatialGrid) -> float:

@@ -14,12 +14,10 @@ optional exponent. "x" is the only variable, "pi" a reserved constant.
 
 from __future__ import annotations
 
-import ast
 import math
 import operator
 import re
 import sys
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -30,115 +28,114 @@ from .grid import Field, SpatialGrid
 from .operators import ROUNDING_FLOOR, DiffusionOperator, amax, build_operator
 
 FUNCTIONS = {"cos": np.cos, "sin": np.sin, "exp": np.exp, "abs": np.abs}
-_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
-           ast.Div: np.divide, ast.Pow: np.power}
-_NUMBER = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?")
-# a character outside the grammar, or a "**" the user wrote ("^" is ours)
-_FOREIGN = re.compile(r"[^A-Za-z0-9_\s.+\-*/^()]|\*\*")
-# zeros leading an integer part, which Python rejects in "01" but the
-# grammar allows; blanked in place, so offsets keep
-_LEADING_ZEROS = re.compile(r"(?<![\w.])(?<![eE][+-])0+(?=\d)")
-
-
-def _offset(src: str, t: int) -> int:
-    """Offset in src of offset t in its rewrite, where each "^" is "**"."""
-    pos = 0
-    for c in src:
-        t -= 2 if c == "^" else 1
-        if t < 0:
-            break
-        pos += 1
-    return pos
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": np.divide}
+_CONSTANTS = {"x": "x", "pi": math.pi}  # the variable stays a name, pi folds
+# after blanks, a number, a name or one other character; ASCII digits only
+_TOKEN = re.compile(r"\s*(?:(?P<number>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+                    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<other>\S))")
 
 
 @lru_cache
-def parse(src: str) -> ast.expr:
-    """Parse an expression string into a syntax tree of the grammar above,
-    held as Python ast nodes; a constant's value is float(its source).
+def parse(src: str) -> float | str | tuple:
+    """Parse an expression string into a tree of the grammar above: a float
+    (a number, or pi as math.pi), "x", or a tuple (function, operand, ...)
+    of operator.neg, np.power, a function of _BINARY or of FUNCTIONS and
+    the trees it applies to. A malformed src raises an ExpressionError
+    naming the first token the grammar cannot take, at its offset in src.
 
-    The trees of recent sources are kept (a config's expressions are parsed
-    when it is read and again when they are sampled), so a call may return
-    the tree an earlier call did: the tree must not be changed."""
-    if not src or not src.strip():
+    The trees of recent sources are kept: a config's expressions are parsed
+    when it is read and again when they are sampled."""
+    tokens = [(m[m.lastgroup], m.start(m.lastgroup), m.lastgroup) for m in _TOKEN.finditer(src)]
+    if not tokens:
         raise ExpressionError("empty expression")
-    foreign = _FOREIGN.search(src)
-    if foreign:
-        pos = foreign.end() - 1
-        raise ExpressionError(f"unexpected character {src[pos]!r}", pos)
-    # Python's "**" is the grammar's "^": right-associative and binding
-    # tighter than unary minus. Python would see an indent in leading
-    # blanks and a line break in "\n", which the grammar ignores.
-    text = re.sub(r"\s", " ", src).replace("^", "**")
-    text = _LEADING_ZEROS.sub(lambda m: " " * len(m[0]), text)
-    lead = len(text) - len(text.lstrip())
-    text = text[lead:]
+    tokens.append(("", len(src), "end"))
+    at = 0
+
+    def fail(message=None):
+        text, position, kind = tokens[at]
+        if message is None and text:
+            known = text in _CONSTANTS or text in FUNCTIONS
+            what = ("unknown identifier" if kind == "name" and not known
+                    else "unexpected character" if kind == "other" and text not in "+-*/^()"
+                    else "unexpected token")
+            message = f"{what} {text!r}"
+        raise ExpressionError(message or "unexpected end of input", position) from None
+
+    def take(*symbols):
+        """The next token's text, consumed, if it is one of symbols."""
+        nonlocal at
+        if tokens[at][0] in symbols:
+            at += 1
+            return tokens[at - 1][0]
+
+    def expr():
+        e = term()
+        while op := take("+", "-"):
+            e = (_BINARY[op], e, term())
+        return e
+
+    def term():
+        e = factor()
+        while op := take("*", "/"):
+            e = (_BINARY[op], e, factor())
+        return e
+
+    def factor():
+        if take("-"):
+            return (operator.neg, factor())
+        e = atom()
+        return (np.power, e, factor()) if take("^") else e
+
+    def atom():
+        nonlocal at
+        text, _, kind = tokens[at]
+        if kind == "number":
+            if not math.isfinite(float(text)):
+                fail(f"non-finite number {text!r}")
+            at += 1
+            return float(text)
+        if name := take(*_CONSTANTS):
+            return _CONSTANTS[name]
+        function = take(*FUNCTIONS)  # None before a bare "("
+        if not take("("):
+            fail()
+        e = expr()
+        if not take(")"):
+            fail("unclosed parenthesis" if tokens[at][2] == "end" else None)
+        return (FUNCTIONS[function], e) if function else e
+
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # "1if x" warns, then fails below
-            tree = ast.parse(text, mode="eval").body
-    except SyntaxError as exc:  # offset 0: the end of the input
-        t = exc.offset - 1 if exc.offset else len(text)
-        message = re.split(r"[.:;] ", exc.msg)[0]  # without Python's hints
-        if t >= len(text) and message == "invalid syntax":
-            message = "unexpected end of input"
-        raise ExpressionError(message, _offset(src, lead + t)) from None
-
-    def check(node):
-        kind = type(node)
-        if kind is ast.Constant:
-            digits = text[node.col_offset : node.end_col_offset]
-            if _NUMBER.fullmatch(digits):
-                node.value = float(digits)
-                return
-        elif kind is ast.Name and node.id in ("x", "pi"):
-            return
-        elif kind is ast.UnaryOp and type(node.op) is ast.USub:
-            return check(node.operand)
-        elif kind is ast.BinOp and type(node.op) in _BINARY:
-            check(node.left)
-            return check(node.right)
-        elif (
-            kind is ast.Call
-            and type(node.func) is ast.Name
-            and node.func.id in FUNCTIONS
-            and node.func.col_offset == node.col_offset  # not "(cos)(x)"
-            and len(node.args) == 1  # no "," or "=" gets here: no keywords
-        ):
-            return check(node.args[0])
-        what, name = "unexpected", getattr(node, "func", node)
-        if type(name) is ast.Name and name.id not in ("x", "pi", *FUNCTIONS):
-            what, node = "unknown identifier", name
-        start = _offset(src, lead + node.col_offset)
-        end = _offset(src, lead + node.end_col_offset)
-        raise ExpressionError(f"{what} {src[start:end]!r}", start)
-
-    check(tree)
+        tree = expr()
+    except RecursionError:
+        fail("nested too deeply")
+    if tokens[at][2] != "end":
+        fail()
     return tree
 
 
-def evaluate(e: ast.expr, x):
-    """Evaluate at x (scalar or array). Non-finite results are the caller's
-    concern; sample() turns them into errors."""
-    kind = type(e)
-    if kind is ast.Constant:
-        return e.value
-    if kind is ast.Name:
-        return x if e.id == "x" else math.pi
-    if kind is ast.UnaryOp:
-        return -evaluate(e.operand, x)
-    if kind is ast.Call:
-        return FUNCTIONS[e.func.id](evaluate(e.args[0], x))
-    return _BINARY[type(e.op)](evaluate(e.left, x), evaluate(e.right, x))
+def evaluate(e: float | str | tuple, x):
+    """Evaluate a tree of parse() at x (scalar or array): a tuple applies
+    its function to its operands' values. Non-finite results are the
+    caller's concern; sample() turns them into errors."""
+    if type(e) is not tuple:
+        return x if e == "x" else e
+    if len(e) == 2:
+        return e[0](evaluate(e[1], x))
+    return e[0](evaluate(e[1], x), evaluate(e[2], x))
 
 
-def sample(e: ast.expr, grid: SpatialGrid) -> Field:
+def sample(e: float | str | tuple, grid: SpatialGrid) -> Field:
     """Evaluate pointwise at the cell centers.
 
     Division by zero, overflow, and 0^negative surface as errors naming the
-    first offending x rather than propagating silently as inf/nan.
+    first offending x rather than propagating silently as inf/nan; a tree
+    too deep to evaluate within the recursion limit, as "nested too deeply".
     """
     with np.errstate(all="ignore"):
-        values = evaluate(e, grid.centers)
+        try:
+            values = evaluate(e, grid.centers)
+        except RecursionError:
+            raise ExpressionError("nested too deeply") from None
     values = np.broadcast_to(np.asarray(values, dtype=float), (grid.n_cells,)).copy()
     bad = ~np.isfinite(values)
     if np.any(bad):

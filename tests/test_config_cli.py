@@ -124,6 +124,15 @@ def test_bad_expression_override_exits_2_naming_key_and_position(capsys):
     assert "(at position 2)" in err
 
 
+def test_an_expression_too_deep_to_sample_exits_2(capsys):
+    # parsed by a loop, a long sum is a tree as deep as it is long
+    code = run_cli("check", "--config", bundled_config("example1"), "--set",
+                   "K=" + "+".join(["x"] * 3000))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: profile K = ") and "nested too deeply" in err
+
+
 def test_simulate_writes_profile_and_roundtrips(fast_config, tmp_path, capsys):
     out = tmp_path / "prof.csv"
     code = run_cli(

@@ -135,8 +135,8 @@ def test_parse_error_carries_position():
 
 
 def test_rejection_leaks_no_python_warning(recwarn):
-    # Python warns of "1if" before it fails or parses on
-    with pytest.raises(ExpressionError, match="invalid decimal literal"):
+    # Python's own parser warns of "1if"; the grammar names the token
+    with pytest.raises(ExpressionError, match="unknown identifier 'if'"):
         parse("1if x else 2")
     assert not recwarn.list
 
@@ -177,6 +177,40 @@ def test_huge_literals_are_expression_errors():
         sample(parse("9" * 400), g)  # float() of its digits is inf
     with pytest.raises(ExpressionError):
         parse("9" * 5000)  # past the digit limit of Python's integer literals
+
+
+def _left_sum(x, n):
+    total = x
+    for _ in range(n - 1):
+        total = total + x
+    return total
+
+
+# kind: (source of depth n, its value at x by numpy); n is even
+_DEEP = {
+    "sum": (lambda n: "+".join(["x"] * n), _left_sum),
+    "minus": (lambda n: "-" * n + "x", lambda x, n: x),
+    "tower": (lambda n: "x" + "^1" * (n - 1), lambda x, n: x),
+    "parens": (lambda n: "(" * n + "x" + ")" * n, lambda x, n: x),
+}
+
+
+@pytest.mark.parametrize(
+    "kind,n",
+    [(kind, n) for kind in ("sum", "minus", "tower") for n in (300, 1000, 3000)]
+    + [("parens", 60), ("parens", 300)],
+)
+def test_deep_expressions_sample_or_raise_expression_errors(kind, n):
+    # past the recursion limit, in the parse or in the evaluation, an
+    # expression is nested too deeply, not a RecursionError
+    source, value = _DEEP[kind]
+    g = SpatialGrid(length=4.0, n_cells=5)
+    try:
+        got = sample(parse(source(n)), g)
+    except ExpressionError as exc:
+        assert "nested too deeply" in str(exc)
+    else:
+        assert np.array_equal(got, value(g.centers, n))
 
 
 @pytest.mark.parametrize("src", ["1/0", "0^-1", "(-8)^(1/3)"])

@@ -63,6 +63,10 @@ CASES = (
     ("huge_r_eigen", ["eigen", "--around", "v", "--set", "r=1e300", "--set", "beta=0.1"]),
     ("overflow_eigen", ["eigen", "--around", "v", "--set", "r=1e308", "--set", "beta=0.1"]),
     ("overflow_K", ["steady", "--branch", "u", "--set", "K=1e308"]),
+    ("python_power", ["check", "--set", "K=x**2"]),
+    ("unclosed", ["check", "--set", "K=(1+2"]),
+    ("unknown_function", ["check", "--set", "K=tan(x)"]),
+    ("long_sum", ["check", "--set", "K=" + "+".join(["x"] * 1000)]),
 )
 
 
