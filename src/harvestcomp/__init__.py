@@ -15,7 +15,6 @@ from .analysis import (
     alpha_star,
     classify,
     detect_ideal_free_pair,
-    fit_convex_hull,
     inequality_suite,
     invasion_potential,
 )

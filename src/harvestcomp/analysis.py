@@ -80,30 +80,6 @@ class OutcomeRecord:
 
 
 @dataclass(frozen=True)
-class HullFit:
-    """Least-squares decomposition K ~ gamma*P + delta*Q, plus the
-    non-proportionality facts needed to accept it as an ideal free pair."""
-
-    gamma: float
-    delta: float
-    residual: float
-    nonprop_u: bool  # dispersal of u does not annihilate K (P not prop. K)
-    nonprop_v: bool
-
-    def is_ideal_free_pair(self) -> bool:
-        """A tiny residual, strictly positive coefficients, and neither
-        dispersal profile aligned with K (otherwise a single species already
-        matches the environment on its own)."""
-        return (
-            self.residual < IFP_RESIDUAL_TOL
-            and self.gamma > 0
-            and self.delta > 0
-            and self.nonprop_u
-            and self.nonprop_v
-        )
-
-
-@dataclass(frozen=True)
 class BoundsReport:
     """Bounds of alpha** at one competitor rate beta, from v_beta_star.
 
@@ -145,31 +121,23 @@ class InequalityReport:
         return all(c.holds for c in self.checks if c.applicable)
 
 
-def fit_convex_hull(env: EnvironmentProfile) -> HullFit:
-    """Fit K = gamma*P + delta*Q by least squares. residual is the largest
-    misfit relative to max |K|. The coefficients are left unconstrained: when
-    they leave the open positive quadrant, the nonnegative fit of this convex
-    quadratic has a zero coefficient, and is_ideal_free_pair() rejects both."""
+def detect_ideal_free_pair(env: EnvironmentProfile) -> tuple[float, float] | None:
+    """(gamma, delta) when u and v form an ideal free pair, K = gamma*P +
+    delta*Q, None otherwise. The coefficients are the least-squares fit,
+    accepted when its largest misfit relative to max |K| is below
+    IFP_RESIDUAL_TOL, both are positive, and neither dispersal annihilates
+    K (there a single species already matches the environment on its own).
+    The fit is left unconstrained: when it leaves the open positive
+    quadrant, the nonnegative fit of this convex quadratic has a zero
+    coefficient, and both are rejected."""
     pair = np.column_stack([env.P, env.Q])
     gamma, delta = np.linalg.lstsq(pair, env.K, rcond=None)[0].tolist()
-    resid = float(
-        np.max(np.abs(env.K - gamma * env.P - delta * env.Q)) / np.max(np.abs(env.K))
-    )
-    return HullFit(
-        gamma=gamma,
-        delta=delta,
-        residual=resid,
-        nonprop_u=not annihilates(env.dispersal, env.K),
-        nonprop_v=not annihilates(env.swapped().dispersal, env.K),
-    )
-
-
-def detect_ideal_free_pair(env: EnvironmentProfile) -> HullFit | None:
-    """Return the least-squares hull fit when it is an ideal free pair
-    (HullFit.is_ideal_free_pair: a tiny misfit, both coefficients positive,
-    neither dispersal aligned with K), None otherwise."""
-    f = fit_convex_hull(env)
-    return f if f.is_ideal_free_pair() else None
+    misfit = np.max(np.abs(env.K - gamma * env.P - delta * env.Q)) / np.max(np.abs(env.K))
+    if (misfit < IFP_RESIDUAL_TOL and gamma > 0 and delta > 0
+            and not annihilates(env.dispersal, env.K)
+            and not annihilates(env.swapped().dispersal, env.K)):
+        return gamma, delta
+    return None
 
 
 def alpha_star(beta: float, env: EnvironmentProfile, cfg: SimulationConfig) -> BoundsReport:
@@ -307,8 +275,8 @@ def inequality_suite(env: EnvironmentProfile, cfg: SimulationConfig) -> Inequali
     g = env.grid
     u_star = solve_semitrivial("u", env, 0.0, cfg)
     v_star = solve_semitrivial("v", env, 0.0, cfg)
-    fit = fit_convex_hull(env)
-    prop_u, prop_v = not fit.nonprop_u, not fit.nonprop_v
+    prop_u = annihilates(env.dispersal, env.K)
+    prop_v = annihilates(env.swapped().dispersal, env.K)
 
     plain_fisher = (_is_constant(env.a) and _is_constant(env.P)
                     and np.allclose(env.r, env.K, rtol=1e-12, atol=0.0))
@@ -320,7 +288,7 @@ def inequality_suite(env: EnvironmentProfile, cfg: SimulationConfig) -> Inequali
          integrate(env.r * env.P * (u_star / env.K - 1.0), g)),
         ("v_dispersal_weighted_excess", not prop_v,
          integrate(env.r * env.Q * (v_star / env.K - 1.0), g)),
-        ("invader_growth_at_u_branch", fit.is_ideal_free_pair(),
+        ("invader_growth_at_u_branch", detect_ideal_free_pair(env) is not None,
          integrate(env.r * env.Q * (1.0 - u_star / env.K), g)),
         ("u_higher_average_plain_diffusion", plain_fisher and not prop_u,
          integrate(u_star, g) - integrate(env.K, g)),

@@ -93,6 +93,26 @@ print("wrote", {png!r})
 '''
 
 
+# a sweep, whose rows run through alpha once per beta
+_SWEEP_TEMPLATE = '''"""Plot companion for {csv}, one curve per beta; run with python."""
+import csv
+import matplotlib.pyplot as plt
+
+rows = {{}}
+with open({csv!r}) as fh:
+    for cell in csv.DictReader(fh):
+        rows.setdefault(float(cell["beta"]), []).append(cell)
+for i, name in enumerate(("avg_u", "avg_v", "yield")):
+    plt.subplot(1, 3, i + 1, title=name, xlabel="alpha")
+    for beta, cells in rows.items():  # dark at beta = 0, light at 1
+        plt.plot([float(c["alpha"]) for c in cells], [float(c[name]) for c in cells],
+                 color=plt.cm.viridis(beta))
+plt.tight_layout()
+plt.savefig({png!r}, dpi=150)
+print("wrote", {png!r})
+'''
+
+
 def _create(path):
     """Open path for writing text; ConfigurationError names a path that
     cannot be opened and why."""
@@ -102,9 +122,10 @@ def _create(path):
         raise ConfigurationError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _write_output(args, header: list[str], rows) -> None:
+def _write_output(args, header: list[str], rows, plot: str = _PLOT_TEMPLATE) -> None:
     """Write the --output CSV and, under --plot-script (not registered for
-    every command), a matplotlib companion next to it."""
+    every command), a matplotlib companion next to it: plot, given the CSV
+    and PNG paths."""
     with _create(args.output) as fh:
         writer = csv.writer(fh, lineterminator="\n")  # quotes a field holding a comma
         writer.writerow(header)
@@ -115,7 +136,7 @@ def _write_output(args, header: list[str], rows) -> None:
         script = csv_path.with_name(f"plot_{csv_path.stem}.py")
         png = str(csv_path.with_suffix(".png"))
         with _create(script) as fh:
-            fh.write(_PLOT_TEMPLATE.format(csv=str(csv_path), png=png))
+            fh.write(plot.format(csv=str(csv_path), png=png))
         print(f"wrote plot script {script}")
 
 
@@ -243,7 +264,8 @@ def _cmd_sweep(args) -> int:
     betas = alphas if args.beta is None else [args.beta]
     swept = sweep_grid(alphas, betas, env, sim, u0=u0, v0=v0)
     rows = [_record_row(rec) for row in swept.records for rec in row]
-    _write_output(args, ["alpha", "beta", "avg_u", "avg_v", "yield", "outcome", "reason"], rows)
+    _write_output(args, ["alpha", "beta", "avg_u", "avg_v", "yield", "outcome", "reason"], rows,
+                  _SWEEP_TEMPLATE)
     unresolved = len(swept.failures())
     if unresolved:
         print(f"{unresolved} of {len(rows)} cells unresolved", file=sys.stderr)

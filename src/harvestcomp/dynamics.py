@@ -224,7 +224,7 @@ def solve_semitrivial(
     n = 800) evaluates 3 of its 6 iterates.
 
     Returns the first iterate whose stationary residual F, evaluated in max
-    norm, meets SimulationConfig's stopping rule (strictly), max|F| <
+    norm, meets SimulationConfig's stopping rule, max|F| <=
     max(cfg.steady_tol, env.neutral_level) * max w, env the branch's
     environment; where the evaluation rejects an iterate the prediction
     accepted, Newton goes on from the evaluated residual. That bounds the
@@ -282,7 +282,7 @@ def solve_semitrivial(
         # the iterates are positive, so max w is max|w|
         top = amax(w)
         tol = level * top
-        # A predicted residual is evaluated in full: below tol, to confirm
+        # A predicted residual is evaluated in full: within tol, to confirm
         # it; where the next one, extrapolated quadratically as
         # res_norm^3 / last^2, is below tol, so that the step expected to
         # end the solve starts from an evaluated residual and corrects the
@@ -290,11 +290,11 @@ def solve_semitrivial(
         # shrank no faster than at the step before, outside Newton's
         # quadratic regime, where that rounding would build up over many
         # steps. (Products, not float powers, which raise on overflow.)
-        if predicted and (res_norm < tol or res_norm * res_norm * res_norm < tol * last * last
+        if predicted and (res_norm <= tol or res_norm * res_norm * res_norm < tol * last * last
                           or res_norm * before >= last * last):
             residual, res_norm = evaluated(w)
             predicted = False
-        if res_norm < tol:
+        if res_norm <= tol:
             return w
         if not math.isfinite(res_norm):
             raise UnstableStepError(f"non-finite semi-trivial {which}-branch Newton iterate")
@@ -365,9 +365,10 @@ def solve_coexistence(
     Per entry these are the operations of u and v taken apart, in the same
     order.
 
-    Stops by SimulationConfig's rule for both species, level_u =
-    env.neutral_level and level_v = env.swapped().neutral_level: each is
-    accurate relative to its own size. An absent species (F_s = 0) passes,
+    Stops by SimulationConfig's rule for both species, max|F_s| <=
+    max(cfg.steady_tol, level_s) * max s with level_u = env.neutral_level
+    and level_v = env.swapped().neutral_level: each is accurate relative to
+    its own size. An absent species (F_s = 0) passes,
     and the positivity check names it. cfg.dt and cfg.t_final do not enter.
     Raises ConfigurationError for initial data check_initial_data rejects
     without a dt (negative or not finite), before any step;

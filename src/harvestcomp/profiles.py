@@ -58,7 +58,7 @@ def parse(src: str) -> float | str | tuple:
             what = ("unknown identifier" if kind == "name" and not known
                     else "unexpected character" if kind == "other" and text not in "+-*/^()"
                     else "unexpected token")
-            message = f"{what} {text!r}"
+            message = f"{what} {_quoted(text)}"
         raise ExpressionError(message or "unexpected end of input", position) from None
 
     def take(*symbols):
@@ -91,7 +91,7 @@ def parse(src: str) -> float | str | tuple:
         text, _, kind = tokens[at]
         if kind == "number":
             if not math.isfinite(float(text)):
-                fail(f"non-finite number {text!r}")
+                fail(f"non-finite number {_quoted(text)}")
             at += 1
             return float(text)
         if name := take(*_CONSTANTS):
@@ -111,6 +111,11 @@ def parse(src: str) -> float | str | tuple:
     if tokens[at][2] != "end":
         fail()
     return tree
+
+
+def _quoted(text: str) -> str:
+    """repr(text), cut to its first 60 characters and "..." when longer."""
+    return repr(text) if len(text) <= 60 else f"{text[:60]!r}..."
 
 
 def evaluate(e: float | str | tuple, x):
@@ -207,11 +212,11 @@ class EnvironmentProfile:
 
 def sample_source(name: str, src: str, grid: SpatialGrid) -> Field:
     """sample(parse(src), grid); an ExpressionError names what src is:
-    "{name} = {src!r}: {the error}"."""
+    "{name} = {src!r}: {the error}", src cut as _quoted cuts it."""
     try:
         return sample(parse(src), grid)
     except ExpressionError as exc:
-        raise ExpressionError(f"{name} = {src!r}: {exc}") from exc
+        raise ExpressionError(f"{name} = {_quoted(src)}: {exc}") from exc
 
 
 def environment_from_expressions(grid: SpatialGrid, **sources: str) -> EnvironmentProfile:

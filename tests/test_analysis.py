@@ -1,8 +1,6 @@
-import dataclasses
-
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies
+from hypothesis import assume, given, settings, strategies
 from scipy.optimize import nnls
 
 from harvestcomp import (
@@ -15,7 +13,6 @@ from harvestcomp import (
     classify,
     detect_ideal_free_pair,
     find_switch,
-    fit_convex_hull,
     inequality_suite,
 )
 from harvestcomp import analysis
@@ -41,42 +38,48 @@ def constant_env():
 # ------------------------------------------------------- ideal free pair
 
 
+def _nnls_verdict(env):
+    """The ideal-free-pair rule applied to the nonnegative least-squares fit."""
+    (gamma, delta), _ = nnls(np.column_stack([env.P, env.Q]), env.K)
+    misfit = np.max(np.abs(env.K - gamma * env.P - delta * env.Q)) / np.max(env.K)
+    pair = (misfit < IFP_RESIDUAL_TOL and gamma > 0 and delta > 0
+            and not annihilates(env.dispersal, env.K)
+            and not annihilates(env.swapped().dispersal, env.K))
+    return (gamma, delta), pair
+
+
 def test_ideal_free_pair_detected_for_complementary_profiles():
     _, _, env, _ = load_example("example3", n_cells=200)
     pair = detect_ideal_free_pair(env)
     assert pair is not None
-    assert pair.gamma == pytest.approx(1.0, abs=1e-10)
-    assert pair.delta == pytest.approx(1.0, abs=1e-10)
-    assert pair.residual < 1e-12
+    gamma, delta = pair
+    assert gamma == pytest.approx(1.0, abs=1e-10)
+    assert delta == pytest.approx(1.0, abs=1e-10)
+    assert np.max(np.abs(env.K - gamma * env.P - delta * env.Q)) / np.max(env.K) < 1e-12
 
 
 def test_ideal_free_pair_rejected_when_one_species_tracks_capacity():
     _, _, env, _ = load_example("example1", n_cells=200)
-    fit = fit_convex_hull(env)
     assert detect_ideal_free_pair(env) is None
-    assert fit.gamma == pytest.approx(1.0, abs=1e-10)
-    assert fit.delta == pytest.approx(0.0, abs=1e-12)
-    assert not fit.nonprop_u  # dispersal of u annihilates K
+    assert annihilates(env.dispersal, env.K)  # P is proportional to K
 
 
 def test_ideal_free_pair_detected_for_gaussian_bumps():
     _, _, env, _ = load_example("example4", n_cells=200)
     pair = detect_ideal_free_pair(env)
     assert pair is not None
-    assert pair.gamma == pytest.approx(1.0, abs=1e-8)
-    assert pair.delta == pytest.approx(1.0, abs=1e-8)
+    assert pair[0] == pytest.approx(1.0, abs=1e-8)
+    assert pair[1] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_an_exact_fit_outside_the_cone_is_no_ideal_free_pair(capsys):
     # K = 3+2cos(pi x) = 2P - Q: the fit is exact and neither dispersal is
     # aligned with K, so only the sign of delta rejects the pair
     _, _, env, sim = load_example("example1", n_cells=200, K="3+2*cos(pi*x)")
-    fit = fit_convex_hull(env)
-    assert fit.gamma == pytest.approx(2.0, abs=1e-10)
-    assert fit.delta == pytest.approx(-1.0, abs=1e-10)
-    assert fit.residual < IFP_RESIDUAL_TOL
-    assert fit.nonprop_u and fit.nonprop_v
-    assert not fit.is_ideal_free_pair()
+    assert np.max(np.abs(env.K - 2.0 * env.P + env.Q)) / np.max(env.K) < IFP_RESIDUAL_TOL
+    assert not annihilates(env.dispersal, env.K)
+    assert not annihilates(env.swapped().dispersal, env.K)
+    assert detect_ideal_free_pair(env) is None
     # no pair, so the paper's formula is no bound here; alpha_P still is
     rep = alpha_star(0.4, env, sim)
     assert rep.alpha_star_ifp <= find_switch(0.4, env, sim).alpha_double_star < rep.alpha_star
@@ -95,35 +98,33 @@ def test_an_exact_fit_outside_the_cone_is_no_ideal_free_pair(capsys):
 )
 def test_pair_fit_matches_nnls(n, seed, gamma, delta, noise):
     # a negative gamma or delta puts the unconstrained fit outside the
-    # positive quadrant in most draws, where nnls clamps a coefficient to 0
+    # positive quadrant in most draws, where nnls clamps a coefficient to 0;
+    # noise = 0 with both positive draws an exact pair
     rng = np.random.default_rng(seed)
     P, Q = rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, n)
-    K = np.abs(gamma * P + delta * Q + noise * rng.normal(size=n)) + 0.01
+    K = np.abs(gamma * P + delta * Q + noise * rng.normal(size=n))
+    assume(np.max(K) > 0)
     ones = np.ones(n)
     env = EnvironmentProfile(grid=SpatialGrid(1.0, n), K=K, r=ones, P=P, Q=Q, a=ones, b=ones)
-    fit = fit_convex_hull(env)
-    ref, rnorm = nnls(np.column_stack([P, Q]), K)
-    # the unconstrained residual is the global minimum
-    assert np.linalg.norm(K - fit.gamma * P - fit.delta * Q) <= rnorm * (1 + 1e-12)
-    if np.all(ref > 0):
+    pair = detect_ideal_free_pair(env)
+    ref, nnls_pair = _nnls_verdict(env)
+    assert (pair is not None) == nnls_pair
+    if pair is not None:
         scale = float(np.max(ref))
-        assert abs(fit.gamma - ref[0]) <= 1e-12 * scale
-        assert abs(fit.delta - ref[1]) <= 1e-12 * scale
-    residual = np.max(np.abs(K - ref[0] * P - ref[1] * Q)) / np.max(K)
-    nnls_fit = dataclasses.replace(fit, gamma=ref[0], delta=ref[1], residual=residual)
-    assert fit.is_ideal_free_pair() == nnls_fit.is_ideal_free_pair()
+        assert abs(pair[0] - ref[0]) <= 1e-12 * scale
+        assert abs(pair[1] - ref[1]) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("diffusion", [1.0, 0.01])
 def test_ideal_free_pair_verdict_matches_nnls_on_bundled_configs(diffusion):
     for name in ("example1", "example2", "example3", "example4", "example4b"):
         _, _, env, _ = load_example(name, a=diffusion, b=diffusion)
-        fit = fit_convex_hull(env)
-        (gamma, delta), _ = nnls(np.column_stack([env.P, env.Q]), env.K)
-        residual = np.max(np.abs(env.K - gamma * env.P - delta * env.Q)) / np.max(env.K)
-        ref = dataclasses.replace(fit, gamma=gamma, delta=delta, residual=residual)
-        assert fit.is_ideal_free_pair() == ref.is_ideal_free_pair(), name
-        assert fit.is_ideal_free_pair() == (name in ("example3", "example4")), name
+        pair = detect_ideal_free_pair(env)
+        ref, nnls_pair = _nnls_verdict(env)
+        assert (pair is not None) == nnls_pair, name
+        assert (pair is not None) == (name in ("example3", "example4")), name
+        if pair is not None:
+            assert pair == pytest.approx(tuple(ref), abs=1e-12 * max(ref)), name
 
 
 def test_alpha_star_fits_no_hull_and_the_suite_fits_once(monkeypatch):
@@ -144,12 +145,12 @@ def test_alpha_star_fits_no_hull_and_the_suite_fits_once(monkeypatch):
     assert len(calls) == 1
     inequality_suite(env, sim)
     assert len(calls) == 2
-    fit = fit_convex_hull(env)
-    swapped = fit_convex_hull(env.swapped())
-    assert fit.gamma == pytest.approx(1.0, abs=1e-10)
-    assert fit.delta == pytest.approx(2.0, abs=1e-10)
-    assert swapped.gamma == pytest.approx(fit.delta, abs=1e-12)
-    assert swapped.delta == pytest.approx(fit.gamma, abs=1e-12)
+    gamma, delta = detect_ideal_free_pair(env)
+    swapped = detect_ideal_free_pair(env.swapped())
+    assert gamma == pytest.approx(1.0, abs=1e-10)
+    assert delta == pytest.approx(2.0, abs=1e-10)
+    assert swapped[0] == pytest.approx(delta, abs=1e-12)
+    assert swapped[1] == pytest.approx(gamma, abs=1e-12)
 
 
 # ------------------------------------------------------------- alpha_star

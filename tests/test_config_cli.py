@@ -1,6 +1,10 @@
 import csv
 import re
+import runpy
+import sys
+import types
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -131,6 +135,20 @@ def test_an_expression_too_deep_to_sample_exits_2(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: profile K = ") and "nested too deeply" in err
+
+
+@pytest.mark.parametrize("source,reason", [
+    ("+".join(["x"] * 1000), "nested too deeply"),
+    ("9" * 5000, "non-finite number"),
+], ids=["long_sum", "long_number"])
+def test_a_long_expression_is_quoted_by_its_prefix(capsys, source, reason):
+    # the message quotes the first characters of the source or token, so it
+    # stays one short line however long the expression is
+    code = run_cli("check", "--config", bundled_config("example1"), "--set", f"K={source}")
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and len(lines[0]) < 200
+    assert "K" in lines[0] and reason in lines[0]
 
 
 def test_simulate_writes_profile_and_roundtrips(fast_config, tmp_path, capsys):
@@ -516,6 +534,24 @@ def test_plot_script_emission(fast_config, tmp_path):
         "--output", out, "--plot-script",
     ) == 0
     assert (tmp_path / "plot_prof.py").exists()
+
+
+@pytest.mark.parametrize("shape", [["--grid", "5"], ["--beta", "0.4", "--grid", "5"]])
+def test_sweep_plot_companion_draws_each_curve_in_increasing_alpha(
+    fast_config, tmp_path, monkeypatch, shape
+):
+    # a map's rows run through alpha once per beta; a curve drawn across
+    # them would jump back from alpha = 1 to 0 at each new beta
+    out = tmp_path / "s.csv"
+    assert run_cli("sweep", "--config", fast_config, *shape, "--output", out,
+                   "--plot-script") == 0
+    pyplot = mock.MagicMock()
+    monkeypatch.setitem(sys.modules, "matplotlib", types.ModuleType("matplotlib"))
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    runpy.run_path(str(tmp_path / "plot_s.py"))
+    xs = [list(call.args[0]) for call in pyplot.plot.call_args_list]
+    assert xs and all(x == sorted(x) for x in xs)
+    pyplot.savefig.assert_called_once()
 
 
 def test_exit_code_2_for_config_errors(tmp_path, capsys):

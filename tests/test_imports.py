@@ -29,7 +29,7 @@ cfg = load_config(files("harvestcomp") / "configs" / "example1.cfg")
 cfg = apply_overrides(cfg, {"n_cells": "60"})
 _, env = build_environment(cfg)
 assert harvestcomp.find_switch(0.4, env, simulation_config(cfg)) is not None
-harvestcomp.fit_convex_hull(env)
+harvestcomp.detect_ideal_free_pair(env)
 print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
 """
 
@@ -279,3 +279,20 @@ def test_bench_tracer_sees_every_eigenpair_and_detection_of_a_bounds_curve():
     assert metrics["spectral.eigen_calls"][0] == 21
     assert metrics["spectral.eigen_iterations"][0] == 63
     assert metrics["analysis.ifp_detect_calls"][0] == 0
+
+
+def test_bench_tracer_sees_one_detection_per_inequality_suite():
+    # inequality_suite decides invader_growth_at_u_branch by calling
+    # detect_ideal_free_pair where the tracer wraps it
+    tracer_module = runpy.run_path(str(TRACER))
+    _, _, env, sim = load_example("example3", n_cells=100)
+    tracer = tracer_module["Tracer"]()
+    tracer.install({module: importlib.import_module(module)
+                    for module, _ in tracer_module["BOUNDARIES"]})
+    try:
+        for _ in range(3):
+            harvestcomp.analysis.inequality_suite(env, sim)
+    finally:
+        tracer.uninstall()
+    metrics = tracer_module["layer_metrics"](tracer)
+    assert metrics["analysis.ifp_detect_calls"][0] == 3

@@ -174,9 +174,9 @@ def test_sample_overflow_is_an_error():
 def test_huge_literals_are_expression_errors():
     g = SpatialGrid(length=4.0, n_cells=5)
     with pytest.raises(ExpressionError, match="non-finite"):
-        sample(parse("9" * 400), g)  # float() of its digits is inf
+        sample(parse("9" * 400), g)  # float() of its digits is inf, which parse rejects
     with pytest.raises(ExpressionError):
-        parse("9" * 5000)  # past the digit limit of Python's integer literals
+        parse("9" * 5000)  # float() takes any number of digits; this one is inf too
 
 
 def _left_sum(x, n):

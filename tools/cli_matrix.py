@@ -54,6 +54,8 @@ CASES = (
     ("msy_ceiling", ["msy", "--set", "alpha=0.5", "--set", "beta=0.5"]),
     ("check", ["check"]),
     ("check_weak", ["check", *WEAK]),
+    ("check_outside_cone", ["check", "--set", "K=3+2*cos(pi*x)"]),
+    ("check_unequal_pair", ["check", "--set", "Q=0.45+0.25*cos(pi*x)"]),
     ("bad_profile", ["check", "--set", f"K={NON_FINITE}"]),
     ("bad_u0", ["sweep", "--grid", "3", "--set", f"u0={NON_FINITE}"]),
     ("bad_v0", ["msy", "--set", f"v0={NON_FINITE}"]),
