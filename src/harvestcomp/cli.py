@@ -28,6 +28,7 @@ from .config import (
 from .dynamics import HarvestRates, run_to_time, solve_semitrivial
 from .errors import ConfigurationError, HarvestCompError, NumericalError
 from .grid import average, integrate
+from .profiles import _quoted
 from .spectral import sign
 from .sweep import CellFailure, find_switch, invasion_eigen, simulate_cell, sweep_grid
 
@@ -149,7 +150,7 @@ def _resolve_config(args) -> RunConfig:
     overrides = {}
     for item in args.set or []:
         if "=" not in item:
-            raise ConfigurationError(f"--set expects key=value, got {item!r}")
+            raise ConfigurationError(f"--set expects key=value, got {_quoted(item)}")
         key, _, value = item.partition("=")
         overrides[key.strip()] = value
     if overrides:
@@ -278,9 +279,7 @@ def _cmd_switch(args) -> int:
     cfg, grid, env, sim = _setup(args)
     sp = find_switch(cfg.beta, env, sim, tol=args.tol)
     if sp is None:
-        empty = f"the search interval [beta + tol, 1 - tol] is empty at tol={args.tol:g}"
-        why = empty if cfg.beta + args.tol >= 1.0 - args.tol else "no switch inside (beta, 1)"
-        print(f"beta={cfg.beta:g}: {why}")
+        print(f"beta={cfg.beta:g}: no switch in [0, 1)")
         return EXIT_OK
     print(
         f"beta={cfg.beta:g} alpha_double_star={sp.alpha_double_star:.6g} "

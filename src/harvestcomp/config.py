@@ -24,8 +24,8 @@ import numpy as np
 from .dynamics import HarvestRates, SimulationConfig
 from .errors import ConfigurationError, ExpressionError
 from .grid import Field, SpatialGrid
-from .profiles import (EnvironmentProfile, environment_from_expressions, parse, sample_source,
-                       validate_environment)
+from .profiles import (EnvironmentProfile, _quoted, environment_from_expressions, parse,
+                       sample_source, validate_environment)
 from .sweep import DEFAULT_INITIAL_DENSITY
 
 _EXPR_KEYS = ("K", "r", "P", "Q", "a", "b", "u0", "v0")
@@ -56,7 +56,7 @@ _KEY_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 def _parse_value(key: str, text: str, where: str):
     if key not in _KEY_TYPES:
-        raise ConfigurationError(f"{where}: unknown key {key!r}")
+        raise ConfigurationError(f"{where}: unknown key {_quoted(key)}")
     text = text.strip()
     if key in _EXPR_KEYS:
         if not text:
@@ -69,7 +69,8 @@ def _parse_value(key: str, text: str, where: str):
     try:
         value = int(text) if key == "n_cells" else float(text)
     except ValueError:
-        raise ConfigurationError(f"{where}: malformed value for {key!r}: {text!r}") from None
+        raise ConfigurationError(
+            f"{where}: malformed value for {key!r}: {_quoted(text)}") from None
     _check_range(key, value, where)
     return value
 
@@ -93,11 +94,12 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             continue
         where = f"{source}:{lineno}"
         if "=" not in line:
-            raise ConfigurationError(f"{where}: expected 'key = value', got {raw.strip()!r}")
+            raise ConfigurationError(
+                f"{where}: expected 'key = value', got {_quoted(raw.strip())}")
         key, _, value = line.partition("=")
         key = key.strip()
         if key in values:
-            raise ConfigurationError(f"{where}: duplicate key {key!r}")
+            raise ConfigurationError(f"{where}: duplicate key {_quoted(key)}")
         values[key] = _parse_value(key, value, where)
     missing = [k for k in _REQUIRED if k not in values]
     if missing:
@@ -119,11 +121,12 @@ def load_config(path) -> RunConfig:
 
 
 def apply_overrides(cfg: RunConfig, overrides: dict[str, str]) -> RunConfig:
-    """Apply CLI 'key=value' overrides through the same validation."""
-    parsed = {
-        key: _parse_value(key, text, where=f"override {key}")
-        for key, text in overrides.items()
-    }
+    """Apply CLI 'key=value' overrides through the same validation. Each
+    message names its override by the key's first 60 characters."""
+    parsed = {}
+    for key, text in overrides.items():
+        where = f"override {key}" if len(key) <= 60 else f"override {key[:60]}..."
+        parsed[key] = _parse_value(key, text, where)
     return replace(cfg, **parsed)
 
 

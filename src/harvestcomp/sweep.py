@@ -29,7 +29,7 @@ disperser leaves its competitor on the line alpha = beta (examples 1, 2 and
 eigenpairs; any other cell computes both sigmas. On the bundled configs,
 where r is constant, a sweep so takes one eigenpair per climb: 20 for an
 11x11 sweep at n = 200 instead of 200, and 80 for a 41x41 sweep instead of
-3,200. find_switch is the same climb on one row, from beta + tol.
+3,200. find_switch is the same climb on one row, from alpha = 0.
 """
 
 from __future__ import annotations
@@ -348,7 +348,7 @@ def find_switch(
     v0: Field | None = None,
 ) -> SwitchPoint | None:
     """Largest harvesting effort alpha** that still lets the first species
-    invade (0, v_beta), searched between alpha = beta + tol and 1 - tol.
+    invade (0, v_beta), searched over alpha in [0, 1).
 
     alpha** is the root of sigma1(alpha), the principal eigenvalue of u
     invading the harvested semi-trivial state (0, v_beta): (0, v_beta) turns
@@ -359,37 +359,30 @@ def find_switch(
     for the eigenfunction psi normalized so that h * sum(psi^2 / P) = 1
     (Hellmann-Feynman), which is negative because r >= 0 is positive
     somewhere and psi is positive. A convex decreasing function lies above
-    its tangents, so Newton's method started at beta + tol, where
+    its tangents, so Newton's method started at alpha = 0, where
     sigma1 >= 0, climbs to the root without overshooting it: no bracket or
-    line search is needed. It is sweep_grid's climb on one row: it stops
-    once sigma1 is within env.neutral_level of 0 (or below 0), or once
+    line search is needed. It is sweep_grid's climb on the row [0, 1): it
+    stops once sigma1 is within env.neutral_level of 0 (or below 0), or once
     the last point's tangent and the slope bound -min r put sigma1 at its
     Newton iterate within that level of 0, and returns the last point's
     Newton iterate. On the bundled configs, where r is constant and sigma1
     affine, the first point stops it so. sigma1 has opposite signs at the
     two ends of the reported bracket, centred on the root, whose width is
-    at most tol.
+    min(tol, 2 * alpha**, 2 * (1 - alpha**)).
 
-    Returns None when there is no switch to report inside the search
-    interval: when the interval is empty (beta + tol >= 1 - tol, whatever
-    alpha** is), when sigma1 < 0 at beta + tol, or when an iterate reaches
-    1 - tol. Positive initial data do not enter the invasion
+    Returns None when sigma1 < 0 at alpha = 0: u does not invade (0, v_beta)
+    even unharvested. Positive initial data do not enter the invasion
     criterion: u0 and v0 are accepted for call compatibility and unused.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigurationError(f"switch tolerance tol must be finite and positive, got {tol}")
-    lo = beta + tol
-    hi = 1.0 - tol
-    if lo >= hi:
-        return None
     v_beta = solve_semitrivial("v", env, beta, cfg)
 
     def eigen(alpha: float) -> spectral.EigenResult:
         return invasion_eigen(env, HarvestRates(alpha=alpha, beta=beta), v_beta)
 
-    points, root = _newton_climb(eigen, env, lo, hi, env.neutral_level, float(env.r.min()))
-    sigma_lo = points[0][1]
-    if sigma_lo < 0 or root >= hi:
+    points, root = _newton_climb(eigen, env, 0.0, 1.0, env.neutral_level, float(env.r.min()))
+    if points[0][1] < 0 or root >= 1.0:
         return None
-    width = min(tol, 2.0 * (root - lo), 2.0 * (hi - root))
+    width = min(tol, 2.0 * root, 2.0 * (1.0 - root))
     return SwitchPoint(beta=beta, alpha_double_star=root, bracket_width=width)

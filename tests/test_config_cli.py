@@ -137,18 +137,28 @@ def test_an_expression_too_deep_to_sample_exits_2(capsys):
     assert err.startswith("configuration error: profile K = ") and "nested too deeply" in err
 
 
-@pytest.mark.parametrize("source,reason", [
-    ("+".join(["x"] * 1000), "nested too deeply"),
-    ("9" * 5000, "non-finite number"),
-], ids=["long_sum", "long_number"])
-def test_a_long_expression_is_quoted_by_its_prefix(capsys, source, reason):
-    # the message quotes the first characters of the source or token, so it
-    # stays one short line however long the expression is
-    code = run_cli("check", "--config", bundled_config("example1"), "--set", f"K={source}")
+@pytest.mark.parametrize("item,reason", [
+    ("K=" + "+".join(["x"] * 1000), "profile K = 'x+x+"),
+    ("K=" + "9" * 5000, "'K': non-finite number '999"),
+    ("L=" + "1" * 3000 + "x", "malformed value for 'L': '111"),
+    ("k" * 3000 + "=1", "unknown key 'kkk"),
+    ("k" * 3000, "--set expects key=value, got 'kkk"),
+], ids=["long_sum", "long_number", "long_value", "long_key", "long_item"])
+def test_a_long_expression_is_quoted_by_its_prefix(capsys, item, reason):
+    # the message quotes the first characters of the key, value, source or
+    # token, so it stays one short line however long the override is
+    code = run_cli("check", "--config", bundled_config("example1"), "--set", item)
     assert code == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and len(lines[0]) < 200
-    assert "K" in lines[0] and reason in lines[0]
+    assert reason in lines[0] and "..." in lines[0]
+
+
+def test_a_long_config_line_is_quoted_by_its_prefix(tmp_path):
+    path = tmp_path / "long.cfg"
+    path.write_text("L = 4\n" + "q" * 3000 + "\n")
+    with pytest.raises(ConfigurationError, match=r":2: expected 'key = value', got 'q{60}'\.\.\.$"):
+        load_config(path)
 
 
 def test_simulate_writes_profile_and_roundtrips(fast_config, tmp_path, capsys):
@@ -286,7 +296,7 @@ def test_bounds_command_csv_contract(fast_config, tmp_path, capsys):
 
 
 def test_bounds_with_switch_writes_the_switch_point(fast_config, tmp_path, capsys):
-    # beta = 0.9985 leaves (beta + tol, 1 - tol) empty: no switch, nan
+    # at beta = 0.9985 alpha** lies less than tol above beta: a switch all the same
     out = tmp_path / "bounds.csv"
     code = run_cli("bounds", "--config", fast_config, "--betas", "0,0.4,0.9985", "--with-switch",
                    "--output", out)
@@ -296,11 +306,10 @@ def test_bounds_with_switch_writes_the_switch_point(fast_config, tmp_path, capsy
     cfg = load_config(fast_config)
     _, env = build_environment(cfg)
     sim = simulation_config(cfg)
-    for row, beta in zip(rows[:2], [0.0, 0.4]):
+    for row, beta in zip(rows, [0.0, 0.4, 0.9985], strict=True):
         assert float(row["beta"]) == beta
         assert float(row["alpha_double_star"]) == find_switch(beta, env, sim).alpha_double_star
-    assert rows[2]["beta"] == "0.9985" and rows[2]["alpha_double_star"] == "nan"
-    assert "alpha_double_star=nan" in capsys.readouterr().out
+    assert "nan" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4", "example4b"])
@@ -425,20 +434,25 @@ def test_switch_command(fast_config, capsys):
 
 
 def test_switch_reports_no_switch_and_writes_its_row(fast_config, tmp_path, capsys):
-    # an empty search interval is named as such, whatever alpha** is: at
-    # beta = 0 the switch lies near 0.126, inside (beta, 1)
-    assert run_cli("switch", "--config", fast_config, "--beta", "0.9985") == 0
-    assert capsys.readouterr().out == (
-        "beta=0.9985: the search interval [beta + tol, 1 - tol] is empty at tol=0.001\n"
-    )
+    # the search climbs from alpha = 0 and tol caps only the reported width:
+    # alpha**(0) = 0.126 is found at tol = 0.6, whose bracket it narrows
     assert run_cli("switch", "--config", fast_config, "--beta", "0", "--tol", "0.6") == 0
+    cfg = load_config(fast_config)
+    _, env = build_environment(cfg)
+    sp = find_switch(0.0, env, simulation_config(cfg), tol=0.6)
+    assert sp.bracket_width == 2.0 * sp.alpha_double_star
     assert capsys.readouterr().out == (
-        "beta=0: the search interval [beta + tol, 1 - tol] is empty at tol=0.6\n"
+        f"beta=0 alpha_double_star={sp.alpha_double_star:.6g} "
+        f"bracket_width={sp.bracket_width:.3g}\n"
     )
-    # v, not u, is the ideal free disperser: sigma1 < 0 already at beta + tol
-    flipped = ["--set", "P=1", "--set", "Q=2+cos(pi*x)"]
-    assert run_cli("switch", "--config", fast_config, "--beta", "0.3", *flipped) == 0
-    assert capsys.readouterr().out == "beta=0.3: no switch inside (beta, 1)\n"
+    # v disperses as u does but 100 times slower and excludes u unharvested:
+    # u does not invade (0, v_0) at any alpha
+    loser = ["--set", "P=1", "--set", "Q=1", "--set", "a=1", "--set", "b=0.01"]
+    assert run_cli("switch", "--config", fast_config, "--beta", "0", *loser) == 0
+    assert capsys.readouterr().out == "beta=0: no switch in [0, 1)\n"
+    # beta = 1 leaves v no state to invade
+    assert run_cli("switch", "--config", fast_config, "--beta", "1") == 2
+    assert "needs a harvesting rate below 1" in capsys.readouterr().err
     out = tmp_path / "switch.csv"
     assert run_cli("switch", "--config", fast_config, "--beta", "0.2", "--output", out) == 0
     printed = capsys.readouterr().out.splitlines()

@@ -85,19 +85,19 @@ def invasion_sigma1(alpha, beta, env, sim):
     return principal_eigen(build_operator(env.a, env.P, env.grid), potential, env.P).sigma1
 
 
-def brentq_switch(beta, env, sim, tol=1e-3):
-    """Oracle for find_switch: alpha** by bracketing, None when sigma1 has one
-    sign at the two ends of [beta + tol, 1 - tol]. xtol is tighter than
-    brentq's default, so that the oracle's own tolerance does not count
-    against the match."""
-    lo, hi = beta + tol, 1.0 - tol
+def brentq_switch(beta, env, sim):
+    """Oracle for find_switch: alpha** by bracketing on [0, 1], None when
+    sigma1(0) < 0. sigma1(1) < 0 always, since the potential r * (-v_beta /
+    K) is <= 0 and negative where v_beta is. xtol is tighter than brentq's
+    default, so that the oracle's own tolerance does not count against the
+    match."""
 
     def sigma1(alpha):
         return invasion_sigma1(alpha, beta, env, sim)
 
-    if lo >= hi or (sigma1(lo) < 0) == (sigma1(hi) < 0):
+    if sigma1(0.0) < 0:
         return None
-    return brentq(sigma1, lo, hi, xtol=1e-15)
+    return brentq(sigma1, 0.0, 1.0, xtol=1e-15)
 
 
 def test_find_switch_brackets_the_exclusion_boundary(example1_small):
@@ -121,11 +121,12 @@ def test_find_switch_brackets_the_exclusion_boundary(example1_small):
 
 
 def test_find_switch_independent_of_starting_bracket(example1_small):
+    # every search climbs from alpha = 0; tol caps only the reported width
     grid, env, sim = example1_small
-    tol = 2e-3
-    a = find_switch(0.0, env, sim, tol=tol)
+    a = find_switch(0.0, env, sim, tol=2e-3)
     b = find_switch(0.0, env, sim, tol=0.05)
-    assert abs(a.alpha_double_star - b.alpha_double_star) <= 2 * tol
+    assert a.alpha_double_star == b.alpha_double_star
+    assert (a.bracket_width, b.bracket_width) == (2e-3, 0.05)
 
 
 def test_find_switch_exists_for_flat_capacity_control():
@@ -143,8 +144,13 @@ def test_find_switch_exists_for_flat_capacity_control():
 
 
 def test_find_switch_reports_no_switch_when_bracket_degenerates(example1_small):
+    # alpha** lies less than tol above beta and less than tol below 1; the
+    # climb over [0, 1) finds it whatever tol is
     grid, env, sim = example1_small
-    assert find_switch(0.999, env, sim, tol=1e-3) is None
+    sp = find_switch(0.999, env, sim, tol=1e-3)
+    assert 0.999 < sp.alpha_double_star < 1.0
+    assert find_switch(0.999, env, sim, tol=0.5).alpha_double_star == sp.alpha_double_star
+    assert sp.bracket_width == min(1e-3, 2.0 * (1.0 - sp.alpha_double_star))
 
 
 @pytest.mark.parametrize("diffusion", [1.0, 0.01])
@@ -174,7 +180,7 @@ def test_find_switch_matches_brentq_on_random_environments(env, beta):
 
 def test_find_switch_takes_one_eigenpair_on_example1(monkeypatch):
     # r is constant on example1, so sigma1 is affine in alpha: the tangent
-    # at beta + tol and the slope bound -min r meet at the root, which the
+    # at alpha = 0 and the slope bound -min r meet at the root, which the
     # climb returns without a second eigenpair to confirm it
     _, grid, env, sim = load_example("example1")
     calls = []
@@ -189,33 +195,61 @@ def test_find_switch_takes_one_eigenpair_on_example1(monkeypatch):
 
 
 def test_find_switch_reports_no_switch_when_root_lies_above_the_interval():
-    # u tracks K, v gathers where K is low: alpha** = 0.806 at beta = 0. With
-    # tol = 0.3 the search interval (0.3, 0.7) lies below it, sigma1 is
-    # positive at both ends and Newton's iterate reaches 1 - tol
+    # u tracks K, v gathers where K is low: alpha** = 0.806 at beta = 0, above
+    # 1 - tol for tol = 0.3. The climb over [0, 1) finds it whatever tol is
     cfg = parse_config_text(
         "L = 1\nn_cells = 60\nK = 1+0.9*cos(pi*x)\nr = 1+0.5*x\n"
         "P = 1+0.9*cos(pi*x)\nQ = 1-0.9*cos(pi*x)\na = 1\nb = 1\n"
     )
     _, env = build_environment(cfg)
     sim = SimulationConfig()
-    assert find_switch(0.0, env, sim, tol=0.3) is None
     assert invasion_sigma1(0.7, 0.0, env, sim) > 0
-    sp = find_switch(0.0, env, sim, tol=0.1)
-    assert sp is not None
+    sp = find_switch(0.0, env, sim, tol=0.3)
     assert sp.alpha_double_star == pytest.approx(0.8063186, abs=1e-6)
+    assert find_switch(0.0, env, sim, tol=0.1).alpha_double_star == sp.alpha_double_star
+    assert sp.bracket_width == 0.3
 
 
 def test_effective_alpha_star_below_switch_on_bundled_configs():
-    # the guaranteed-coexistence bound never exceeds the switch point. beta
-    # = 0.8 is left out: on example3 its root (~0.8007) lies inside
-    # (beta, beta + tol], so find_switch returns None there
-    for name in ("example1", "example2", "example3", "example4", "example4b"):
+    # the guaranteed-coexistence bound never exceeds the switch point; on
+    # example3 the root at beta = 0.8 (~0.8007) lies less than tol above beta
+    for name in ("example1", "example2", "example3", "example4", "example4b", "example5"):
         _, grid, env, sim = load_example(name, n_cells=200)
-        for beta in (0.0, 0.4, 0.6):
+        for beta in (0.0, 0.4, 0.6, 0.8):
             sp = find_switch(beta, env, sim)
             assert sp is not None, (name, beta)
             a_star = alpha_star(beta, env, sim).effective_alpha_star
             assert a_star <= sp.alpha_double_star, (name, beta)
+
+
+def test_harvest_on_the_winner_rescues_the_loser():
+    # u and v disperse alike but u 100 times faster, so v excludes u
+    # unharvested: u cannot invade (0, v_0) at any alpha, and any harvest on
+    # v opens a strip alpha < alpha**(beta) on which u invades
+    _, _, env, sim = load_example("example2", n_cells=200, P=1, Q=1, a=1, b=0.01)
+    assert find_switch(0.0, env, sim) is None
+    for beta in (0.1, 0.3, 0.6):
+        sp = find_switch(beta, env, sim)
+        assert 0.0 < sp.alpha_double_star < 1.0, beta
+        half = 0.5 * sp.bracket_width
+        assert invasion_sigma1(sp.alpha_double_star - half, beta, env, sim) > 0, beta
+        assert invasion_sigma1(sp.alpha_double_star + half, beta, env, sim) < 0, beta
+
+
+def test_alpha_p_lies_below_the_switch_where_p_is_not_proportional_to_k():
+    # sigma1(alpha_P) >= 0, so alpha_P <= alpha**, also where alpha** lies
+    # within tol of beta. u loses unharvested on example1, 4 and 4b: at
+    # beta = 0 there is no switch, and alpha_P < 0 claims no coexistence
+    for name in ("example1", "example2", "example3", "example4", "example4b", "example5"):
+        _, _, env, sim = load_example(name, n_cells=200, P="1+0.5*sin(pi*x/4)")
+        for beta in (0.0, 0.4, 0.8):
+            alpha_p = alpha_star(beta, env, sim).effective_alpha_star
+            sp = find_switch(beta, env, sim)
+            if sp is None:
+                assert name in ("example1", "example4", "example4b") and beta == 0.0, name
+                assert alpha_p < 0.0, name
+            else:
+                assert alpha_p <= sp.alpha_double_star, (name, beta)
 
 
 def test_example5_paper_formula_bounds_the_switch_with_varying_growth(monkeypatch):
@@ -512,7 +546,7 @@ def test_a_climb_past_its_cap_fails_find_switch_and_leaves_the_sweep_per_cell(mo
     # its iterate open and the climb goes on
     _, grid, env, sim = load_example("example1", n_cells=200, r="1.1+0.5*cos(pi*x)")
     monkeypatch.setattr(sweep, "_NEWTON_CAP", 0)
-    message = "switch point not resolved after 0 Newton steps: rate near 0.401, sigma1 = "
+    message = "switch point not resolved after 0 Newton steps: rate near 0, sigma1 = "
     with pytest.raises(ConvergenceError, match=re.escape(message)):
         find_switch(0.4, env, sim)
     rates = np.linspace(0.0, 1.0, 6)

@@ -27,6 +27,8 @@ from pathlib import Path
 COMMANDS = ("simulate", "steady", "eigen", "bounds", "sweep", "switch", "msy", "check")
 CONFIGS = ("example1", "example2", "example3", "example4", "example4b", "example5")
 WEAK = ["--set", "a=0.01", "--set", "b=0.01"]
+# u loses unharvested, so u invades (0, v_beta) only for harvest on v
+RESCUE = ["--set", "P=1", "--set", "Q=1", "--set", "a=1", "--set", "b=0.01"]
 NON_FINITE = "1/(x-x)"
 # (case name, arguments after --config and the n_cells override)
 CASES = (
@@ -50,6 +52,9 @@ CASES = (
     ("switch_config_beta", ["switch", "--set", "beta=0.2", "--tol", "1e-6"]),
     ("switch_none", ["switch", "--beta", "0.9985"]),
     ("switch_empty", ["switch", "--beta", "0", "--tol", "0.6"]),
+    ("switch_weak", ["switch", "--beta", "0.4", *WEAK]),
+    ("switch_rescue", ["switch", "--beta", "0.3", *RESCUE]),
+    ("switch_no_invasion", ["switch", "--beta", "0", *RESCUE]),
     ("msy", ["msy", "--set", "alpha=0.3", "--set", "beta=0.2"]),
     ("msy_ceiling", ["msy", "--set", "alpha=0.5", "--set", "beta=0.5"]),
     ("check", ["check"]),
