@@ -18,18 +18,20 @@ from the sweep's initial data.
 sigma_u is convex and strictly decreasing in alpha (J. E. Cohen, Proc. AMS
 81 (1981) 657-658), with slope -h * sum(r * psi^2 / P) from its own
 eigenpair, so it changes sign across a beta row once, at the switch point
-alpha**(beta); likewise sigma_v across an alpha column. One Newton climb
-per row and per column finds where, and the points it evaluates bound
-sigma at every other rate: from below by their tangents, and from above by
-the slope bound -min r. The bounds prove a sign of +1 or -1 where they
-clear 0, and a neutral sign where both lie within half the neutral level of
-0 (sweep_grid states the bounds). A neutral sign is what an ideal free
-disperser leaves its competitor on the line alpha = beta (examples 1, 2 and
-4b). A cell whose two signs decide its outcome is decided without its own
-eigenpairs; any other cell computes both sigmas. On the bundled configs,
-where r is constant, a sweep so takes one eigenpair per climb: 20 for an
-11x11 sweep at n = 200 instead of 200, and 80 for a 41x41 sweep instead of
-3,200. find_switch is the same climb on one row, from alpha = 0.
+alpha**(beta); likewise sigma_v across an alpha column, at beta_v(alpha).
+One Newton climb per row and per column runs toward 1 and stops on that
+root, or where its iterate reaches 1; SweepGrid keeps the roots as the two
+switch curves. The points a climb evaluates bound sigma at every other rate:
+from below by their tangents, and from above by the slope bound -min r. The
+bounds prove a sign of +1 or -1 where they clear 0, and a neutral sign where
+both lie within half the neutral level of 0 (sweep_grid states the bounds).
+A neutral sign is what an ideal free disperser leaves its competitor on the
+line alpha = beta (examples 1, 2 and 4b). A cell whose two signs decide its
+outcome is decided without its own eigenpairs; any other cell computes both
+sigmas. On the bundled configs, where r is constant, a sweep so takes one
+eigenpair per climb: 20 for an 11x11 sweep at n = 200 instead of 200, and 80
+for a 41x41 sweep instead of 3,200. find_switch is the same climb on one
+row, from alpha = 0.
 """
 
 from __future__ import annotations
@@ -90,12 +92,30 @@ class SwitchPoint:
 
 @dataclass(frozen=True, eq=False)
 class SweepGrid:
+    """records[i][j] is the cell at (alphas[j], betas[i]). switch_u[i] is
+    alpha**(betas[i]), the root of sigma_u on that row, and switch_v[j] is
+    beta_v(alphas[j]), that of sigma_v on that column: each its line's
+    Climb.root, so None where sigma < -level at the climb's start or an
+    iterate reaches 1, and None where the line has no climb (its own rate
+    >= 1, no rate of the other axis in [0, 1), or the climb raised)."""
+
     alphas: np.ndarray
     betas: np.ndarray
-    records: list  # records[i][j] is the cell at (alphas[j], betas[i])
+    records: list
+    switch_u: list
+    switch_v: list
 
     def failures(self) -> list[CellFailure]:
         return [c for row in self.records for c in row if isinstance(c, CellFailure)]
+
+
+@dataclass(frozen=True)
+class Climb:
+    """A Newton climb (_newton_climb): the points (x, sigma, slope) it
+    evaluated, in order, and the root it stopped on, or None."""
+
+    points: tuple
+    root: float | None
 
 
 def simulate_cell(
@@ -130,36 +150,36 @@ def invasion_eigen(
     return spectral.principal_eigen(env.dispersal, potential, env.P)
 
 
-def _newton_climb(eigen, env: EnvironmentProfile, start: float, stop: float, level: float,
-                  r_min: float):
+def _newton_climb(eigen, env: EnvironmentProfile, start: float) -> Climb:
     """Newton's method on sigma(x) = eigen(x).sigma1, the invasion eigenvalue
     of the species dispersing by env.dispersal at its own harvesting rate x,
-    from x = start toward its root.
+    from x = start toward its root, the rate where sigma changes sign.
 
-    sigma is convex and strictly decreasing in x (see find_switch), so from
-    a point where sigma > 0 each iterate stays below the root. The climb
-    stops at the first point where sigma < 0, where |sigma| <= level, or
-    whose Newton iterate reaches stop. It also stops at a point (x_k,
-    sigma_k, s_k) with sigma_k > level whose bounds already put the
+    sigma is convex and strictly decreasing in x (see the module docstring),
+    so from a point where sigma > 0 each iterate stays below the root. With
+    level = env.neutral_level, a start where sigma <= level stops the climb:
+    its root is start where |sigma| <= level, and None where sigma < -level.
+    Each later point (x_k, sigma_k, s_k) stops it with its Newton iterate as
+    the root when sigma_k <= level, or when its bounds already put the
     iterate's sigma within level of 0: its tangent is 0 there and sigma lies
     above it, and sigma falls at least at the rate r_min, the minimum of
-    env.r (passed in, since a sweep's climbs all share it), so
-    sigma(iterate) is in [0, sigma_k - r_min * (iterate - x_k)]. Returns the
-    evaluated points (x, sigma, slope), with the Hellmann-Feynman slope
-    -h * sum(r * psi^2 / P) (spectral.rate_slope), and that last Newton
-    iterate. Raises ConvergenceError when a fixed cap of steps does not
-    stop it.
+    env.r, so sigma(iterate) is in [0, sigma_k - r_min * (iterate - x_k)].
+    An iterate that reaches 1 stops it with root None. Raises
+    ConvergenceError when a fixed cap of steps does not stop it.
     """
-    points = []
-    x = start
+    level, r_min = env.neutral_level, float(env.r.min())
+    points, x = [], start
     for _ in range(_NEWTON_CAP + 1):
         res = eigen(x)
-        slope = spectral.rate_slope(res, env.r)
-        points.append((x, res.sigma1, slope))
-        iterate = x - res.sigma1 / slope
-        if (res.sigma1 < 0 or iterate >= stop or abs(res.sigma1) <= level
-                or res.sigma1 - r_min * (iterate - x) <= level):
-            return points, iterate
+        sigma, slope = res.sigma1, spectral.rate_slope(res, env.r)
+        points.append((x, sigma, slope))
+        iterate = x - sigma / slope
+        if len(points) == 1 and sigma <= level:
+            return Climb(tuple(points), start if sigma >= -level else None)
+        if iterate >= 1.0:
+            return Climb(tuple(points), None)
+        if sigma <= level or sigma - r_min * (iterate - x) <= level:
+            return Climb(tuple(points), iterate)
         x = iterate
     x, sigma, _ = points[-1]
     raise ConvergenceError(
@@ -213,30 +233,22 @@ def sweep_grid(
 
     The signs come from one Newton climb per beta row on sigma_u(alpha) and
     one per alpha column on sigma_v(beta), the latter on env.swapped() with
-    u_alpha resident. A climb runs over the line's rates in [0, 1): it
-    starts at the smallest and stops where sigma < 0, where |sigma| <=
-    level, where its iterate reaches the largest, or where the bounds below
-    put sigma at its iterate within level of 0 (_newton_climb). At each
-    evaluated point x_k it keeps sigma_k and the slope
-    s_k = -h * sum(r * psi^2 / P), which lies in [-max r, -min r] since
-    h * sum(psi^2 / P) = 1. sigma is convex, so lower(x) = max_k sigma_k +
-    s_k * (x - x_k) bounds it from below everywhere, and upper(x) = min
-    over x_k <= x of sigma_k - min r * (x - x_k) bounds it from above. A
-    node's sign is +1 where lower > 2 * level, -1 where upper <
-    -2 * level, and 0 (neutral) where lower >= -level / 2 and upper <=
-    level / 2; the margins cover the eigensolver's rounding, whose bracket
-    stop is about level / 4 (_certified_sign). A cell's certified signs go
-    to analysis.outcome_of_signs, the rule classify applies. Where it
-    decides nothing, the cell computes both sigmas (eigenpairs are kept by
-    rate, so a climb point on a node is not recomputed) and calls classify,
-    so its outcome and message are those of computing every cell. A climb
-    whose solve raises certifies nothing on its line, and each cell there
-    is computed alone. Each semi-trivial state is solved at most once per
+    u_alpha resident. A climb starts at the line's smallest rate in [0, 1)
+    and runs toward 1 (_newton_climb): it stops on the line's root, its
+    entry of SweepGrid.switch_u or switch_v, or where its iterate reaches 1.
+    The points it evaluates bound sigma at each node: from below by their
+    tangents, sigma being convex, and from above by a fall at least at the
+    rate min r right of each (spectral.rate_slope). Bounds that clear
+    2 * level prove a sign of +1 or -1, and bounds within level / 2 of 0
+    prove it neutral; the margins cover the eigensolver's rounding
+    (_certified_sign). A cell's certified signs go to
+    analysis.outcome_of_signs, the rule classify applies. Where it decides
+    nothing, the cell computes both sigmas (eigenpairs are kept by rate, so
+    a climb point on a node is not recomputed) and calls classify, so its
+    outcome and message are those of computing every cell. A climb whose
+    solve raises certifies nothing on its line, and each cell there is
+    computed alone. Each semi-trivial state is solved at most once per
     sweep; a solve that fails fails every cell needing it with its message.
-    What a sweep shares is computed once: each line's nodes (its rates in
-    [0, 1), in increasing order) and min r, which every climb and
-    certificate reads; a cell builds its own HarvestRates only for a
-    coexistence solve.
 
     (u0, v0), each DEFAULT_INITIAL_DENSITY when not given, are where
     coexistence states are sought from. Before any cell is solved, initial
@@ -260,13 +272,13 @@ def sweep_grid(
     for beta in betas.tolist():
         HarvestRates(alpha=0.0, beta=beta)
 
-    def nodes(line) -> list:
-        # the line's rates in [0, 1), in increasing order
-        return sorted({x for x in line.tolist() if 0 <= x < 1})
+    def start(line):
+        # the line's smallest rate in [0, 1), where its climb starts
+        return min((x for x in line.tolist() if 0 <= x < 1), default=None)
 
-    # per invader: its environment, the resident's branch and the nodes of
-    # its own line; v invading is u invading env.swapped()
-    sides = {"u": (env, "v", nodes(alphas)), "v": (env.swapped(), "u", nodes(betas))}
+    # per invader: its environment, the resident's branch and where its
+    # climbs start; v invading is u invading env.swapped()
+    sides = {"u": (env, "v", start(alphas)), "v": (env.swapped(), "u", start(betas))}
     r_min = float(env.r.min())
 
     @functools.cache
@@ -297,24 +309,25 @@ def sweep_grid(
                               semitrivial(resident, other))
 
     @functools.cache
-    def signs(invader: str, other: float) -> dict:
-        # certified sign (or None) at each of the invader's rates in [0, 1),
-        # none where the climb fails
-        invader_env, _, line = sides[invader]
-        level = invader_env.neutral_level
-        try:
-            points, _ = _newton_climb(functools.partial(eigen, invader, other), invader_env,
-                                      line[0], line[-1], level, r_min)
-        except HarvestCompError:
-            return {}
-        return {x: _certified_sign(points, x, r_min, level) for x in line}
+    def climb(invader: str, other: float) -> Climb:
+        # the climb along the invader's line at the other's rate, or one
+        # with no points and no root where the line has none (see SweepGrid)
+        invader_env, _, first = sides[invader]
+        if other < 1 and first is not None:
+            try:
+                return _newton_climb(functools.partial(eigen, invader, other), invader_env, first)
+            except HarvestCompError:
+                pass
+        return Climb((), None)
 
     def cell(alpha: float, beta: float) -> OutcomeRecord:
         if alpha >= 1 or beta >= 1:
             outcome = (Outcome.ONLY_U if alpha < 1 else Outcome.ONLY_V if beta < 1
                        else Outcome.EXTINCTION)
         else:
-            sign_u, sign_v = signs("u", beta).get(alpha), signs("v", alpha).get(beta)
+            sign_u = _certified_sign(climb("u", beta).points, alpha, r_min, env.neutral_level)
+            sign_v = _certified_sign(climb("v", alpha).points, beta, r_min,
+                                     env.swapped().neutral_level)
             u_alpha, v_beta = semitrivial("u", alpha), semitrivial("v", beta)
             outcome = outcome_of_signs(sign_u, sign_v, env, u_alpha, v_beta)
             if outcome is None:
@@ -336,7 +349,9 @@ def sweep_grid(
             except HarvestCompError as exc:
                 row.append(CellFailure(alpha, beta, str(exc), type(exc)))
         records.append(row)
-    return SweepGrid(alphas=alphas, betas=betas, records=records)
+    return SweepGrid(alphas=alphas, betas=betas, records=records,
+                     switch_u=[climb("u", beta).root for beta in betas.tolist()],
+                     switch_v=[climb("v", alpha).root for alpha in columns])
 
 
 def find_switch(
@@ -347,32 +362,17 @@ def find_switch(
     u0: Field | None = None,
     v0: Field | None = None,
 ) -> SwitchPoint | None:
-    """Largest harvesting effort alpha** that still lets the first species
-    invade (0, v_beta), searched over alpha in [0, 1).
-
-    alpha** is the root of sigma1(alpha), the principal eigenvalue of u
-    invading the harvested semi-trivial state (0, v_beta): (0, v_beta) turns
-    stable where sigma1 changes sign. sigma1 is the largest eigenvalue of
-    H0 - alpha * diag(r) with H0 self-adjoint, a maximum of Rayleigh
-    quotients affine in alpha, so it is convex in alpha (J. E. Cohen, Proc.
-    AMS 81 (1981) 657-658). Its slope at alpha is -h * sum(r * psi^2 / P)
-    for the eigenfunction psi normalized so that h * sum(psi^2 / P) = 1
-    (Hellmann-Feynman), which is negative because r >= 0 is positive
-    somewhere and psi is positive. A convex decreasing function lies above
-    its tangents, so Newton's method started at alpha = 0, where
-    sigma1 >= 0, climbs to the root without overshooting it: no bracket or
-    line search is needed. It is sweep_grid's climb on the row [0, 1): it
-    stops once sigma1 is within env.neutral_level of 0 (or below 0), or once
-    the last point's tangent and the slope bound -min r put sigma1 at its
-    Newton iterate within that level of 0, and returns the last point's
-    Newton iterate. On the bundled configs, where r is constant and sigma1
-    affine, the first point stops it so. sigma1 has opposite signs at the
-    two ends of the reported bracket, centred on the root, whose width is
-    min(tol, 2 * alpha**, 2 * (1 - alpha**)).
-
-    Returns None when sigma1 < 0 at alpha = 0: u does not invade (0, v_beta)
-    even unharvested. Positive initial data do not enter the invasion
-    criterion: u0 and v0 are accepted for call compatibility and unused.
+    """Largest harvesting effort alpha** in [0, 1) that still lets u invade
+    (0, v_beta): the root of sigma1, the principal eigenvalue of u invading
+    (0, v_beta), that _newton_climb finds from alpha = 0, as a sweep row
+    finds SweepGrid.switch_u (its docstring says why and when it stops).
+    sigma1 has opposite signs at the two ends of the reported bracket,
+    centred on the root, whose width is min(tol, 2 * alpha**,
+    2 * (1 - alpha**)). None where the climb finds no root: sigma1 <
+    -env.neutral_level at alpha = 0, where u does not invade even
+    unharvested, or an iterate reaches 1. A neutral sigma1 at alpha = 0
+    gives alpha** = 0. Initial data do not enter the invasion criterion: u0
+    and v0 are accepted for call compatibility and unused.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ConfigurationError(f"switch tolerance tol must be finite and positive, got {tol}")
@@ -381,8 +381,8 @@ def find_switch(
     def eigen(alpha: float) -> spectral.EigenResult:
         return invasion_eigen(env, HarvestRates(alpha=alpha, beta=beta), v_beta)
 
-    points, root = _newton_climb(eigen, env, 0.0, 1.0, env.neutral_level, float(env.r.min()))
-    if points[0][1] < 0 or root >= 1.0:
+    root = _newton_climb(eigen, env, 0.0).root
+    if root is None:
         return None
     width = min(tol, 2.0 * root, 2.0 * (1.0 - root))
     return SwitchPoint(beta=beta, alpha_double_star=root, bracket_width=width)

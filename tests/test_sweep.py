@@ -85,19 +85,40 @@ def invasion_sigma1(alpha, beta, env, sim):
     return principal_eigen(build_operator(env.a, env.P, env.grid), potential, env.P).sigma1
 
 
-def brentq_switch(beta, env, sim):
-    """Oracle for find_switch: alpha** by bracketing on [0, 1], None when
-    sigma1(0) < 0. sigma1(1) < 0 always, since the potential r * (-v_beta /
-    K) is <= 0 and negative where v_beta is. xtol is tighter than brentq's
-    default, so that the oracle's own tolerance does not count against the
-    match."""
-
-    def sigma1(alpha):
-        return invasion_sigma1(alpha, beta, env, sim)
-
-    if sigma1(0.0) < 0:
+def brentq_root(sigma1, level: float):
+    """Oracle for a climb's root: the root of the decreasing sigma1 on
+    [0, 1] by bracketing, None when sigma1(0) < -level and 0 when
+    |sigma1(0)| <= level. xtol is tighter than brentq's default, so that the
+    oracle's own tolerance does not count against the match."""
+    at_zero = sigma1(0.0)
+    if at_zero < -level:
         return None
+    if at_zero <= level:
+        return 0.0
     return brentq(sigma1, 0.0, 1.0, xtol=1e-15)
+
+
+def brentq_switch(beta, env, sim):
+    """Oracle for find_switch: alpha** by brentq_root at env.neutral_level,
+    so None when sigma1(0) < -level and 0 when |sigma1(0)| <= level.
+    sigma1(1) < 0 always, since the potential r * (-v_beta / K) is <= 0 and
+    negative where v_beta is."""
+    return brentq_root(lambda alpha: invasion_sigma1(alpha, beta, env, sim), env.neutral_level)
+
+
+def brentq_switch_v(alpha, env, sim):
+    """Oracle for SweepGrid.switch_v: beta_v(alpha), the root of sigma_v,
+    the principal eigenvalue of v invading (u_alpha, 0), by brentq_root at
+    v's level env.swapped().neutral_level. sigma_v is computed on v's own
+    operator div[b grad(./Q)], not through env.swapped()."""
+    u_alpha = solve_semitrivial("u", env, alpha, sim)
+    op = build_operator(env.b, env.Q, env.grid)
+
+    def sigma_v(beta):
+        potential = invasion_potential("v", u_alpha, env, HarvestRates(alpha, beta))
+        return principal_eigen(op, potential, env.Q).sigma1
+
+    return brentq_root(sigma_v, env.swapped().neutral_level)
 
 
 def test_find_switch_brackets_the_exclusion_boundary(example1_small):
@@ -734,20 +755,19 @@ def _bundled(name: str, diffusion: float):
 
 def _climb_of_row(env, beta: float, start: float):
     """The climb of sigma_u(alpha) at beta from start toward 1, as a
-    sweep_grid row runs it: its points, its last iterate and its level, and
-    sigma_u at that iterate when the climb stopped by its bounds without
-    evaluating it (None when another rule stopped it)."""
+    sweep_grid row runs it: its points, its root and its level, and sigma_u
+    at that root when the climb stopped by its bounds without evaluating it
+    (None when another rule stopped it)."""
     v_beta = solve_semitrivial("v", env, beta, SimulationConfig())
     level = env.neutral_level
 
     def eigen(alpha):
         return sweep.invasion_eigen(env, HarvestRates(alpha=alpha, beta=beta), v_beta)
 
-    points, iterate = sweep._newton_climb(eigen, env, start, 1.0, level, float(np.min(env.r)))
-    sigma = points[-1][1]
-    if sigma < 0 or iterate >= 1.0 or abs(sigma) <= level:
-        return points, iterate, level, None
-    return points, iterate, level, eigen(iterate).sigma1
+    climb = sweep._newton_climb(eigen, env, start)
+    if climb.root is None or climb.points[-1][1] <= level:
+        return climb.points, climb.root, level, None
+    return climb.points, climb.root, level, eigen(climb.root).sigma1
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -764,9 +784,9 @@ def test_a_climb_stopped_by_its_bounds_skips_a_neutral_iterate_on_bundled_config
     # bounds meet at its iterate: a climb that goes on from its first point
     # stops there, and the iterate it skips is neutral
     env = _bundled(name, diffusion)
-    points, iterate, level, skipped = _climb_of_row(env, beta, start)
+    points, root, level, skipped = _climb_of_row(env, beta, start)
     sigma = points[0][1]
-    if sigma > level and iterate < 1.0:
+    if sigma > level and root is not None:
         assert len(points) == 1 and skipped is not None
     if skipped is not None:
         assert abs(skipped) <= level, (skipped, level)
@@ -825,7 +845,8 @@ def test_sweep_takes_one_eigenpair_per_climb_on_bundled_configs(monkeypatch, nam
 def _certified_neutral_sigmas(env, rates) -> list:
     """(sigma, level) at each node of each line that sweep_grid(rates, rates,
     env, ...) certifies neutral, sigma computed there: sigma_u on the rows,
-    sigma_v on the columns."""
+    sigma_v on the columns, each line's climb running toward 1 as the
+    sweep's does."""
     sim = SimulationConfig()
     r_min = float(np.min(env.r))
     nodes = sorted({float(x) for x in rates if 0 <= x < 1})
@@ -838,8 +859,7 @@ def _certified_neutral_sigmas(env, rates) -> list:
             def eigen(own):
                 return sweep.invasion_eigen(invader_env, HarvestRates(alpha=own, beta=other), w)
 
-            points, _ = sweep._newton_climb(eigen, invader_env, nodes[0], nodes[-1], level,
-                                            r_min)
+            points = sweep._newton_climb(eigen, invader_env, nodes[0]).points
             found += [(eigen(x).sigma1, level) for x in nodes
                       if sweep._certified_sign(points, x, r_min, level) == 0]
     return found
@@ -883,3 +903,73 @@ def test_sweep_is_the_per_cell_sweep_on_ideal_free_environments(env):
     assert found
     for sigma, level in found:
         assert abs(sigma) <= level, (sigma, level)
+
+
+@pytest.mark.parametrize("n_cells", [48, 200, 800])
+@pytest.mark.parametrize("P", ["1", "1+0.5*cos(x)"])
+def test_a_neutral_start_is_the_root_whatever_the_sign_of_its_rounding(P, n_cells):
+    # Q ~ K, so v alone at beta = 0 is K and sigma_u(0) is 0 in exact
+    # arithmetic. Computed, it is 0 or a rounding of either sign within the
+    # level (-2.2e-15 at n = 48 with the second P): alpha** is 0 either
+    # way, and the sweep calls the cell only_v, v dispersing ideally
+    cfg = parse_config_text(f"L = 4\nn_cells = {n_cells}\nK = 2+cos(pi*x)\nr = 1.1\n"
+                            f"P = {P}\nQ = 2+cos(pi*x)\na = 1\nb = 1\n")
+    _, env = build_environment(cfg)
+    sim = SimulationConfig()
+    assert abs(invasion_sigma1(0.0, 0.0, env, sim)) <= env.neutral_level
+    sp = find_switch(0.0, env, sim)
+    assert (sp.alpha_double_star, sp.bracket_width) == (0.0, 0.0)
+    assert brentq_switch(0.0, env, sim) == 0.0
+    sg = sweep_grid([0.0], [0.0], env, sim)
+    assert sg.switch_u == [0.0]
+    assert sg.records[0][0].outcome is Outcome.ONLY_V
+
+
+def assert_curves_are_the_line_roots(env, rates, sim):
+    """sweep_grid(rates, rates, env, sim)'s curves hold each line's root:
+    switch_u[i] is find_switch(betas[i]) to the bit, switch_v[j] the brentq
+    root of sigma_v on its column, and a rate of 1 has none. rates holds 0,
+    where find_switch starts its climb. Returns the sweep."""
+    sg = sweep_grid(rates, rates, env, sim)
+    assert len(sg.switch_u) == len(sg.switch_v) == len(rates)
+    for beta, got in zip(rates.tolist(), sg.switch_u):
+        sp = find_switch(beta, env, sim) if beta < 1 else None
+        assert got == (None if sp is None else sp.alpha_double_star), (beta, got, sp)
+    for alpha, got in zip(rates.tolist(), sg.switch_v):
+        ref = brentq_switch_v(alpha, env, sim) if alpha < 1 else None
+        assert (got is None) == (ref is None), (alpha, got, ref)
+        if got is not None:
+            assert abs(got - ref) <= 1e-11, (alpha, got, ref)
+    return sg
+
+
+@pytest.mark.parametrize("diffusion", [None, 0.01])
+@pytest.mark.parametrize(
+    "name", ["example1", "example2", "example3", "example4", "example4b", "example5"]
+)
+def test_sweep_curves_are_the_line_roots_on_bundled_configs(name, diffusion):
+    overrides = {} if diffusion is None else {"a": diffusion, "b": diffusion}
+    _, _, env, sim = load_example(name, n_cells=200, **overrides)
+    sg = assert_curves_are_the_line_roots(env, np.linspace(0.0, 1.0, 21), sim)
+    if name in ("example1", "example2", "example4b"):
+        # u disperses ideally, so sigma_v is neutral on the diagonal: the
+        # column alpha = 0 starts its climb on its root
+        assert sg.switch_v[0] == 0.0
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(env=environments())
+def test_sweep_curves_are_the_line_roots_on_random_environments(env):
+    # r varies, so each climb takes Newton steps
+    assert_curves_are_the_line_roots(env, np.linspace(0.0, 1.0, 11), SimulationConfig())
+
+
+def test_a_row_reports_its_root_above_its_last_node():
+    # the row beta = 0.975 of a 41-point map: its last alpha node below 1 is
+    # 0.975, and alpha** lies above it. The climb runs on toward 1 and
+    # reports the root, as find_switch does
+    _, _, env, sim = load_example("example1", n_cells=200)
+    rates = np.linspace(0.0, 1.0, 41)
+    sg = sweep_grid(rates, rates[39:40], env, sim)
+    assert sg.switch_u[0] == find_switch(rates[39], env, sim).alpha_double_star
+    assert rates[39] < sg.switch_u[0] < 1.0

@@ -1,5 +1,6 @@
 import runpy
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,10 @@ MAP_BENCH = ROOT / "tools" / "map_bench.py"
 def test_map_bench_measures_the_map_sweep_grid_gives():
     # run without writing bytecode next to the tool
     tool = runpy.run_path(str(MAP_BENCH))
-    summary, records = tool["measure"](bundled_config("example4"), n_cells=50, points=5,
-                                       repeats=3)
-    assert set(summary) == {"n_cells", "points", "repeats", "wall_s", "calls", "digest"}
+    summary, swept = tool["measure"](bundled_config("example4"), n_cells=50, points=5,
+                                     repeats=3)
+    assert set(summary) == {"n_cells", "points", "repeats", "wall_s", "calls", "digest",
+                            "curves"}
     assert (summary["n_cells"], summary["points"], summary["repeats"]) == (50, 5, 3)
     wall = summary["wall_s"]
     assert set(wall) == {"median", "q1", "q3"}
@@ -43,9 +45,15 @@ def test_map_bench_measures_the_map_sweep_grid_gives():
     cfg, grid, env, sim = load_example("example4", n_cells=50)
     rates = np.linspace(0.0, 1.0, 5)
     u0, v0 = initial_fields(cfg, grid)
-    expected = sweep_grid(rates, rates, env, sim, u0=u0, v0=v0).records
-    assert records == expected
-    assert summary["digest"] == tool["digest"](expected)
+    expected = sweep_grid(rates, rates, env, sim, u0=u0, v0=v0)
+    assert swept.records == expected.records
+    assert summary["digest"] == tool["digest"](expected.records)
+    # the curves digest reads the curves, which the record digest leaves out
+    assert (swept.switch_u, swept.switch_v) == (expected.switch_u, expected.switch_v)
+    assert summary["curves"] == tool["curves"](expected)
+    moved = replace(expected, switch_u=[*expected.switch_u[:-1], 0.5])
+    assert tool["digest"](moved.records) == summary["digest"]
+    assert tool["curves"](moved) != summary["curves"]
 
 
 def test_cli_matrix_keeps_the_outputs_of_each_call(tmp_path):

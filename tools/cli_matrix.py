@@ -55,6 +55,9 @@ CASES = (
     ("switch_weak", ["switch", "--beta", "0.4", *WEAK]),
     ("switch_rescue", ["switch", "--beta", "0.3", *RESCUE]),
     ("switch_no_invasion", ["switch", "--beta", "0", *RESCUE]),
+    # v disperses ideally (Q ~ K), so sigma_u is neutral at alpha = 0: alpha** = 0
+    ("switch_neutral", ["switch", "--beta", "0", "--set", "K=2+cos(pi*x)",
+                        "--set", "P=1+0.5*cos(x)", "--set", "Q=2+cos(pi*x)"]),
     ("msy", ["msy", "--set", "alpha=0.3", "--set", "beta=0.2"]),
     ("msy_ceiling", ["msy", "--set", "alpha=0.5", "--set", "beta=0.5"]),
     ("check", ["check"]),

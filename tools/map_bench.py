@@ -15,10 +15,12 @@ data, as the CLI's `sweep` command runs it. Per config:
     in one more map with each function wrapped where the package looks it
     up (sweep, spectral and dynamics);
   * digest: the sha256 of the repr of every record, row by row, which is the
-    same for two trees exactly when their maps are the same to the bit.
+    same for two trees exactly when their maps are the same to the bit;
+  * curves: the sha256 of the repr of the map's switch curves, switch_u then
+    switch_v, the same for two trees exactly when their curves are.
 
 The timed maps run unwrapped. Two trees' maps are the same when their digests
-are.
+are, and their curves when their curves digests are.
 """
 
 from __future__ import annotations
@@ -49,6 +51,11 @@ def digest(records) -> str:
     """sha256 of the repr of every record, row by row."""
     text = "\n".join(repr(record) for row in records for record in row)
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def curves(swept) -> str:
+    """sha256 of the repr of a SweepGrid's switch_u and switch_v."""
+    return hashlib.sha256(repr((swept.switch_u, swept.switch_v)).encode()).hexdigest()
 
 
 @contextmanager
@@ -93,9 +100,9 @@ def wrapped():
 
 def measure(config_path, n_cells: int | None = None, points: int = POINTS,
             repeats: int = REPEATS) -> tuple[dict, list]:
-    """(summary, records) of the points x points map of one config: its
-    wall_s, calls and digest as the module docstring says, and the records
-    of the wrapped map. n_cells overrides the config's own."""
+    """(summary, swept) of the points x points map of one config: its
+    wall_s, calls, digest and curves as the module docstring says, and the
+    SweepGrid of the wrapped map. n_cells overrides the config's own."""
     from harvestcomp.config import (
         apply_overrides,
         build_environment,
@@ -115,12 +122,12 @@ def measure(config_path, n_cells: int | None = None, points: int = POINTS,
         grid, env = build_environment(cfg)
         u0, v0 = initial_fields(cfg, grid)
         start = time.perf_counter()
-        records = sweep_grid(rates, rates, env, sim, u0=u0, v0=v0).records
-        return time.perf_counter() - start, records
+        swept = sweep_grid(rates, rates, env, sim, u0=u0, v0=v0)
+        return time.perf_counter() - start, swept
 
     times = [one_map()[0] for _ in range(repeats)]
     with wrapped() as calls:
-        _, records = one_map()
+        _, swept = one_map()
     q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
     summary = {
         "n_cells": cfg.n_cells,
@@ -128,9 +135,10 @@ def measure(config_path, n_cells: int | None = None, points: int = POINTS,
         "repeats": repeats,
         "wall_s": {"median": median, "q1": q1, "q3": q3},
         "calls": calls,
-        "digest": digest(records),
+        "digest": digest(swept.records),
+        "curves": curves(swept),
     }
-    return summary, records
+    return summary, swept
 
 
 def main(argv: list[str]) -> int:
@@ -157,7 +165,8 @@ def main(argv: list[str]) -> int:
             continue
         results[config], _ = measure(path)
         wall = results[config]["wall_s"]
-        print(f"{config}: median {wall['median']:.4f} s, digest {results[config]['digest'][:16]}")
+        print(f"{config}: median {wall['median']:.4f} s, digest {results[config]['digest'][:16]}, "
+              f"curves {results[config]['curves'][:16]}")
     out.write_text(json.dumps(results, indent=2) + "\n")
     print(f"wrote {out}")
     return 0
