@@ -30,7 +30,14 @@ from .errors import ConfigurationError, HarvestCompError, NumericalError
 from .grid import average, integrate
 from .profiles import _quoted
 from .spectral import sign
-from .sweep import CellFailure, find_switch, invasion_eigen, simulate_cell, sweep_grid
+from .sweep import (
+    CellFailure,
+    _switch_point,
+    find_switch,
+    invasion_eigen,
+    simulate_cell,
+    sweep_grid,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -240,7 +247,7 @@ def _cmd_bounds(args) -> int:
     for beta in betas:
         report = alpha_star(beta, env, sim)
         if args.with_switch:
-            sp = find_switch(beta, env, sim, tol=args.tol)
+            sp = _switch_point(beta, env, report.v_beta_star)
             a_switch = sp.alpha_double_star if sp is not None else float("nan")
         else:
             a_switch = float("nan")
@@ -277,7 +284,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_switch(args) -> int:
     cfg, grid, env, sim = _setup(args)
-    sp = find_switch(cfg.beta, env, sim, tol=args.tol)
+    sp = find_switch(cfg.beta, env, sim)
     if sp is None:
         print(f"beta={cfg.beta:g}: no switch in [0, 1)")
         return EXIT_OK
@@ -382,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     output(p)
     p.add_argument("--betas", default=None, help="comma-separated beta values")
     p.add_argument("--with-switch", action="store_true", help="also find alpha_double_star")
-    p.add_argument("--tol", type=float, default=1e-3, help="switch bracket width")
     p.set_defaults(handler=_cmd_bounds)
 
     p = command("sweep", help="outcome sweep over harvesting rates")
@@ -395,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("switch", help="largest alpha at which the first species can invade")
     output(p, plot_script=False)
     p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-3)
     p.set_defaults(handler=_cmd_switch)
 
     p = command("msy", help="sustainable yield of the configured cell")

@@ -169,6 +169,18 @@ def rate_slope(res: EigenResult, r: Field) -> float:
     return -float(r @ (phi * phi)) / res._norm2
 
 
+def root_above(res: EigenResult, r: Field, x: float) -> float:
+    """An upper bound on the rate a at which sigma1 of
+    D + diag(q - (a - x) * r) is 0, res the eigenpair of D + diag(q) and
+    r > 0 (Collatz-Wielandt): x + max_i (H phi)_i / (r_i phi_i) for the last
+    phi as it stands. At that rate every ratio of the positive phi is <= 0,
+    so sigma1 <= 0, and sigma1 falls in a. Its mirror below is the Rayleigh
+    quotient's, x - sigma1 / rate_slope(res, r), where the tangent of
+    sigma1 at x meets 0: the Newton iterate. Both are bounds up to the
+    rounding of the products, about eps * gershgorin(H) / min r."""
+    return x + res._unit * amax(res._h_phi / (r * res._phi))
+
+
 def sign(sigma: float, level: float) -> int:
     """1 when sigma > level, -1 when sigma < -level, and 0 (neutral) otherwise,
     a NaN sigma included."""

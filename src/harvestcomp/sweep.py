@@ -60,7 +60,7 @@ from .dynamics import (
     solve_coexistence,
     solve_semitrivial,
 )
-from .errors import ConfigurationError, ConvergenceError, HarvestCompError
+from .errors import ConvergenceError, HarvestCompError
 from .grid import Field, average, integrate
 from .profiles import EnvironmentProfile
 
@@ -85,9 +85,17 @@ class CellFailure:
 
 @dataclass(frozen=True)
 class SwitchPoint:
+    """alpha**(beta), the climb's root, and [lo, hi], a bracket on the exact
+    root that the climb's last eigenpair proves (find_switch)."""
+
     beta: float
     alpha_double_star: float
-    bracket_width: float
+    lo: float
+    hi: float
+
+    @property
+    def bracket_width(self) -> float:
+        return self.hi - self.lo
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,10 +120,12 @@ class SweepGrid:
 @dataclass(frozen=True)
 class Climb:
     """A Newton climb (_newton_climb): the points (x, sigma, slope) it
-    evaluated, in order, and the root it stopped on, or None."""
+    evaluated, in order, the root it stopped on, or None, and the eigenpair
+    of its last point, or None where it has no points."""
 
     points: tuple
     root: float | None
+    last: spectral.EigenResult | None = field(default=None, compare=False, repr=False)
 
 
 def simulate_cell(
@@ -175,11 +185,11 @@ def _newton_climb(eigen, env: EnvironmentProfile, start: float) -> Climb:
         points.append((x, sigma, slope))
         iterate = x - sigma / slope
         if len(points) == 1 and sigma <= level:
-            return Climb(tuple(points), start if sigma >= -level else None)
+            return Climb(tuple(points), start if sigma >= -level else None, res)
         if iterate >= 1.0:
-            return Climb(tuple(points), None)
+            return Climb(tuple(points), None, res)
         if sigma <= level or sigma - r_min * (iterate - x) <= level:
-            return Climb(tuple(points), iterate)
+            return Climb(tuple(points), iterate, res)
         x = iterate
     x, sigma, _ = points[-1]
     raise ConvergenceError(
@@ -358,31 +368,43 @@ def find_switch(
     beta: float,
     env: EnvironmentProfile,
     cfg: SimulationConfig,
-    tol: float = 1e-3,
+    tol: float | None = None,
     u0: Field | None = None,
     v0: Field | None = None,
 ) -> SwitchPoint | None:
     """Largest harvesting effort alpha** in [0, 1) that still lets u invade
-    (0, v_beta): the root of sigma1, the principal eigenvalue of u invading
-    (0, v_beta), that _newton_climb finds from alpha = 0, as a sweep row
-    finds SweepGrid.switch_u (its docstring says why and when it stops).
-    sigma1 has opposite signs at the two ends of the reported bracket,
-    centred on the root, whose width is min(tol, 2 * alpha**,
-    2 * (1 - alpha**)). None where the climb finds no root: sigma1 <
-    -env.neutral_level at alpha = 0, where u does not invade even
+    (0, v_beta), v_beta being v alone at rate beta: the root of sigma1, the
+    principal eigenvalue of u invading (0, v_beta), that _newton_climb finds
+    from alpha = 0, as a sweep row finds SweepGrid.switch_u (its docstring
+    says why and when it stops). None where the climb finds no root:
+    sigma1 < -env.neutral_level at alpha = 0, where u does not invade even
     unharvested, or an iterate reaches 1. A neutral sigma1 at alpha = 0
-    gives alpha** = 0. Initial data do not enter the invasion criterion: u0
-    and v0 are accepted for call compatibility and unused.
+    gives alpha** = 0.
+
+    [lo, hi] is the bracket on the exact root that the climb's last
+    eigenpair proves. The root lies above that eigenpair's Rayleigh bound,
+    its Newton iterate, which is alpha** unless the climb stopped at a
+    neutral start, and below its Collatz-Wielandt bound
+    (spectral.root_above). Each end is widened by w = env.neutral_level /
+    min r, the furthest a sigma1 within the neutral level of its exact
+    value moves a root when sigma1 falls at least at the rate min r:
+    [max(0, alpha** - w), root_above + w]. tol, u0 and v0 are accepted for
+    call compatibility and unused; initial data do not enter the invasion
+    criterion.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ConfigurationError(f"switch tolerance tol must be finite and positive, got {tol}")
-    v_beta = solve_semitrivial("v", env, beta, cfg)
+    return _switch_point(beta, env, solve_semitrivial("v", env, beta, cfg))
+
+
+def _switch_point(beta: float, env: EnvironmentProfile, v_beta: Field) -> SwitchPoint | None:
+    """find_switch on v_beta, v alone at rate beta, already solved."""
 
     def eigen(alpha: float) -> spectral.EigenResult:
         return invasion_eigen(env, HarvestRates(alpha=alpha, beta=beta), v_beta)
 
-    root = _newton_climb(eigen, env, 0.0).root
-    if root is None:
+    climb = _newton_climb(eigen, env, 0.0)
+    if climb.root is None:
         return None
-    width = min(tol, 2.0 * root, 2.0 * (1.0 - root))
-    return SwitchPoint(beta=beta, alpha_double_star=root, bracket_width=width)
+    w = env.neutral_level / float(env.r.min())
+    above = spectral.root_above(climb.last, env.r, climb.points[-1][0])
+    return SwitchPoint(beta=beta, alpha_double_star=climb.root, lo=max(0.0, climb.root - w),
+                       hi=above + w)

@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from harvestcomp import ConfigurationError, Outcome, SimulationConfig, alpha_star
+from harvestcomp import ConfigurationError, Outcome, SimulationConfig, alpha_star, analysis, sweep
 from harvestcomp.cli import main
 from harvestcomp.config import (
     apply_overrides,
@@ -19,6 +19,7 @@ from harvestcomp.config import (
     parse_config_text,
     simulation_config,
 )
+from harvestcomp.dynamics import solve_semitrivial
 from harvestcomp.profiles import parse
 from harvestcomp.sweep import find_switch, sweep_grid
 
@@ -228,7 +229,7 @@ def test_eigen_verdict_uses_the_sweep_neutral_level(capsys):
     # 5e-9 either side of the switch sigma1 is about +-5.5e-9, far outside
     # rounding, so eigen's verdict is the sign sweep_grid decides by
     _, _, env, sim = load_example("example1", n_cells=200)
-    switch = find_switch(0.4, env, sim, tol=1e-6).alpha_double_star
+    switch = find_switch(0.4, env, sim).alpha_double_star
     alphas = [switch - 5e-9, switch + 5e-9]
     records = sweep_grid(alphas, [0.4], env, sim).records[0]
     assert [rec.outcome for rec in records] == [Outcome.COEXISTENCE, Outcome.ONLY_V]
@@ -296,7 +297,7 @@ def test_bounds_command_csv_contract(fast_config, tmp_path, capsys):
 
 
 def test_bounds_with_switch_writes_the_switch_point(fast_config, tmp_path, capsys):
-    # at beta = 0.9985 alpha** lies less than tol above beta: a switch all the same
+    # at beta = 0.9985 alpha** lies less than 1e-3 above beta: a switch all the same
     out = tmp_path / "bounds.csv"
     code = run_cli("bounds", "--config", fast_config, "--betas", "0,0.4,0.9985", "--with-switch",
                    "--output", out)
@@ -309,6 +310,22 @@ def test_bounds_with_switch_writes_the_switch_point(fast_config, tmp_path, capsy
     for row, beta in zip(rows, [0.0, 0.4, 0.9985], strict=True):
         assert float(row["beta"]) == beta
         assert float(row["alpha_double_star"]) == find_switch(beta, env, sim).alpha_double_star
+    assert "nan" not in capsys.readouterr().out
+
+
+def test_bounds_with_switch_solves_each_competitor_state_once(fast_config, monkeypatch, capsys):
+    # the switch climbs on the v_beta that alpha_star solved for the row
+    calls = []
+
+    def counting(which, env, rate, cfg):
+        calls.append((which, rate))
+        return solve_semitrivial(which, env, rate, cfg)
+
+    for module in (analysis, sweep):
+        monkeypatch.setattr(module, "solve_semitrivial", counting)
+    assert run_cli("bounds", "--config", fast_config, "--betas", "0,0.4,0.9985",
+                   "--with-switch") == 0
+    assert calls == [("v", 0.0), ("v", 0.4), ("v", 0.9985)]
     assert "nan" not in capsys.readouterr().out
 
 
@@ -360,6 +377,9 @@ def test_sweep_rejects_grid_below_one(fast_config, tmp_path, capsys, grid):
         ["sweep", "--jobs", "2"],
         ["sweep", "--no-cache"],
         ["sweep", "--cache-dir", "c"],
+        # a switch's bracket is what its search proves: no knob sets its width
+        ["switch", "--tol", "1e-3"],
+        ["bounds", "--with-switch", "--tol", "1e-3"],
     ],
 )
 def test_options_are_registered_only_where_read(fast_config, capsys, argv):
@@ -427,20 +447,18 @@ FLAT = ["--set", "K=1", "--set", "P=1"]
 
 
 def test_switch_command(fast_config, capsys):
-    assert run_cli(
-        "switch", "--config", fast_config, "--set", "n_cells=32", "--beta", "0", "--tol", "0.02"
-    ) == 0
+    assert run_cli("switch", "--config", fast_config, "--set", "n_cells=32", "--beta", "0") == 0
     assert "alpha_double_star=" in capsys.readouterr().out
 
 
 def test_switch_reports_no_switch_and_writes_its_row(fast_config, tmp_path, capsys):
-    # the search climbs from alpha = 0 and tol caps only the reported width:
-    # alpha**(0) = 0.126 is found at tol = 0.6, whose bracket it narrows
-    assert run_cli("switch", "--config", fast_config, "--beta", "0", "--tol", "0.6") == 0
+    # the search climbs from alpha = 0 to alpha**(0) = 0.126, and the width
+    # printed is that of the bracket its last eigenpair proves
+    assert run_cli("switch", "--config", fast_config, "--beta", "0") == 0
     cfg = load_config(fast_config)
     _, env = build_environment(cfg)
-    sp = find_switch(0.0, env, simulation_config(cfg), tol=0.6)
-    assert sp.bracket_width == 2.0 * sp.alpha_double_star
+    sp = find_switch(0.0, env, simulation_config(cfg))
+    assert sp.lo <= sp.alpha_double_star <= sp.hi and 0 < sp.bracket_width <= 1e-8
     assert capsys.readouterr().out == (
         f"beta=0 alpha_double_star={sp.alpha_double_star:.6g} "
         f"bracket_width={sp.bracket_width:.3g}\n"
@@ -460,7 +478,9 @@ def test_switch_reports_no_switch_and_writes_its_row(fast_config, tmp_path, caps
     header, row = out.read_text().splitlines()
     assert header == "beta,alpha_double_star,bracket_width"
     beta, switch, width = map(float, row.split(","))
-    assert beta == 0.2 and 0.2 < switch < 1 and width == 0.001
+    assert beta == 0.2 and 0.2 < switch < 1 and 0 < width <= 1e-8
+    sp = find_switch(0.2, env, simulation_config(cfg))
+    assert (switch, width) == (sp.alpha_double_star, sp.bracket_width)
     assert printed[0] == f"beta=0.2 alpha_double_star={switch:.6g} bracket_width={width:.3g}"
 
 
@@ -641,13 +661,6 @@ def test_exit_code_4_for_strict_unresolved(fast_config, tmp_path, capsys):
     assert run_cli(*args, "--set", "alpha=0.1", "--strict") == 4
     assert "outcome=coexist" in capsys.readouterr().out
     assert run_cli(*args, "--set", "alpha=0.1", "--set", "t_final=2000", "--strict") == 0
-
-
-@pytest.mark.parametrize("tol", ["0", "-0.5", "nan"])
-@pytest.mark.parametrize("command", [["switch"], ["bounds", "--with-switch"]])
-def test_switch_tolerance_must_be_positive(fast_config, capsys, command, tol):
-    assert run_cli(*command, "--config", fast_config, "--tol", tol) == 2
-    assert "switch tolerance tol must be finite and positive" in capsys.readouterr().err
 
 
 def test_step_count_must_be_finite(fast_config, tmp_path, capsys):

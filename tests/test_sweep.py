@@ -102,8 +102,24 @@ def brentq_switch(beta, env, sim):
     """Oracle for find_switch: alpha** by brentq_root at env.neutral_level,
     so None when sigma1(0) < -level and 0 when |sigma1(0)| <= level.
     sigma1(1) < 0 always, since the potential r * (-v_beta / K) is <= 0 and
-    negative where v_beta is."""
-    return brentq_root(lambda alpha: invasion_sigma1(alpha, beta, env, sim), env.neutral_level)
+    negative where v_beta is. sigma1 is invasion_sigma1's, with v_beta
+    solved once."""
+    v_beta = solve_semitrivial("v", env, beta, sim)
+    op = build_operator(env.a, env.P, env.grid)
+
+    def sigma1(alpha):
+        potential = invasion_potential("u", v_beta, env, HarvestRates(alpha, beta))
+        return principal_eigen(op, potential, env.P).sigma1
+
+    return brentq_root(sigma1, env.neutral_level)
+
+
+def assert_bracket_holds(sp, ref, width: float = 1e-8):
+    """sp's bracket holds its root and the oracle's root ref, and is at
+    most width wide."""
+    assert sp.lo <= sp.alpha_double_star <= sp.hi, sp
+    assert sp.lo <= ref <= sp.hi, (sp, ref)
+    assert sp.bracket_width <= width, sp
 
 
 def brentq_switch_v(alpha, env, sim):
@@ -123,14 +139,13 @@ def brentq_switch_v(alpha, env, sim):
 
 def test_find_switch_brackets_the_exclusion_boundary(example1_small):
     grid, env, sim = example1_small
-    sp = find_switch(0.0, env, sim, tol=2e-3)
+    sp = find_switch(0.0, env, sim)
     assert sp is not None
-    assert sp.bracket_width <= 2e-3
+    assert_bracket_holds(sp, brentq_switch(0.0, env, sim))
     assert sp.alpha_double_star >= alpha_star(0.0, env, sim).alpha_star
     # the invasion eigenvalue changes sign across the bracket
-    half = 0.5 * sp.bracket_width
-    assert invasion_sigma1(sp.alpha_double_star - half, 0.0, env, sim) > 0
-    assert invasion_sigma1(sp.alpha_double_star + half, 0.0, env, sim) < 0
+    assert invasion_sigma1(sp.lo, 0.0, env, sim) > 0
+    assert invasion_sigma1(sp.hi, 0.0, env, sim) < 0
     # simulation cross-check a little away from the switch, where the runs
     # settle: u coexists below alpha** and is excluded above it. Closer in,
     # avg_u falls below the extinction threshold before u is excluded
@@ -142,12 +157,13 @@ def test_find_switch_brackets_the_exclusion_boundary(example1_small):
 
 
 def test_find_switch_independent_of_starting_bracket(example1_small):
-    # every search climbs from alpha = 0; tol caps only the reported width
+    # every search climbs from alpha = 0, and its bracket is the one its
+    # last eigenpair proves: tol, still accepted, changes nothing
     grid, env, sim = example1_small
     a = find_switch(0.0, env, sim, tol=2e-3)
     b = find_switch(0.0, env, sim, tol=0.05)
-    assert a.alpha_double_star == b.alpha_double_star
-    assert (a.bracket_width, b.bracket_width) == (2e-3, 0.05)
+    assert a == b == find_switch(0.0, env, sim)
+    assert_bracket_holds(a, brentq_switch(0.0, env, sim))
 
 
 def test_find_switch_exists_for_flat_capacity_control():
@@ -159,19 +175,18 @@ def test_find_switch_exists_for_flat_capacity_control():
     )
     _, env = build_environment(cfg)
     sim = SimulationConfig(dt=0.05, t_final=2000.0, steady_tol=1e-7)
-    sp = find_switch(0.2, env, sim, tol=5e-3)
+    sp = find_switch(0.2, env, sim)
     assert sp is not None
     assert 0.2 < sp.alpha_double_star < 1.0
 
 
 def test_find_switch_reports_no_switch_when_bracket_degenerates(example1_small):
-    # alpha** lies less than tol above beta and less than tol below 1; the
-    # climb over [0, 1) finds it whatever tol is
+    # alpha** lies less than 1e-3 above beta and below 1; the climb over
+    # [0, 1) finds it, and its bracket lies inside (beta, 1)
     grid, env, sim = example1_small
-    sp = find_switch(0.999, env, sim, tol=1e-3)
-    assert 0.999 < sp.alpha_double_star < 1.0
-    assert find_switch(0.999, env, sim, tol=0.5).alpha_double_star == sp.alpha_double_star
-    assert sp.bracket_width == min(1e-3, 2.0 * (1.0 - sp.alpha_double_star))
+    sp = find_switch(0.999, env, sim)
+    assert 0.999 < sp.lo <= sp.alpha_double_star <= sp.hi < 1.0
+    assert_bracket_holds(sp, brentq_switch(0.999, env, sim))
 
 
 @pytest.mark.parametrize("diffusion", [1.0, 0.01])
@@ -184,6 +199,34 @@ def test_find_switch_matches_brentq_on_bundled_configs(diffusion):
             assert (sp is None) == (ref is None), (name, beta, sp, ref)
             if sp is not None:
                 assert abs(sp.alpha_double_star - ref) <= 1e-12, (name, beta)
+
+
+@pytest.mark.parametrize("diffusion", [None, 0.01])
+@pytest.mark.parametrize(
+    "name", ["example1", "example2", "example3", "example4", "example4b", "example5"]
+)
+def test_find_switch_bracket_holds_the_brentq_root_on_bundled_configs(name, diffusion):
+    # at n = 800 the brackets are 4e-13 to 4e-9 wide, the widest on example5,
+    # where r varies
+    overrides = {} if diffusion is None else {"a": diffusion, "b": diffusion}
+    _, grid, env, sim = load_example(name, **overrides)
+    assert grid.n_cells == 800
+    for beta in (0.0, 0.4, 0.8):
+        sp = find_switch(beta, env, sim)
+        ref = brentq_switch(beta, env, sim)
+        assert sp is not None and ref is not None, (name, beta)
+        assert_bracket_holds(sp, ref)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(env=strategies.one_of(environments(), ideal_free_environments()),
+       beta=strategies.floats(0.0, 0.9))
+def test_find_switch_bracket_holds_the_brentq_root_on_random_environments(env, beta):
+    sim = SimulationConfig()
+    sp = find_switch(beta, env, sim)
+    ref = brentq_switch(beta, env, sim)
+    if sp is not None and ref is not None:
+        assert_bracket_holds(sp, ref)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -216,8 +259,8 @@ def test_find_switch_takes_one_eigenpair_on_example1(monkeypatch):
 
 
 def test_find_switch_reports_no_switch_when_root_lies_above_the_interval():
-    # u tracks K, v gathers where K is low: alpha** = 0.806 at beta = 0, above
-    # 1 - tol for tol = 0.3. The climb over [0, 1) finds it whatever tol is
+    # u tracks K, v gathers where K is low: alpha** = 0.806 at beta = 0, far
+    # from both ends of [0, 1). r varies, so the climb takes Newton steps
     cfg = parse_config_text(
         "L = 1\nn_cells = 60\nK = 1+0.9*cos(pi*x)\nr = 1+0.5*x\n"
         "P = 1+0.9*cos(pi*x)\nQ = 1-0.9*cos(pi*x)\na = 1\nb = 1\n"
@@ -225,15 +268,14 @@ def test_find_switch_reports_no_switch_when_root_lies_above_the_interval():
     _, env = build_environment(cfg)
     sim = SimulationConfig()
     assert invasion_sigma1(0.7, 0.0, env, sim) > 0
-    sp = find_switch(0.0, env, sim, tol=0.3)
+    sp = find_switch(0.0, env, sim)
     assert sp.alpha_double_star == pytest.approx(0.8063186, abs=1e-6)
-    assert find_switch(0.0, env, sim, tol=0.1).alpha_double_star == sp.alpha_double_star
-    assert sp.bracket_width == 0.3
+    assert_bracket_holds(sp, brentq_switch(0.0, env, sim))
 
 
 def test_effective_alpha_star_below_switch_on_bundled_configs():
     # the guaranteed-coexistence bound never exceeds the switch point; on
-    # example3 the root at beta = 0.8 (~0.8007) lies less than tol above beta
+    # example3 the root at beta = 0.8 (~0.8007) lies just above beta
     for name in ("example1", "example2", "example3", "example4", "example4b", "example5"):
         _, grid, env, sim = load_example(name, n_cells=200)
         for beta in (0.0, 0.4, 0.6, 0.8):
@@ -251,15 +293,14 @@ def test_harvest_on_the_winner_rescues_the_loser():
     assert find_switch(0.0, env, sim) is None
     for beta in (0.1, 0.3, 0.6):
         sp = find_switch(beta, env, sim)
-        assert 0.0 < sp.alpha_double_star < 1.0, beta
-        half = 0.5 * sp.bracket_width
-        assert invasion_sigma1(sp.alpha_double_star - half, beta, env, sim) > 0, beta
-        assert invasion_sigma1(sp.alpha_double_star + half, beta, env, sim) < 0, beta
+        assert 0.0 < sp.lo <= sp.alpha_double_star <= sp.hi < 1.0, beta
+        assert invasion_sigma1(sp.lo, beta, env, sim) > 0, beta
+        assert invasion_sigma1(sp.hi, beta, env, sim) < 0, beta
 
 
 def test_alpha_p_lies_below_the_switch_where_p_is_not_proportional_to_k():
     # sigma1(alpha_P) >= 0, so alpha_P <= alpha**, also where alpha** lies
-    # within tol of beta. u loses unharvested on example1, 4 and 4b: at
+    # just above beta. u loses unharvested on example1, 4 and 4b: at
     # beta = 0 there is no switch, and alpha_P < 0 claims no coexistence
     for name in ("example1", "example2", "example3", "example4", "example4b", "example5"):
         _, _, env, sim = load_example(name, n_cells=200, P="1+0.5*sin(pi*x/4)")
@@ -308,7 +349,7 @@ def test_find_switch_ideal_free_pair_dominates_estimate():
     # the exclusion switch sits above the analytic coexistence bound 0.2024
     _, grid, env, _ = load_example("example3", n_cells=100)
     sim = SimulationConfig(dt=0.05, t_final=2000.0, steady_tol=1e-7)
-    sp = find_switch(0.2, env, sim, tol=1e-3)
+    sp = find_switch(0.2, env, sim)
     assert sp is not None
     assert sp.alpha_double_star >= 0.2024
 
@@ -550,14 +591,6 @@ def test_one_species_records_hold_the_semitrivial_state_bitwise():
             else:
                 assert (avg, yield_) == (0.0, 0.0)
                 assert math.copysign(1.0, avg) == math.copysign(1.0, yield_) == 1.0
-
-
-@pytest.mark.parametrize("tol", [0.0, -0.5, math.nan])
-def test_find_switch_rejects_tolerance_not_positive(example1_small, tol):
-    grid, env, sim = example1_small
-    message = f"switch tolerance tol must be finite and positive, got {tol}"
-    with pytest.raises(ConfigurationError, match=message):
-        find_switch(0.2, env, sim, tol=tol)
 
 
 def test_a_climb_past_its_cap_fails_find_switch_and_leaves_the_sweep_per_cell(monkeypatch):
@@ -918,11 +951,24 @@ def test_a_neutral_start_is_the_root_whatever_the_sign_of_its_rounding(P, n_cell
     sim = SimulationConfig()
     assert abs(invasion_sigma1(0.0, 0.0, env, sim)) <= env.neutral_level
     sp = find_switch(0.0, env, sim)
-    assert (sp.alpha_double_star, sp.bracket_width) == (0.0, 0.0)
+    assert (sp.alpha_double_star, sp.lo) == (0.0, 0.0)
     assert brentq_switch(0.0, env, sim) == 0.0
+    assert_bracket_holds(sp, 0.0)
     sg = sweep_grid([0.0], [0.0], env, sim)
     assert sg.switch_u == [0.0]
     assert sg.records[0][0].outcome is Outcome.ONLY_V
+
+
+@pytest.mark.parametrize("n_cells,P", [(48, "1"), (200, "1+0.5*cos(x)")],
+                         ids=["uniform_u", "cli_matrix_switch_neutral"])
+def test_a_neutral_row_brackets_beta(n_cells, P):
+    # example1's habitat with Q = K: v alone at beta is (1 - beta) K, and u's
+    # invasion potential r * (beta - alpha) is constant, so sigma_u(alpha) =
+    # r * (beta - alpha) and alpha**(beta) = beta exactly, which each bracket
+    # holds
+    _, _, env, sim = load_example("example1", n_cells=n_cells, P=P, Q="2+cos(pi*x)")
+    for beta in (0.0, 0.4, 0.8):
+        assert_bracket_holds(find_switch(beta, env, sim), beta)
 
 
 def assert_curves_are_the_line_roots(env, rates, sim):

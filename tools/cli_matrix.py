@@ -49,9 +49,9 @@ CASES = (
     ("sweep_varying_r", ["sweep", "--grid", "11", "--set", "r=1.1+0.5*cos(pi*x)",
                          "--output", "sweep.csv"]),
     ("switch", ["switch", "--beta", "0.4", "--output", "switch.csv"]),
-    ("switch_config_beta", ["switch", "--set", "beta=0.2", "--tol", "1e-6"]),
+    ("switch_config_beta", ["switch", "--set", "beta=0.2"]),
     ("switch_none", ["switch", "--beta", "0.9985"]),
-    ("switch_empty", ["switch", "--beta", "0", "--tol", "0.6"]),
+    ("switch_empty", ["switch", "--beta", "0"]),
     ("switch_weak", ["switch", "--beta", "0.4", *WEAK]),
     ("switch_rescue", ["switch", "--beta", "0.3", *RESCUE]),
     ("switch_no_invasion", ["switch", "--beta", "0", *RESCUE]),
