@@ -246,11 +246,8 @@ def _cmd_bounds(args) -> int:
     rows = []
     for beta in betas:
         report = alpha_star(beta, env, sim)
-        if args.with_switch:
-            sp = _switch_point(beta, env, report.v_beta_star)
-            a_switch = sp.alpha_double_star if sp is not None else float("nan")
-        else:
-            a_switch = float("nan")
+        sp = _switch_point(beta, env, report.v_beta_star)
+        a_switch = sp.alpha_double_star if sp is not None else float("nan")
         print(
             f"beta={beta:g} alpha_star={report.effective_alpha_star:.6g} "
             f"c_star={report.c_star:.6g} alpha_double_star={a_switch:.6g}"
@@ -387,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("bounds", help="coexistence bounds alpha_star for fixed beta values")
     output(p)
-    p.add_argument("--betas", default=None, help="comma-separated beta values")
-    p.add_argument("--with-switch", action="store_true", help="also find alpha_double_star")
+    p.add_argument("--betas", default=None,
+                   help="comma-separated beta values; each row also reports alpha_double_star")
     p.set_defaults(handler=_cmd_bounds)
 
     p = command("sweep", help="outcome sweep over harvesting rates")

@@ -19,19 +19,19 @@ sigma_u is convex and strictly decreasing in alpha (J. E. Cohen, Proc. AMS
 81 (1981) 657-658), with slope -h * sum(r * psi^2 / P) from its own
 eigenpair, so it changes sign across a beta row once, at the switch point
 alpha**(beta); likewise sigma_v across an alpha column, at beta_v(alpha).
-One Newton climb per row and per column runs toward 1 and stops on that
-root, or where its iterate reaches 1; SweepGrid keeps the roots as the two
-switch curves. The points a climb evaluates bound sigma at every other rate:
-from below by their tangents, and from above by the slope bound -min r. The
-bounds prove a sign of +1 or -1 where they clear 0, and a neutral sign where
-both lie within half the neutral level of 0 (sweep_grid states the bounds).
-A neutral sign is what an ideal free disperser leaves its competitor on the
-line alpha = beta (examples 1, 2 and 4b). A cell whose two signs decide its
-outcome is decided without its own eigenpairs; any other cell computes both
-sigmas. On the bundled configs, where r is constant, a sweep so takes one
-eigenpair per climb: 20 for an 11x11 sweep at n = 200 instead of 200, and 80
-for a 41x41 sweep instead of 3,200. find_switch is the same climb on one
-row, from alpha = 0.
+One Newton climb per row and per column runs from rate 0 toward 1 and stops
+on that root, or where its iterate reaches 1; SweepGrid keeps the roots as
+the two switch curves; find_switch is the same climb on one row. The points
+a climb evaluates bound sigma at every other rate: from below by their
+tangents, and from above by the slope bound -min r. The bounds prove a sign
+of +1 or -1 where they clear 0, and a neutral sign where both lie within
+half the neutral level of 0 (sweep_grid states the bounds). A neutral sign
+is what an ideal free disperser leaves its competitor on the line alpha =
+beta (examples 1, 2 and 4b). A cell whose two signs decide its outcome is
+decided without its own eigenpairs; any other cell computes both sigmas. On
+the bundled configs, where r is constant, a sweep so takes one eigenpair per
+climb: 20 for an 11x11 sweep at n = 200 instead of 200, and 80 for a 41x41
+sweep instead of 3,200.
 """
 
 from __future__ import annotations
@@ -103,9 +103,9 @@ class SweepGrid:
     """records[i][j] is the cell at (alphas[j], betas[i]). switch_u[i] is
     alpha**(betas[i]), the root of sigma_u on that row, and switch_v[j] is
     beta_v(alphas[j]), that of sigma_v on that column: each its line's
-    Climb.root, so None where sigma < -level at the climb's start or an
-    iterate reaches 1, and None where the line has no climb (its own rate
-    >= 1, no rate of the other axis in [0, 1), or the climb raised)."""
+    Climb.root, so None where sigma < -level at rate 0 or an iterate
+    reaches 1, and None where the line has no climb (its own rate >= 1, or
+    the climb raised)."""
 
     alphas: np.ndarray
     betas: np.ndarray
@@ -243,9 +243,9 @@ def sweep_grid(
 
     The signs come from one Newton climb per beta row on sigma_u(alpha) and
     one per alpha column on sigma_v(beta), the latter on env.swapped() with
-    u_alpha resident. A climb starts at the line's smallest rate in [0, 1)
-    and runs toward 1 (_newton_climb): it stops on the line's root, its
-    entry of SweepGrid.switch_u or switch_v, or where its iterate reaches 1.
+    u_alpha resident. Every climb starts at rate 0 and runs toward 1
+    (_newton_climb): it stops on the line's root, its entry of
+    SweepGrid.switch_u or switch_v, or where its iterate reaches 1.
     The points it evaluates bound sigma at each node: from below by their
     tangents, sigma being convex, and from above by a fall at least at the
     rate min r right of each (spectral.rate_slope). Bounds that clear
@@ -282,13 +282,8 @@ def sweep_grid(
     for beta in betas.tolist():
         HarvestRates(alpha=0.0, beta=beta)
 
-    def start(line):
-        # the line's smallest rate in [0, 1), where its climb starts
-        return min((x for x in line.tolist() if 0 <= x < 1), default=None)
-
-    # per invader: its environment, the resident's branch and where its
-    # climbs start; v invading is u invading env.swapped()
-    sides = {"u": (env, "v", start(alphas)), "v": (env.swapped(), "u", start(betas))}
+    # per invader: its environment and the resident; v invading is u on env.swapped()
+    sides = {"u": (env, "v"), "v": (env.swapped(), "u")}
     r_min = float(env.r.min())
 
     @functools.cache
@@ -314,7 +309,7 @@ def sweep_grid(
     @functools.cache
     def eigen(invader: str, other: float, own: float) -> spectral.EigenResult:
         # the invader at its own rate, the resident alone at the other rate
-        invader_env, resident, _ = sides[invader]
+        invader_env, resident = sides[invader]
         return invasion_eigen(invader_env, HarvestRates(alpha=own, beta=other),
                               semitrivial(resident, other))
 
@@ -322,10 +317,10 @@ def sweep_grid(
     def climb(invader: str, other: float) -> Climb:
         # the climb along the invader's line at the other's rate, or one
         # with no points and no root where the line has none (see SweepGrid)
-        invader_env, _, first = sides[invader]
-        if other < 1 and first is not None:
+        if other < 1:
             try:
-                return _newton_climb(functools.partial(eigen, invader, other), invader_env, first)
+                return _newton_climb(functools.partial(eigen, invader, other),
+                                     sides[invader][0], 0.0)
             except HarvestCompError:
                 pass
         return Climb((), None)
@@ -388,9 +383,12 @@ def find_switch(
     (spectral.root_above). Each end is widened by w = env.neutral_level /
     min r, the furthest a sigma1 within the neutral level of its exact
     value moves a root when sigma1 falls at least at the rate min r:
-    [max(0, alpha** - w), root_above + w]. tol, u0 and v0 are accepted for
-    call compatibility and unused; initial data do not enter the invasion
-    criterion.
+    [max(0, alpha** - w), root_above + w]. Where r vanishes on a cell, that
+    cell's ratio does not fall in alpha, so no Collatz-Wielandt bound exists
+    and hi is inf; the Newton iterate is still a tangent bound, and w is
+    env.neutral_level over its slope's magnitude. tol, u0 and v0 are
+    accepted for call compatibility and unused; initial data do not enter
+    the invasion criterion.
     """
     return _switch_point(beta, env, solve_semitrivial("v", env, beta, cfg))
 
@@ -404,7 +402,12 @@ def _switch_point(beta: float, env: EnvironmentProfile, v_beta: Field) -> Switch
     climb = _newton_climb(eigen, env, 0.0)
     if climb.root is None:
         return None
-    w = env.neutral_level / float(env.r.min())
-    above = spectral.root_above(climb.last, env.r, climb.points[-1][0])
+    r_min = float(env.r.min())
+    x, _, slope = climb.points[-1]
+    if r_min > 0:
+        w = env.neutral_level / r_min
+        hi = spectral.root_above(climb.last, env.r, x) + w
+    else:  # the ratio on an r = 0 cell does not fall in alpha: no bound above
+        w, hi = env.neutral_level / -slope, math.inf
     return SwitchPoint(beta=beta, alpha_double_star=climb.root, lo=max(0.0, climb.root - w),
-                       hi=above + w)
+                       hi=hi)

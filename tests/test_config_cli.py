@@ -3,6 +3,7 @@ import re
 import runpy
 import sys
 import types
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -292,14 +293,14 @@ def test_bounds_command_csv_contract(fast_config, tmp_path, capsys):
     assert len(lines) == 3
     row = lines[1].split(",")
     assert float(row[0]) == 0.0
-    assert 0 < float(row[2]) < 1
-    assert np.isnan(float(row[3]))  # switch point only under --with-switch
+    # every row reports alpha**, which alpha_P bounds from below
+    assert 0 < float(row[2]) <= float(row[3]) < 1
 
 
-def test_bounds_with_switch_writes_the_switch_point(fast_config, tmp_path, capsys):
+def test_bounds_writes_the_switch_point(fast_config, tmp_path, capsys):
     # at beta = 0.9985 alpha** lies less than 1e-3 above beta: a switch all the same
     out = tmp_path / "bounds.csv"
-    code = run_cli("bounds", "--config", fast_config, "--betas", "0,0.4,0.9985", "--with-switch",
+    code = run_cli("bounds", "--config", fast_config, "--betas", "0,0.4,0.9985",
                    "--output", out)
     assert code == 0
     with open(out, newline="") as fh:
@@ -313,7 +314,7 @@ def test_bounds_with_switch_writes_the_switch_point(fast_config, tmp_path, capsy
     assert "nan" not in capsys.readouterr().out
 
 
-def test_bounds_with_switch_solves_each_competitor_state_once(fast_config, monkeypatch, capsys):
+def test_bounds_solves_each_competitor_state_once(fast_config, monkeypatch, capsys):
     # the switch climbs on the v_beta that alpha_star solved for the row
     calls = []
 
@@ -323,10 +324,23 @@ def test_bounds_with_switch_solves_each_competitor_state_once(fast_config, monke
 
     for module in (analysis, sweep):
         monkeypatch.setattr(module, "solve_semitrivial", counting)
-    assert run_cli("bounds", "--config", fast_config, "--betas", "0,0.4,0.9985",
-                   "--with-switch") == 0
+    assert run_cli("bounds", "--config", fast_config, "--betas", "0,0.4,0.9985") == 0
     assert calls == [("v", 0.0), ("v", 0.4), ("v", 0.9985)]
     assert "nan" not in capsys.readouterr().out
+
+
+def test_a_habitat_where_r_vanishes_on_a_cell_has_a_switch(capsys):
+    # r = 0 on cell 400 at n = 800: the bracket has no end above, and
+    # switch and bounds report alpha** without a warning
+    r_vanishing = ["--config", bundled_config("example1"), "--set", "r=1.1*abs(x-2.0025)"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("switch", *r_vanishing, "--beta", "0.4") == 0
+        out, err = capsys.readouterr()
+        assert out == "beta=0.4 alpha_double_star=0.475497 bracket_width=inf\n" and err == ""
+        assert run_cli("bounds", *r_vanishing, "--betas", "0.4") == 0
+        out, err = capsys.readouterr()
+        assert "alpha_double_star=0.475497\n" in out and err == ""
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4", "example4b"])
@@ -379,7 +393,9 @@ def test_sweep_rejects_grid_below_one(fast_config, tmp_path, capsys, grid):
         ["sweep", "--cache-dir", "c"],
         # a switch's bracket is what its search proves: no knob sets its width
         ["switch", "--tol", "1e-3"],
-        ["bounds", "--with-switch", "--tol", "1e-3"],
+        ["bounds", "--tol", "1e-3"],
+        # every bounds row reports the switch point: no option asks for it
+        ["bounds", "--with-switch"],
     ],
 )
 def test_options_are_registered_only_where_read(fast_config, capsys, argv):

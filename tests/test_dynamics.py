@@ -26,12 +26,13 @@ from harvestcomp import (
 )
 from harvestcomp import dynamics
 from harvestcomp.operators import apply as op_apply
-from harvestcomp.operators import build_operator, shifted_solver
+from harvestcomp.operators import annihilates, build_operator, shifted_solver
 
 
 from conftest import (
     coexistence_by_species,
     environments,
+    ideal_free_environments,
     load_example,
     one_step,
     semitrivial_by_evaluated_newton,
@@ -178,6 +179,16 @@ def test_semitrivial_proportional_branch_is_capacity():
     w = solve_semitrivial("u", env, 0.0, sim)
     assert np.max(np.abs(w - env.K)) <= 1e-10
     assert residual("u", env, 0.0, w) <= sim.steady_tol
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(env=ideal_free_environments(), rate=strategies.floats(0.0, 0.95))
+def test_an_ideal_free_species_alone_is_its_harvested_capacity_exactly(env, rate):
+    # the species whose profile is a multiple of K: its dispersal annihilates
+    # K, so (1 - rate) K is its stationary state, and Newton starts there
+    which = "u" if annihilates(env.dispersal, env.K) else "v"
+    w = solve_semitrivial(which, env, rate, SimulationConfig())
+    np.testing.assert_array_equal(w, (1.0 - rate) * env.K)
 
 
 def test_semitrivial_constant_branch_is_capacity():

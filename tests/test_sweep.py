@@ -25,7 +25,7 @@ from harvestcomp import spectral, sweep
 from harvestcomp.analysis import invasion_potential
 from harvestcomp.cli import main
 from harvestcomp.config import build_environment, parse_config_text
-from harvestcomp.operators import build_operator
+from harvestcomp.operators import annihilates, build_operator
 from harvestcomp.sweep import (
     CellFailure,
     find_switch,
@@ -739,7 +739,7 @@ def _row_climb_rates(monkeypatch, env, sim) -> list:
 
 
 def test_a_solve_failing_mid_climb_fails_only_its_own_cell(monkeypatch):
-    # r varies, so the row's climb evaluates 4 points: its first node, then
+    # r varies, so the row's climb evaluates 4 points: alpha = 0, then
     # its Newton iterates
     _, grid, env, sim = load_example("example1", n_cells=200, r="1.1+0.5*cos(pi*x)")
     real = sweep.invasion_eigen
@@ -878,8 +878,8 @@ def test_sweep_takes_one_eigenpair_per_climb_on_bundled_configs(monkeypatch, nam
 def _certified_neutral_sigmas(env, rates) -> list:
     """(sigma, level) at each node of each line that sweep_grid(rates, rates,
     env, ...) certifies neutral, sigma computed there: sigma_u on the rows,
-    sigma_v on the columns, each line's climb running toward 1 as the
-    sweep's does."""
+    sigma_v on the columns, each line's climb running from 0 toward 1 as
+    the sweep's does."""
     sim = SimulationConfig()
     r_min = float(np.min(env.r))
     nodes = sorted({float(x) for x in rates if 0 <= x < 1})
@@ -892,7 +892,7 @@ def _certified_neutral_sigmas(env, rates) -> list:
             def eigen(own):
                 return sweep.invasion_eigen(invader_env, HarvestRates(alpha=own, beta=other), w)
 
-            points = sweep._newton_climb(eigen, invader_env, nodes[0]).points
+            points = sweep._newton_climb(eigen, invader_env, 0.0).points
             found += [(eigen(x).sigma1, level) for x in nodes
                       if sweep._certified_sign(points, x, r_min, level) == 0]
     return found
@@ -971,17 +971,17 @@ def test_a_neutral_row_brackets_beta(n_cells, P):
         assert_bracket_holds(find_switch(beta, env, sim), beta)
 
 
-def assert_curves_are_the_line_roots(env, rates, sim):
-    """sweep_grid(rates, rates, env, sim)'s curves hold each line's root:
-    switch_u[i] is find_switch(betas[i]) to the bit, switch_v[j] the brentq
-    root of sigma_v on its column, and a rate of 1 has none. rates holds 0,
-    where find_switch starts its climb. Returns the sweep."""
-    sg = sweep_grid(rates, rates, env, sim)
-    assert len(sg.switch_u) == len(sg.switch_v) == len(rates)
-    for beta, got in zip(rates.tolist(), sg.switch_u):
+def assert_curves_are_the_line_roots(env, alphas, betas, sim):
+    """sweep_grid(alphas, betas, env, sim)'s curves hold each line's root,
+    whatever the grids: switch_u[i] is find_switch(betas[i]) to the bit,
+    switch_v[j] the brentq root of sigma_v on its column, and a rate of 1
+    has none. Returns the sweep."""
+    sg = sweep_grid(alphas, betas, env, sim)
+    assert (len(sg.switch_u), len(sg.switch_v)) == (len(betas), len(alphas))
+    for beta, got in zip(betas.tolist(), sg.switch_u):
         sp = find_switch(beta, env, sim) if beta < 1 else None
         assert got == (None if sp is None else sp.alpha_double_star), (beta, got, sp)
-    for alpha, got in zip(rates.tolist(), sg.switch_v):
+    for alpha, got in zip(alphas.tolist(), sg.switch_v):
         ref = brentq_switch_v(alpha, env, sim) if alpha < 1 else None
         assert (got is None) == (ref is None), (alpha, got, ref)
         if got is not None:
@@ -996,7 +996,8 @@ def assert_curves_are_the_line_roots(env, rates, sim):
 def test_sweep_curves_are_the_line_roots_on_bundled_configs(name, diffusion):
     overrides = {} if diffusion is None else {"a": diffusion, "b": diffusion}
     _, _, env, sim = load_example(name, n_cells=200, **overrides)
-    sg = assert_curves_are_the_line_roots(env, np.linspace(0.0, 1.0, 21), sim)
+    rates = np.linspace(0.0, 1.0, 21)
+    sg = assert_curves_are_the_line_roots(env, rates, rates, sim)
     if name in ("example1", "example2", "example4b"):
         # u disperses ideally, so sigma_v is neutral on the diagonal: the
         # column alpha = 0 starts its climb on its root
@@ -1007,7 +1008,21 @@ def test_sweep_curves_are_the_line_roots_on_bundled_configs(name, diffusion):
 @given(env=environments())
 def test_sweep_curves_are_the_line_roots_on_random_environments(env):
     # r varies, so each climb takes Newton steps
-    assert_curves_are_the_line_roots(env, np.linspace(0.0, 1.0, 11), SimulationConfig())
+    rates = np.linspace(0.0, 1.0, 11)
+    assert_curves_are_the_line_roots(env, rates, rates, SimulationConfig())
+
+
+@pytest.mark.parametrize("name", ["example1", "example5"])
+def test_sweep_curves_are_the_line_roots_on_grids_without_zero(name):
+    # every line climbs from rate 0, as find_switch does, whatever its
+    # nodes: the rows beta = 0.2 (both configs) and 0.4 (example1) have
+    # alpha** below the smallest alpha node, 0.302 and 0.478 on example1
+    _, _, env, sim = load_example(name, n_cells=200)
+    alphas, betas = np.linspace(0.6, 0.9, 4), np.linspace(0.2, 0.8, 4)
+    sg = assert_curves_are_the_line_roots(env, alphas, betas, sim)
+    assert None not in sg.switch_u
+    assert sg.switch_u[0] < alphas[0]
+    assert sg.records == per_cell_sweep(alphas, betas, env, sim)
 
 
 def test_a_row_reports_its_root_above_its_last_node():
@@ -1019,3 +1034,57 @@ def test_a_row_reports_its_root_above_its_last_node():
     sg = sweep_grid(rates, rates[39:40], env, sim)
     assert sg.switch_u[0] == find_switch(rates[39], env, sim).alpha_double_star
     assert rates[39] < sg.switch_u[0] < 1.0
+
+
+def test_a_cell_where_r_vanishes_leaves_the_bracket_open_above():
+    # r = 0 on cell 400 at n = 800: that cell's Collatz-Wielandt ratio does
+    # not fall in alpha, so hi is inf; lo is the Newton iterate widened by
+    # the level over its own slope, a tangent bound
+    _, _, env, sim = load_example("example1", r="1.1*abs(x-2.0025)")
+    assert env.r[400] == 0.0
+    sp = find_switch(0.4, env, sim)
+    ref = brentq_switch(0.4, env, sim)
+    assert abs(ref - 0.4754967705261) <= 1e-12
+    assert sp.lo <= sp.alpha_double_star <= sp.hi
+    assert sp.lo <= ref and sp.hi == sp.bracket_width == math.inf
+    assert ref - sp.lo <= 1e-8
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(env=ideal_free_environments(), rate=strategies.floats(0.01, 0.99))
+def test_harvesting_the_ideal_free_winner_rescues_the_loser(env, rate):
+    # the species whose profile is a multiple of K is alone (1 - rate) K at
+    # its rate, so its competitor's invasion potential is rate * r and the
+    # competitor invades at sigma >= rate * min r: the one-cell sweep with
+    # the winner harvested at rate, the loser not, is not the winner's
+    # alone. With P the multiple, u is the winner and sigma is sigma_v;
+    # with Q, v is and sigma is sigma_u
+    sim = SimulationConfig()
+    u_wins = annihilates(env.dispersal, env.K)
+    winner, loser_env = ("u", env.swapped()) if u_wins else ("v", env)
+    resident = solve_semitrivial(winner, env, rate, sim)
+    # the loser's rate is 0 and the winner's rate, both ways round
+    sigma = sweep.invasion_eigen(loser_env, HarvestRates(alpha=0.0, beta=rate), resident).sigma1
+    assert sigma >= rate * float(np.min(env.r)) - loser_env.neutral_level, (sigma, rate)
+    alphas, betas = ([rate], [0.0]) if u_wins else ([0.0], [rate])
+    (record,) = sweep_grid(alphas, betas, env, sim).records[0]
+    assert not isinstance(record, CellFailure), record
+    assert record.outcome is not (Outcome.ONLY_U if u_wins else Outcome.ONLY_V), record
+
+
+@pytest.mark.parametrize("name", ["example3", "example4"])
+def test_coexistence_yields_on_the_diagonal_of_an_ideal_free_pair_are_exact(name):
+    # K = gamma P + delta Q, so the state on alpha = beta is (1 - alpha)
+    # (gamma P, delta Q) and its yield alpha (1 - alpha) integral(r K); all
+    # 10 diagonal cells below 1 coexist
+    _, grid, env, sim = load_example(name, n_cells=200)
+    rates = np.linspace(0.0, 1.0, 11)
+    records = sweep_grid(rates, rates, env, sim).records
+    diagonal = [records[i][i] for i in range(len(rates))]
+    coexisting = [rec for rec in diagonal
+                  if not isinstance(rec, CellFailure) and rec.outcome is Outcome.COEXISTENCE]
+    assert len(coexisting) == 10
+    capacity_yield = integrate(env.r * env.K, grid)
+    for rec in coexisting:
+        exact = rec.alpha * (1.0 - rec.alpha) * capacity_yield
+        assert rec.total_yield == pytest.approx(exact, rel=1e-8), (rec, exact)

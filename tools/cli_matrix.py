@@ -30,6 +30,8 @@ WEAK = ["--set", "a=0.01", "--set", "b=0.01"]
 # u loses unharvested, so u invades (0, v_beta) only for harvest on v
 RESCUE = ["--set", "P=1", "--set", "Q=1", "--set", "a=1", "--set", "b=0.01"]
 NON_FINITE = "1/(x-x)"
+# r = 0 on one cell, the one centred on x = 2.0025 at n_cells = 800 (L = 4)
+R_VANISHING = ["--set", "n_cells=800", "--set", "r=1.1*abs(x-2.0025)"]
 # (case name, arguments after --config and the n_cells override)
 CASES = (
     ("simulate", ["simulate", "--set", "t_final=100", "--alpha", "0.1", "--beta", "0.05",
@@ -39,10 +41,11 @@ CASES = (
     ("steady_near_one", ["steady", "--branch", "v", "--set", "beta=0.999999"]),
     ("eigen_u", ["eigen", "--around", "u", "--set", "alpha=0.2", "--output", "psi.csv"]),
     ("eigen_v", ["eigen", "--around", "v", "--set", "beta=0.4", "--output", "psi.csv"]),
-    ("bounds", ["bounds", "--betas", "0,0.4,0.9985", "--with-switch", "--output", "b.csv"]),
+    ("bounds", ["bounds", "--betas", "0,0.4,0.9985", "--output", "b.csv"]),
     ("bounds_beta", ["bounds", "--set", "beta=0.3"]),
-    ("bounds_off_hypothesis", ["bounds", "--betas", "0,0.4,0.8", "--with-switch",
+    ("bounds_off_hypothesis", ["bounds", "--betas", "0,0.4,0.8",
                                "--set", "P=1+0.5*sin(pi*x/4)", "--output", "b.csv"]),
+    ("bounds_r_vanishing", ["bounds", "--betas", "0.4", *R_VANISHING]),
     ("sweep", ["sweep", "--grid", "21", "--output", "sweep.csv", "--plot-script"]),
     ("sweep_weak", ["sweep", "--grid", "21", *WEAK, "--strict"]),
     ("sweep_row", ["sweep", "--beta", "0.4", "--grid", "11", "--output", "row.csv"]),
@@ -55,6 +58,7 @@ CASES = (
     ("switch_weak", ["switch", "--beta", "0.4", *WEAK]),
     ("switch_rescue", ["switch", "--beta", "0.3", *RESCUE]),
     ("switch_no_invasion", ["switch", "--beta", "0", *RESCUE]),
+    ("switch_r_vanishing", ["switch", "--beta", "0.4", *R_VANISHING]),
     # v disperses ideally (Q ~ K), so sigma_u is neutral at alpha = 0: alpha** = 0
     ("switch_neutral", ["switch", "--beta", "0", "--set", "K=2+cos(pi*x)",
                         "--set", "P=1+0.5*cos(x)", "--set", "Q=2+cos(pi*x)"]),
