@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: simulate, steady, eigen, bounds, sweep, switch, msy, check.
+Subcommands: simulate, steady, eigen, bounds, sweep, msy, check.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 unresolved classification under --strict.
 """
@@ -33,7 +33,6 @@ from .spectral import sign
 from .sweep import (
     CellFailure,
     _switch_point,
-    find_switch,
     invasion_eigen,
     simulate_cell,
     sweep_grid,
@@ -131,15 +130,14 @@ def _create(path):
 
 
 def _write_output(args, header: list[str], rows, plot: str = _PLOT_TEMPLATE) -> None:
-    """Write the --output CSV and, under --plot-script (not registered for
-    every command), a matplotlib companion next to it: plot, given the CSV
-    and PNG paths."""
+    """Write the --output CSV and, under --plot-script, a matplotlib
+    companion next to it: plot, given the CSV and PNG paths."""
     with _create(args.output) as fh:
         writer = csv.writer(fh, lineterminator="\n")  # quotes a field holding a comma
         writer.writerow(header)
         writer.writerows(rows)
     print(f"wrote {args.output}")
-    if getattr(args, "plot_script", False):
+    if args.plot_script:
         csv_path = Path(args.output)
         script = csv_path.with_name(f"plot_{csv_path.stem}.py")
         png = str(csv_path.with_suffix(".png"))
@@ -243,18 +241,20 @@ def _cmd_eigen(args) -> int:
 def _cmd_bounds(args) -> int:
     cfg, grid, env, sim = _setup(args)
     betas = [cfg.beta] if args.betas is None else _parse_betas(args.betas)
-    rows = []
+    rows, nan = [], float("nan")
     for beta in betas:
         report = alpha_star(beta, env, sim)
         sp = _switch_point(beta, env, report.v_beta_star)
-        a_switch = sp.alpha_double_star if sp is not None else float("nan")
+        a_switch, width = (nan, nan) if sp is None else (sp.alpha_double_star, sp.bracket_width)
         print(
             f"beta={beta:g} alpha_star={report.effective_alpha_star:.6g} "
-            f"c_star={report.c_star:.6g} alpha_double_star={a_switch:.6g}"
+            f"c_star={report.c_star:.6g} alpha_double_star={a_switch:.6g} "
+            f"bracket_width={width:.3g}"
         )
-        rows.append([beta, report.c_star, report.effective_alpha_star, a_switch])
+        rows.append([beta, report.c_star, report.effective_alpha_star, a_switch, width])
     if args.output:
-        _write_output(args, ["beta", "c_star", "alpha_star", "alpha_double_star"], rows)
+        _write_output(args, ["beta", "c_star", "alpha_star", "alpha_double_star",
+                             "bracket_width"], rows)
     return EXIT_OK
 
 
@@ -276,25 +276,6 @@ def _cmd_sweep(args) -> int:
         print(f"{unresolved} of {len(rows)} cells unresolved", file=sys.stderr)
         if args.strict:
             return EXIT_UNRESOLVED
-    return EXIT_OK
-
-
-def _cmd_switch(args) -> int:
-    cfg, grid, env, sim = _setup(args)
-    sp = find_switch(cfg.beta, env, sim)
-    if sp is None:
-        print(f"beta={cfg.beta:g}: no switch in [0, 1)")
-        return EXIT_OK
-    print(
-        f"beta={cfg.beta:g} alpha_double_star={sp.alpha_double_star:.6g} "
-        f"bracket_width={sp.bracket_width:.3g}"
-    )
-    if args.output:
-        _write_output(
-            args,
-            ["beta", "alpha_double_star", "bracket_width"],
-            [[sp.beta, sp.alpha_double_star, sp.bracket_width]],
-        )
     return EXIT_OK
 
 
@@ -348,14 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, help):
         return sub.add_parser(name, parents=[common], help=help)
 
-    def output(p, default=None, plot_script=True):
+    def output(p, default=None):
         p.add_argument(
             "--output",
             default=default,
             help="output CSV path" if default else "optional output CSV path",
         )
-        if plot_script:
-            p.add_argument("--plot-script", action="store_true", help="emit a plotting companion")
+        p.add_argument("--plot-script", action="store_true", help="emit a plotting companion")
 
     def strict(p):
         p.add_argument("--strict", action="store_true", help="exit 4 on unresolved results")
@@ -382,10 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_eigen)
 
-    p = command("bounds", help="coexistence bounds alpha_star for fixed beta values")
+    p = command("bounds", help="per beta: the switch point alpha_double_star, the width "
+                "of its proven bracket, and the estimate alpha_star below it")
     output(p)
-    p.add_argument("--betas", default=None,
-                   help="comma-separated beta values; each row also reports alpha_double_star")
+    p.add_argument("--betas", default=None, help="comma-separated beta values")
     p.set_defaults(handler=_cmd_bounds)
 
     p = command("sweep", help="outcome sweep over harvesting rates")
@@ -394,11 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=None, help="points per axis")
     p.add_argument("--beta", type=float, default=None, help="sweep alpha for this fixed beta")
     p.set_defaults(handler=_cmd_sweep)
-
-    p = command("switch", help="largest alpha at which the first species can invade")
-    output(p, plot_script=False)
-    p.add_argument("--beta", type=float, default=None)
-    p.set_defaults(handler=_cmd_switch)
 
     p = command("msy", help="sustainable yield of the configured cell")
     p.set_defaults(handler=_cmd_msy)

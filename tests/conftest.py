@@ -106,6 +106,15 @@ def ideal_free_environments(draw):
     return dataclasses.replace(env, **fields)
 
 
+@strategies.composite
+def ideal_free_pairs(draw):
+    """An environments() draw in which u and v form an ideal free pair: K is
+    gamma P + delta Q, gamma and delta in [0.5, 2]."""
+    env = draw(environments())
+    gamma, delta = draw(strategies.floats(0.5, 2.0)), draw(strategies.floats(0.5, 2.0))
+    return dataclasses.replace(env, K=gamma * env.P + delta * env.Q)
+
+
 #: Fraction of average(K) below which threshold_classify counts a species
 #: extinct. An excluded species with a regular-diffusion strategy dies off
 #: only algebraically, leaving a residue of up to ~1% of the capacity

@@ -289,7 +289,7 @@ def test_bounds_command_csv_contract(fast_config, tmp_path, capsys):
     code = run_cli("bounds", "--config", fast_config, "--betas", "0,0.4", "--output", out)
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "beta,c_star,alpha_star,alpha_double_star"
+    assert lines[0] == "beta,c_star,alpha_star,alpha_double_star,bracket_width"
     assert len(lines) == 3
     row = lines[1].split(",")
     assert float(row[0]) == 0.0
@@ -309,8 +309,10 @@ def test_bounds_writes_the_switch_point(fast_config, tmp_path, capsys):
     _, env = build_environment(cfg)
     sim = simulation_config(cfg)
     for row, beta in zip(rows, [0.0, 0.4, 0.9985], strict=True):
+        sp = find_switch(beta, env, sim)
         assert float(row["beta"]) == beta
-        assert float(row["alpha_double_star"]) == find_switch(beta, env, sim).alpha_double_star
+        assert float(row["alpha_double_star"]) == sp.alpha_double_star
+        assert float(row["bracket_width"]) == sp.bracket_width
     assert "nan" not in capsys.readouterr().out
 
 
@@ -331,16 +333,14 @@ def test_bounds_solves_each_competitor_state_once(fast_config, monkeypatch, caps
 
 def test_a_habitat_where_r_vanishes_on_a_cell_has_a_switch(capsys):
     # r = 0 on cell 400 at n = 800: the bracket has no end above, and
-    # switch and bounds report alpha** without a warning
+    # bounds reports alpha** without a warning
     r_vanishing = ["--config", bundled_config("example1"), "--set", "r=1.1*abs(x-2.0025)"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run_cli("switch", *r_vanishing, "--beta", "0.4") == 0
-        out, err = capsys.readouterr()
-        assert out == "beta=0.4 alpha_double_star=0.475497 bracket_width=inf\n" and err == ""
         assert run_cli("bounds", *r_vanishing, "--betas", "0.4") == 0
         out, err = capsys.readouterr()
-        assert "alpha_double_star=0.475497\n" in out and err == ""
+        assert out.startswith("beta=0.4 alpha_star=") and err == ""
+        assert out.endswith(" alpha_double_star=0.475497 bracket_width=inf\n")
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4", "example4b"])
@@ -386,13 +386,11 @@ def test_sweep_rejects_grid_below_one(fast_config, tmp_path, capsys, grid):
         ["simulate", "--random-restarts", "1"],
         ["simulate", "--seed", "3"],
         ["msy", "--strict"],
-        ["switch", "--plot-script"],
         ["bounds", "--strict"],
         ["sweep", "--jobs", "2"],
         ["sweep", "--no-cache"],
         ["sweep", "--cache-dir", "c"],
         # a switch's bracket is what its search proves: no knob sets its width
-        ["switch", "--tol", "1e-3"],
         ["bounds", "--tol", "1e-3"],
         # every bounds row reports the switch point: no option asks for it
         ["bounds", "--with-switch"],
@@ -403,6 +401,14 @@ def test_options_are_registered_only_where_read(fast_config, capsys, argv):
         run_cli(argv[0], "--config", fast_config, *argv[1:])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_switch_is_not_a_command(fast_config, capsys):
+    # every bounds row reports the switch point and its bracket
+    with pytest.raises(SystemExit) as exc:
+        run_cli("switch", "--config", fast_config, "--beta", "0.4")
+    assert exc.value.code == 2
+    assert "invalid choice: 'switch'" in capsys.readouterr().err
 
 
 def test_sweep_is_deterministic(fast_config, tmp_path):
@@ -462,42 +468,52 @@ def test_sweep_csv_is_byte_identical_to_the_golden_file(tmp_path):
 FLAT = ["--set", "K=1", "--set", "P=1"]
 
 
-def test_switch_command(fast_config, capsys):
-    assert run_cli("switch", "--config", fast_config, "--set", "n_cells=32", "--beta", "0") == 0
+def bounds_row(beta, sp, report) -> str:
+    """The line bounds prints for beta, given find_switch's point and
+    alpha_star's report."""
+    return (f"beta={beta:g} alpha_star={report.effective_alpha_star:.6g} "
+            f"c_star={report.c_star:.6g} alpha_double_star={sp.alpha_double_star:.6g} "
+            f"bracket_width={sp.bracket_width:.3g}")
+
+
+def test_bounds_command_reports_the_switch_point(fast_config, capsys):
+    assert run_cli("bounds", "--config", fast_config, "--set", "n_cells=32",
+                   "--betas", "0") == 0
     assert "alpha_double_star=" in capsys.readouterr().out
 
 
-def test_switch_reports_no_switch_and_writes_its_row(fast_config, tmp_path, capsys):
+def test_bounds_reports_no_switch_and_writes_its_row(fast_config, tmp_path, capsys):
     # the search climbs from alpha = 0 to alpha**(0) = 0.126, and the width
     # printed is that of the bracket its last eigenpair proves
-    assert run_cli("switch", "--config", fast_config, "--beta", "0") == 0
+    assert run_cli("bounds", "--config", fast_config, "--betas", "0") == 0
     cfg = load_config(fast_config)
     _, env = build_environment(cfg)
-    sp = find_switch(0.0, env, simulation_config(cfg))
+    sim = simulation_config(cfg)
+    sp = find_switch(0.0, env, sim)
     assert sp.lo <= sp.alpha_double_star <= sp.hi and 0 < sp.bracket_width <= 1e-8
-    assert capsys.readouterr().out == (
-        f"beta=0 alpha_double_star={sp.alpha_double_star:.6g} "
-        f"bracket_width={sp.bracket_width:.3g}\n"
-    )
+    assert capsys.readouterr().out == bounds_row(0.0, sp, alpha_star(0.0, env, sim)) + "\n"
     # v disperses as u does but 100 times slower and excludes u unharvested:
     # u does not invade (0, v_0) at any alpha
     loser = ["--set", "P=1", "--set", "Q=1", "--set", "a=1", "--set", "b=0.01"]
-    assert run_cli("switch", "--config", fast_config, "--beta", "0", *loser) == 0
-    assert capsys.readouterr().out == "beta=0: no switch in [0, 1)\n"
+    assert run_cli("bounds", "--config", fast_config, "--betas", "0", *loser) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("beta=0 alpha_star=")
+    assert out.endswith(" alpha_double_star=nan bracket_width=nan\n")
     # beta = 1 leaves v no state to invade
-    assert run_cli("switch", "--config", fast_config, "--beta", "1") == 2
+    assert run_cli("bounds", "--config", fast_config, "--betas", "1") == 2
     assert "needs a harvesting rate below 1" in capsys.readouterr().err
-    out = tmp_path / "switch.csv"
-    assert run_cli("switch", "--config", fast_config, "--beta", "0.2", "--output", out) == 0
+    csv_out = tmp_path / "bounds.csv"
+    assert run_cli("bounds", "--config", fast_config, "--set", "beta=0.2",
+                   "--output", csv_out) == 0
     printed = capsys.readouterr().out.splitlines()
-    assert printed[-1] == f"wrote {out}"
-    header, row = out.read_text().splitlines()
-    assert header == "beta,alpha_double_star,bracket_width"
-    beta, switch, width = map(float, row.split(","))
+    assert printed[-1] == f"wrote {csv_out}"
+    header, row = csv_out.read_text().splitlines()
+    assert header == "beta,c_star,alpha_star,alpha_double_star,bracket_width"
+    beta, _, _, switch, width = map(float, row.split(","))
     assert beta == 0.2 and 0.2 < switch < 1 and 0 < width <= 1e-8
-    sp = find_switch(0.2, env, simulation_config(cfg))
+    sp = find_switch(0.2, env, sim)
     assert (switch, width) == (sp.alpha_double_star, sp.bracket_width)
-    assert printed[0] == f"beta=0.2 alpha_double_star={switch:.6g} bracket_width={width:.3g}"
+    assert printed[0] == bounds_row(0.2, sp, alpha_star(0.2, env, sim))
 
 
 def test_eigen_writes_the_eigenfunction(fast_config, tmp_path, capsys):

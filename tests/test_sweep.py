@@ -17,6 +17,7 @@ from harvestcomp import (
     SimulationConfig,
     alpha_star,
     average,
+    detect_ideal_free_pair,
     integrate,
     principal_eigen,
     solve_semitrivial,
@@ -38,6 +39,7 @@ from conftest import (
     bundled_config,
     environments,
     ideal_free_environments,
+    ideal_free_pairs,
     load_example,
     per_cell_sweep,
     record_of_march,
@@ -283,6 +285,19 @@ def test_effective_alpha_star_below_switch_on_bundled_configs():
             assert sp is not None, (name, beta)
             a_star = alpha_star(beta, env, sim).effective_alpha_star
             assert a_star <= sp.alpha_double_star, (name, beta)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(env=strategies.one_of(environments(), ideal_free_environments()),
+       beta=strategies.floats(0.0, 0.9))
+def test_effective_alpha_star_is_below_the_proven_switch_on_random_environments(env, beta):
+    # alpha_P lies below alpha**; where P or Q is a multiple of K the two are
+    # one number and alpha_P may round above the climb's root, but never
+    # above hi, the end of the bracket the climb proves
+    sim = SimulationConfig()
+    sp = find_switch(beta, env, sim)
+    if sp is not None:
+        assert alpha_star(beta, env, sim).effective_alpha_star <= sp.hi, sp
 
 
 def test_harvest_on_the_winner_rescues_the_loser():
@@ -960,7 +975,7 @@ def test_a_neutral_start_is_the_root_whatever_the_sign_of_its_rounding(P, n_cell
 
 
 @pytest.mark.parametrize("n_cells,P", [(48, "1"), (200, "1+0.5*cos(x)")],
-                         ids=["uniform_u", "cli_matrix_switch_neutral"])
+                         ids=["uniform_u", "cli_matrix_bounds_neutral"])
 def test_a_neutral_row_brackets_beta(n_cells, P):
     # example1's habitat with Q = K: v alone at beta is (1 - beta) K, and u's
     # invasion potential r * (beta - alpha) is constant, so sigma_u(alpha) =
@@ -1087,4 +1102,21 @@ def test_coexistence_yields_on_the_diagonal_of_an_ideal_free_pair_are_exact(name
     capacity_yield = integrate(env.r * env.K, grid)
     for rec in coexisting:
         exact = rec.alpha * (1.0 - rec.alpha) * capacity_yield
+        assert rec.total_yield == pytest.approx(exact, rel=1e-8), (rec, exact)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(env=ideal_free_pairs())
+def test_coexistence_yields_on_the_diagonal_of_random_ideal_free_pairs_are_exact(env):
+    # the coexistence strip holds the whole diagonal below 1, and there the
+    # state (1 - alpha)(gamma P, delta Q) yields alpha (1 - alpha) integral(r K)
+    assert detect_ideal_free_pair(env) is not None
+    rates = [0.0, 0.3, 0.6, 0.9]
+    records = sweep_grid(rates, rates, env, SimulationConfig()).records
+    capacity_yield = integrate(env.r * env.K, env.grid)
+    for i, alpha in enumerate(rates):
+        rec = records[i][i]
+        assert not isinstance(rec, CellFailure), rec
+        assert rec.outcome is Outcome.COEXISTENCE, rec
+        exact = alpha * (1.0 - alpha) * capacity_yield
         assert rec.total_yield == pytest.approx(exact, rel=1e-8), (rec, exact)

@@ -24,7 +24,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-COMMANDS = ("simulate", "steady", "eigen", "bounds", "sweep", "switch", "msy", "check")
+COMMANDS = ("simulate", "steady", "eigen", "bounds", "sweep", "msy", "check")
 CONFIGS = ("example1", "example2", "example3", "example4", "example4b", "example5")
 WEAK = ["--set", "a=0.01", "--set", "b=0.01"]
 # u loses unharvested, so u invades (0, v_beta) only for harvest on v
@@ -46,22 +46,17 @@ CASES = (
     ("bounds_off_hypothesis", ["bounds", "--betas", "0,0.4,0.8",
                                "--set", "P=1+0.5*sin(pi*x/4)", "--output", "b.csv"]),
     ("bounds_r_vanishing", ["bounds", "--betas", "0.4", *R_VANISHING]),
+    ("bounds_weak", ["bounds", "--betas", "0.4", *WEAK]),
+    ("bounds_rescue", ["bounds", "--betas", "0.3", *RESCUE]),
+    ("bounds_no_invasion", ["bounds", "--betas", "0", *RESCUE]),
+    # v disperses ideally (Q ~ K), so sigma_u is neutral at alpha = 0: alpha** = 0
+    ("bounds_neutral", ["bounds", "--betas", "0", "--set", "K=2+cos(pi*x)",
+                        "--set", "P=1+0.5*cos(x)", "--set", "Q=2+cos(pi*x)"]),
     ("sweep", ["sweep", "--grid", "21", "--output", "sweep.csv", "--plot-script"]),
     ("sweep_weak", ["sweep", "--grid", "21", *WEAK, "--strict"]),
     ("sweep_row", ["sweep", "--beta", "0.4", "--grid", "11", "--output", "row.csv"]),
     ("sweep_varying_r", ["sweep", "--grid", "11", "--set", "r=1.1+0.5*cos(pi*x)",
                          "--output", "sweep.csv"]),
-    ("switch", ["switch", "--beta", "0.4", "--output", "switch.csv"]),
-    ("switch_config_beta", ["switch", "--set", "beta=0.2"]),
-    ("switch_none", ["switch", "--beta", "0.9985"]),
-    ("switch_empty", ["switch", "--beta", "0"]),
-    ("switch_weak", ["switch", "--beta", "0.4", *WEAK]),
-    ("switch_rescue", ["switch", "--beta", "0.3", *RESCUE]),
-    ("switch_no_invasion", ["switch", "--beta", "0", *RESCUE]),
-    ("switch_r_vanishing", ["switch", "--beta", "0.4", *R_VANISHING]),
-    # v disperses ideally (Q ~ K), so sigma_u is neutral at alpha = 0: alpha** = 0
-    ("switch_neutral", ["switch", "--beta", "0", "--set", "K=2+cos(pi*x)",
-                        "--set", "P=1+0.5*cos(x)", "--set", "Q=2+cos(pi*x)"]),
     ("msy", ["msy", "--set", "alpha=0.3", "--set", "beta=0.2"]),
     ("msy_ceiling", ["msy", "--set", "alpha=0.5", "--set", "beta=0.5"]),
     ("check", ["check"]),
