@@ -25,6 +25,16 @@ phi . phi, with H phi in units of a power of two near that level so that
 neither product overflows; psi and the residual are computed when first
 read.
 
+Given a nonnegative weight w, the same loop solves the pencil: sigma1 is
+the largest mu for which H - mu W is singular, W = diag(w). The ratios
+(H phi)_i / (w_i phi_i), taken where w_i > 0, bracket it; each step solves
+(hi W - H) y = W phi, so the ratios of y are again hi - phi_i / y_i, and a
+cell where w_i = 0 satisfies its own row (H y)_i = 0: the ratios are those
+of the problem with those cells eliminated, which is never formed. sigma1
+is the Rayleigh quotient (phi . H phi) / (phi . W phi), at most the exact
+one. The rate at which an invasion eigenvalue vanishes is this eigenvalue
+with weight r (sweep.switch_eigen).
+
 Of H, the off-diagonal, the start sqrt(R) and the start's ratios for
 q = 0, (D R)/R, depend on the operator alone. They are computed once per
 operator (DiffusionOperator.eigen_invariants) and shared by every
@@ -59,8 +69,9 @@ class EigenResult:
     hi up to the rounding eps * gershgorin(H) of a ratio, and hi - lo is
     below that width unless the iteration ended because hi*I - H no longer
     factored, which puts sigma1 within that width of hi. psi and residual,
-    the Euclidean norm of H phi - sigma1 phi for the unit vector phi = psi /
-    sqrt(R) up to scale, are computed when first read."""
+    the Euclidean norm of H phi - sigma1 phi (H phi - sigma1 W phi for a
+    pencil) for the unit vector phi = psi / sqrt(R) up to scale, are
+    computed when first read."""
 
     sigma1: float
     iterations: int
@@ -74,6 +85,8 @@ class EigenResult:
     # sqrt(R) and the cell width, which scale phi to psi
     _sqrt_R: np.ndarray = field(repr=False, compare=False)
     _h: float = field(repr=False, compare=False)
+    # the pencil's weight, None for the identity
+    _weight: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def psi(self) -> Field:
@@ -82,12 +95,15 @@ class EigenResult:
     @cached_property
     def residual(self) -> float:
         # in units of unit, exactly, so that the squares stay finite
-        r = self._h_phi - (self.sigma1 / self._unit) * self._phi
+        w_phi = self._phi if self._weight is None else self._weight * self._phi
+        r = self._h_phi - (self.sigma1 / self._unit) * w_phi
         return self._unit * math.sqrt(float(r @ r) / self._norm2)
 
 
-def principal_eigen(op: DiffusionOperator, potential: Field, R: Field) -> EigenResult:
-    """Largest eigenvalue and positive eigenfunction of D + diag(potential).
+def principal_eigen(op: DiffusionOperator, potential: Field, R: Field,
+                    weight: Field | None = None) -> EigenResult:
+    """Largest eigenvalue and positive eigenfunction of D + diag(potential),
+    or, given a weight w, of the pencil D + diag(potential) - mu * diag(w).
 
     R must be the dispersal profile the operator was built with; it defines
     the weighted inner product and the eigenfunction normalization. The
@@ -102,6 +118,12 @@ def principal_eigen(op: DiffusionOperator, potential: Field, R: Field) -> EigenR
     Raises ConvergenceError, naming the bracket, when a fixed cap of steps
     does not close it.
 
+    A weight, nonnegative, positive on some cell and zero only where the
+    potential is, replaces I by W = diag(weight) throughout, and the width
+    by eps * gershgorin(H) / min w over the cells where w > 0 (see the
+    module docstring). Without it every result is W = I's, bit for bit,
+    and no step does more work.
+
     The off-diagonal of H, sqrt(R) and the ratios (D R)/R depend on the
     operator alone and are read from op.eigen_invariants, computed on the
     operator's first eigenpair; each call computes only what involves its
@@ -115,19 +137,26 @@ def principal_eigen(op: DiffusionOperator, potential: Field, R: Field) -> EigenR
     # the Collatz-Wielandt ratios (H phi)_i / phi_i of phi = sqrt(R) are
     # q_i + (D R)_i / R_i, and D R = 0 up to rounding
     ratio = potential + kernel_ratio
+    if weight is not None:  # the pencil's ratios, on the cells it weighs
+        weight = as_field(weight, op.grid)
+        live = slice(None) if amin(weight) > 0 else weight > 0
+        ratio = ratio[live] / weight[live]
     lo, hi = amin(ratio), amax(ratio)
-    # a potential that is not finite makes the bracket so
-    if not (math.isfinite(lo) and math.isfinite(hi)) and not np.isfinite(potential).all():
-        raise ConfigurationError("potential must be finite in every cell")
 
     # H = S^-1 (D + diag(q)) S with S = diag(sqrt(R))
     diag = op.diag + potential
     row = np.abs(diag)
     row[:-1] += off
     row[1:] += off
-    stop = sys.float_info.epsilon * amax(row)
+    rounding = sys.float_info.epsilon * amax(row)
+    # a potential that is not finite makes the bracket or the rounding so
+    if (not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(rounding))
+            and not np.isfinite(potential).all()):
+        raise ConfigurationError("potential must be finite in every cell")
+    stop = rounding if weight is None else rounding / amin(weight[live])
+    # spent: the Noda steps' work arrays
+    shifted, shrink = row, ratio if weight is None else np.empty_like(row)
     floor = -math.inf  # sigma1 is at least this
-    shifted, shrink = row, ratio  # spent: the Noda steps' work arrays
     steps = 0
     while not hi - lo <= stop:  # a NaN bracket runs on to the cap
         if steps == _NODA_CAP:
@@ -135,50 +164,44 @@ def principal_eigen(op: DiffusionOperator, potential: Field, R: Field) -> EigenR
                 f"principal eigenvalue not resolved after {steps} Noda steps: "
                 f"sigma1 in [{lo:.12g}, {hi:.12g}]"
             )
-        np.subtract(hi, diag, out=shifted)
-        _, _, y, info = _ptsv(shifted, neg_off, phi, overwrite_d=1)
-        if info != 0:  # hi*I - H is not positive definite to rounding
+        np.subtract(hi if weight is None else hi * weight, diag, out=shifted)
+        _, _, y, info = _ptsv(shifted, neg_off, phi if weight is None else weight * phi,
+                              overwrite_d=1)
+        if info != 0:  # hi*W - H is not positive definite to rounding
             floor = hi - stop
             break
-        # (H y)_i = hi * y_i - phi_i, so the ratios of y are hi - phi_i / y_i
+        # (H y)_i = hi * w_i * y_i - w_i * phi_i, so the ratios of y are
+        # hi - phi_i / y_i
         np.divide(phi, y, out=shrink)
-        smin = amin(shrink)
-        lo, hi = hi - amax(shrink), hi - smin
-        # smin * y_i <= phi_i in every cell, so the iterates never grow
+        ratio = shrink if weight is None else shrink[live]
+        smin = amin(ratio)
+        lo, hi = hi - amax(ratio), hi - smin
+        # smin * y_i <= phi_i in every weighted cell, so the iterates never grow
         phi = np.multiply(y, smin, out=y)
         steps += 1
 
     h_phi = diag * phi
     h_phi[:-1] += off * phi[1:]
     h_phi[1:] += off * phi[:-1]
-    unit = math.ldexp(1.0, math.frexp(stop)[1])  # a power of two above the stop width
+    unit = math.ldexp(1.0, math.frexp(rounding)[1])  # a power of two above the rounding
     h_phi /= unit  # exactly, and so that phi . h_phi stays finite
     norm2 = float(phi @ phi)
-    sigma1 = max(unit * (float(phi @ h_phi) / norm2), floor)
+    w_norm2 = norm2 if weight is None else float(phi @ (weight * phi))
+    sigma1 = max(unit * (float(phi @ h_phi) / w_norm2), floor)
     return EigenResult(sigma1=sigma1, iterations=steps, lo=lo, hi=hi, _phi=phi,
-                       _norm2=norm2, _h_phi=h_phi, _unit=unit, _sqrt_R=sqrt_R, _h=op.grid.h)
+                       _norm2=norm2, _h_phi=h_phi, _unit=unit, _sqrt_R=sqrt_R, _h=op.grid.h,
+                       _weight=weight)
 
 
 def rate_slope(res: EigenResult, r: Field) -> float:
     """d sigma1 / dx of D + diag(q - x * r) at res, the eigenpair of
-    D + diag(q): -h * sum(r * psi^2 / R), psi normalized as in EigenResult
+    D + diag(q) at x = 0, or of the pencil with weight r at x = its sigma1:
+    -h * sum(r * psi^2 / R), psi normalized as in EigenResult
     (Hellmann-Feynman). On the symmetric form that is
     -(phi . r phi) / (phi . phi) for the last phi as it stands, so psi is
     not formed; a phi^2-weighted mean of -r, it lies in [-max r, -min r]."""
     phi = res._phi
     return -float(r @ (phi * phi)) / res._norm2
-
-
-def root_above(res: EigenResult, r: Field, x: float) -> float:
-    """An upper bound on the rate a at which sigma1 of
-    D + diag(q - (a - x) * r) is 0, res the eigenpair of D + diag(q) and
-    r > 0 (Collatz-Wielandt): x + max_i (H phi)_i / (r_i phi_i) for the last
-    phi as it stands. At that rate every ratio of the positive phi is <= 0,
-    so sigma1 <= 0, and sigma1 falls in a. Its mirror below is the Rayleigh
-    quotient's, x - sigma1 / rate_slope(res, r), where the tangent of
-    sigma1 at x meets 0: the Newton iterate. Both are bounds up to the
-    rounding of the products, about eps * gershgorin(H) / min r."""
-    return x + res._unit * amax(res._h_phi / (r * res._phi))
 
 
 def sign(sigma: float, level: float) -> int:

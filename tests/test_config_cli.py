@@ -317,7 +317,8 @@ def test_bounds_writes_the_switch_point(fast_config, tmp_path, capsys):
 
 
 def test_bounds_solves_each_competitor_state_once(fast_config, monkeypatch, capsys):
-    # the switch climbs on the v_beta that alpha_star solved for the row
+    # the switch is the eigenpair on the v_beta that alpha_star solved for
+    # the row
     calls = []
 
     def counting(which, env, rate, cfg):
@@ -483,8 +484,8 @@ def test_bounds_command_reports_the_switch_point(fast_config, capsys):
 
 
 def test_bounds_reports_no_switch_and_writes_its_row(fast_config, tmp_path, capsys):
-    # the search climbs from alpha = 0 to alpha**(0) = 0.126, and the width
-    # printed is that of the bracket its last eigenpair proves
+    # alpha**(0) = 0.126, and the width printed is that of the bracket the
+    # row's eigenpair proves
     assert run_cli("bounds", "--config", fast_config, "--betas", "0") == 0
     cfg = load_config(fast_config)
     _, env = build_environment(cfg)

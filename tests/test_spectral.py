@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
+from scipy.optimize import brentq
 
 from harvestcomp import (
     ConfigurationError,
     ConvergenceError,
     HarvestRates,
+    SimulationConfig,
     find_switch,
     integrate,
     principal_eigen,
@@ -368,6 +370,47 @@ def test_rate_slope_is_the_hellmann_feynman_slope_of_psi(env, alpha):
     up, down = (principal_eigen(env.dispersal, potential - x * env.r, env.P).sigma1
                 for x in (dx, -dx))
     assert slope == pytest.approx((up - down) / (2 * dx), rel=1e-6)
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(env=environments(), beta=strategies.floats(0.0, 0.9))
+def test_a_weight_gives_the_rate_at_which_the_harvested_eigenvalue_vanishes(env, beta):
+    # with weight r, sigma1 is the top eigenvalue of the pencil H - mu W,
+    # that of W^-1/2 H W^-1/2 (r > 0 here), which a dense solver gives; it
+    # lies in the returned bracket up to its width eps * gershgorin(H) /
+    # min r, and sigma1 of D + diag(q - sigma1 * r) vanishes
+    v_beta = solve_semitrivial("v", env, beta, SimulationConfig())
+    potential = env.r * (1.0 - v_beta / env.K)
+    res = principal_eigen(env.dispersal, potential, env.P, env.r)
+    H = symmetrized_dense(env.dispersal, potential)
+    scale = 1.0 / np.sqrt(env.r)
+    dense = float(np.linalg.eigvalsh(H * scale[:, None] * scale[None, :])[-1])
+    assert res.sigma1 == pytest.approx(dense, abs=1e-10)
+    width = np.finfo(float).eps * float(np.abs(H).sum(axis=1).max()) / float(np.min(env.r))
+    assert res.lo - width <= res.sigma1 <= res.hi + width
+    level = env.neutral_level
+    assert abs(dense_sigma1(env.dispersal, potential - res.sigma1 * env.r)) <= level
+    # the pencil's residual, H phi - sigma1 W phi, is at rounding
+    phi = res.psi / np.sqrt(env.P)
+    phi /= np.linalg.norm(phi)
+    assert res.residual == pytest.approx(
+        float(np.linalg.norm(H @ phi - res.sigma1 * env.r * phi)), abs=1e-12)
+    assert res.residual <= level
+
+
+def test_a_weight_that_vanishes_on_cells_brackets_the_root_without_eliminating_them():
+    # r = 0 on 8 of 32 cells, where the potential vanishes too: the ratios
+    # are taken on the other cells, and the bracket holds the brentq root of
+    # sigma1(x) of D + diag(q - x * r)
+    _, grid, env, sim = load_example("example1", n_cells=32, r="abs(x-1)+abs(x-2)-1")
+    assert int(np.sum(env.r == 0.0)) == 8
+    v_beta = solve_semitrivial("v", env, 0.4, sim)
+    potential = env.r * (1.0 - v_beta / env.K)
+    res = principal_eigen(env.dispersal, potential, env.P, env.r)
+    root = brentq(lambda x: dense_sigma1(env.dispersal, potential - x * env.r), 0.0, 1.0,
+                  xtol=1e-15)
+    assert res.lo - 1e-12 <= root <= res.hi + 1e-12
+    assert res.sigma1 == pytest.approx(root, abs=1e-12)
+
 
 _pttrf = get_lapack_funcs("pttrf", (np.zeros(3),))
 

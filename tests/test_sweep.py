@@ -1,7 +1,9 @@
 import functools
+import json
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,7 +90,7 @@ def invasion_sigma1(alpha, beta, env, sim):
 
 
 def brentq_root(sigma1, level: float):
-    """Oracle for a climb's root: the root of the decreasing sigma1 on
+    """Oracle for a line's root: the root of the decreasing sigma1 on
     [0, 1] by bracketing, None when sigma1(0) < -level and 0 when
     |sigma1(0)| <= level. xtol is tighter than brentq's default, so that the
     oracle's own tolerance does not count against the match."""
@@ -159,8 +161,8 @@ def test_find_switch_brackets_the_exclusion_boundary(example1_small):
 
 
 def test_find_switch_independent_of_starting_bracket(example1_small):
-    # every search climbs from alpha = 0, and its bracket is the one its
-    # last eigenpair proves: tol, still accepted, changes nothing
+    # every search is one eigenpair of the row's pencil, and its bracket is
+    # the one that eigenpair proves: tol, still accepted, changes nothing
     grid, env, sim = example1_small
     a = find_switch(0.0, env, sim, tol=2e-3)
     b = find_switch(0.0, env, sim, tol=0.05)
@@ -183,8 +185,8 @@ def test_find_switch_exists_for_flat_capacity_control():
 
 
 def test_find_switch_reports_no_switch_when_bracket_degenerates(example1_small):
-    # alpha** lies less than 1e-3 above beta and below 1; the climb over
-    # [0, 1) finds it, and its bracket lies inside (beta, 1)
+    # alpha** lies less than 1e-3 above beta and below 1; the row's
+    # eigenpair finds it, and its bracket lies inside (beta, 1)
     grid, env, sim = example1_small
     sp = find_switch(0.999, env, sim)
     assert 0.999 < sp.lo <= sp.alpha_double_star <= sp.hi < 1.0
@@ -234,8 +236,8 @@ def test_find_switch_bracket_holds_the_brentq_root_on_random_environments(env, b
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(env=environments(), beta=strategies.floats(0.0, 0.9))
 def test_find_switch_matches_brentq_on_random_environments(env, beta):
-    # r varies here, so sigma1 is not affine in alpha and Newton takes
-    # more than one step
+    # r varies here, so sigma1 is not affine in alpha; the pencil's root
+    # is still one eigenpair
     sim = SimulationConfig()
     sp = find_switch(beta, env, sim)
     ref = brentq_switch(beta, env, sim)
@@ -245,9 +247,8 @@ def test_find_switch_matches_brentq_on_random_environments(env, beta):
 
 
 def test_find_switch_takes_one_eigenpair_on_example1(monkeypatch):
-    # r is constant on example1, so sigma1 is affine in alpha: the tangent
-    # at alpha = 0 and the slope bound -min r meet at the root, which the
-    # climb returns without a second eigenpair to confirm it
+    # alpha** is the principal eigenvalue of the r-weighted pencil: one
+    # eigenpair, with no second one to confirm it
     _, grid, env, sim = load_example("example1")
     calls = []
 
@@ -262,7 +263,7 @@ def test_find_switch_takes_one_eigenpair_on_example1(monkeypatch):
 
 def test_find_switch_reports_no_switch_when_root_lies_above_the_interval():
     # u tracks K, v gathers where K is low: alpha** = 0.806 at beta = 0, far
-    # from both ends of [0, 1). r varies, so the climb takes Newton steps
+    # from both ends of [0, 1). r varies, so sigma1 is not affine in alpha
     cfg = parse_config_text(
         "L = 1\nn_cells = 60\nK = 1+0.9*cos(pi*x)\nr = 1+0.5*x\n"
         "P = 1+0.9*cos(pi*x)\nQ = 1-0.9*cos(pi*x)\na = 1\nb = 1\n"
@@ -292,8 +293,8 @@ def test_effective_alpha_star_below_switch_on_bundled_configs():
        beta=strategies.floats(0.0, 0.9))
 def test_effective_alpha_star_is_below_the_proven_switch_on_random_environments(env, beta):
     # alpha_P lies below alpha**; where P or Q is a multiple of K the two are
-    # one number and alpha_P may round above the climb's root, but never
-    # above hi, the end of the bracket the climb proves
+    # one number and alpha_P may round above the computed root, but never
+    # above hi, the end of the bracket the row's eigenpair proves
     sim = SimulationConfig()
     sp = find_switch(beta, env, sim)
     if sp is not None:
@@ -332,7 +333,8 @@ def test_alpha_p_lies_below_the_switch_where_p_is_not_proportional_to_k():
 def test_example5_paper_formula_bounds_the_switch_with_varying_growth(monkeypatch):
     # example2's habitat with r = 0.6+0.5cos(pi x): P is proportional to K,
     # so the paper's formula is alpha_P and a bound; r varies, so sigma1 is
-    # no longer affine in alpha and the climb takes Newton steps
+    # no longer affine in alpha, and alpha** is still one eigenpair, that of
+    # the r-weighted pencil
     _, _, env, sim = load_example("example5", n_cells=200)
     calls = []
 
@@ -346,7 +348,7 @@ def test_example5_paper_formula_bounds_the_switch_with_varying_growth(monkeypatc
         assert report.alpha_star_ifp is None
         calls.clear()
         sp = find_switch(beta, env, sim)
-        assert len(calls) > 1, beta
+        assert len(calls) == 1, beta
         assert abs(sp.alpha_double_star - brentq_switch(beta, env, sim)) <= 1e-11, beta
         assert report.alpha_star <= sp.alpha_double_star, beta
 
@@ -495,7 +497,7 @@ def test_simulate_cell_raises_the_harvest_rate_message_of_a_rejected_rate(exampl
 
 
 def test_a_failing_semitrivial_solve_runs_once_per_sweep(example1_small, monkeypatch):
-    # the column climb at alpha = 0.5 and each of that column's 11 cells
+    # the column's eigenpair at alpha = 0.5 and each of that column's 11 cells
     # need u_alpha; the failed solve is kept, and every cell there fails
     # with its message while the other cells keep their records
     grid, env, sim = example1_small
@@ -608,15 +610,18 @@ def test_one_species_records_hold_the_semitrivial_state_bitwise():
                 assert math.copysign(1.0, avg) == math.copysign(1.0, yield_) == 1.0
 
 
-def test_a_climb_past_its_cap_fails_find_switch_and_leaves_the_sweep_per_cell(monkeypatch):
-    # with no Newton step allowed, a climb that does not stop at its first
-    # point raises: find_switch names the rate, and sweep_grid computes each
-    # cell of that line alone. r varies, so the first point's bounds leave
-    # its iterate open and the climb goes on
+def test_a_line_whose_eigenpair_fails_fails_find_switch_and_leaves_the_sweep_per_cell(
+    monkeypatch
+):
+    # a line's eigenpair that raises: find_switch raises its error, and
+    # sweep_grid computes each cell of every line alone
     _, grid, env, sim = load_example("example1", n_cells=200, r="1.1+0.5*cos(pi*x)")
-    monkeypatch.setattr(sweep, "_NEWTON_CAP", 0)
-    message = "switch point not resolved after 0 Newton steps: rate near 0, sigma1 = "
-    with pytest.raises(ConvergenceError, match=re.escape(message)):
+
+    def failing(invader_env, resident):
+        raise ConvergenceError("no eigenpair on the line")
+
+    monkeypatch.setattr(sweep, "switch_eigen", failing)
+    with pytest.raises(ConvergenceError, match="no eigenpair on the line"):
         find_switch(0.4, env, sim)
     rates = np.linspace(0.0, 1.0, 6)
     assert sweep_grid(rates, rates, env, sim).records == per_cell_sweep(rates, rates, env, sim)
@@ -643,7 +648,7 @@ def test_sweep_agrees_with_march_on_random_environments(env, alphas, betas):
 @pytest.mark.parametrize("diffusion", [1.0, 0.01])
 @pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4", "example4b"])
 def test_sweep_is_the_per_cell_sweep_on_bundled_configs(name, diffusion):
-    # the climbs' sign certificates decide most cells; every record, failure
+    # the lines' bracket signs decide most cells; every record, failure
     # messages included, is the one of computing both sigmas in every cell
     _, grid, env, sim = load_example(name, n_cells=200, a=diffusion, b=diffusion)
     rates = np.linspace(0.0, 1.0, 41)
@@ -652,52 +657,55 @@ def test_sweep_is_the_per_cell_sweep_on_bundled_configs(name, diffusion):
 
 
 @pytest.mark.parametrize("r_min, expected", [(0.5, None), (2.0, -1)])
-def test_certified_sign_falls_at_least_at_the_smallest_growth_rate(r_min, expected):
-    # from the single point (0, 1) with slope -2, sigma(1.5) is at most
-    # 1 - 1.5 * r_min: 0.25 proves no sign, -2 proves -1. The tangent's
-    # -2 is no upper bound, so a bound using the point's own slope would
+def test_bracket_sign_falls_at_least_at_the_smallest_growth_rate(r_min, expected):
+    # the root at 0 with slope -2 there: sigma(1) is at most -r_min, so
+    # -0.5 proves no sign at a level of 0.5 and -2 proves -1. The tangent's
+    # -2 is no upper bound, so a bound using the root's own slope would
     # certify -1 for both
-    assert sweep._certified_sign([(0.0, 1.0, -2.0)], 1.5, r_min, 1e-6) == expected
+    assert sweep._bracket_sign(1.0, 0.0, 0.0, -2.0, r_min, 2.0, 0.5) == expected
 
 
 @pytest.mark.parametrize("offset, expected", [
     (0.0, 0), (0.5, 0), (-0.5, 0), (0.75, None), (-0.75, None), (2.0, None), (-2.0, None),
     (2.5, 1), (-2.5, -1),
 ])
-def test_certified_sign_is_neutral_where_both_bounds_lie_within_half_the_level(offset, expected):
-    # one affine point (0, 0.5 + offset) with slope -1 = -r_min: both bounds
-    # at x = 0.5 are offset, for a level of 1. Within level / 2 of 0 they
-    # prove neutral; beyond it, and short of the 2 * level a sign of +1 or
-    # -1 needs, they prove nothing
-    assert sweep._certified_sign([(0.0, 0.5 + offset, -1.0)], 0.5, 1.0, 1.0) == expected
+def test_bracket_sign_is_neutral_where_both_bounds_lie_within_half_the_level(offset, expected):
+    # a root at 0.5 + offset with slope -1 = -r_min = -r_max, bracketed
+    # exactly: both bounds at x = 0.5 are offset, for a level of 1. Within
+    # level / 2 of 0 they prove neutral; beyond it, and short of the
+    # 2 * level a sign of +1 or -1 needs, they prove nothing
+    root = 0.5 + offset
+    assert sweep._bracket_sign(0.5, root, root, -1.0, 1.0, 1.0, 1.0) == expected
 
 
-def test_certified_sign_needs_a_point_left_of_the_node_to_prove_neutral():
-    # right of x, only the tangent bounds sigma: from below, by 0 here
-    assert sweep._certified_sign([(1.0, -0.5, -1.0)], 0.5, 1.0, 1.0) is None
+def test_bracket_sign_needs_both_ends_of_the_bracket_near_the_node_to_prove_neutral():
+    # the root may lie anywhere in [0.5, 1.5]: at x = 0.5 sigma is between
+    # 0 and 1, so a near end alone proves nothing
+    assert sweep._bracket_sign(0.5, 0.5, 1.5, -1.0, 1.0, 1.0, 1.0) is None
+    assert sweep._bracket_sign(0.5, 0.25, 0.75, -1.0, 1.0, 1.0, 1.0) == 0
 
 
-def test_sweep_bounds_the_slope_by_min_r(monkeypatch):
-    # with r not constant, every certificate gets min r, not max r or a mean
+def test_sweep_bounds_the_slope_by_min_r_and_max_r(monkeypatch):
+    # with r not constant, every sign falls at least at min r and at most at
+    # max r, not at a mean
     _, grid, env, sim = load_example("example2", n_cells=100, r="1+0.5*cos(pi*x)")
     assert np.min(env.r) < np.max(env.r)
-    real = sweep._certified_sign
+    real = sweep._bracket_sign
     slopes = []
 
-    def spy(points, x, r_min, level):
-        slopes.append(r_min)
-        return real(points, x, r_min, level)
+    def spy(x, lo, hi, slope, r_min, r_max, level):
+        slopes.append((r_min, r_max))
+        return real(x, lo, hi, slope, r_min, r_max, level)
 
-    monkeypatch.setattr(sweep, "_certified_sign", spy)
+    monkeypatch.setattr(sweep, "_bracket_sign", spy)
     rates = np.linspace(0.0, 1.0, 5)
     sweep_grid(rates, rates, env, sim)
-    assert slopes and set(slopes) == {float(np.min(env.r))}
+    assert slopes and set(slopes) == {(float(np.min(env.r)), float(np.max(env.r)))}
 
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(env=environments())
 def test_sweep_is_the_per_cell_sweep_on_random_environments(env):
-    # r varies here, so the climbs take several Newton steps and the
-    # certificate's slope bound min r is not the slope
+    # r varies here, so the slope bounds min r and max r are not the slope
     rates = np.linspace(0.0, 1.0, 15)
     sim = SimulationConfig()
     assert sweep_grid(rates, rates, env, sim).records == per_cell_sweep(rates, rates, env, sim)
@@ -736,64 +744,22 @@ def test_sweep_scales_exactly_with_the_capacity_on_random_environments(env, k):
     assert_sweep_scales_with_the_capacity(env, np.linspace(0.0, 1.0, 11), SimulationConfig(), k)
 
 
-def _row_climb_rates(monkeypatch, env, sim) -> list:
-    """The alphas at which the climb along the row beta = 0 of a sweep over
-    alphas [0, 0.9] evaluates sigma_u, in order."""
-    real = sweep.invasion_eigen
-    row_rates = []
-
-    def spy(invader, rates, resident):
-        if invader is env:
-            row_rates.append(rates.alpha)
-        return real(invader, rates, resident)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(sweep, "invasion_eigen", spy)
-        sweep_grid([0.0, 0.9], [0.0], env, sim)
-    return row_rates
-
-
-def test_a_solve_failing_mid_climb_fails_only_its_own_cell(monkeypatch):
-    # r varies, so the row's climb evaluates 4 points: alpha = 0, then
-    # its Newton iterates
-    _, grid, env, sim = load_example("example1", n_cells=200, r="1.1+0.5*cos(pi*x)")
-    real = sweep.invasion_eigen
-    climb = _row_climb_rates(monkeypatch, env, sim)
-    assert len(climb) == 4
-    start, iterate = climb[:2]
-    assert start == 0.0 and 0.0 < iterate < 0.9
-
-    def failing(invader, rates, resident):
-        if invader is env and rates == HarvestRates(iterate, 0.0):
-            raise ConvergenceError("no eigenpair at the climb's iterate")
-        return real(invader, rates, resident)
-
-    # put the iterate on the grid: the climb of row beta = 0 fails at its
-    # second point, and that row's cells are computed one by one
-    monkeypatch.setattr(sweep, "invasion_eigen", failing)
-    alphas, betas = [0.0, iterate, 0.5, 0.9], [0.0, 0.3]
-    sg = sweep_grid(alphas, betas, env, sim)
-    failure = CellFailure(alpha=iterate, beta=0.0, message="no eigenpair at the climb's iterate")
-    assert sg.failures() == [failure]
-    assert sg.records[0][1] == failure
-    assert sg.records == per_cell_sweep(alphas, betas, env, sim)
-
-
 @pytest.mark.parametrize("r", ["1.1+0.5*cos(pi*x)", "1+0.5*cos(pi*x)", "1.1+0.3*sin(pi*x/2)"])
-def test_the_climb_iterate_is_left_open_by_the_min_r_slope_bound(monkeypatch, r):
-    # on alphas [0, x1], x1 the climb's first Newton iterate, the row's
-    # climb stops at its first point: its iterate reaches the last node.
-    # That point's tangent is 0 at x1 up to rounding, and sigma_u(x1) is
-    # small and positive. The slope bound -min r leaves x1 open, so the
-    # cell computes both sigmas and coexists; -max r would certify
-    # sigma_u(x1) < 0 and make the cell only_v
+def test_nodes_at_the_ends_of_the_row_bracket_are_the_per_cell_sweep(r):
+    # nodes on alpha**(0) and a hair either side of it, which the row's
+    # bracket proves neutral; one 1.5 level / min r above it, which the
+    # slope bound -min r leaves open, though -max r would prove -1; and one
+    # past where -min r proves -1. Every record is the one of computing
+    # every cell, the neutral cells' failure messages included
     _, grid, env, sim = load_example("example1", n_cells=200, r=r)
-    assert np.min(env.r) < np.max(env.r)
-    x1 = _row_climb_rates(monkeypatch, env, sim)[1]
-    alphas, betas = [0.0, x1], [0.0, 0.3]
-    sg = sweep_grid(alphas, betas, env, sim)
-    assert sg.records[0][1].outcome is Outcome.COEXISTENCE
-    assert sg.records == per_cell_sweep(alphas, betas, env, sim)
+    r_min = float(np.min(env.r))
+    assert r_min < np.max(env.r)
+    sp = find_switch(0.0, env, sim)
+    root, level = sp.alpha_double_star, env.neutral_level
+    alphas = [0.0, root - 1e-12, root, root + 1e-12, root + 1.5 * level / r_min,
+              sp.hi + 3.0 * level / r_min]
+    betas = [0.0, 0.3]
+    assert sweep_grid(alphas, betas, env, sim).records == per_cell_sweep(alphas, betas, env, sim)
 
 
 @functools.cache
@@ -801,21 +767,16 @@ def _bundled(name: str, diffusion: float):
     return load_example(name, n_cells=200, a=diffusion, b=diffusion)[2]
 
 
-def _climb_of_row(env, beta: float, start: float):
-    """The climb of sigma_u(alpha) at beta from start toward 1, as a
-    sweep_grid row runs it: its points, its root and its level, and sigma_u
-    at that root when the climb stopped by its bounds without evaluating it
-    (None when another rule stopped it)."""
+def _sigma_at_the_line_root(env, beta: float):
+    """sigma_u at the root that the row beta of a sweep reports, computed
+    there, and its level; None where the row reports no root."""
     v_beta = solve_semitrivial("v", env, beta, SimulationConfig())
-    level = env.neutral_level
-
-    def eigen(alpha):
-        return sweep.invasion_eigen(env, HarvestRates(alpha=alpha, beta=beta), v_beta)
-
-    climb = sweep._newton_climb(eigen, env, start)
-    if climb.root is None or climb.points[-1][1] <= level:
-        return climb.points, climb.root, level, None
-    return climb.points, climb.root, level, eigen(climb.root).sigma1
+    res = sweep.switch_eigen(env, v_beta)
+    root = sweep._line_root(res, spectral.rate_slope(res, env.r), env.neutral_level)
+    if root is None:
+        return None, env.neutral_level
+    rates = HarvestRates(alpha=root, beta=beta)
+    return sweep.invasion_eigen(env, rates, v_beta).sigma1, env.neutral_level
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -823,33 +784,22 @@ def _climb_of_row(env, beta: float, start: float):
     name=strategies.sampled_from(["example1", "example2", "example3", "example4", "example4b"]),
     diffusion=strategies.sampled_from([1.0, 0.01]),
     beta=strategies.floats(0.0, 0.9),
-    start=strategies.floats(0.0, 0.9),
 )
-def test_a_climb_stopped_by_its_bounds_skips_a_neutral_iterate_on_bundled_configs(
-    name, diffusion, beta, start
-):
-    # r is constant, so sigma_u is affine in alpha and the first point's
-    # bounds meet at its iterate: a climb that goes on from its first point
-    # stops there, and the iterate it skips is neutral
-    env = _bundled(name, diffusion)
-    points, root, level, skipped = _climb_of_row(env, beta, start)
-    sigma = points[0][1]
-    if sigma > level and root is not None:
-        assert len(points) == 1 and skipped is not None
-    if skipped is not None:
-        assert abs(skipped) <= level, (skipped, level)
+def test_the_line_root_is_neutral_on_bundled_configs(name, diffusion, beta):
+    # the pencil's eigenvalue is the rate at which sigma_u is 0: computed
+    # there, sigma_u is neutral
+    sigma, level = _sigma_at_the_line_root(_bundled(name, diffusion), beta)
+    if sigma is not None:
+        assert abs(sigma) <= level, (sigma, level)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(env=environments(), beta=strategies.floats(0.0, 0.9))
-def test_a_climb_stopped_by_its_bounds_skips_a_neutral_iterate_on_random_environments(
-    env, beta
-):
-    # r varies, so the bounds meet only near the root, after Newton steps;
-    # 5 of these 100 climbs from alpha = 0 stop so
-    _, _, level, skipped = _climb_of_row(env, beta, 0.0)
-    if skipped is not None:
-        assert abs(skipped) <= level, (skipped, level)
+def test_the_line_root_is_neutral_on_random_environments(env, beta):
+    # r varies, so sigma_u is not affine in alpha
+    sigma, level = _sigma_at_the_line_root(env, beta)
+    if sigma is not None:
+        assert abs(sigma) <= level, (sigma, level)
 
 
 def _eigenpairs_of_sweep(monkeypatch, rates, env, sim) -> int:
@@ -871,9 +821,9 @@ def _eigenpairs_of_sweep(monkeypatch, rates, env, sim) -> int:
 @pytest.mark.parametrize("points, count", [(1, 2), (11, 20), (41, 80)])
 def test_sweep_eigenpair_counts_on_example1(monkeypatch, points, count):
     # computing both sigmas in every cell with both rates below 1 takes
-    # 2, 200 and 3,200 eigenpairs. r is constant, so each climb takes one
-    # eigenpair, whose bounds decide every node of its line: the diagonal
-    # alpha = beta too, where u disperses ideally and sigma_v is neutral
+    # 2, 200 and 3,200 eigenpairs. Each line takes one eigenpair, whose
+    # bracket decides every node of it: the diagonal alpha = beta too,
+    # where u disperses ideally and sigma_v is neutral
     _, grid, env, sim = load_example("example1", n_cells=200)
     rates = [0.3] if points == 1 else np.linspace(0.0, 1.0, points)
     assert _eigenpairs_of_sweep(monkeypatch, rates, env, sim) == count
@@ -882,9 +832,9 @@ def test_sweep_eigenpair_counts_on_example1(monkeypatch, points, count):
 @pytest.mark.parametrize("points", [11, 41])
 @pytest.mark.parametrize("diffusion", [1.0, 0.01])
 @pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4", "example4b"])
-def test_sweep_takes_one_eigenpair_per_climb_on_bundled_configs(monkeypatch, name, diffusion,
-                                                                 points):
-    # one climb per row and per column with its rate below 1
+def test_sweep_takes_one_eigenpair_per_line_on_bundled_configs(monkeypatch, name, diffusion,
+                                                                points):
+    # one eigenpair per row and per column with its rate below 1
     rates = np.linspace(0.0, 1.0, points)
     count = _eigenpairs_of_sweep(monkeypatch, rates, _bundled(name, diffusion), SimulationConfig())
     assert count == 2 * (points - 1)
@@ -893,23 +843,23 @@ def test_sweep_takes_one_eigenpair_per_climb_on_bundled_configs(monkeypatch, nam
 def _certified_neutral_sigmas(env, rates) -> list:
     """(sigma, level) at each node of each line that sweep_grid(rates, rates,
     env, ...) certifies neutral, sigma computed there: sigma_u on the rows,
-    sigma_v on the columns, each line's climb running from 0 toward 1 as
-    the sweep's does."""
+    sigma_v on the columns, each line's sign read from its eigenpair's
+    bracket as the sweep's is."""
     sim = SimulationConfig()
-    r_min = float(np.min(env.r))
+    r_min, r_max = float(np.min(env.r)), float(np.max(env.r))
     nodes = sorted({float(x) for x in rates if 0 <= x < 1})
     found = []
     for invader_env, resident in ((env, "v"), (env.swapped(), "u")):
         level = invader_env.neutral_level
         for other in nodes:
             w = solve_semitrivial(resident, env, other, sim)
-
-            def eigen(own):
-                return sweep.invasion_eigen(invader_env, HarvestRates(alpha=own, beta=other), w)
-
-            points = sweep._newton_climb(eigen, invader_env, 0.0).points
-            found += [(eigen(x).sigma1, level) for x in nodes
-                      if sweep._certified_sign(points, x, r_min, level) == 0]
+            res = sweep.switch_eigen(invader_env, w)
+            slope = spectral.rate_slope(res, env.r)
+            found += [
+                (sweep.invasion_eigen(invader_env, HarvestRates(alpha=x, beta=other), w).sigma1,
+                 level)
+                for x in nodes
+                if sweep._bracket_sign(x, res.sigma1, res.hi, slope, r_min, r_max, level) == 0]
     return found
 
 
@@ -928,9 +878,8 @@ def test_a_node_certified_neutral_has_a_neutral_sigma_on_bundled_configs(name, d
 @given(env=ideal_free_environments())
 def test_a_node_certified_neutral_has_a_neutral_sigma_on_ideal_free_environments(env):
     # one species disperses ideally, so the other's sigma vanishes on the
-    # diagonal alpha = beta; where r varies, the climbs reach those nodes by
-    # Newton steps, and the certificate rests on their tangents. The climb
-    # on the line through (0, 0) starts there, so that node is certified
+    # diagonal alpha = beta, where each line's root lies; where r varies,
+    # the certificate rests on max r and the bracket's width
     found = _certified_neutral_sigmas(env, np.linspace(0.0, 1.0, 21))
     assert found
     for sigma, level in found:
@@ -941,9 +890,8 @@ def test_a_node_certified_neutral_has_a_neutral_sigma_on_ideal_free_environments
 @given(env=ideal_free_environments())
 def test_sweep_is_the_per_cell_sweep_on_ideal_free_environments(env):
     # one species disperses ideally, so the other's sigma is neutral on the
-    # diagonal; with r varying, the climbs reach it by Newton steps. The
-    # climb on the line through (0, 0) starts there, so that node is
-    # certified neutral at least
+    # diagonal, where each line's root lies, and some of those nodes are
+    # certified neutral
     rates = np.linspace(0.0, 1.0, 15)
     sim = SimulationConfig()
     assert sweep_grid(rates, rates, env, sim).records == per_cell_sweep(rates, rates, env, sim)
@@ -1015,22 +963,22 @@ def test_sweep_curves_are_the_line_roots_on_bundled_configs(name, diffusion):
     sg = assert_curves_are_the_line_roots(env, rates, rates, sim)
     if name in ("example1", "example2", "example4b"):
         # u disperses ideally, so sigma_v is neutral on the diagonal: the
-        # column alpha = 0 starts its climb on its root
+        # column alpha = 0 has its root at rate 0
         assert sg.switch_v[0] == 0.0
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(env=environments())
 def test_sweep_curves_are_the_line_roots_on_random_environments(env):
-    # r varies, so each climb takes Newton steps
+    # r varies, so sigma is not affine along a line
     rates = np.linspace(0.0, 1.0, 11)
     assert_curves_are_the_line_roots(env, rates, rates, SimulationConfig())
 
 
 @pytest.mark.parametrize("name", ["example1", "example5"])
 def test_sweep_curves_are_the_line_roots_on_grids_without_zero(name):
-    # every line climbs from rate 0, as find_switch does, whatever its
-    # nodes: the rows beta = 0.2 (both configs) and 0.4 (example1) have
+    # every line reports its root in [0, 1), as find_switch does, whatever
+    # its nodes: the rows beta = 0.2 (both configs) and 0.4 (example1) have
     # alpha** below the smallest alpha node, 0.302 and 0.478 on example1
     _, _, env, sim = load_example(name, n_cells=200)
     alphas, betas = np.linspace(0.6, 0.9, 4), np.linspace(0.2, 0.8, 4)
@@ -1042,8 +990,8 @@ def test_sweep_curves_are_the_line_roots_on_grids_without_zero(name):
 
 def test_a_row_reports_its_root_above_its_last_node():
     # the row beta = 0.975 of a 41-point map: its last alpha node below 1 is
-    # 0.975, and alpha** lies above it. The climb runs on toward 1 and
-    # reports the root, as find_switch does
+    # 0.975, and alpha** lies above it. The row reports the root, as
+    # find_switch does
     _, _, env, sim = load_example("example1", n_cells=200)
     rates = np.linspace(0.0, 1.0, 41)
     sg = sweep_grid(rates, rates[39:40], env, sim)
@@ -1052,9 +1000,9 @@ def test_a_row_reports_its_root_above_its_last_node():
 
 
 def test_a_cell_where_r_vanishes_leaves_the_bracket_open_above():
-    # r = 0 on cell 400 at n = 800: that cell's Collatz-Wielandt ratio does
-    # not fall in alpha, so hi is inf; lo is the Newton iterate widened by
-    # the level over its own slope, a tangent bound
+    # r = 0 on cell 400 at n = 800: sigma need not fall at the rate min r = 0,
+    # so no rounding widening exists above and hi is inf; lo is alpha**
+    # widened by the level over its own slope, a tangent bound
     _, _, env, sim = load_example("example1", r="1.1*abs(x-2.0025)")
     assert env.r[400] == 0.0
     sp = find_switch(0.4, env, sim)
@@ -1063,6 +1011,80 @@ def test_a_cell_where_r_vanishes_leaves_the_bracket_open_above():
     assert sp.lo <= sp.alpha_double_star <= sp.hi
     assert sp.lo <= ref and sp.hi == sp.bracket_width == math.inf
     assert ref - sp.lo <= 1e-8
+
+
+def test_find_switch_brackets_the_benchmark_reference_root():
+    # bench/references.json holds alpha**(0.4) on example1 at n = 800; the
+    # benchmark checks the bracket's width only, so this checks that it
+    # holds the root
+    refs = json.loads((Path(__file__).resolve().parent.parent / "bench" / "references.json")
+                      .read_text())["switch_root"]
+    assert (refs["config"], refs["beta"], refs["n_cells"]) == ("example1", 0.4, 800)
+    _, grid, env, sim = load_example("example1")
+    assert grid.n_cells == 800
+    sp = find_switch(0.4, env, sim)
+    assert sp.lo <= refs["alpha"] <= sp.hi, (sp, refs["alpha"])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(env=strategies.one_of(environments(), ideal_free_environments()),
+       beta=strategies.floats(0.0, 0.9))
+def test_the_paper_estimates_lie_either_side_of_the_proven_switch_on_random_environments(
+    env, beta
+):
+    # alpha_P <= alpha** <= alpha_up = 1 - min(v_beta / K): sigma_u >= 0 at
+    # alpha_P (analysis.alpha_star), and at alpha_up the potential is <= 0
+    # in every cell, so sigma_u <= 0. The proven bracket holds the brentq
+    # root and meets both estimates. Where v_beta / K is constant, alpha**
+    # and alpha_up are one number and alpha** may round above alpha_up, but
+    # lo never does. The same holds for v on env.swapped()
+    sim = SimulationConfig()
+    for side in (env, env.swapped()):
+        sp = find_switch(beta, side, sim)
+        ref = brentq_switch(beta, side, sim)
+        assert (sp is None) == (ref is None), (sp, ref)
+        if sp is None:
+            continue
+        assert sp.lo <= ref <= sp.hi, (sp, ref)
+        report = alpha_star(beta, side, sim)
+        assert report.effective_alpha_star <= sp.hi, (sp, report)
+        alpha_up = 1.0 - float(np.min(report.v_beta_star / side.K))
+        assert sp.lo <= alpha_up, (sp, alpha_up)
+
+
+def test_a_run_of_cells_where_r_vanishes_is_bracketed_and_swept_per_cell():
+    # r = |x - 1| + |x - 3| - 2 vanishes on [1, 3], 400 cells at n = 800:
+    # the r-weighted pencil brackets the brentq root with no elimination of
+    # those cells, and hi is inf
+    _, grid, env, sim = load_example("example1", r="abs(x-1)+abs(x-3)-2")
+    assert int(np.sum(env.r == 0.0)) == 400
+    sp = find_switch(0.4, env, sim)
+    ref = brentq_switch(0.4, env, sim)
+    assert abs(ref - 0.4451070457746) <= 1e-12
+    assert sp.lo <= sp.alpha_double_star <= sp.hi == math.inf
+    assert sp.lo <= ref and ref - sp.lo <= 1e-8
+    _, _, env, sim = load_example("example1", n_cells=200, r="abs(x-1)+abs(x-3)-2")
+    rates = np.linspace(0.0, 1.0, 11)
+    assert sweep_grid(rates, rates, env, sim).records == per_cell_sweep(rates, rates, env, sim)
+
+
+@pytest.mark.parametrize("alpha, beta, count", [(0.5, 0.6, 2), (1.0, 0.3, 1)])
+def test_simulate_cell_takes_the_eigenpairs_of_its_two_lines_on_example5(monkeypatch, alpha,
+                                                                         beta, count):
+    # r varies on example5. The cell (0.5, 0.6) takes its row's and its
+    # column's eigenpair, whose brackets decide it; at (1.0, 0.3) u is
+    # over-exploited, and the one eigenpair is the row's, for switch_u
+    _, grid, env, sim = load_example("example5")
+    assert grid.n_cells == 800
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return principal_eigen(*args)
+
+    monkeypatch.setattr(spectral, "principal_eigen", counting)
+    simulate_cell(alpha, beta, env, sim)
+    assert len(calls) == count <= 5
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

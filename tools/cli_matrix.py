@@ -32,6 +32,8 @@ RESCUE = ["--set", "P=1", "--set", "Q=1", "--set", "a=1", "--set", "b=0.01"]
 NON_FINITE = "1/(x-x)"
 # r = 0 on one cell, the one centred on x = 2.0025 at n_cells = 800 (L = 4)
 R_VANISHING = ["--set", "n_cells=800", "--set", "r=1.1*abs(x-2.0025)"]
+# r = 0 on a run of cells, the 400 in [1, 3] at n_cells = 800 (L = 4)
+R_RUN = ["--set", "n_cells=800", "--set", "r=abs(x-1)+abs(x-3)-2"]
 # (case name, arguments after --config and the n_cells override)
 CASES = (
     ("simulate", ["simulate", "--set", "t_final=100", "--alpha", "0.1", "--beta", "0.05",
@@ -46,6 +48,7 @@ CASES = (
     ("bounds_off_hypothesis", ["bounds", "--betas", "0,0.4,0.8",
                                "--set", "P=1+0.5*sin(pi*x/4)", "--output", "b.csv"]),
     ("bounds_r_vanishing", ["bounds", "--betas", "0.4", *R_VANISHING]),
+    ("bounds_r_run", ["bounds", "--betas", "0.4", *R_RUN]),
     ("bounds_weak", ["bounds", "--betas", "0.4", *WEAK]),
     ("bounds_rescue", ["bounds", "--betas", "0.3", *RESCUE]),
     ("bounds_no_invasion", ["bounds", "--betas", "0", *RESCUE]),
